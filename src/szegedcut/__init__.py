@@ -15,7 +15,9 @@ from .errors import (
     DuplicateEdgeError,
     IncompleteGroupingError,
     InvalidCPartitionError,
+    InvalidWeightError,
     LoopEdgeError,
+    MalformedPartitionError,
     NotATreeError,
     NotCatacondensedError,
     NTooSmallError,
@@ -60,7 +62,12 @@ from .molgen import (
     parse_hex_spec,
     ph_closed_formulas,
 )
-from .oracle import oracle_edge_sides, oracle_general, oracle_suite
+from .oracle import (
+    oracle_edge_sides,
+    oracle_general,
+    oracle_suite,
+    oracle_theta_star_partition,
+)
 from .quotient import (
     QuotientGraph,
     Weight,

@@ -31,6 +31,14 @@ class IncompleteGroupingError(SzegedCutError):
     """A coarsening grouping misses one or more class indices."""
 
 
+class MalformedPartitionError(SzegedCutError, ValueError):
+    """A partition has an empty class or lists an edge in two classes."""
+
+
+class InvalidWeightError(SzegedCutError, ValueError):
+    """A weight is negative or not an exact int or Fraction (bool included)."""
+
+
 class InvalidCPartitionError(SzegedCutError):
     """A partition class splits a Theta*-class across classes."""
 
@@ -56,7 +64,7 @@ class NotATreeError(SzegedCutError):
 
 
 class NTooSmallError(SzegedCutError):
-    """A generator parameter is below its minimum."""
+    """A size parameter (vertex count, generator size) is below its minimum."""
 
 
 class ParseError(SzegedCutError):

@@ -15,6 +15,7 @@ from .errors import (
     DisconnectedError,
     DuplicateEdgeError,
     LoopEdgeError,
+    NTooSmallError,
     ParseError,
     VertexOutOfRangeError,
 )
@@ -33,7 +34,7 @@ class Graph:
 
     def __init__(self, n: int, edge_list: Iterable[tuple[int, int]]):
         if n < 1:
-            raise ValueError("graph needs at least one vertex")
+            raise NTooSmallError(f"graph needs at least one vertex, got n={n}")
         edges: list[tuple[int, int]] = []
         seen: set[tuple[int, int]] = set()
         adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -164,6 +165,8 @@ def parse_edge_list(text: str) -> Graph:
         n, m = int(header[0]), int(header[1])
     except ValueError:
         raise ParseError(f"non-integer header {lines[0]!r}") from None
+    if n < 1:
+        raise ParseError(f"header declares {n} vertices, need at least one")
     body = lines[1:]
     if len(body) != m:
         raise ParseError(f"header declares {m} edges, found {len(body)}")

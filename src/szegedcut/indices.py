@@ -335,7 +335,7 @@ def weighted_suite_cut(
     """All four degree-weighted indices as sums over quotient contributions.
 
     `p` must be a c-partition; partitions not flagged as Theta*-refined are
-    validated first (quadratic in the edge count).
+    validated first (O(n*m) time, O(n+m) memory).
     """
     require_connected(g)
     _require_c_partition(g, p)

@@ -170,17 +170,20 @@ class DirectionLabeledGraph:
     nonstandard_region: bool = False
 
     def direction_partition(self) -> EdgePartition:
-        """Edge classes by direction label, flagged as Theta*-refined.
+        """Edge classes by direction label.
 
-        For benzenoids and phenylenes every Theta*-class stays inside one
-        direction class, so the flag is sound by construction.
+        Without holes every Theta*-class of a benzenoid or phenylene stays
+        inside one direction class, so the partition is flagged as
+        Theta*-refined. A `nonstandard_region` (a cell set with holes) can
+        split a Theta*-class across labels, so its partition is left
+        unflagged and the cut method validates it first.
         """
         by_label: dict[int, list[int]] = {}
         for eid, label in enumerate(self.direction_of):
             by_label.setdefault(label, []).append(eid)
         classes = [by_label[k] for k in sorted(by_label)]
         return EdgePartition.from_classes(
-            classes, self.graph.m, refined_by_theta_star=True
+            classes, self.graph.m, refined_by_theta_star=not self.nonstandard_region
         )
 
     def edges_with_label(self, label: int) -> tuple[int, ...]:

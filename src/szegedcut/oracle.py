@@ -1,20 +1,23 @@
-"""Brute-force reference implementations of every index.
+"""Brute-force reference implementations of every index and of Theta*.
 
-Everything here is evaluated straight from the definitions with two
-fresh BFS runs per edge. The module deliberately shares no computation
-with `indices` (only graph primitives and result types), so a bug cannot
-hide on both sides of the cut-versus-direct equivalence tests. It is
-O(n*m) and unoptimised on purpose.
+Every index is evaluated straight from the definitions with two fresh
+BFS runs per edge, and Theta* by testing every pair of edges. The module
+deliberately shares no computation with `indices` or with the BFS-tree
+pass in `theta` (only graph primitives, result types and the union-find),
+so a bug cannot hide on both sides of the equivalence tests. It is
+O(n*m) for the indices, O(m^2) for Theta*, and unoptimised on purpose.
 """
 
 from __future__ import annotations
 
-from .graph import Graph, bfs_distances, require_connected
+from .graph import Graph, all_pairs_distances, bfs_distances, require_connected
 from .indices import EdgeSides, IndexKind, IndexReport, weighted_suite_direct
 from .quotient import Weight, WeightAssignment
+from .theta import EdgePartition, _UnionFind
 
 __all__ = [
     "oracle_edge_sides",
+    "oracle_theta_star_partition",
     "oracle_suite",
     "oracle_general",
     "weighted_suite_direct",  # re-exported convenience entry point
@@ -38,6 +41,29 @@ def oracle_edge_sides(g: Graph, eid: int) -> EdgeSides:
         elif near_v < near_u:
             m_v.add(f)
     return EdgeSides(n_u, n_v, frozenset(m_u), frozenset(m_v))
+
+
+def oracle_theta_star_partition(g: Graph) -> EdgePartition:
+    """Theta*-classes via the pairwise O(m^2) test over a distance matrix."""
+    require_connected(g)
+    dm = all_pairs_distances(g)
+    m = g.m
+    uf = _UnionFind(m)
+    edges = g.edges
+    rows = dm.rows
+    for i in range(m):
+        u1, v1 = edges[i]
+        r1, r2 = rows[u1], rows[v1]
+        for j in range(i + 1, m):
+            u2, v2 = edges[j]
+            if r1[u2] + r2[v2] != r1[v2] + r2[u2]:
+                uf.union(i, j)
+    groups: dict[int, list[int]] = {}
+    for e in range(m):
+        groups.setdefault(uf.find(e), []).append(e)
+    return EdgePartition.from_classes(
+        groups.values(), m, refined_by_theta_star=True
+    )
 
 
 def oracle_suite(g: Graph, starred: bool = False) -> IndexReport:

@@ -18,9 +18,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
+from .errors import InvalidWeightError
 from .graph import Graph, all_pairs_distances
 
 Weight = Union[int, Fraction]
+# exact types only: type() rather than isinstance() also rejects bool
+_EXACT_TYPES = frozenset((int, Fraction))
 
 
 @dataclass(frozen=True)
@@ -29,8 +32,8 @@ class WeightAssignment:
 
     `w` weights vertices, `lambda_prime` weights edges when they are
     counted on the sides of another edge, and `w_prime` multiplies each
-    edge's term in an index sum. All values must be nonnegative and are
-    kept exact (int or Fraction).
+    edge's term in an index sum. Every value must be a nonnegative int or
+    Fraction (not a float or bool), so all arithmetic stays exact.
     """
 
     w: tuple[Weight, ...]
@@ -43,8 +46,13 @@ class WeightAssignment:
             ("w_prime", self.w_prime),
             ("lambda_prime", self.lambda_prime),
         ):
+            if not _EXACT_TYPES.issuperset(map(type, values)):
+                bad = next(x for x in values if type(x) not in _EXACT_TYPES)
+                raise InvalidWeightError(
+                    f"{name} value {bad!r} is not an int or Fraction"
+                )
             if any(x < 0 for x in values):
-                raise ValueError(f"negative {name} value")
+                raise InvalidWeightError(f"negative {name} value")
 
     @classmethod
     def unit(cls, g: Graph) -> "WeightAssignment":

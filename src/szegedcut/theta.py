@@ -6,17 +6,25 @@ symmetric but not transitive in general; its transitive closure Theta*
 partitions the edge set. A partition whose classes are unions of
 Theta*-classes is called a c-partition and is the input the cut method
 requires.
+
+Theta* and c-partition validation come from one pass over the edges of a
+BFS spanning tree in O(n*m) time and O(n+m) memory; only the partial-cube
+test and `theta_related` read an all-pairs distance table.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from itertools import compress, repeat
+from operator import and_, eq, itemgetter, ne, xor
+from typing import Iterable, Iterator, Mapping
 
 from .errors import (
+    DisconnectedError,
     IncompleteGroupingError,
     InvalidCPartitionError,
+    MalformedPartitionError,
     PartitionNotCoveringError,
 )
 from .graph import DistanceMatrix, Graph, all_pairs_distances, require_connected
@@ -50,7 +58,7 @@ class EdgePartition:
     Classes are canonically ordered by their smallest edge id. The
     `refined_by_theta_star` flag asserts that every class is a union of
     Theta*-classes; generators that know this by construction set it so
-    index pipelines can skip the quadratic validation.
+    index pipelines can skip the O(n*m) validation.
     """
 
     classes: tuple[frozenset[int], ...]
@@ -64,17 +72,18 @@ class EdgePartition:
         m: int,
         refined_by_theta_star: bool = False,
     ) -> "EdgePartition":
-        canon = sorted((frozenset(c) for c in classes), key=min)
+        canon = [frozenset(c) for c in classes]
+        if not all(canon):
+            raise MalformedPartitionError("empty partition class")
+        canon.sort(key=min)
         class_of = [-1] * m
         total = 0
         for idx, members in enumerate(canon):
-            if not members:
-                raise ValueError("empty partition class")
             for e in members:
                 if not 0 <= e < m:
                     raise PartitionNotCoveringError(f"edge id {e} outside 0..{m - 1}")
                 if class_of[e] >= 0:
-                    raise ValueError(f"edge id {e} in two classes")
+                    raise MalformedPartitionError(f"edge id {e} in two classes")
                 class_of[e] = idx
             total += len(members)
         if total != m:
@@ -110,21 +119,126 @@ def theta_related(g: Graph, dm: DistanceMatrix, e1: int, e2: int) -> bool:
     return r1[u2] + r2[v2] != r1[v2] + r2[u2]
 
 
+_MASK_BITS = 64  # tree edges cut per bipartite BFS
+
+
+def _propagate(nbrs: list[list[int]], lab: list[int], sources: list[int]) -> None:
+    # Level-synchronous BFS from `sources` (all at distance 0) that ORs each
+    # vertex's label into its successors in the shortest-path DAG, so on
+    # return lab[z] is the OR over every shortest path into z.
+    dist = [-1] * len(nbrs)
+    for s in sources:
+        dist[s] = 0
+    frontier = sources
+    d = 0
+    while frontier:
+        d += 1
+        nxt = []
+        for x in frontier:
+            lx = lab[x]
+            for y in nbrs[x]:
+                dy = dist[y]
+                if dy < 0:
+                    dist[y] = d
+                    lab[y] |= lx
+                    nxt.append(y)
+                elif dy == d:
+                    lab[y] |= lx
+        frontier = nxt
+
+
+def _theta_cuts(g: Graph) -> Iterator[tuple[int, Iterable[int]]]:
+    """Yield (e, edges Theta-related to e) for every edge e of a BFS tree.
+
+    Theta* is the transitive closure of Theta restricted to pairs (tree
+    edge, any edge) for a BFS spanning tree (Hammack, Imrich and Klavzar,
+    Handbook of Product Graphs, 2nd ed., 2011), so these pairs determine
+    it. An edge f = xy is Theta-related to e = pc iff x and y differ in
+    whether they are closer to p, closer to c, or equidistant. Time is
+    O(n*m), memory O(n+m); each yielded iterable is single-pass.
+
+    Raises:
+        DisconnectedError: if g is not connected.
+    """
+    n, m = g.n, g.m
+    depth = [-1] * n
+    parent_edge = [-1] * n
+    depth[0] = 0
+    order = [0]
+    for x in order:  # grows while iterated: a BFS queue
+        dx = depth[x] + 1
+        for y, eid in g.adj[x]:
+            if depth[y] < 0:
+                depth[y] = dx
+                parent_edge[y] = eid
+                order.append(y)
+    if len(order) < n:
+        raise DisconnectedError("graph is not connected")
+    if m <= 1:
+        # a connected graph with one edge: the edge is its own class (and
+        # itemgetter with a single index would return a scalar below)
+        if m:
+            yield 0, (0,)
+        return
+
+    nbrs = [[y for y, _ in a] for a in g.adj]
+    xs = itemgetter(*(u for u, _ in g.edges))
+    ys = itemgetter(*(v for _, v in g.edges))
+    edge_ids = range(m)
+
+    # an edge joins two equal BFS depths iff g has an odd cycle
+    if any(map(eq, xs(depth), ys(depth))):
+        # One two-source BFS per tree edge pc labels each vertex closer to
+        # p (1), closer to c (2) or equidistant (3).
+        for c in order[1:]:
+            eid = parent_edge[c]
+            u, v = g.edges[eid]
+            lab = [0] * n
+            lab[u], lab[v] = 1, 2
+            _propagate(nbrs, lab, [u, v])
+            yield eid, compress(edge_ids, map(ne, xs(lab), ys(lab)))
+        return
+
+    # Bipartite: no vertex is equidistant from the ends of an edge vc, and
+    # the vertices closer to c are those with a shortest path from v
+    # through c. One BFS from v that carries one bit per tree neighbour
+    # cuts every tree edge at v (up to _MASK_BITS of them, so masks stay
+    # small on hubs). Each tree edge joins two depth parities, so the
+    # smaller parity class is a vertex cover of the tree.
+    tree_edges: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for c in order[1:]:
+        eid = parent_edge[c]
+        u, v = g.edges[eid]
+        tree_edges[u].append((v, eid))
+        tree_edges[v].append((u, eid))
+    even = [x for x in range(n) if not depth[x] & 1]
+    odd = [x for x in range(n) if depth[x] & 1]
+    for v in even if len(even) <= len(odd) else odd:
+        at_v = tree_edges[v]
+        for lo in range(0, len(at_v), _MASK_BITS):
+            chunk = at_v[lo : lo + _MASK_BITS]
+            mask = [0] * n
+            for k, (c, _) in enumerate(chunk):
+                mask[c] = 1 << k
+            _propagate(nbrs, mask, [v])
+            diff = list(map(xor, xs(mask), ys(mask)))
+            cut = list(compress(edge_ids, diff))  # cut by some edge in chunk
+            cut_diff = list(map(diff.__getitem__, cut))
+            for k, (_, eid) in enumerate(chunk):
+                yield eid, compress(cut, map(and_, cut_diff, repeat(1 << k)))
+
+
 def theta_star_partition(g: Graph) -> EdgePartition:
-    """Theta*-classes via the pairwise O(m^2) test over a distance matrix."""
-    require_connected(g)
-    dm = all_pairs_distances(g)
+    """Theta*-classes in O(n*m) time and O(n+m) memory.
+
+    Raises:
+        DisconnectedError: if g is not connected.
+    """
     m = g.m
     uf = _UnionFind(m)
-    edges = g.edges
-    rows = dm.rows
-    for i in range(m):
-        u1, v1 = edges[i]
-        r1, r2 = rows[u1], rows[v1]
-        for j in range(i + 1, m):
-            u2, v2 = edges[j]
-            if r1[u2] + r2[v2] != r1[v2] + r2[u2]:
-                uf.union(i, j)
+    for e, related in _theta_cuts(g):
+        for f in related:
+            uf.union(e, f)
     groups: dict[int, list[int]] = {}
     for e in range(m):
         groups.setdefault(uf.find(e), []).append(e)
@@ -134,16 +248,22 @@ def theta_star_partition(g: Graph) -> EdgePartition:
 
 
 def validate_c_partition(g: Graph, p: EdgePartition) -> bool:
-    """True iff every Theta*-class of g lies inside a single class of p."""
+    """True iff every Theta*-class of g lies inside a single class of p.
+
+    Checks each Theta pair of the BFS-tree pass against p's classes, so it
+    runs in O(n*m) time and O(n+m) memory and stops at the first split.
+
+    Raises:
+        PartitionNotCoveringError: if p does not cover g's edges.
+        DisconnectedError: if g is not connected.
+    """
     if p.num_edges != g.m:
         raise PartitionNotCoveringError(
             f"partition covers {p.num_edges} edges, graph has {g.m}"
         )
-    star = theta_star_partition(g)
-    for members in star.classes:
-        it = iter(members)
-        target = p.class_of[next(it)]
-        if any(p.class_of[e] != target for e in it):
+    class_of = p.class_of
+    for e, related in _theta_cuts(g):
+        if any(map(ne, map(class_of.__getitem__, related), repeat(class_of[e]))):
             return False
     return True
 

@@ -93,6 +93,14 @@ def test_malformed_input_exit_code(capsys, tmp_path):
     assert "parse error" in err.lower()
 
 
+@pytest.mark.parametrize("text", ["0 0\n", "-1 0\n"])
+def test_empty_graph_header_exit_code(capsys, tmp_path, text):
+    path = _write(tmp_path, "empty.edges", text)
+    code, _, err = run_cli(capsys, "index", path)
+    assert code == 2
+    assert "parse error" in err.lower()
+
+
 def test_missing_file_exit_code(capsys):
     code, _, err = run_cli(capsys, "index", "/nonexistent/input.edges")
     assert code == 2

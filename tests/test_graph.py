@@ -8,6 +8,7 @@ from szegedcut import (
     DisconnectedError,
     DuplicateEdgeError,
     LoopEdgeError,
+    NTooSmallError,
     ParseError,
     VertexOutOfRangeError,
     all_pairs_distances,
@@ -164,6 +165,14 @@ def test_edge_list_roundtrip():
 def test_parse_errors(text):
     with pytest.raises(ParseError):
         parse_edge_list(text)
+
+
+@pytest.mark.parametrize("text", ["0 0\n", "-2 0\n"])
+def test_parse_rejects_graphs_without_vertices(text):
+    with pytest.raises(ParseError):
+        parse_edge_list(text)
+    with pytest.raises(NTooSmallError):
+        build_graph(0, [])
 
 
 def test_parse_ignores_comments_and_blanks():

@@ -1,9 +1,14 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from szegedcut import (
     CellsNotTreeError,
     DisconnectedCellsError,
     HexSpec,
+    InvalidCPartitionError,
     NotATreeError,
     NotCatacondensedError,
     NTooSmallError,
@@ -248,3 +253,64 @@ def test_generation_is_deterministic():
     p1 = build_phenylene(ZIGZAG4)
     p2 = build_phenylene(ZIGZAG4)
     assert p1.graph.edges == p2.graph.edges
+
+
+def test_direction_labels_are_trusted_only_without_holes():
+    assert build_benzenoid(CORONENE).direction_partition().refined_by_theta_star
+    assert linear_phenylene(3).direction_partition().refined_by_theta_star
+    for cells in (RING_CELLS, WIDE_RING_CELLS):
+        assert not build_benzenoid(HexSpec(cells)).direction_partition().refined_by_theta_star
+
+
+def test_wide_hole_labels_are_rejected_not_miscounted():
+    # trusted, these labels gave (41940, 6656, 48768, 7552); the oracle
+    # gives (41900, 6656, 48728, 7552)
+    ring = build_benzenoid(HexSpec(WIDE_RING_CELLS))
+    with pytest.raises(InvalidCPartitionError):
+        weighted_suite_cut(ring.graph, ring.direction_partition())
+    one_hole = build_benzenoid(HexSpec(RING_CELLS))
+    cut = weighted_suite_cut(one_hole.graph, one_hole.direction_partition())
+    assert cut.as_tuple() == oracle_suite(one_hole.graph).as_tuple()
+
+
+_AXIAL = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))
+_HOLES = (
+    frozenset({(0, 0)}),
+    frozenset({(0, 0), (1, 0)}),
+    frozenset({(0, 0), (0, 1)}),
+    frozenset({(0, 0), (1, -1)}),
+)
+
+
+def _grow(rng, cells, size, avoid):
+    while len(cells) < size:
+        q, r = rng.choice(sorted(cells))
+        dq, dr = rng.choice(_AXIAL)
+        if (q + dq, r + dr) not in avoid:
+            cells.add((q + dq, r + dr))
+    return frozenset(cells)
+
+
+def random_cell_set(rng: random.Random) -> HexSpec:
+    """Connected set of at most 10 cells; half of them start from the ring
+    around a one- or two-cell hole, possibly opened by dropping one cell."""
+    if rng.random() < 0.5:
+        return HexSpec(_grow(rng, {(0, 0)}, rng.randint(1, 10), frozenset()))
+    hole = rng.choice(_HOLES)
+    ring = sorted({(q + dq, r + dr) for q, r in hole for dq, dr in _AXIAL} - hole)
+    if rng.random() < 0.3:
+        ring.remove(rng.choice(ring))
+    return HexSpec(_grow(rng, set(ring), rng.randint(len(ring), 10), hole))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**9))
+def test_label_cut_is_exact_or_rejected(seed):
+    spec = random_cell_set(random.Random(seed))
+    b = build_benzenoid(spec)
+    try:
+        cut = weighted_suite_cut(b.graph, b.direction_partition())
+    except InvalidCPartitionError:
+        assert spec.has_holes()
+    else:
+        assert cut.as_tuple() == oracle_suite(b.graph).as_tuple()

@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 
 from szegedcut import (
+    InvalidWeightError,
+    SzegedCutError,
     WeightAssignment,
     build_graph,
     component_of,
@@ -23,6 +25,26 @@ from conftest import (
 def test_weight_assignment_rejects_negative():
     with pytest.raises(ValueError):
         WeightAssignment((1, -1), (1,), (1,))
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [
+        ((0.1, 0.2), (0.3,), (1,)),       # floats
+        ((1, 1), (True,), (1,)),          # bool is not an exact weight
+        ((1, 1), (1,), ("1",)),
+    ],
+)
+def test_weight_assignment_rejects_inexact_values(weights):
+    with pytest.raises(InvalidWeightError) as info:
+        WeightAssignment(*weights)
+    assert isinstance(info.value, SzegedCutError)
+    assert isinstance(info.value, ValueError)
+
+
+def test_weight_assignment_accepts_ints_and_fractions():
+    wa = WeightAssignment((0, Fraction(1, 3)), (Fraction(2),), (7,))
+    assert wa.w == (0, Fraction(1, 3))
 
 
 def test_weight_assignment_factories():

@@ -1,10 +1,12 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from szegedcut import (
+    DisconnectedError,
     EdgePartition,
     IncompleteGroupingError,
     InvalidCPartitionError,
@@ -15,14 +17,24 @@ from szegedcut import (
     coarsen,
     is_bipartite,
     is_partial_cube,
+    linear_phenylene,
+    MalformedPartitionError,
+    oracle_theta_star_partition,
     quotient_graph,
     single_class_partition,
     theta_related,
+    SzegedCutError,
     theta_star_partition,
     validate_c_partition,
 )
 
-from conftest import cycle_graph, path_graph, random_connected_graph, random_tree
+from conftest import (
+    cycle_graph,
+    path_graph,
+    random_bipartite_connected,
+    random_connected_graph,
+    random_tree,
+)
 
 
 def test_theta_c4_opposite_edges():
@@ -171,3 +183,121 @@ def test_removing_a_class_from_a_partial_cube_gives_two_components():
     for members in star.classes:
         q = quotient_graph(c6, wa, members)
         assert q.graph.n == 2
+
+
+def test_partition_factory_errors_are_library_errors():
+    for classes in ([{0}, {0, 1}], [set(), {0, 1}]):   # overlap, empty class
+        with pytest.raises(MalformedPartitionError) as info:
+            EdgePartition.from_classes(classes, 2)
+        assert isinstance(info.value, SzegedCutError)
+        assert isinstance(info.value, ValueError)
+
+
+# ---------------------------------------------------------------------------
+# the BFS-tree Theta* pass against the pairwise oracle
+# ---------------------------------------------------------------------------
+
+GRAPH_FAMILIES = ("tree", "even-cycle", "odd-cycle", "bipartite", "general", "tiny")
+
+
+def family_graph(family: str, rng: random.Random):
+    if family == "tree":
+        return random_tree(rng, min_n=1, max_n=12)
+    if family == "even-cycle":
+        return cycle_graph(2 * rng.randint(2, 7))
+    if family == "odd-cycle":
+        return cycle_graph(2 * rng.randint(1, 7) + 1)
+    if family == "bipartite":
+        return random_bipartite_connected(rng, extra=rng.choice((0.1, 0.3, 0.6)))
+    if family == "general":
+        return random_connected_graph(rng, max_n=12, extra=rng.choice((0.1, 0.25, 0.5)))
+    return random_connected_graph(rng, min_n=1, max_n=2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(GRAPH_FAMILIES), st.integers(0, 10**9))
+def test_theta_star_matches_pairwise_oracle(family, seed):
+    g = family_graph(family, random.Random(seed))
+    assert theta_star_partition(g).classes == oracle_theta_star_partition(g).classes
+
+
+def test_theta_star_matches_oracle_on_patch_and_molecule(patch):
+    for g in (patch, linear_phenylene(6).graph):
+        assert theta_star_partition(g).classes == oracle_theta_star_partition(g).classes
+
+
+def _split_and_coarsen(rng: random.Random, star: EdgePartition) -> EdgePartition:
+    # refine some Theta*-classes at random, then merge classes at random
+    pieces = []
+    for members in star.classes:
+        ids = sorted(members)
+        rng.shuffle(ids)
+        if len(ids) > 1 and rng.random() < 0.3:
+            cut = rng.randint(1, len(ids) - 1)
+            pieces += [ids[:cut], ids[cut:]]
+        else:
+            pieces.append(ids)
+    groups = rng.randint(1, len(pieces))
+    merged: dict[int, list[int]] = {}
+    for piece in pieces:
+        merged.setdefault(rng.randrange(groups), []).extend(piece)
+    return EdgePartition.from_classes(merged.values(), star.num_edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(GRAPH_FAMILIES), st.integers(0, 10**9))
+def test_validate_agrees_with_oracle(family, seed):
+    rng = random.Random(seed)
+    g = family_graph(family, rng)
+    star = oracle_theta_star_partition(g)
+    if not star.classes:
+        assert validate_c_partition(g, star)
+        return
+    for _ in range(3):
+        p = _split_and_coarsen(rng, star)
+        expected = all(len({p.class_of[e] for e in c}) == 1 for c in star.classes)
+        assert validate_c_partition(g, p) == expected
+
+
+def test_theta_star_with_at_most_one_edge():
+    k1 = build_graph(1, [])
+    assert theta_star_partition(k1).classes == ()
+    assert validate_c_partition(k1, single_class_partition(0))
+    k2 = build_graph(2, [(0, 1)])
+    assert theta_star_partition(k2).classes == (frozenset({0}),)
+    assert validate_c_partition(k2, single_class_partition(1))
+
+
+@pytest.mark.parametrize("k", [63, 64, 65, 130])
+def test_theta_star_at_hubs_with_many_tree_edges(k):
+    # a hub with more tree edges than one BFS cuts at a time
+    star = build_graph(k + 1, [(0, v) for v in range(1, k + 1)])
+    assert theta_star_partition(star).classes == tuple(frozenset({e}) for e in range(k))
+    k2 = build_graph(k + 2, [(hub, 2 + i) for hub in (0, 1) for i in range(k)])
+    oracle = oracle_theta_star_partition(k2)
+    assert theta_star_partition(k2).classes == oracle.classes
+    assert validate_c_partition(k2, oracle)
+
+
+def test_theta_star_and_validate_reject_disconnected_graphs():
+    for g in (build_graph(2, []), build_graph(3, [(0, 1)]), build_graph(4, [(0, 1), (2, 3)])):
+        with pytest.raises(DisconnectedError):
+            theta_star_partition(g)
+        with pytest.raises(DisconnectedError):
+            validate_c_partition(g, single_class_partition(g.m))
+
+
+def test_theta_star_and_validate_memory_is_linear():
+    # the all-pairs table alone would be 600 x 600 entries (about 3 MB)
+    dlg = linear_phenylene(100)
+    g = dlg.graph
+    p = EdgePartition.from_classes(dlg.direction_partition().classes, g.m)
+    tracemalloc.start()
+    try:
+        star = theta_star_partition(g)
+        valid = validate_c_partition(g, p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(star) == 300 and valid
+    assert peak < 1_000_000, f"peak {peak} bytes"
