@@ -40,10 +40,8 @@ from .graph import (
 )
 from .indices import (
     ClassContribution,
-    EdgeSides,
     IndexKind,
     IndexReport,
-    edge_sides,
     first_zagreb,
     general_cut_index,
     weighted_index,
@@ -63,6 +61,7 @@ from .molgen import (
     ph_closed_formulas,
 )
 from .oracle import (
+    EdgeSides,
     oracle_edge_sides,
     oracle_general,
     oracle_suite,
@@ -72,7 +71,6 @@ from .quotient import (
     QuotientGraph,
     Weight,
     WeightAssignment,
-    component_of,
     distance_decomposition_check,
     quotient_graph,
 )

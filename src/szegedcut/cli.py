@@ -38,6 +38,10 @@ _EXIT_DISCONNECTED = 3
 _EXIT_PARTITION = 4
 _EXIT_INPUT = 5
 
+# first line of a label sidecar whose cell set has holes: its labels may
+# split a Theta*-class, so the partition is validated instead of trusted
+_HOLED_MARKER = "# nonstandard_region"
+
 
 def _read_text(path: str) -> str:
     if path == "-":
@@ -49,8 +53,10 @@ def _read_text(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
-def _parse_id_value_lines(text: str, what: str) -> dict[int, int]:
-    mapping: dict[int, int] = {}
+def _parse_partition(text: str, what: str, m: int) -> EdgePartition:
+    """Classes from `edge_id value` lines that name each edge id once."""
+    groups: dict[int, list[int]] = {}
+    seen: set[int] = set()
     for line in text.splitlines():
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -62,44 +68,30 @@ def _parse_id_value_lines(text: str, what: str) -> dict[int, int]:
             key, value = int(parts[0]), int(parts[1])
         except ValueError:
             raise ParseError(f"non-integer {what} line {line!r}") from None
-        if key in mapping:
+        if key in seen:
             raise ParseError(f"duplicate edge id {key} in {what} file")
-        mapping[key] = value
-    return mapping
-
-
-def _partition_from_mapping(
-    mapping: dict[int, int], m: int, refined: bool
-) -> EdgePartition:
-    if sorted(mapping) != list(range(m)):
+        seen.add(key)
+        groups.setdefault(value, []).append(key)
+    if sorted(seen) != list(range(m)):
         raise ParseError(f"file must map every edge id 0..{m - 1} exactly once")
-    groups: dict[int, list[int]] = {}
-    for eid, value in mapping.items():
-        groups.setdefault(value, []).append(eid)
-    return EdgePartition.from_classes(
-        groups.values(), m, refined_by_theta_star=refined
-    )
+    return EdgePartition.from_classes(groups.values(), m)
 
 
 def _load_partition(g: Graph, args) -> EdgePartition:
     if args.partition == "theta-star":
         return theta_star_partition(g)
     if args.partition == "labels":
-        if not args.labels_file:
-            raise ParseError("--partition labels requires --labels-file")
-        mapping = _parse_id_value_lines(_read_text(args.labels_file), "edge_id label")
-        # generator sidecars are asserted c-partitions; trusted as such
-        return _partition_from_mapping(mapping, g.m, refined=True)
-    if not args.partition_file:
-        raise ParseError("--partition file requires --partition-file")
-    mapping = _parse_id_value_lines(
-        _read_text(args.partition_file), "edge_id class_id"
-    )
-    p = _partition_from_mapping(mapping, g.m, refined=False)
-    if not validate_c_partition(g, p):
-        raise InvalidCPartitionError(
-            "partition file splits a Theta*-class across classes"
-        )
+        path, option, what = args.labels_file, "--labels-file", "edge_id label"
+    else:
+        path, option, what = args.partition_file, "--partition-file", "edge_id class_id"
+    if not path:
+        raise ParseError(f"--partition {args.partition} requires {option}")
+    text = _read_text(path)
+    p = _parse_partition(text, what, g.m)
+    # generator sidecars are trusted c-partitions unless marked as holed
+    holed = text.partition("\n")[0].strip() == _HOLED_MARKER
+    if (args.partition == "file" or holed) and not validate_c_partition(g, p):
+        raise InvalidCPartitionError("partition file splits a Theta*-class across classes")
     return EdgePartition(p.classes, p.class_of, refined_by_theta_star=True)
 
 
@@ -124,21 +116,17 @@ def _cmd_index(args) -> int:
     g = parse_edge_list(_read_text(args.input))
     if args.method == "direct":
         report = oracle_suite(g, starred=args.starred)
-    elif args.method == "cut":
+    else:
         p = _load_partition(g, args)
-        report = weighted_suite_cut(g, p, starred=args.starred, threads=args.threads)
-    else:  # compare
-        p = _load_partition(g, args)
-        cut = weighted_suite_cut(g, p, starred=args.starred, threads=args.threads)
+        report = weighted_suite_cut(g, p, starred=args.starred)
+    if args.method == "compare":
         direct = oracle_suite(g, starred=args.starred)
-        if cut.as_tuple() != direct.as_tuple():
+        if report.as_tuple() != direct.as_tuple():
             print(
-                "mismatch: cut "
-                f"{cut.as_tuple()} != direct {direct.as_tuple()}",
+                f"mismatch: cut {report.as_tuple()} != direct {direct.as_tuple()}",
                 file=sys.stderr,
             )
             return _EXIT_MISMATCH
-        report = cut
     _print_report(report, args.format)
     return _EXIT_OK
 
@@ -184,6 +172,8 @@ def _cmd_gen(args) -> int:
     sys.stdout.write(format_edge_list(dlg.graph, comments=comments))
     if args.labels:
         with open(args.labels, "w", encoding="utf-8") as fh:
+            if dlg.nonstandard_region:
+                fh.write(_HOLED_MARKER + "\n")
             for eid, label in enumerate(dlg.direction_of):
                 fh.write(f"{eid} {label}\n")
     return _EXIT_OK
@@ -213,7 +203,7 @@ def _cmd_bench(args) -> int:
                 runs.append(time.perf_counter() - t0)
             return statistics.median(runs)
 
-        cut_s = timed(lambda: weighted_suite_cut(g, p, threads=args.threads))
+        cut_s = timed(lambda: weighted_suite_cut(g, p))
         print(f"{args.family},{cells},{g.n},{g.m},cut,{cut_s:.6f}")
         if cells <= args.direct_max:
             direct_s = timed(lambda: oracle_suite(g))
@@ -242,8 +232,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--labels-file", help="edge_id label sidecar from gen")
         p.add_argument("--starred", action="store_true",
                        help="use degree products instead of degree sums")
-        p.add_argument("--threads", type=int, default=1,
-                       help="cap on per-class parallelism (default 1)")
 
     p_index = sub.add_parser("index", help="compute the four-index suite")
     p_index.add_argument("input", nargs="?", default="-",
@@ -284,7 +272,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--direct-max", type=int, default=200,
         help="largest cell count at which the direct oracle is timed",
     )
-    p_bench.add_argument("--threads", type=int, default=1)
     p_bench.set_defaults(func=_cmd_bench)
 
     return parser
@@ -293,8 +280,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", 1) < 1:
-        parser.error("--threads must be >= 1")
     try:
         return args.func(args)
     except ParseError as exc:

@@ -85,14 +85,6 @@ class DistanceMatrix:
 
     rows: tuple[tuple[int, ...], ...]
 
-    def dist(self, u: int, v: int) -> int:
-        return self.rows[u][v]
-
-    def to_edge(self, u: int, g: Graph, eid: int) -> int:
-        x, y = g.edges[eid]
-        row = self.rows[u]
-        return min(row[x], row[y])
-
 
 def _bfs(g: Graph, source: int) -> list[int]:
     # -1 marks unreached vertices; callers decide whether that is an error.

@@ -20,19 +20,27 @@ any c-partition:
     wSz_e -> sum Sz_t(G_i, lam_i, lam_i', w_i')
     wPI   -> sum PI_v(G_i, lam_i, w_i') + PI(G_i, lam_i', w_i')
 
+One engine, `_sums`, evaluates these four quotient sums for any weighted
+graph. The direct route uses it too: G is its own quotient by E, with
+lam = 0, so Sz_t(G, 0, lambda', w') = Sz_e and PI_v(G, 0, w') + PI(G,
+lambda', w') = PI. Passing lam = w instead gives the total-Szeged index.
+
 All arithmetic is exact (Python ints, Fractions for fractional input).
 """
 
 from __future__ import annotations
 
 import enum
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Sequence
+from fractions import Fraction
+from itertools import compress, repeat
+from math import lcm
+from operator import eq
+from typing import Iterator, Sequence
 
 from .errors import InvalidCPartitionError, UnsupportedKindError
-from .graph import DistanceMatrix, Graph, _bfs, require_connected
-from .quotient import QuotientGraph, Weight, WeightAssignment, quotient_graph
+from .graph import Graph, require_connected
+from .quotient import Weight, WeightAssignment, quotient_graph
 from .theta import EdgePartition, validate_c_partition
 
 
@@ -42,16 +50,6 @@ class IndexKind(enum.Enum):
     SZ_E = "Sz_e"
     PI = "PI"
     SZ_T = "Sz_t"
-
-
-@dataclass(frozen=True)
-class EdgeSides:
-    """Strict closer-sides of an edge e = uv: vertex sets and edge sets."""
-
-    n_u: frozenset[int]
-    n_v: frozenset[int]
-    m_u: frozenset[int]
-    m_v: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -88,38 +86,21 @@ class IndexReport:
         return {
             "method": self.method,
             "starred": self.starred,
-            "wSz": str(self.w_sz),
-            "wPI_v": str(self.w_pi_v),
-            "wSz_e": str(self.w_sz_e),
-            "wPI": str(self.w_pi),
+            **_json_values(self),
             "per_class": [
-                {
-                    "class": c.class_index,
-                    "wSz": str(c.w_sz),
-                    "wPI_v": str(c.w_pi_v),
-                    "wSz_e": str(c.w_sz_e),
-                    "wPI": str(c.w_pi),
-                }
-                for c in self.per_class
+                {"class": c.class_index, **_json_values(c)} for c in self.per_class
             ],
         }
 
 
-def edge_sides(g: Graph, dm: DistanceMatrix, eid: int) -> EdgeSides:
-    """Side sets of an edge from a precomputed distance matrix."""
-    u, v = g.edges[eid]
-    du, dv = dm.rows[u], dm.rows[v]
-    n_u = frozenset(x for x in range(g.n) if du[x] < dv[x])
-    n_v = frozenset(x for x in range(g.n) if dv[x] < du[x])
-    m_u, m_v = set(), set()
-    for f, (x, y) in enumerate(g.edges):
-        dfu = du[x] if du[x] < du[y] else du[y]
-        dfv = dv[x] if dv[x] < dv[y] else dv[y]
-        if dfu < dfv:
-            m_u.add(f)
-        elif dfv < dfu:
-            m_v.add(f)
-    return EdgeSides(n_u, n_v, frozenset(m_u), frozenset(m_v))
+def _json_values(x) -> dict:
+    # the four values of an IndexReport or a ClassContribution
+    return {
+        "wSz": str(x.w_sz),
+        "wPI_v": str(x.w_pi_v),
+        "wSz_e": str(x.w_sz_e),
+        "wPI": str(x.w_pi),
+    }
 
 
 def first_zagreb(g: Graph) -> int:
@@ -128,180 +109,171 @@ def first_zagreb(g: Graph) -> int:
 
 
 # ---------------------------------------------------------------------------
-# per-edge side sums
+# the side-sum engine
 # ---------------------------------------------------------------------------
 
-SideSums = list  # per edge: (nu, nv, mu, mv), each a tuple over weight vectors
+Sums = tuple[Weight, Weight, Weight, Weight]
 
 
-def _side_sums_tree(
+def _sums(
     g: Graph,
-    vertex_vectors: Sequence[Sequence[Weight]],
-    edge_vectors: Sequence[Sequence[Weight]],
-) -> SideSums:
-    # Removing a tree edge splits the vertex and edge sets cleanly in two,
-    # so one pass of subtree aggregation gives every side sum in O(n).
-    n = g.n
-    order = [0]
-    parent_edge = [-1] * n
-    parent_vertex = [-1] * n
-    seen = bytearray(n)
-    seen[0] = 1
-    queue = deque([0])
-    while queue:
-        x = queue.popleft()
-        for y, eid in g.adj[x]:
-            if not seen[y]:
-                seen[y] = 1
-                parent_edge[y] = eid
-                parent_vertex[y] = x
-                order.append(y)
-                queue.append(y)
+    w: Sequence[Weight],
+    lam: Sequence[Weight],
+    lambda_prime: Sequence[Weight],
+    w_prime: Sequence[Weight],
+) -> Sums:
+    """Sz(w, w'), PI_v(w, w'), Sz_t(lam, lambda', w') and PI_v(lam, w') +
+    PI(lambda', w') of a connected graph, in one pass over its edges.
 
-    sub_v = [list(vec) for vec in vertex_vectors]
-    sub_e = [[0] * n for _ in edge_vectors]
-    for x in reversed(order[1:]):
-        p = parent_vertex[x]
-        pe = parent_edge[x]
-        for k in range(len(vertex_vectors)):
-            sub_v[k][p] += sub_v[k][x]
-        for k, vec in enumerate(edge_vectors):
-            sub_e[k][p] += sub_e[k][x] + vec[pe]
-
-    total_v = [sum(vec) for vec in vertex_vectors]
-    total_e = [sum(vec) for vec in edge_vectors]
-
-    result: SideSums = [None] * g.m
-    for x in order[1:]:
-        eid = parent_edge[x]
-        a, b = g.edges[eid]
-        child_n = tuple(sub_v[k][x] for k in range(len(vertex_vectors)))
-        child_m = tuple(sub_e[k][x] for k in range(len(edge_vectors)))
-        other_n = tuple(total_v[k] - child_n[k] for k in range(len(vertex_vectors)))
-        other_m = tuple(
-            total_e[k] - child_m[k] - edge_vectors[k][eid]
-            for k in range(len(edge_vectors))
-        )
-        if a == x:  # stored orientation has the child first
-            result[eid] = (child_n, other_n, child_m, other_m)
-        else:
-            result[eid] = (other_n, child_n, other_m, child_m)
-    return result
-
-
-def _side_sums_generic(
-    g: Graph,
-    vertex_vectors: Sequence[Sequence[Weight]],
-    edge_vectors: Sequence[Sequence[Weight]],
-) -> SideSums:
-    # Two BFS runs per edge; no all-pairs table is stored.
-    nv_vec = len(vertex_vectors)
-    ne_vec = len(edge_vectors)
-    result: SideSums = [None] * g.m
-    for eid, (u, v) in enumerate(g.edges):
-        du = _bfs(g, u)
-        dv = _bfs(g, v)
-        nu = [0] * nv_vec
-        nv = [0] * nv_vec
-        for x in range(g.n):
-            if du[x] < dv[x]:
-                for k in range(nv_vec):
-                    nu[k] += vertex_vectors[k][x]
-            elif dv[x] < du[x]:
-                for k in range(nv_vec):
-                    nv[k] += vertex_vectors[k][x]
-        mu = [0] * ne_vec
-        mv = [0] * ne_vec
-        for f, (x, y) in enumerate(g.edges):
-            dfu = du[x] if du[x] < du[y] else du[y]
-            dfv = dv[x] if dv[x] < dv[y] else dv[y]
-            if dfu < dfv:
-                for k in range(ne_vec):
-                    mu[k] += edge_vectors[k][f]
-            elif dfv < dfu:
-                for k in range(ne_vec):
-                    mv[k] += edge_vectors[k][f]
-        result[eid] = (tuple(nu), tuple(nv), tuple(mu), tuple(mv))
-    return result
-
-
-def _edge_side_sums(g, vertex_vectors, edge_vectors) -> SideSums:
-    """Side sums for every edge under the given weight vectors.
-
-    Connected trees get the linear-time aggregation path; everything else
-    falls back to per-edge BFS.
+    Trees take the linear subtree-aggregation path; every other graph
+    takes one two-source BFS per edge. Each term is symmetric in the two
+    sides of its edge, so neither path tracks orientation.
     """
     if g.m == g.n - 1:
-        return _side_sums_tree(g, vertex_vectors, edge_vectors)
-    return _side_sums_generic(g, vertex_vectors, edge_vectors)
+        return _tree_sums(g, w, lam, lambda_prime, w_prime)
+    return _generic_sums(g, w, lam, lambda_prime, w_prime)
+
+
+def _tree_sums(g, w, lam, lambda_prime, w_prime) -> Sums:
+    # Removing a tree edge splits the vertex and edge sets cleanly in two,
+    # so subtree totals give both sides of every edge.
+    adj = g.adj
+    parent = [-1] * g.n
+    parent_edge = [-1] * g.n
+    order = [0]
+    for x in order:  # BFS from vertex 0; the list grows while it is read
+        p = parent[x]
+        for y, eid in adj[x]:
+            if y != p:
+                parent[y] = x
+                parent_edge[y] = eid
+                order.append(y)
+
+    total_w = sum(w)
+    total_t = sum(lam) + sum(lambda_prime)
+    sub_w = list(w)
+    sub_t = list(lam)  # lam of the subtree's vertices plus lambda' of its edges
+    sz = sz_t = pi = 0
+    for x in reversed(order[1:]):
+        eid = parent_edge[x]
+        a = sub_w[x]
+        t = sub_t[x]
+        lp = lambda_prime[eid]
+        wp = w_prime[eid]
+        rest = total_t - lp
+        sz += wp * a * (total_w - a)
+        sz_t += wp * t * (rest - t)
+        pi += wp * rest
+        p = parent[x]
+        sub_w[p] += a
+        sub_t[p] += t + lp
+    # every vertex is strictly closer to one end of a tree edge
+    return sz, total_w * sum(w_prime), sz_t, pi
+
+
+def _generic_sums(g, w, lam, lambda_prime, w_prime) -> Sums:
+    # One BFS from both ends of uv labels each vertex 1 (closer to u),
+    # 2 (closer to v) or 3 (tie): the OR of its parents' labels on the
+    # shortest-path DAG. An edge is as far from u (or v) as its nearer
+    # endpoint, so it takes the label of its endpoint on the lower level,
+    # or the OR of both labels when the endpoints share a level.
+    n = g.n
+    adj = g.adj
+    sz = pi_v = sz_t = pi = 0
+    for (u, v), wp in zip(g.edges, w_prime):
+        level = [-1] * n
+        side = [0] * n
+        level[u] = level[v] = 0
+        side[u], side[v] = 1, 2
+        edge_mass = [0, 0, 0, 0]  # lambda' by edge label
+        frontier = [u, v]
+        d = 0
+        while frontier:
+            d += 1
+            below = []
+            for x in frontier:
+                sx = side[x]
+                for y, eid in adj[x]:
+                    dy = level[y]
+                    if dy < 0:
+                        level[y] = d
+                        side[y] = sx
+                        below.append(y)
+                        edge_mass[sx] += lambda_prime[eid]
+                    elif dy == d:
+                        side[y] |= sx
+                        edge_mass[sx] += lambda_prime[eid]
+                    elif dy == d - 1 and x < y:
+                        edge_mass[sx | side[y]] += lambda_prime[eid]
+            frontier = below
+        on_u = list(map(eq, side, repeat(1)))
+        on_v = list(map(eq, side, repeat(2)))
+        nu = sum(compress(w, on_u))
+        nv = sum(compress(w, on_v))
+        tu = sum(compress(lam, on_u)) + edge_mass[1]
+        tv = sum(compress(lam, on_v)) + edge_mass[2]
+        sz += wp * nu * nv
+        pi_v += wp * (nu + nv)
+        sz_t += wp * tu * tv
+        pi += wp * (tu + tv)
+    return sz, pi_v, sz_t, pi
+
+
+def _integral(wa: WeightAssignment) -> tuple[WeightAssignment, int]:
+    """`wa` times the common denominator d of all its weights, and d.
+
+    The hot loops then add only ints; `_totals` divides the sums back.
+    """
+    vectors = (wa.w, wa.w_prime, wa.lambda_prime)
+    d = lcm(*(x.denominator for vec in vectors for x in vec))
+    if d > 1:
+        wa = WeightAssignment(
+            *(tuple(x.numerator * (d // x.denominator) for x in vec) for vec in vectors)
+        )
+    return wa, d
+
+
+def _totals(sums: Sequence[Sums], d: int = 1) -> Sums:
+    """Slot-wise totals of four-sums taken on weights scaled by d, unscaled."""
+    totals = tuple(sum(s[k] for s in sums) for k in range(4))
+    if d == 1:
+        return totals
+    # Sz and Sz_t multiply three weights, PI_v and PI two
+    return tuple(Fraction(t, d**k) for t, k in zip(totals, (3, 2, 3, 2)))
+
+
+# where each index sits among the four sums (Sz_t and Sz_e differ in lam)
+_SLOT = {
+    IndexKind.SZ: 0, IndexKind.PI_V: 1, IndexKind.SZ_E: 2, IndexKind.SZ_T: 2, IndexKind.PI: 3
+}
 
 
 # ---------------------------------------------------------------------------
-# direct evaluation
+# direct evaluation: G is its own quotient by E, with lam = 0
 # ---------------------------------------------------------------------------
 
 def weighted_index(g: Graph, wa: WeightAssignment, kind: IndexKind) -> Weight:
     """Evaluate one index of the weighted graph from its definition."""
     require_connected(g)
     wa.check_shape(g)
-    need_vertex = kind in (IndexKind.SZ, IndexKind.PI_V, IndexKind.SZ_T)
-    need_edge = kind in (IndexKind.SZ_E, IndexKind.PI, IndexKind.SZ_T)
-    sums = _edge_side_sums(
-        g,
-        [wa.w] if need_vertex else [],
-        [wa.lambda_prime] if need_edge else [],
-    )
-    total: Weight = 0
-    for eid in range(g.m):
-        nu, nv, mu, mv = sums[eid]
-        wp = wa.w_prime[eid]
-        if kind is IndexKind.SZ:
-            total += wp * nu[0] * nv[0]
-        elif kind is IndexKind.PI_V:
-            total += wp * (nu[0] + nv[0])
-        elif kind is IndexKind.SZ_E:
-            total += wp * mu[0] * mv[0]
-        elif kind is IndexKind.PI:
-            total += wp * (mu[0] + mv[0])
-        else:
-            total += wp * (nu[0] + mu[0]) * (nv[0] + mv[0])
-    return total
+    wa, d = _integral(wa)
+    # Sz_t counts vertex masses on the sides too; Sz_e and PI count edges only
+    lam = wa.w if kind is IndexKind.SZ_T else (0,) * g.n
+    sums = _sums(g, wa.w, lam, wa.lambda_prime, wa.w_prime)
+    return _totals([sums], d)[_SLOT[kind]]
 
 
 def weighted_suite_direct(g: Graph, starred: bool = False) -> IndexReport:
     """All four degree-weighted indices from the definitions, no quotients."""
     require_connected(g)
     wa = WeightAssignment.degree_weighted(g, starred)
-    sums = _edge_side_sums(g, [wa.w], [wa.lambda_prime])
-    w_sz = w_pi_v = w_sz_e = w_pi = 0
-    for eid in range(g.m):
-        nu, nv, mu, mv = sums[eid]
-        wp = wa.w_prime[eid]
-        w_sz += wp * nu[0] * nv[0]
-        w_pi_v += wp * (nu[0] + nv[0])
-        w_sz_e += wp * mu[0] * mv[0]
-        w_pi += wp * (mu[0] + mv[0])
-    return IndexReport("direct", starred, w_sz, w_pi_v, w_sz_e, w_pi)
+    sums = _sums(g, wa.w, (0,) * g.n, wa.lambda_prime, wa.w_prime)
+    return IndexReport("direct", starred, *sums)
 
 
 # ---------------------------------------------------------------------------
 # cut method
 # ---------------------------------------------------------------------------
-
-def _quotient_contribution(q: QuotientGraph) -> tuple[Weight, Weight, Weight, Weight]:
-    # One side-sum pass serves all four decomposed indices: vertex vectors
-    # are (w, lam), the edge vector is lam'.
-    sums = _edge_side_sums(q.graph, [q.w, q.lam], [q.lambda_prime])
-    sz = pi_v = sz_t = pi = 0
-    for eid in range(q.graph.m):
-        nu, nv, mu, mv = sums[eid]
-        wp = q.w_prime[eid]
-        sz += wp * nu[0] * nv[0]
-        pi_v += wp * (nu[0] + nv[0])
-        sz_t += wp * (nu[1] + mu[0]) * (nv[1] + mv[0])
-        pi += wp * ((nu[1] + nv[1]) + (mu[0] + mv[0]))
-    return sz, pi_v, sz_t, pi
-
 
 def _require_c_partition(g: Graph, p: EdgePartition) -> None:
     if p.num_edges != g.m:
@@ -309,28 +281,19 @@ def _require_c_partition(g: Graph, p: EdgePartition) -> None:
             f"partition covers {p.num_edges} edges, graph has {g.m}"
         )
     if not p.refined_by_theta_star and not validate_c_partition(g, p):
-        raise InvalidCPartitionError(
-            "partition splits a Theta*-class across classes"
-        )
+        raise InvalidCPartitionError("partition splits a Theta*-class across classes")
 
 
 def _class_contributions(
-    g: Graph, wa: WeightAssignment, p: EdgePartition, threads: int = 1
-):
-    def work(members):
-        return _quotient_contribution(quotient_graph(g, wa, members))
-
-    if threads > 1 and len(p.classes) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            # reduction in class order keeps the result schedule-independent
-            return list(pool.map(work, p.classes))
-    return [work(members) for members in p.classes]
+    g: Graph, wa: WeightAssignment, p: EdgePartition
+) -> Iterator[Sums]:
+    for members in p.classes:
+        q = quotient_graph(g, wa, members)
+        yield _sums(q.graph, q.w, q.lam, q.lambda_prime, q.w_prime)
 
 
 def weighted_suite_cut(
-    g: Graph, p: EdgePartition, starred: bool = False, threads: int = 1
+    g: Graph, p: EdgePartition, starred: bool = False
 ) -> IndexReport:
     """All four degree-weighted indices as sums over quotient contributions.
 
@@ -340,15 +303,9 @@ def weighted_suite_cut(
     require_connected(g)
     _require_c_partition(g, p)
     wa = WeightAssignment.degree_weighted(g, starred)
-    contribs = _class_contributions(g, wa, p, threads)
-    per_class = tuple(
-        ClassContribution(i, *c) for i, c in enumerate(contribs)
-    )
-    w_sz = sum(c.w_sz for c in per_class)
-    w_pi_v = sum(c.w_pi_v for c in per_class)
-    w_sz_e = sum(c.w_sz_e for c in per_class)
-    w_pi = sum(c.w_pi for c in per_class)
-    return IndexReport("cut", starred, w_sz, w_pi_v, w_sz_e, w_pi, per_class)
+    contribs = list(_class_contributions(g, wa, p))
+    per_class = tuple(ClassContribution(i, *c) for i, c in enumerate(contribs))
+    return IndexReport("cut", starred, *_totals(contribs), per_class)
 
 
 def general_cut_index(
@@ -365,11 +322,5 @@ def general_cut_index(
     require_connected(g)
     wa.check_shape(g)
     _require_c_partition(g, p)
-    slot = {
-        IndexKind.SZ: 0,
-        IndexKind.PI_V: 1,
-        IndexKind.SZ_E: 2,
-        IndexKind.PI: 3,
-    }[kind]
-    contribs = _class_contributions(g, wa, p)
-    return sum(c[slot] for c in contribs)
+    wa, d = _integral(wa)
+    return _totals(list(_class_contributions(g, wa, p)), d)[_SLOT[kind]]

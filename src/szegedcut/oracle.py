@@ -10,18 +10,30 @@ O(n*m) for the indices, O(m^2) for Theta*, and unoptimised on purpose.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from .graph import Graph, all_pairs_distances, bfs_distances, require_connected
-from .indices import EdgeSides, IndexKind, IndexReport, weighted_suite_direct
+from .indices import IndexKind, IndexReport
 from .quotient import Weight, WeightAssignment
 from .theta import EdgePartition, _UnionFind
 
 __all__ = [
+    "EdgeSides",
     "oracle_edge_sides",
     "oracle_theta_star_partition",
     "oracle_suite",
     "oracle_general",
-    "weighted_suite_direct",  # re-exported convenience entry point
 ]
+
+
+@dataclass(frozen=True)
+class EdgeSides:
+    """Strict closer-sides of an edge e = uv: vertex sets and edge sets."""
+
+    n_u: frozenset[int]
+    n_v: frozenset[int]
+    m_u: frozenset[int]
+    m_v: frozenset[int]
 
 
 def oracle_edge_sides(g: Graph, eid: int) -> EdgeSides:

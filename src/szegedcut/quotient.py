@@ -13,7 +13,6 @@ set of crossing edge ids), and four weights are induced:
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -75,19 +74,22 @@ class WeightAssignment:
 
 @dataclass(frozen=True)
 class QuotientGraph:
-    """Quotient of `base` by the removed edge set, with induced weights.
+    """Quotient G/F of a host graph by an edge set F, with induced weights.
+
+    Fields:
+        graph: the quotient graph G/F.
+        component_map: per host vertex, its component (quotient vertex).
+        fibers: per quotient edge, the host edge ids crossing it.
+        w, lam: per quotient vertex, the induced vertex weights.
+        w_prime, lambda_prime: per quotient edge, the induced edge weights.
 
     Component indices are canonical: ordered by smallest contained vertex
     id. Quotient edges are ordered lexicographically by their component
-    pair; `fibers[k]` lists the base edge ids crossing quotient edge k.
+    pair, and each fiber lists its edge ids in increasing order.
     """
 
-    base: Graph
-    removed_edges: frozenset[int]
     graph: Graph
     component_map: tuple[int, ...]
-    component_vertices: tuple[tuple[int, ...], ...]
-    component_edges: tuple[tuple[int, ...], ...]
     fibers: tuple[tuple[int, ...], ...]
     w: tuple[Weight, ...]
     lam: tuple[Weight, ...]
@@ -96,7 +98,7 @@ class QuotientGraph:
 
 
 def quotient_graph(g: Graph, wa: WeightAssignment, f: Iterable[int]) -> QuotientGraph:
-    """Build G/F with induced weights, eagerly.
+    """Build G/F with induced weights.
 
     f may be empty (one-vertex quotient) or all of E(G) (quotient
     isomorphic to g). Crossing edges between the same component pair are
@@ -109,69 +111,50 @@ def quotient_graph(g: Graph, wa: WeightAssignment, f: Iterable[int]) -> Quotient
             raise ValueError(f"edge id {e} outside 0..{g.m - 1}")
         removed[e] = 1
 
+    # scanning starts in vertex order numbers components by smallest vertex
     comp = [-1] * g.n
-    comp_vertices: list[list[int]] = []
     adj = g.adj
+    nc = 0
     for start in range(g.n):
         if comp[start] >= 0:
             continue
-        cid = len(comp_vertices)
-        comp[start] = cid
-        members = [start]
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
+        comp[start] = nc
+        stack = [start]
+        while stack:
+            x = stack.pop()
             for y, eid in adj[x]:
-                if not removed[eid] and comp[y] < 0:
-                    comp[y] = cid
-                    members.append(y)
-                    queue.append(y)
-        comp_vertices.append(sorted(members))
+                if comp[y] < 0 and not removed[eid]:
+                    comp[y] = nc
+                    stack.append(y)
+        nc += 1
 
-    nc = len(comp_vertices)
     w_q: list[Weight] = [0] * nc
-    for v in range(g.n):
-        w_q[comp[v]] += wa.w[v]
+    for c, wv in zip(comp, wa.w):
+        w_q[c] += wv
 
     lam_q: list[Weight] = [0] * nc
-    comp_edges: list[list[int]] = [[] for _ in range(nc)]
     fibers_by_pair: dict[tuple[int, int], list[int]] = {}
-    for eid in range(g.m):
-        u, v = g.edges[eid]
-        cu, cv = comp[u], comp[v]
-        if removed[eid]:
-            if cu != cv:
-                key = (cu, cv) if cu < cv else (cv, cu)
-                fibers_by_pair.setdefault(key, []).append(eid)
-            # a removed edge inside one component belongs to no fiber
-        else:
-            comp_edges[cu].append(eid)
+    for eid, (u, v) in enumerate(g.edges):
+        cu = comp[u]
+        if not removed[eid]:
             lam_q[cu] += wa.lambda_prime[eid]
+            continue
+        cv = comp[v]
+        if cu != cv:  # a removed edge inside one component is in no fiber
+            key = (cu, cv) if cu < cv else (cv, cu)
+            fibers_by_pair.setdefault(key, []).append(eid)
 
     pairs = sorted(fibers_by_pair)
-    qgraph = Graph(nc, pairs)
     fibers = tuple(tuple(fibers_by_pair[k]) for k in pairs)
-    wp_q = tuple(sum(wa.w_prime[e] for e in fib) for fib in fibers)
-    lp_q = tuple(sum(wa.lambda_prime[e] for e in fib) for fib in fibers)
-
     return QuotientGraph(
-        base=g,
-        removed_edges=frozenset(e for e in range(g.m) if removed[e]),
-        graph=qgraph,
+        graph=Graph(nc, pairs),
         component_map=tuple(comp),
-        component_vertices=tuple(tuple(c) for c in comp_vertices),
-        component_edges=tuple(tuple(c) for c in comp_edges),
         fibers=fibers,
         w=tuple(w_q),
         lam=tuple(lam_q),
-        w_prime=wp_q,
-        lambda_prime=lp_q,
+        w_prime=tuple(sum(wa.w_prime[e] for e in fib) for fib in fibers),
+        lambda_prime=tuple(sum(wa.lambda_prime[e] for e in fib) for fib in fibers),
     )
-
-
-def component_of(q: QuotientGraph, u: int) -> int:
-    """Index of the component of G minus F containing vertex u."""
-    return q.component_map[u]
 
 
 def distance_decomposition_check(g: Graph, quotients: Sequence[QuotientGraph]) -> bool:
@@ -182,12 +165,10 @@ def distance_decomposition_check(g: Graph, quotients: Sequence[QuotientGraph]) -
     """
     dm = all_pairs_distances(g)
     qdms = [all_pairs_distances(q.graph) for q in quotients]
-    for u in range(g.n):
-        row = dm.rows[u]
-        for v in range(u + 1, g.n):
-            total = 0
-            for q, qdm in zip(quotients, qdms):
-                total += qdm.rows[q.component_map[u]][q.component_map[v]]
-            if total != row[v]:
-                return False
-    return True
+    return all(
+        dm.rows[u][v]
+        == sum(qdm.rows[q.component_map[u]][q.component_map[v]]
+               for q, qdm in zip(quotients, qdms))
+        for u in range(g.n)
+        for v in range(u + 1, g.n)
+    )

@@ -1,11 +1,19 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from szegedcut import format_edge_list, linear_phenylene, parse_edge_list
+from szegedcut import (
+    HexSpec,
+    format_edge_list,
+    format_hex_spec,
+    linear_phenylene,
+    oracle_suite,
+    parse_edge_list,
+)
 from szegedcut.cli import main
 
-from conftest import cycle_graph, fullerene_patch
+from conftest import RING_CELLS, WIDE_RING_CELLS, cycle_graph, fullerene_patch
 
 
 def run_cli(capsys, *argv):
@@ -73,10 +81,7 @@ def test_index_starred(capsys, ph2_file):
 def test_output_is_deterministic(capsys, ph2_file):
     _, out1, _ = run_cli(capsys, "index", ph2_file, "--method", "cut")
     _, out2, _ = run_cli(capsys, "index", ph2_file, "--method", "cut")
-    _, out3, _ = run_cli(
-        capsys, "index", ph2_file, "--method", "cut", "--threads", "4"
-    )
-    assert out1 == out2 == out3
+    assert out1 == out2
 
 
 def test_disconnected_input_exit_code(capsys, tmp_path):
@@ -147,6 +152,50 @@ def test_compare_mismatch_with_bogus_labels(capsys, tmp_path):
     assert code == 1
     assert out == ""          # no report on mismatch
     assert "mismatch" in err
+
+
+def _gen_with_labels(capsys, tmp_path, cells):
+    spec = _write(tmp_path, "region.hex", format_hex_spec(HexSpec(cells)))
+    labels = str(tmp_path / "region.labels")
+    code, out, _ = run_cli(capsys, "gen", "benzenoid", spec, "--labels", labels)
+    assert code == 0
+    return _write(tmp_path, "region.edges", out), labels
+
+
+def test_holed_region_sidecar_is_marked(capsys, tmp_path):
+    _, labels = _gen_with_labels(capsys, tmp_path, RING_CELLS)
+    assert Path(labels).read_text().startswith("# nonstandard_region\n")
+    _, labels = _gen_with_labels(capsys, tmp_path, frozenset([(0, 0), (1, 0)]))
+    assert not Path(labels).read_text().startswith("#")
+
+
+@pytest.mark.parametrize("command", ["index", "quotient"])
+def test_wide_ring_labels_are_validated_and_rejected(capsys, tmp_path, command):
+    # the direction labels of this holed region split a Theta*-class
+    gpath, labels = _gen_with_labels(capsys, tmp_path, WIDE_RING_CELLS)
+    code, out, err = run_cli(
+        capsys, command, gpath, "--partition", "labels", "--labels-file", labels
+    )
+    assert code == 4
+    assert out == ""
+    assert "invalid partition" in err
+
+
+def test_ring_labels_are_validated_and_match_the_oracle(capsys, tmp_path):
+    gpath, labels = _gen_with_labels(capsys, tmp_path, RING_CELLS)
+    code, out, _ = run_cli(
+        capsys, "index", gpath, "--partition", "labels", "--labels-file", labels
+    )
+    assert code == 0
+    data = json.loads(out)
+    expected = oracle_suite(parse_edge_list(Path(gpath).read_text())).as_tuple()
+    assert tuple(int(data[k]) for k in ("wSz", "wPI_v", "wSz_e", "wPI")) == expected
+
+
+def test_threads_option_is_gone(capsys, ph2_file):
+    with pytest.raises(SystemExit) as info:
+        main(["index", ph2_file, "--threads", "1"])
+    assert info.value.code == 2
 
 
 def test_theta_output(capsys, tmp_path):

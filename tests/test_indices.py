@@ -2,17 +2,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from szegedcut import (
     IndexKind,
     UnsupportedKindError,
     WeightAssignment,
-    all_pairs_distances,
     build_graph,
-    edge_sides,
     first_zagreb,
+    is_connected,
     general_cut_index,
     is_bipartite,
+    oracle_edge_sides,
     oracle_general,
     single_class_partition,
     theta_star_partition,
@@ -37,14 +39,14 @@ def _k2():
 
 def test_edge_sides_k2():
     g = _k2()
-    s = edge_sides(g, all_pairs_distances(g), 0)
+    s = oracle_edge_sides(g, 0)
     assert s.n_u == {0} and s.n_v == {1}
     assert s.m_u == frozenset() and s.m_v == frozenset()
 
 
 def test_edge_sides_c4():
     c4 = cycle_graph(4)
-    s = edge_sides(c4, all_pairs_distances(c4), 0)
+    s = oracle_edge_sides(c4, 0)
     assert len(s.n_u) == len(s.n_v) == 2
     assert len(s.m_u) == len(s.m_v) == 1   # the opposite edge is equidistant
     assert 0 not in s.m_u | s.m_v
@@ -52,7 +54,7 @@ def test_edge_sides_c4():
 
 def test_edge_sides_c5_has_equidistant_vertex():
     c5 = cycle_graph(5)
-    s = edge_sides(c5, all_pairs_distances(c5), 0)
+    s = oracle_edge_sides(c5, 0)
     assert len(s.n_u) == len(s.n_v) == 2
     assert not (s.n_u & s.n_v)
 
@@ -132,10 +134,9 @@ def test_bipartite_sides_cover_everything():
     rng = random.Random(41)
     for _ in range(20):
         g = random_bipartite_connected(rng)
-        dm = all_pairs_distances(g)
         assert is_bipartite(g)
         for e in range(g.m):
-            s = edge_sides(g, dm, e)
+            s = oracle_edge_sides(g, e)
             assert len(s.n_u) + len(s.n_v) == g.n
 
 
@@ -199,9 +200,58 @@ def test_tree_fast_path_matches_oracle():
             assert weighted_index(t, wa, kind) == oracle_general(t, wa, kind)
 
 
-def test_threading_is_schedule_independent():
-    ph = linear_phenylene(4)
-    p = ph.direction_partition()
-    a = weighted_suite_cut(ph.graph, p, threads=1)
-    b = weighted_suite_cut(ph.graph, p, threads=4)
-    assert a == b
+_WEIGHTS = st.one_of(
+    st.integers(0, 4), st.fractions(min_value=0, max_value=4, max_denominator=6)
+)
+
+
+@st.composite
+def cyclic_weighted_graphs(draw, bipartite):
+    """A connected graph with at least one cycle, and exact weights on it.
+
+    A random spanning tree 2-colours the vertices; extra edges join
+    opposite colours for a bipartite graph, and the first one joins equal
+    colours (closing an odd cycle) otherwise.
+    """
+    n = draw(st.integers(3, 9))
+    colour = [0] * n
+    edges = set()
+    for v in range(1, n):
+        p = draw(st.integers(0, v - 1))
+        colour[v] = 1 - colour[p]
+        edges.add((p, v))
+    pairs = [
+        (a, b) for a in range(n) for b in range(a + 1, n) if (a, b) not in edges
+    ]
+    cross = [(a, b) for a, b in pairs if colour[a] != colour[b]]
+    if bipartite:
+        assume(cross)
+        extra = draw(st.lists(st.sampled_from(cross), min_size=1, unique=True))
+    else:
+        same = [(a, b) for a, b in pairs if colour[a] == colour[b]]
+        assume(same)
+        extra = [draw(st.sampled_from(same))]
+        extra += draw(st.lists(st.sampled_from(pairs), unique=True))
+    g = build_graph(n, sorted(edges | set(extra)))
+    wa = WeightAssignment(
+        tuple(draw(_WEIGHTS) for _ in range(g.n)),
+        tuple(draw(_WEIGHTS) for _ in range(g.m)),
+        tuple(draw(_WEIGHTS) for _ in range(g.m)),
+    )
+    return g, wa
+
+
+@pytest.mark.parametrize("bipartite", [True, False])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_weighted_index_matches_oracle_on_cyclic_graphs(bipartite, data):
+    # lam = 0 (Sz_e, PI) and lam = w (Sz_t) are where the direct route
+    # reuses the quotient engine; the cut route scales Fractions the same way
+    g, wa = data.draw(cyclic_weighted_graphs(bipartite))
+    assert is_connected(g) and g.m >= g.n
+    assert is_bipartite(g) == bipartite
+    for kind in IndexKind:
+        assert weighted_index(g, wa, kind) == oracle_general(g, wa, kind)
+    p = theta_star_partition(g)
+    for kind in (IndexKind.SZ, IndexKind.PI_V, IndexKind.SZ_E, IndexKind.PI):
+        assert general_cut_index(g, wa, p, kind) == oracle_general(g, wa, kind)

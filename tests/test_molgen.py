@@ -229,7 +229,8 @@ def test_square_quotient_is_the_cell_adjacency_tree(spec):
     mapping = [q.component_map[6 * i] for i in range(k)]
     assert sorted(mapping) == list(range(k))
     for i in range(k):
-        assert q.component_vertices[mapping[i]] == tuple(range(6 * i, 6 * i + 6))
+        hexagon = tuple(v for v, c in enumerate(q.component_map) if c == mapping[i])
+        assert hexagon == tuple(range(6 * i, 6 * i + 6))
     dual_edges = {tuple(sorted((mapping[a], mapping[b]))) for a, b in dual.edges}
     assert dual_edges == {tuple(sorted(e)) for e in q.graph.edges}
 

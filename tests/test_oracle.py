@@ -6,9 +6,7 @@ from szegedcut import (
     DisconnectedError,
     IndexKind,
     WeightAssignment,
-    all_pairs_distances,
     build_graph,
-    edge_sides,
     oracle_edge_sides,
     oracle_general,
     oracle_suite,
@@ -38,15 +36,6 @@ def test_oracle_sides_p4_middle_edge():
     p4 = path_graph(4)
     s = oracle_edge_sides(p4, 1)   # edge (1, 2)
     assert s.n_u == {0, 1} and s.n_v == {2, 3}
-
-
-def test_oracle_sides_agree_with_matrix_implementation():
-    rng = random.Random(61)
-    for _ in range(500):
-        g = random_connected_graph(rng, max_n=12)
-        dm = all_pairs_distances(g)
-        for e in range(g.m):
-            assert oracle_edge_sides(g, e) == edge_sides(g, dm, e)
 
 
 def test_oracle_suite_c6():

@@ -8,7 +8,6 @@ from szegedcut import (
     SzegedCutError,
     WeightAssignment,
     build_graph,
-    component_of,
     distance_decomposition_check,
     oracle_edge_sides,
     quotient_graph,
@@ -85,7 +84,7 @@ def test_empty_class_gives_one_vertex_quotient():
     assert q.graph.n == 1 and q.graph.m == 0
     assert q.w == (6,)
     assert q.lam == (6,)   # every edge is internal
-    assert all(component_of(q, v) == 0 for v in range(6))
+    assert all(q.component_map[v] == 0 for v in range(6))
 
 
 def test_full_edge_set_gives_isomorphic_quotient():
@@ -109,9 +108,10 @@ def test_c6_component_membership():
     c6 = cycle_graph(6)
     q = quotient_graph(c6, WeightAssignment.unit(c6), [0, 3])
     # removing edges (0,1) and (3,4) leaves arcs {1,2,3} and {4,5,0}
-    assert component_of(q, 1) == component_of(q, 2) == component_of(q, 3)
-    assert component_of(q, 4) == component_of(q, 5) == component_of(q, 0)
-    assert component_of(q, 0) != component_of(q, 1)
+    cm = q.component_map
+    assert cm[1] == cm[2] == cm[3]
+    assert cm[4] == cm[5] == cm[0]
+    assert cm[0] != cm[1]
 
 
 def test_weight_conservation_over_theta_classes():
@@ -128,8 +128,6 @@ def test_weight_conservation_over_theta_classes():
             assert sum(q.w_prime) == sum(wa.w_prime[e] for e in members)
             covered = [e for fib in q.fibers for e in fib]
             assert sorted(covered) == sorted(members)
-            internal = [e for comp in q.component_edges for e in comp]
-            assert sorted(internal) == sorted(set(range(g.m)) - set(members))
 
 
 def test_endpoints_of_class_edges_map_to_adjacent_components():
