@@ -28,12 +28,9 @@ from .errors import (
     VertexOutOfRangeError,
 )
 from .graph import (
-    DistanceMatrix,
     Graph,
-    all_pairs_distances,
     bfs_distances,
     build_graph,
-    edge_vertex_distance,
     format_edge_list,
     is_connected,
     parse_edge_list,
@@ -61,17 +58,21 @@ from .molgen import (
     ph_closed_formulas,
 )
 from .oracle import (
+    DistanceMatrix,
     EdgeSides,
+    all_pairs_distances,
+    distance_decomposition_check,
     oracle_edge_sides,
     oracle_general,
+    oracle_is_partial_cube,
     oracle_suite,
     oracle_theta_star_partition,
+    theta_related,
 )
 from .quotient import (
     QuotientGraph,
     Weight,
     WeightAssignment,
-    distance_decomposition_check,
     quotient_graph,
 )
 from .theta import (
@@ -80,7 +81,6 @@ from .theta import (
     is_bipartite,
     is_partial_cube,
     single_class_partition,
-    theta_related,
     theta_star_partition,
     validate_c_partition,
 )

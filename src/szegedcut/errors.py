@@ -36,7 +36,7 @@ class MalformedPartitionError(SzegedCutError, ValueError):
 
 
 class InvalidWeightError(SzegedCutError, ValueError):
-    """A weight is negative or not an exact int or Fraction (bool included)."""
+    """A weight is negative, inexact (float or bool), or misses the graph's shape."""
 
 
 class InvalidCPartitionError(SzegedCutError):

@@ -2,13 +2,13 @@
 
 Vertices are 0..n-1 and edges carry stable ids 0..m-1 in input order, so
 edge partitions and fiber sets can be stored as plain id sets. Distances
-are exact hop counts.
+are exact hop counts from one source at a time; the all-pairs table is
+kept in `oracle`, so no production path holds O(n^2) state.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -79,13 +79,6 @@ def build_graph(n: int, edge_list: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, edge_list)
 
 
-@dataclass(frozen=True)
-class DistanceMatrix:
-    """All-pairs hop distances; rows[u][v] is the distance from u to v."""
-
-    rows: tuple[tuple[int, ...], ...]
-
-
 def _bfs(g: Graph, source: int) -> list[int]:
     # -1 marks unreached vertices; callers decide whether that is an error.
     dist = [-1] * g.n
@@ -114,18 +107,6 @@ def bfs_distances(g: Graph, source: int) -> tuple[int, ...]:
     if min(dist) < 0:
         raise DisconnectedError(f"vertex {dist.index(-1)} unreachable from {source}")
     return tuple(dist)
-
-
-def all_pairs_distances(g: Graph) -> DistanceMatrix:
-    """n BFS runs; O(n*m). Raises DisconnectedError on disconnected input."""
-    return DistanceMatrix(tuple(bfs_distances(g, v) for v in range(g.n)))
-
-
-def edge_vertex_distance(g: Graph, dm: DistanceMatrix, u: int, eid: int) -> int:
-    """Distance from a vertex to an edge: the nearer of the two endpoints."""
-    x, y = g.edges[eid]
-    row = dm.rows[u]
-    return min(row[x], row[y])
 
 
 def is_connected(g: Graph) -> bool:

@@ -38,7 +38,11 @@ from math import lcm
 from operator import eq
 from typing import Iterator, Sequence
 
-from .errors import InvalidCPartitionError, UnsupportedKindError
+from .errors import (
+    InvalidCPartitionError,
+    PartitionNotCoveringError,
+    UnsupportedKindError,
+)
 from .graph import Graph, require_connected
 from .quotient import Weight, WeightAssignment, quotient_graph
 from .theta import EdgePartition, validate_c_partition
@@ -277,7 +281,7 @@ def weighted_suite_direct(g: Graph, starred: bool = False) -> IndexReport:
 
 def _require_c_partition(g: Graph, p: EdgePartition) -> None:
     if p.num_edges != g.m:
-        raise InvalidCPartitionError(
+        raise PartitionNotCoveringError(
             f"partition covers {p.num_edges} edges, graph has {g.m}"
         )
     if not p.refined_by_theta_star and not validate_c_partition(g, p):

@@ -153,19 +153,11 @@ def format_hex_spec(spec: HexSpec) -> str:
 
 @dataclass(frozen=True)
 class DirectionLabeledGraph:
-    """A generated molecular graph with per-edge direction labels.
-
-    `cell_of[e]` records the originating cells: one cell for a hexagon
-    edge, the adjacent cell pair for a square-connecting (label 4) edge.
-    `points[v]` is the scaled lattice corner of vertex v (phenylene copies
-    of a shared corner repeat the same point).
-    """
+    """A generated molecular graph with per-edge direction labels."""
 
     graph: Graph
     direction_of: tuple[int, ...]
-    cell_of: tuple[tuple[Cell, ...], ...]
     cells: tuple[Cell, ...]
-    points: tuple[Point, ...]
     kind: str  # "benzenoid" | "phenylene"
     nonstandard_region: bool = False
 
@@ -202,40 +194,27 @@ def build_benzenoid(spec: HexSpec) -> DirectionLabeledGraph:
         raise DisconnectedCellsError("cells do not form a connected region")
     cells = spec.sorted_cells()
     point_ids: dict[Point, int] = {}
-    points: list[Point] = []
-    edge_ids: dict[tuple[Point, Point], int] = {}
+    seen_edges: set[tuple[Point, Point]] = set()
     edges: list[tuple[int, int]] = []
     direction: list[int] = []
-    cell_of: list[list[Cell]] = []
 
     for cell in cells:
         corners = _corners(cell)
-        vids = []
         for pt in corners:
-            vid = point_ids.get(pt)
-            if vid is None:
-                vid = len(points)
-                point_ids[pt] = vid
-                points.append(pt)
-            vids.append(vid)
+            if pt not in point_ids:
+                point_ids[pt] = len(point_ids)
         for k in range(6):
             p1, p2 = corners[k], corners[(k + 1) % 6]
             key = (p1, p2) if p1 < p2 else (p2, p1)
-            eid = edge_ids.get(key)
-            if eid is None:
-                edge_ids[key] = len(edges)
+            if key not in seen_edges:
+                seen_edges.add(key)
                 edges.append((point_ids[key[0]], point_ids[key[1]]))
                 direction.append(_direction(*key))
-                cell_of.append([cell])
-            else:
-                cell_of[eid].append(cell)
 
     return DirectionLabeledGraph(
-        graph=Graph(len(points), edges),
+        graph=Graph(len(point_ids), edges),
         direction_of=tuple(direction),
-        cell_of=tuple(tuple(c) for c in cell_of),
         cells=cells,
-        points=tuple(points),
         kind="benzenoid",
         nonstandard_region=spec.has_holes(),
     )
@@ -262,17 +241,13 @@ def build_phenylene(spec: HexSpec) -> DirectionLabeledGraph:
     if len(pairs) != len(cells) - 1 or not spec.is_connected():
         raise CellsNotTreeError("cell adjacency graph is not a tree")
 
-    points: list[Point] = []
     edges: list[tuple[int, int]] = []
     direction: list[int] = []
-    cell_of: list[tuple[Cell, ...]] = []
     for i, corners in enumerate(corner_lists):
-        points.extend(corners)
         base = 6 * i
         for k in range(6):
             edges.append((base + k, base + (k + 1) % 6))
             direction.append(_direction(corners[k], corners[(k + 1) % 6]))
-            cell_of.append((cells[i],))
 
     corner_index = [{pt: k for k, pt in enumerate(corners)} for corners in corner_lists]
     for i, j in pairs:
@@ -285,14 +260,11 @@ def build_phenylene(spec: HexSpec) -> DirectionLabeledGraph:
         for pt in shared:
             edges.append((6 * i + corner_index[i][pt], 6 * j + corner_index[j][pt]))
             direction.append(4)
-            cell_of.append((cells[i], cells[j]))
 
     return DirectionLabeledGraph(
         graph=Graph(6 * len(cells), edges),
         direction_of=tuple(direction),
-        cell_of=tuple(cell_of),
         cells=cells,
-        points=tuple(points),
         kind="phenylene",
     )
 

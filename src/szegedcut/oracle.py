@@ -1,29 +1,62 @@
-"""Brute-force reference implementations of every index and of Theta*.
+"""Brute-force references for every index, Theta*, and the partial-cube test.
 
 Every index is evaluated straight from the definitions with two fresh
-BFS runs per edge, and Theta* by testing every pair of edges. The module
-deliberately shares no computation with `indices` or with the BFS-tree
-pass in `theta` (only graph primitives, result types and the union-find),
-so a bug cannot hide on both sides of the equivalence tests. It is
-O(n*m) for the indices, O(m^2) for Theta*, and unoptimised on purpose.
+BFS runs per edge; Theta*, the partial-cube test and the distance
+decomposition of quotients read an all-pairs distance table. The module
+deliberately shares no computation with `indices`, `quotient_graph` or
+the BFS-tree pass in `theta` (only graph primitives, result types and
+the union-find), so a bug cannot hide on both sides of the equivalence
+tests. It is O(n*m) for the indices, O(m^2) for Theta*, unoptimised on
+purpose, and the only module that holds O(n^2) state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
+from typing import Sequence
 
-from .graph import Graph, all_pairs_distances, bfs_distances, require_connected
+from .graph import Graph, bfs_distances, require_connected
 from .indices import IndexKind, IndexReport
-from .quotient import Weight, WeightAssignment
+from .quotient import QuotientGraph, Weight, WeightAssignment
 from .theta import EdgePartition, _UnionFind
 
 __all__ = [
+    "DistanceMatrix",
     "EdgeSides",
+    "all_pairs_distances",
+    "distance_decomposition_check",
     "oracle_edge_sides",
+    "oracle_is_partial_cube",
     "oracle_theta_star_partition",
     "oracle_suite",
     "oracle_general",
+    "theta_related",
 ]
+
+
+@dataclass(frozen=True)
+class DistanceMatrix:
+    """All-pairs hop distances; rows[u][v] is the distance from u to v."""
+
+    rows: tuple[tuple[int, ...], ...]
+
+
+def all_pairs_distances(g: Graph) -> DistanceMatrix:
+    """n BFS runs; O(n*m). Raises DisconnectedError on disconnected input."""
+    return DistanceMatrix(tuple(bfs_distances(g, v) for v in range(g.n)))
+
+
+def theta_related(g: Graph, dm: DistanceMatrix, e1: int, e2: int) -> bool:
+    """Test the Djokovic-Winkler relation between two edges.
+
+    Orientation-independent: swapping the endpoint naming of either edge
+    swaps the two compared pairings, leaving the inequality unchanged.
+    """
+    u1, v1 = g.edges[e1]
+    u2, v2 = g.edges[e2]
+    r1, r2 = dm.rows[u1], dm.rows[v1]
+    return r1[u2] + r2[v2] != r1[v2] + r2[u2]
 
 
 @dataclass(frozen=True)
@@ -61,20 +94,45 @@ def oracle_theta_star_partition(g: Graph) -> EdgePartition:
     dm = all_pairs_distances(g)
     m = g.m
     uf = _UnionFind(m)
-    edges = g.edges
-    rows = dm.rows
-    for i in range(m):
-        u1, v1 = edges[i]
-        r1, r2 = rows[u1], rows[v1]
-        for j in range(i + 1, m):
-            u2, v2 = edges[j]
-            if r1[u2] + r2[v2] != r1[v2] + r2[u2]:
-                uf.union(i, j)
+    for i, j in combinations(range(m), 2):
+        if theta_related(g, dm, i, j):
+            uf.union(i, j)
     groups: dict[int, list[int]] = {}
     for e in range(m):
         groups.setdefault(uf.find(e), []).append(e)
     return EdgePartition.from_classes(
         groups.values(), m, refined_by_theta_star=True
+    )
+
+
+def oracle_is_partial_cube(g: Graph) -> bool:
+    """Bipartite, and Theta transitive: each Theta*-class pairwise related."""
+    star = oracle_theta_star_partition(g)
+    dm = all_pairs_distances(g)
+    # a connected graph is bipartite iff no edge joins two equal distances
+    if any(dm.rows[0][u] == dm.rows[0][v] for u, v in g.edges):
+        return False
+    return all(
+        theta_related(g, dm, a, b)
+        for members in star.classes
+        for a, b in combinations(sorted(members), 2)
+    )
+
+
+def distance_decomposition_check(g: Graph, quotients: Sequence[QuotientGraph]) -> bool:
+    """Self-test: d_G(u,v) equals the sum of quotient distances for all pairs.
+
+    Holds whenever the quotients come from a c-partition covering E(g).
+    Not meant for the hot path; it materialises all-pairs tables.
+    """
+    dm = all_pairs_distances(g)
+    qdms = [all_pairs_distances(q.graph) for q in quotients]
+    return all(
+        dm.rows[u][v]
+        == sum(qdm.rows[q.component_map[u]][q.component_map[v]]
+               for q, qdm in zip(quotients, qdms))
+        for u in range(g.n)
+        for v in range(u + 1, g.n)
     )
 
 

@@ -9,16 +9,19 @@ set of crossing edge ids), and four weights are induced:
     lam(X)  = sum of lambda' over edges internal to X
     w'(E)   = sum of w' over the fiber of E
     lam'(E) = sum of lambda' over the fiber of E
+
+One build is O(n+m) time and memory. The all-pairs self-test of the
+distance decomposition over these quotients lives in `oracle`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
-from .errors import InvalidWeightError
-from .graph import Graph, all_pairs_distances
+from .errors import InvalidWeightError, PartitionNotCoveringError
+from .graph import Graph
 
 Weight = Union[int, Fraction]
 # exact types only: type() rather than isinstance() also rejects bool
@@ -69,7 +72,7 @@ class WeightAssignment:
 
     def check_shape(self, g: Graph) -> None:
         if len(self.w) != g.n or len(self.w_prime) != g.m or len(self.lambda_prime) != g.m:
-            raise ValueError("weight assignment does not match graph shape")
+            raise InvalidWeightError("weight assignment does not match graph shape")
 
 
 @dataclass(frozen=True)
@@ -105,10 +108,11 @@ def quotient_graph(g: Graph, wa: WeightAssignment, f: Iterable[int]) -> Quotient
     merged into a single quotient edge; the fiber keeps them all.
     """
     wa.check_shape(g)
-    removed = bytearray(g.m)
+    m = g.m
+    removed = bytearray(m)
     for e in f:
-        if not 0 <= e < g.m:
-            raise ValueError(f"edge id {e} outside 0..{g.m - 1}")
+        if not 0 <= e < m:
+            raise PartitionNotCoveringError(f"edge id {e} outside 0..{m - 1}")
         removed[e] = 1
 
     # scanning starts in vertex order numbers components by smallest vertex
@@ -154,21 +158,4 @@ def quotient_graph(g: Graph, wa: WeightAssignment, f: Iterable[int]) -> Quotient
         lam=tuple(lam_q),
         w_prime=tuple(sum(wa.w_prime[e] for e in fib) for fib in fibers),
         lambda_prime=tuple(sum(wa.lambda_prime[e] for e in fib) for fib in fibers),
-    )
-
-
-def distance_decomposition_check(g: Graph, quotients: Sequence[QuotientGraph]) -> bool:
-    """Self-test: d_G(u,v) equals the sum of quotient distances for all pairs.
-
-    Holds whenever the quotients come from a c-partition covering E(g).
-    Not meant for the hot path; it materialises all-pairs tables.
-    """
-    dm = all_pairs_distances(g)
-    qdms = [all_pairs_distances(q.graph) for q in quotients]
-    return all(
-        dm.rows[u][v]
-        == sum(qdm.rows[q.component_map[u]][q.component_map[v]]
-               for q, qdm in zip(quotients, qdms))
-        for u in range(g.n)
-        for v in range(u + 1, g.n)
     )

@@ -8,8 +8,10 @@ Theta*-classes is called a c-partition and is the input the cut method
 requires.
 
 Theta* and c-partition validation come from one pass over the edges of a
-BFS spanning tree in O(n*m) time and O(n+m) memory; only the partial-cube
-test and `theta_related` read an all-pairs distance table.
+BFS spanning tree, and the partial-cube test from the quotients by the
+Theta*-classes; all three run in O(n*m) time and O(n+m) memory. The
+pairwise definition over an all-pairs distance table is kept in `oracle`
+as the reference.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from .errors import (
     MalformedPartitionError,
     PartitionNotCoveringError,
 )
-from .graph import DistanceMatrix, Graph, all_pairs_distances, require_connected
+from .graph import Graph, require_connected
+from .quotient import WeightAssignment, quotient_graph
 
 
 class _UnionFind:
@@ -105,18 +108,6 @@ def single_class_partition(m: int) -> EdgePartition:
     if m == 0:
         return EdgePartition((), (), refined_by_theta_star=True)
     return EdgePartition.from_classes([range(m)], m, refined_by_theta_star=True)
-
-
-def theta_related(g: Graph, dm: DistanceMatrix, e1: int, e2: int) -> bool:
-    """Test the Djokovic-Winkler relation between two edges.
-
-    Orientation-independent: swapping the endpoint naming of either edge
-    swaps the two compared pairings, leaving the inequality unchanged.
-    """
-    u1, v1 = g.edges[e1]
-    u2, v2 = g.edges[e2]
-    r1, r2 = dm.rows[u1], dm.rows[v1]
-    return r1[u2] + r2[v2] != r1[v2] + r2[u2]
 
 
 _MASK_BITS = 64  # tree edges cut per bipartite BFS
@@ -308,20 +299,22 @@ def is_bipartite(g: Graph) -> bool:
 
 
 def is_partial_cube(g: Graph) -> bool:
-    """Partial-cube test: bipartite and Theta transitive.
+    """Partial-cube test from the Theta*-quotients in O(n*m) time, O(n+m) memory.
 
-    Transitivity is checked by verifying that every Theta*-class is
-    pairwise Theta-related.
+    G embeds isometrically into the product of its Theta*-quotients
+    (Graham and Winkler, Trans. AMS 288, 1985), so G is a partial cube iff
+    removing any Theta*-class leaves exactly two components. A partial
+    cube is bipartite, so the O(n+m) 2-colouring goes first and spares
+    other graphs the slower non-bipartite Theta* pass.
+
+    Raises:
+        DisconnectedError: if g is not connected.
     """
     require_connected(g)
     if not is_bipartite(g):
         return False
-    dm = all_pairs_distances(g)
-    star = theta_star_partition(g)
-    for members in star.classes:
-        ids = sorted(members)
-        for i, a in enumerate(ids):
-            for b in ids[i + 1 :]:
-                if not theta_related(g, dm, a, b):
-                    return False
-    return True
+    wa = WeightAssignment.unit(g)
+    return all(
+        quotient_graph(g, wa, members).graph.n == 2
+        for members in theta_star_partition(g).classes
+    )

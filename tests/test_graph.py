@@ -14,7 +14,6 @@ from szegedcut import (
     all_pairs_distances,
     bfs_distances,
     build_graph,
-    edge_vertex_distance,
     format_edge_list,
     is_connected,
     parse_edge_list,
@@ -81,18 +80,6 @@ def test_all_pairs_cycle_diameter(k, diameter):
 def test_all_pairs_k2():
     dm = all_pairs_distances(build_graph(2, [(0, 1)]))
     assert dm.rows == ((0, 1), (1, 0))
-
-
-def test_edge_vertex_distance_examples():
-    c6 = cycle_graph(6)
-    dm = all_pairs_distances(c6)
-    assert edge_vertex_distance(c6, dm, 0, 0) == 0      # incident edge (0,1)
-    eid_34 = c6.edges.index((3, 4))
-    assert edge_vertex_distance(c6, dm, 0, eid_34) == 2
-
-    p4 = path_graph(4)
-    dmp = all_pairs_distances(p4)
-    assert edge_vertex_distance(p4, dmp, 3, 0) == 2      # edge (0,1) from 3
 
 
 @settings(max_examples=40, deadline=None)

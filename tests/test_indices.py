@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from szegedcut import (
     IndexKind,
+    PartitionNotCoveringError,
     UnsupportedKindError,
     WeightAssignment,
     build_graph,
@@ -188,6 +189,16 @@ def test_general_cut_rejects_total_szeged():
         general_cut_index(
             c6, WeightAssignment.unit(c6), theta_star_partition(c6), IndexKind.SZ_T
         )
+
+
+def test_cut_routes_reject_a_partition_of_another_edge_count():
+    # flagged as Theta*-refined, so only the edge-count check stands in the way
+    c6 = cycle_graph(6)
+    p5 = single_class_partition(5)
+    with pytest.raises(PartitionNotCoveringError):
+        weighted_suite_cut(c6, p5)
+    with pytest.raises(PartitionNotCoveringError):
+        general_cut_index(c6, WeightAssignment.unit(c6), p5, IndexKind.SZ)
 
 
 def test_tree_fast_path_matches_oracle():

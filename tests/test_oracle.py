@@ -1,3 +1,4 @@
+import importlib
 import random
 
 import pytest
@@ -79,3 +80,10 @@ def test_oracle_rejects_disconnected():
         oracle_suite(g)
     with pytest.raises(DisconnectedError):
         oracle_general(g, WeightAssignment.unit(g), IndexKind.SZ)
+
+
+@pytest.mark.parametrize("module", ["graph", "theta", "quotient", "indices", "molgen", "cli"])
+def test_all_pairs_table_is_oracle_only(module):
+    mod = importlib.import_module(f"szegedcut.{module}")
+    assert not hasattr(mod, "all_pairs_distances")
+    assert not hasattr(mod, "DistanceMatrix")

@@ -5,6 +5,7 @@ import pytest
 
 from szegedcut import (
     InvalidWeightError,
+    PartitionNotCoveringError,
     SzegedCutError,
     WeightAssignment,
     build_graph,
@@ -63,6 +64,19 @@ def test_shape_mismatch_rejected():
     wa = WeightAssignment.unit(cycle_graph(5))
     with pytest.raises(ValueError):
         quotient_graph(c6, wa, [0])
+
+
+def test_shape_mismatch_is_a_weight_error():
+    c6 = cycle_graph(6)
+    with pytest.raises(InvalidWeightError):
+        quotient_graph(c6, WeightAssignment.unit(cycle_graph(5)), [0])
+
+
+@pytest.mark.parametrize("eid", [-1, 6])
+def test_quotient_rejects_edge_ids_outside_the_graph(eid):
+    c6 = cycle_graph(6)
+    with pytest.raises(PartitionNotCoveringError):
+        quotient_graph(c6, WeightAssignment.unit(c6), [0, eid])
 
 
 def test_c6_opposite_pair_quotient():

@@ -19,6 +19,7 @@ from szegedcut import (
     is_partial_cube,
     linear_phenylene,
     MalformedPartitionError,
+    oracle_is_partial_cube,
     oracle_theta_star_partition,
     quotient_graph,
     single_class_partition,
@@ -259,6 +260,45 @@ def test_validate_agrees_with_oracle(family, seed):
         assert validate_c_partition(g, p) == expected
 
 
+def hypercube_subgraph(rng: random.Random, d: int):
+    """A random connected induced subgraph of the d-cube Q_d."""
+    chosen = [rng.randrange(1 << d)]
+    size = rng.randint(1, 1 << d)
+    while len(chosen) < size:
+        v = rng.choice(chosen) ^ (1 << rng.randrange(d))
+        if v not in chosen:
+            chosen.append(v)
+    index = {v: i for i, v in enumerate(chosen)}
+    edges = [
+        (index[v], index[v ^ (1 << b)])
+        for v in chosen
+        for b in range(d)
+        if v & (1 << b) and v ^ (1 << b) in index
+    ]
+    return build_graph(len(chosen), edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(GRAPH_FAMILIES + ("Q3", "Q4")), st.integers(0, 10**9))
+def test_is_partial_cube_matches_oracle(family, seed):
+    rng = random.Random(seed)
+    if family in ("Q3", "Q4"):
+        g = hypercube_subgraph(rng, int(family[1]))
+    else:
+        g = family_graph(family, rng)
+    assert is_partial_cube(g) == oracle_is_partial_cube(g)
+
+
+def test_is_partial_cube_on_one_vertex_and_disconnected_input():
+    assert is_partial_cube(build_graph(1, []))
+    assert oracle_is_partial_cube(build_graph(1, []))
+    for g in (build_graph(2, []), build_graph(4, [(0, 1), (2, 3)])):
+        with pytest.raises(DisconnectedError):
+            is_partial_cube(g)
+        with pytest.raises(DisconnectedError):
+            oracle_is_partial_cube(g)
+
+
 def test_theta_star_with_at_most_one_edge():
     k1 = build_graph(1, [])
     assert theta_star_partition(k1).classes == ()
@@ -300,4 +340,17 @@ def test_theta_star_and_validate_memory_is_linear():
     finally:
         tracemalloc.stop()
     assert len(star) == 300 and valid
+    assert peak < 1_000_000, f"peak {peak} bytes"
+
+
+def test_partial_cube_memory_is_linear():
+    # the all-pairs table alone would be 600 x 600 entries (about 3 MB)
+    g = linear_phenylene(100).graph
+    tracemalloc.start()
+    try:
+        cube = is_partial_cube(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cube
     assert peak < 1_000_000, f"peak {peak} bytes"
