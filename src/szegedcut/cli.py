@@ -19,7 +19,7 @@ from .errors import (
     SzegedCutError,
 )
 from .graph import Graph, format_edge_list, parse_edge_list
-from .indices import IndexReport, weighted_suite_cut
+from .indices import IndexReport, weighted_suite_cut, weighted_suite_direct
 from .molgen import (
     HexSpec,
     build_benzenoid,
@@ -115,15 +115,15 @@ def _print_report(report: IndexReport, fmt: str) -> None:
 def _cmd_index(args) -> int:
     g = parse_edge_list(_read_text(args.input))
     if args.method == "direct":
-        report = oracle_suite(g, starred=args.starred)
+        report = weighted_suite_direct(g, starred=args.starred)
     else:
         p = _load_partition(g, args)
         report = weighted_suite_cut(g, p, starred=args.starred)
     if args.method == "compare":
-        direct = oracle_suite(g, starred=args.starred)
-        if report.as_tuple() != direct.as_tuple():
+        oracle = oracle_suite(g, starred=args.starred)
+        if report.as_tuple() != oracle.as_tuple():
             print(
-                f"mismatch: cut {report.as_tuple()} != direct {direct.as_tuple()}",
+                f"mismatch: cut {report.as_tuple()} != oracle {oracle.as_tuple()}",
                 file=sys.stderr,
             )
             return _EXIT_MISMATCH
@@ -186,10 +186,12 @@ def _cmd_bench(args) -> int:
         raise ParseError(f"--sizes expects comma-separated integers, got {args.sizes!r}")
     if not sizes:
         raise ParseError("--sizes is empty")
+    if args.reps < 1:
+        raise ParseError(f"--reps must be at least 1, got {args.reps}")
     print("family,cells,vertices,edges,method,seconds")
     for cells in sizes:
         if args.family == "ph":
-            dlg = linear_phenylene(max(cells, 2))
+            dlg = linear_phenylene(cells)
         else:
             dlg = build_benzenoid(HexSpec.linear_chain(cells))
         g = dlg.graph
@@ -206,7 +208,7 @@ def _cmd_bench(args) -> int:
         cut_s = timed(lambda: weighted_suite_cut(g, p))
         print(f"{args.family},{cells},{g.n},{g.m},cut,{cut_s:.6f}")
         if cells <= args.direct_max:
-            direct_s = timed(lambda: oracle_suite(g))
+            direct_s = timed(lambda: weighted_suite_direct(g))
             print(f"{args.family},{cells},{g.n},{g.m},direct,{direct_s:.6f}")
     return _EXIT_OK
 
@@ -270,7 +272,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--reps", type=int, default=3)
     p_bench.add_argument(
         "--direct-max", type=int, default=200,
-        help="largest cell count at which the direct oracle is timed",
+        help="largest cell count at which the direct route is timed",
     )
     p_bench.set_defaults(func=_cmd_bench)
 

@@ -253,6 +253,37 @@ def test_bench_csv_shape(capsys):
     assert lines[1].startswith("ph,2,12,14,cut,")
 
 
+@pytest.mark.parametrize("reps", ["0", "-1"])
+def test_bench_rejects_reps_below_one(capsys, reps):
+    code, out, err = run_cli(capsys, "bench", "--sizes", "2", "--reps", reps)
+    assert code == 2
+    assert out == ""
+    assert "--reps" in err
+
+
+@pytest.mark.parametrize("size", ["1", "-3"])
+def test_bench_rejects_phenylenes_below_two_cells(capsys, size):
+    # same exit code as `gen ph 1`
+    code, _, err = run_cli(capsys, "bench", "--sizes", size, "--reps", "1")
+    assert code == 5
+    assert "n >= 2" in err
+    assert run_cli(capsys, "gen", "ph", size)[0] == 5
+
+
+def test_direct_route_is_the_library_engine(capsys, monkeypatch, ph2_file):
+    # the oracle stays behind --method compare only
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("oracle called")
+
+    monkeypatch.setattr("szegedcut.cli.oracle_suite", no_oracle)
+    code, out, _ = run_cli(capsys, "index", ph2_file, "--method", "direct")
+    assert code == 0
+    assert json.loads(out)["wSz"] == str(oracle_suite(linear_phenylene(2).graph).w_sz)
+    code, out, _ = run_cli(capsys, "bench", "--sizes", "2", "--reps", "1")
+    assert code == 0
+    assert out.strip().splitlines()[-1].startswith("ph,2,12,14,direct,")
+
+
 def test_full_pipeline_on_patch(capsys, tmp_path):
     gpath = _write(tmp_path, "patch.edges", format_edge_list(fullerene_patch()))
     code, out, _ = run_cli(capsys, "index", gpath, "--method", "compare")

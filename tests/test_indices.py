@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -23,10 +24,13 @@ from szegedcut import (
     weighted_suite_cut,
     weighted_suite_direct,
 )
+from szegedcut import indices
 from szegedcut.molgen import linear_phenylene
 
 from conftest import (
+    FULLERENE_TOTALS,
     cycle_graph,
+    fullerene_patch,
     random_bipartite_connected,
     random_connected_graph,
     random_tree,
@@ -217,7 +221,7 @@ _WEIGHTS = st.one_of(
 
 
 @st.composite
-def cyclic_weighted_graphs(draw, bipartite):
+def cyclic_weighted_graphs(draw, bipartite, weights=_WEIGHTS):
     """A connected graph with at least one cycle, and exact weights on it.
 
     A random spanning tree 2-colours the vertices; extra edges join
@@ -245,9 +249,9 @@ def cyclic_weighted_graphs(draw, bipartite):
         extra += draw(st.lists(st.sampled_from(pairs), unique=True))
     g = build_graph(n, sorted(edges | set(extra)))
     wa = WeightAssignment(
-        tuple(draw(_WEIGHTS) for _ in range(g.n)),
-        tuple(draw(_WEIGHTS) for _ in range(g.m)),
-        tuple(draw(_WEIGHTS) for _ in range(g.m)),
+        tuple(draw(weights) for _ in range(g.n)),
+        tuple(draw(weights) for _ in range(g.m)),
+        tuple(draw(weights) for _ in range(g.m)),
     )
     return g, wa
 
@@ -266,3 +270,89 @@ def test_weighted_index_matches_oracle_on_cyclic_graphs(bipartite, data):
     p = theta_star_partition(g)
     for kind in (IndexKind.SZ, IndexKind.PI_V, IndexKind.SZ_E, IndexKind.PI):
         assert general_cut_index(g, wa, p, kind) == oracle_general(g, wa, kind)
+
+
+_CUT_KINDS = (IndexKind.SZ, IndexKind.PI_V, IndexKind.SZ_E, IndexKind.PI)
+
+# wide ints so that a bit plane above 64 carries mass, Fractions beside
+# them, and zeros
+_WIDE_WEIGHTS = st.one_of(
+    st.just(0),
+    st.integers(0, 2**70),
+    st.fractions(min_value=0, max_value=2**70, max_denominator=12),
+)
+
+
+@pytest.mark.parametrize("source_bits", [1, 7, 64])
+@pytest.mark.parametrize("bipartite", [True, False])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_multi_sweep_sides_match_oracle(source_bits, bipartite, data):
+    # one source per sweep, several sweeps, or every source in one sweep;
+    # the odd cycles of non-bipartite graphs put ties on the sides
+    g, wa = data.draw(cyclic_weighted_graphs(bipartite, _WIDE_WEIGHTS))
+    p = theta_star_partition(g)
+    with mock.patch.object(indices, "_SOURCE_BITS", source_bits):
+        direct = {kind: weighted_index(g, wa, kind) for kind in IndexKind}
+        cut = {kind: general_cut_index(g, wa, p, kind) for kind in _CUT_KINDS}
+    for kind in IndexKind:
+        assert direct[kind] == oracle_general(g, wa, kind)
+    for kind in _CUT_KINDS:
+        assert cut[kind] == oracle_general(g, wa, kind)
+
+
+def _complete_graph(k):
+    return build_graph(k, [(a, b) for a in range(k) for b in range(a + 1, k)])
+
+
+# unit weights: (Sz, PI_v, Sz_e, PI, Sz_t). On C3 and K4 the vertices off
+# an edge are ties, and so is the edge of K4 opposite it.
+@pytest.mark.parametrize(
+    "g, expected",
+    [
+        (cycle_graph(3), (3, 6, 3, 6, 12)),
+        (cycle_graph(5), (20, 20, 20, 20, 80)),
+        (_complete_graph(4), (6, 12, 24, 24, 54)),
+    ],
+    ids=["C3", "C5", "K4"],
+)
+@pytest.mark.parametrize("source_bits", [1, 4096])
+def test_small_graphs_with_ties(g, expected, source_bits):
+    wa = WeightAssignment.unit(g)
+    with mock.patch.object(indices, "_SOURCE_BITS", source_bits):
+        got = tuple(weighted_index(g, wa, kind) for kind in IndexKind)
+    assert got == expected
+    assert got == tuple(oracle_general(g, wa, kind) for kind in IndexKind)
+
+
+@pytest.mark.parametrize("source_bits", [1, 7, 4096])
+def test_fullerene_patch_sweeps(source_bits):
+    g = fullerene_patch()
+    wa = random_weight_assignment(random.Random(59), g, hi=9)
+    p = theta_star_partition(g)
+    with mock.patch.object(indices, "_SOURCE_BITS", source_bits):
+        assert weighted_suite_direct(g).as_tuple() == FULLERENE_TOTALS
+        for kind in IndexKind:
+            assert weighted_index(g, wa, kind) == oracle_general(g, wa, kind)
+        for kind in _CUT_KINDS:
+            assert general_cut_index(g, wa, p, kind) == oracle_general(g, wa, kind)
+
+
+def test_whole_fraction_weights_equal_int_weights():
+    # Fraction(3) has denominator 1, so it must still reach the engine as 3
+    rng = random.Random(61)
+    for _ in range(10):
+        g = random_connected_graph(rng, min_n=3, max_n=9, extra=0.4)
+        ints = random_weight_assignment(rng, g)
+        whole = WeightAssignment(
+            *(tuple(map(Fraction, vec)) for vec in (ints.w, ints.w_prime, ints.lambda_prime))
+        )
+        scaled, d = indices._integral(whole)
+        assert d == 1
+        for vec in (scaled.w, scaled.w_prime, scaled.lambda_prime):
+            assert all(type(x) is int for x in vec)
+        p = theta_star_partition(g)
+        for kind in IndexKind:
+            assert weighted_index(g, whole, kind) == weighted_index(g, ints, kind)
+        for kind in _CUT_KINDS:
+            assert general_cut_index(g, whole, p, kind) == general_cut_index(g, ints, p, kind)
