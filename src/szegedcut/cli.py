@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import sys
 import time
@@ -12,7 +13,6 @@ from typing import Sequence
 
 from .errors import (
     DisconnectedError,
-    IncompleteGroupingError,
     InvalidCPartitionError,
     ParseError,
     PartitionNotCoveringError,
@@ -49,7 +49,7 @@ def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
@@ -169,13 +169,17 @@ def _cmd_gen(args) -> int:
     comments = [f"{dlg.kind}: {source}"]
     if dlg.nonstandard_region:
         comments.append("nonstandard_region: cell set encloses holes")
-    sys.stdout.write(format_edge_list(dlg.graph, comments=comments))
+    # the sidecar goes first, so an unwritable path prints no edge list
     if args.labels:
-        with open(args.labels, "w", encoding="utf-8") as fh:
-            if dlg.nonstandard_region:
-                fh.write(_HOLED_MARKER + "\n")
-            for eid, label in enumerate(dlg.direction_of):
-                fh.write(f"{eid} {label}\n")
+        try:
+            with open(args.labels, "w", encoding="utf-8") as fh:
+                if dlg.nonstandard_region:
+                    fh.write(_HOLED_MARKER + "\n")
+                for eid, label in enumerate(dlg.direction_of):
+                    fh.write(f"{eid} {label}\n")
+        except OSError as exc:
+            raise ParseError(f"cannot write {args.labels}: {exc}") from exc
+    sys.stdout.write(format_edge_list(dlg.graph, comments=comments))
     return _EXIT_OK
 
 
@@ -283,18 +287,21 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader went away (`| head`): stop quietly, and let the final
+        # flush at exit write to devnull (Python docs, "Note on SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _EXIT_OK
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return _EXIT_PARSE
     except DisconnectedError as exc:
         print(f"disconnected input: {exc}", file=sys.stderr)
         return _EXIT_DISCONNECTED
-    except (
-        InvalidCPartitionError,
-        PartitionNotCoveringError,
-        IncompleteGroupingError,
-    ) as exc:
+    except (InvalidCPartitionError, PartitionNotCoveringError) as exc:
         print(f"invalid partition: {exc}", file=sys.stderr)
         return _EXIT_PARTITION
     except SzegedCutError as exc:

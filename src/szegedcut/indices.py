@@ -29,10 +29,16 @@ The engine takes a tree in linear time by subtree totals. Any other graph
 takes one multi-source BFS over bitmasks: every vertex and every edge is a
 source with its own bit, the balls around all vertices grow one hop per
 round, and an edge uv collects at each radius the sources that reached u
-but not v. Sources run in sweeps of `_SOURCE_BITS`, so memory stays
-linear in n + m. A sweep takes about one round per unit of diameter, so
-long thin graphs gain least: on linear phenylenes the sweep is about as
-fast as one BFS per edge near 300 hexagons.
+but not v. Sources run in equal sweeps of at most `_SOURCE_BITS`, so
+memory stays linear in n + m. A sweep takes about one round per unit of
+diameter, so long thin graphs gain least: on linear phenylenes the sweep
+is about as fast as one BFS per edge near 300 hexagons.
+
+The cut route builds one quotient per class and runs the engine on it,
+except on the Theta*-partition of a partial cube (`partial_cube` flag).
+There every quotient is K2, fixed by the weights of the two sides of
+one cut, and one subtree aggregation over a BFS tree of G gives all of
+them in O(n+m) (Klavzar, MATCH 60 (2008) 255-274).
 
 All arithmetic is exact: the engine adds Python ints, and Fraction
 weights are scaled to ints first and divided back at the end.
@@ -46,7 +52,7 @@ from fractions import Fraction
 from itertools import repeat
 from math import lcm
 from operator import add, and_, lshift, mul
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import (
     InvalidCPartitionError,
@@ -149,21 +155,26 @@ def _sums(
     return _generic_sums(g, w, lam, lambda_prime, w_prime)
 
 
-def _tree_sums(g, w, lam, lambda_prime, w_prime) -> Sums:
-    # Removing a tree edge splits the vertex and edge sets cleanly in two,
-    # so subtree totals give both sides of every edge.
-    adj = g.adj
+def _bfs_tree(g: Graph) -> tuple[list[int], list[int], list[int]]:
+    """BFS order from vertex 0, and each vertex's parent and parent edge
+    in that BFS tree (the root is its own parent)."""
     parent = [-1] * g.n
     parent_edge = [-1] * g.n
+    parent[0] = 0
     order = [0]
-    for x in order:  # BFS from vertex 0; the list grows while it is read
-        p = parent[x]
-        for y, eid in adj[x]:
-            if y != p:
+    for x in order:  # the list grows while it is read
+        for y, eid in g.adj[x]:
+            if parent[y] < 0:
                 parent[y] = x
                 parent_edge[y] = eid
                 order.append(y)
+    return order, parent, parent_edge
 
+
+def _tree_sums(g, w, lam, lambda_prime, w_prime) -> Sums:
+    # Removing a tree edge splits the vertex and edge sets cleanly in two,
+    # so subtree totals give both sides of every edge.
+    order, parent, parent_edge = _bfs_tree(g)
     total_w = sum(w)
     total_t = sum(lam) + sum(lambda_prime)
     sub_w = list(w)
@@ -198,16 +209,19 @@ def _generic_sums(g, w, lam, lambda_prime, w_prime) -> Sums:
     # ends of an edge uv are adjacent, so a source's distances to them
     # differ by at most one: a source strictly closer to u shows in
     # reach[u] minus reach[v] at exactly one radius, and a tie never does.
-    # Sources run in sweeps of _SOURCE_BITS ids; a sweep holds the balls
-    # of two rounds (n masks each) and the two sides of every edge (m each).
+    # Sources run in the fewest sweeps of at most _SOURCE_BITS ids, split
+    # evenly. A sweep holds the balls of two rounds (n masks each) and the
+    # two sides of every edge (m each).
     # The graph must be connected, or some ball never fills.
     n, m = g.n, g.m
     edges = g.edges
     vertex_mass = [*w, *repeat(0, m)]  # n_u, n_v count vertices only
     total_mass = [*lam, *lambda_prime]  # t_u, t_v count lam and lambda'
     n_u = n_v = t_u = t_v = [0] * m
-    for lo in range(0, n + m, _SOURCE_BITS):
-        hi = min(lo + _SOURCE_BITS, n + m)
+    sweeps = -(-(n + m) // _SOURCE_BITS)
+    size = -(-(n + m) // sweeps)
+    for lo in range(0, n + m, size):
+        hi = min(lo + size, n + m)
         full = (1 << (hi - lo)) - 1
         reach = [0] * n
         for s in range(lo, hi):
@@ -335,10 +349,60 @@ def _require_c_partition(g: Graph, p: EdgePartition) -> None:
 
 def _class_contributions(
     g: Graph, wa: WeightAssignment, p: EdgePartition
-) -> Iterator[Sums]:
+) -> list[Sums]:
+    """The four quotient sums of every class of p, in class order; the
+    weights must be ints."""
+    if p.partial_cube:
+        return _cube_contributions(g, wa, p)
+    contribs = []
     for members in p.classes:
         q = quotient_graph(g, wa, members)
-        yield _sums(q.graph, q.w, q.lam, q.lambda_prime, q.w_prime)
+        contribs.append(_sums(q.graph, q.w, q.lam, q.lambda_prime, q.w_prime))
+    return contribs
+
+
+def _cube_contributions(
+    g: Graph, wa: WeightAssignment, p: EdgePartition
+) -> list[Sums]:
+    # In a partial cube every Theta*-class F is one cut with two convex
+    # sides A and B, and a geodesic crosses F at most once. So the side A
+    # away from the root of a BFS tree is the disjoint union of the
+    # subtrees below F's tree edges, and G/F is K2 with vertex weights
+    # w(A), w(B) and lam(A), lam(B). With s(x) the sum of lambda' over
+    # the edges at x, s(A) counts each edge inside A twice and each edge
+    # of F once, so lam(A) = (s(A) - lambda'(F)) / 2.
+    k = len(p.classes)
+    class_of = p.class_of
+    sub_s = [0] * g.n  # s(x), then summed over the subtree below x
+    lp_f = [0] * k
+    wp_f = [0] * k
+    for (u, v), c, lp, wp in zip(g.edges, class_of, wa.lambda_prime, wa.w_prime):
+        sub_s[u] += lp
+        sub_s[v] += lp
+        lp_f[c] += lp
+        wp_f[c] += wp
+    total_w = sum(wa.w)
+    total_s = sum(sub_s)
+    order, parent, parent_edge = _bfs_tree(g)
+    sub_w = list(wa.w)
+    w_a = [0] * k
+    s_a = [0] * k
+    for x in reversed(order[1:]):
+        c = class_of[parent_edge[x]]
+        w_a[c] += sub_w[x]
+        s_a[c] += sub_s[x]
+        px = parent[x]
+        sub_w[px] += sub_w[x]
+        sub_s[px] += sub_s[x]
+    contribs = []
+    for wp, lp, a, sa in zip(wp_f, lp_f, w_a, s_a):
+        b = total_w - a
+        lam_a = (sa - lp) // 2
+        lam_b = (total_s - sa - lp) // 2
+        contribs.append(
+            (wp * a * b, wp * (a + b), wp * lam_a * lam_b, wp * (lam_a + lam_b))
+        )
+    return contribs
 
 
 def weighted_suite_cut(
@@ -352,7 +416,7 @@ def weighted_suite_cut(
     require_connected(g)
     _require_c_partition(g, p)
     wa = WeightAssignment.degree_weighted(g, starred)
-    contribs = list(_class_contributions(g, wa, p))
+    contribs = _class_contributions(g, wa, p)
     per_class = tuple(ClassContribution(i, *c) for i, c in enumerate(contribs))
     return IndexReport("cut", starred, *_totals(contribs), per_class)
 
@@ -372,4 +436,4 @@ def general_cut_index(
     wa.check_shape(g)
     _require_c_partition(g, p)
     wa, d = _integral(wa)
-    return _totals(list(_class_contributions(g, wa, p)), d)[_SLOT[kind]]
+    return _totals(_class_contributions(g, wa, p), d)[_SLOT[kind]]

@@ -8,16 +8,18 @@ Theta*-classes is called a c-partition and is the input the cut method
 requires.
 
 Theta* and c-partition validation come from one pass over the edges of a
-BFS spanning tree, and the partial-cube test from the quotients by the
-Theta*-classes; all three run in O(n*m) time and O(n+m) memory. The
-pairwise definition over an all-pairs distance table is kept in `oracle`
-as the reference.
+BFS spanning tree, in O(n*m) time and O(n+m) memory. The same pass tells
+whether the graph is a partial cube: it is iff it is bipartite and the
+Theta-cut of every tree edge is the whole Theta*-class of that edge.
+`theta_star_partition` records the answer on the partition, so
+`is_partial_cube` costs one Theta* pass. The pairwise definition over an
+all-pairs distance table is kept in `oracle` as the reference.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import compress, repeat
 from operator import and_, eq, itemgetter, ne, xor
 from typing import Iterable, Iterator, Mapping
@@ -30,7 +32,6 @@ from .errors import (
     PartitionNotCoveringError,
 )
 from .graph import Graph, require_connected
-from .quotient import WeightAssignment, quotient_graph
 
 
 class _UnionFind:
@@ -61,12 +62,17 @@ class EdgePartition:
     Classes are canonically ordered by their smallest edge id. The
     `refined_by_theta_star` flag asserts that every class is a union of
     Theta*-classes; generators that know this by construction set it so
-    index pipelines can skip the O(n*m) validation.
+    index pipelines can skip the O(n*m) validation. The `partial_cube`
+    flag asserts that the classes are exactly the Theta*-classes of a
+    partial cube, so each class is one cut with two convex sides; only
+    `theta_star_partition` sets it, and the cut method then reads every
+    class from one subtree aggregation instead of a quotient.
     """
 
     classes: tuple[frozenset[int], ...]
     class_of: tuple[int, ...]
     refined_by_theta_star: bool = False
+    partial_cube: bool = False
 
     @classmethod
     def from_classes(
@@ -138,15 +144,20 @@ def _propagate(nbrs: list[list[int]], lab: list[int], sources: list[int]) -> Non
         frontier = nxt
 
 
-def _theta_cuts(g: Graph) -> Iterator[tuple[int, Iterable[int]]]:
-    """Yield (e, edges Theta-related to e) for every edge e of a BFS tree.
+Cuts = Iterator[tuple[int, Iterable[int]]]
+
+
+def _theta_cuts(g: Graph) -> tuple[bool, Cuts]:
+    """Whether g is bipartite, and (e, edges Theta-related to e) for every
+    edge e of a BFS tree.
 
     Theta* is the transitive closure of Theta restricted to pairs (tree
     edge, any edge) for a BFS spanning tree (Hammack, Imrich and Klavzar,
     Handbook of Product Graphs, 2nd ed., 2011), so these pairs determine
     it. An edge f = xy is Theta-related to e = pc iff x and y differ in
     whether they are closer to p, closer to c, or equidistant. Time is
-    O(n*m), memory O(n+m); each yielded iterable is single-pass.
+    O(n*m), memory O(n+m); the cuts and each yielded iterable are
+    single-pass.
 
     Raises:
         DisconnectedError: if g is not connected.
@@ -168,37 +179,41 @@ def _theta_cuts(g: Graph) -> Iterator[tuple[int, Iterable[int]]]:
     if m <= 1:
         # a connected graph with one edge: the edge is its own class (and
         # itemgetter with a single index would return a scalar below)
-        if m:
-            yield 0, (0,)
-        return
+        return True, iter([(0, (0,))] if m else [])
 
     nbrs = [[y for y, _ in a] for a in g.adj]
     xs = itemgetter(*(u for u, _ in g.edges))
     ys = itemgetter(*(v for _, v in g.edges))
-    edge_ids = range(m)
-
+    tree = [parent_edge[c] for c in order[1:]]
     # an edge joins two equal BFS depths iff g has an odd cycle
     if any(map(eq, xs(depth), ys(depth))):
-        # One two-source BFS per tree edge pc labels each vertex closer to
-        # p (1), closer to c (2) or equidistant (3).
-        for c in order[1:]:
-            eid = parent_edge[c]
-            u, v = g.edges[eid]
-            lab = [0] * n
-            lab[u], lab[v] = 1, 2
-            _propagate(nbrs, lab, [u, v])
-            yield eid, compress(edge_ids, map(ne, xs(lab), ys(lab)))
-        return
+        return False, _general_cuts(g, tree, nbrs, xs, ys)
+    return True, _bipartite_cuts(g, tree, depth, nbrs, xs, ys)
 
-    # Bipartite: no vertex is equidistant from the ends of an edge vc, and
-    # the vertices closer to c are those with a shortest path from v
-    # through c. One BFS from v that carries one bit per tree neighbour
-    # cuts every tree edge at v (up to _MASK_BITS of them, so masks stay
-    # small on hubs). Each tree edge joins two depth parities, so the
-    # smaller parity class is a vertex cover of the tree.
+
+def _general_cuts(g: Graph, tree: list[int], nbrs, xs, ys) -> Cuts:
+    # One two-source BFS per tree edge pc labels each vertex closer to p
+    # (1), closer to c (2) or equidistant (3).
+    edge_ids = range(g.m)
+    for eid in tree:
+        u, v = g.edges[eid]
+        lab = [0] * g.n
+        lab[u], lab[v] = 1, 2
+        _propagate(nbrs, lab, [u, v])
+        yield eid, compress(edge_ids, map(ne, xs(lab), ys(lab)))
+
+
+def _bipartite_cuts(g: Graph, tree: list[int], depth, nbrs, xs, ys) -> Cuts:
+    # No vertex is equidistant from the ends of an edge vc, and the
+    # vertices closer to c are those with a shortest path from v through
+    # c. One BFS from v that carries one bit per tree neighbour cuts every
+    # tree edge at v (up to _MASK_BITS of them, so masks stay small on
+    # hubs). Each tree edge joins two depth parities, so the smaller
+    # parity class is a vertex cover of the tree.
+    n = g.n
+    edge_ids = range(g.m)
     tree_edges: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for c in order[1:]:
-        eid = parent_edge[c]
+    for eid in tree:
         u, v = g.edges[eid]
         tree_edges[u].append((v, eid))
         tree_edges[v].append((u, eid))
@@ -220,22 +235,38 @@ def _theta_cuts(g: Graph) -> Iterator[tuple[int, Iterable[int]]]:
 
 
 def theta_star_partition(g: Graph) -> EdgePartition:
-    """Theta*-classes in O(n*m) time and O(n+m) memory.
+    """Theta*-classes in O(n*m) time and O(n+m) memory, flagged
+    `partial_cube` iff g is one.
+
+    The Theta-cut of a tree edge lies inside its Theta*-class, and every
+    class holds a tree edge (removing a class disconnects g, so it meets
+    every spanning tree). In a bipartite graph the cut of a tree edge uv
+    is the set of edges between the two connected halves W_uv and W_vu.
+    So if every cut is its whole class, removing any class leaves two
+    components, and g is a partial cube (Graham and Winkler, Trans. AMS
+    288, 1985); in a partial cube Theta is transitive, so the converse
+    holds too.
 
     Raises:
         DisconnectedError: if g is not connected.
     """
     m = g.m
     uf = _UnionFind(m)
-    for e, related in _theta_cuts(g):
+    bipartite, cuts = _theta_cuts(g)
+    cut_size: dict[int, int] = {}
+    for e, related in cuts:
+        related = list(related)
+        cut_size[e] = len(related)
         for f in related:
             uf.union(e, f)
     groups: dict[int, list[int]] = {}
     for e in range(m):
         groups.setdefault(uf.find(e), []).append(e)
-    return EdgePartition.from_classes(
-        groups.values(), m, refined_by_theta_star=True
+    p = EdgePartition.from_classes(groups.values(), m, refined_by_theta_star=True)
+    cube = bipartite and all(
+        k == len(p.classes[p.class_of[e]]) for e, k in cut_size.items()
     )
+    return replace(p, partial_cube=cube)
 
 
 def validate_c_partition(g: Graph, p: EdgePartition) -> bool:
@@ -253,7 +284,8 @@ def validate_c_partition(g: Graph, p: EdgePartition) -> bool:
             f"partition covers {p.num_edges} edges, graph has {g.m}"
         )
     class_of = p.class_of
-    for e, related in _theta_cuts(g):
+    _, cuts = _theta_cuts(g)
+    for e, related in cuts:
         if any(map(ne, map(class_of.__getitem__, related), repeat(class_of[e]))):
             return False
     return True
@@ -299,22 +331,14 @@ def is_bipartite(g: Graph) -> bool:
 
 
 def is_partial_cube(g: Graph) -> bool:
-    """Partial-cube test from the Theta*-quotients in O(n*m) time, O(n+m) memory.
+    """Partial-cube test in O(n*m) time and O(n+m) memory.
 
-    G embeds isometrically into the product of its Theta*-quotients
-    (Graham and Winkler, Trans. AMS 288, 1985), so G is a partial cube iff
-    removing any Theta*-class leaves exactly two components. A partial
-    cube is bipartite, so the O(n+m) 2-colouring goes first and spares
-    other graphs the slower non-bipartite Theta* pass.
+    A partial cube is bipartite, so the O(n+m) 2-colouring goes first and
+    spares other graphs the slower non-bipartite Theta* pass; bipartite
+    graphs read the `partial_cube` flag of their Theta*-partition.
 
     Raises:
         DisconnectedError: if g is not connected.
     """
     require_connected(g)
-    if not is_bipartite(g):
-        return False
-    wa = WeightAssignment.unit(g)
-    return all(
-        quotient_graph(g, wa, members).graph.n == 2
-        for members in theta_star_partition(g).classes
-    )
+    return is_bipartite(g) and theta_star_partition(g).partial_cube

@@ -63,6 +63,39 @@ def random_bipartite_connected(
     return build_graph(n, edges)
 
 
+def cube_subgraph(rng: random.Random, d: int, downset: bool) -> Graph:
+    """A connected induced subgraph of the d-cube Q_d, with shuffled vertex
+    ids, edge ids and edge orientations.
+
+    With `downset`, the vertices are every subset of a few drawn vertices,
+    moved by a random XOR: a geodesic between two of them runs down to
+    their meet and back up, so the subgraph is isometric, a partial cube.
+    Otherwise the vertex set grows by random one-bit flips and may not be
+    a partial cube.
+    """
+    if downset:
+        tops = [rng.randrange(1 << d) for _ in range(rng.randint(1, 4))]
+        flip = rng.randrange(1 << d)
+        verts = [x ^ flip for x in range(1 << d) if any(x & t == x for t in tops)]
+    else:
+        verts = [rng.randrange(1 << d)]
+        size = rng.randint(1, 1 << d)
+        while len(verts) < size:
+            v = rng.choice(verts) ^ (1 << rng.randrange(d))
+            if v not in verts:
+                verts.append(v)
+    rng.shuffle(verts)
+    index = {v: i for i, v in enumerate(verts)}
+    edges = [
+        (index[v], index[v ^ (1 << b)])
+        for v in verts
+        for b in range(d)
+        if v & (1 << b) and v ^ (1 << b) in index
+    ]
+    rng.shuffle(edges)
+    return build_graph(len(verts), [e if rng.random() < 0.5 else e[::-1] for e in edges])
+
+
 def random_weight_assignment(
     rng: random.Random, g: Graph, lo: int = 0, hi: int = 5
 ) -> WeightAssignment:

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import szegedcut
 from szegedcut import (
     HexSpec,
+    build_graph,
     format_edge_list,
     format_hex_spec,
     linear_phenylene,
@@ -290,3 +295,43 @@ def test_full_pipeline_on_patch(capsys, tmp_path):
     assert code == 0
     data = json.loads(out)
     assert data["wSz"] == "9200" and data["wPI"] == "2760"
+
+
+def test_non_utf8_file_exit_code(capsys, tmp_path):
+    path = tmp_path / "latin1.edges"
+    path.write_bytes(b"2 1\n0 1  # caf\xe9\n")
+    code, out, err = run_cli(capsys, "index", str(path))
+    assert code == 2
+    assert out == ""
+    assert "parse error" in err.lower()
+
+
+def test_unwritable_labels_path_exit_code(capsys, tmp_path):
+    labels = tmp_path / "no-such-dir" / "ph3.labels"
+    code, out, err = run_cli(capsys, "gen", "ph", "3", "--labels", str(labels))
+    assert code == 2
+    assert out == ""          # the edge list is not printed either
+    assert "no-such-dir" in err
+
+
+def test_closed_stdout_pipe_exits_quietly(tmp_path):
+    # a star with 2000 edges has 2000 per-class rows, far more output than
+    # a pipe buffer holds, so the CLI meets the closed pipe while writing
+    star = build_graph(2001, [(0, v) for v in range(1, 2001)])
+    gpath = _write(tmp_path, "star.edges", format_edge_list(star))
+    src = str(Path(szegedcut.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    )}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "szegedcut.cli", "index", gpath],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline() == b"{\n"   # like `| head -1`
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from szegedcut import (
+    EdgePartition,
     IndexKind,
     PartitionNotCoveringError,
     UnsupportedKindError,
@@ -18,6 +19,9 @@ from szegedcut import (
     is_bipartite,
     oracle_edge_sides,
     oracle_general,
+    oracle_is_partial_cube,
+    oracle_suite,
+    quotient_graph,
     single_class_partition,
     theta_star_partition,
     weighted_index,
@@ -25,10 +29,12 @@ from szegedcut import (
     weighted_suite_direct,
 )
 from szegedcut import indices
-from szegedcut.molgen import linear_phenylene
+from szegedcut.molgen import build_benzenoid, linear_phenylene
 
 from conftest import (
+    CORONENE,
     FULLERENE_TOTALS,
+    cube_subgraph,
     cycle_graph,
     fullerene_patch,
     random_bipartite_connected,
@@ -356,3 +362,84 @@ def test_whole_fraction_weights_equal_int_weights():
             assert weighted_index(g, whole, kind) == weighted_index(g, ints, kind)
         for kind in _CUT_KINDS:
             assert general_cut_index(g, whole, p, kind) == general_cut_index(g, ints, p, kind)
+
+
+# ---------------------------------------------------------------------------
+# partial cubes: every class from one subtree aggregation, no quotients
+# ---------------------------------------------------------------------------
+
+def _unflagged(p):
+    # the same classes, trusted but without the partial_cube flag, so the
+    # cut method builds one quotient per class
+    return EdgePartition(p.classes, p.class_of, refined_by_theta_star=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(3, 5), st.booleans(), st.integers(0, 10**9))
+def test_cube_aggregation_matches_oracle_suite(d, downset, seed):
+    g = cube_subgraph(random.Random(seed), d, downset)
+    p = theta_star_partition(g)
+    assert p.partial_cube == oracle_is_partial_cube(g)
+    assert p.partial_cube or not downset
+    for starred in (False, True):
+        report = weighted_suite_cut(g, p, starred)
+        assert report.as_tuple() == oracle_suite(g, starred).as_tuple()
+        assert report == weighted_suite_cut(g, _unflagged(p), starred)
+
+
+_CUBE_WEIGHTS = st.one_of(
+    st.just(0),
+    st.integers(0, 50),
+    st.fractions(min_value=0, max_value=50, max_denominator=12),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(3, 5), st.booleans(), st.integers(0, 10**9), st.data())
+def test_cube_aggregation_matches_oracle_general(d, downset, seed, data):
+    g = cube_subgraph(random.Random(seed), d, downset)
+    wa = WeightAssignment(
+        *(
+            tuple(data.draw(st.lists(_CUBE_WEIGHTS, min_size=k, max_size=k)))
+            for k in (g.n, g.m, g.m)
+        )
+    )
+    p = theta_star_partition(g)
+    for kind in _CUT_KINDS:
+        expected = oracle_general(g, wa, kind)
+        assert general_cut_index(g, wa, p, kind) == expected
+        assert general_cut_index(g, wa, _unflagged(p), kind) == expected
+
+
+def test_partial_cube_cut_builds_no_quotient():
+    for dlg in (linear_phenylene(100), build_benzenoid(CORONENE)):
+        g = dlg.graph
+        expected = weighted_suite_cut(g, dlg.direction_partition())
+        p = theta_star_partition(g)
+        assert p.partial_cube
+        with mock.patch.object(
+            indices, "quotient_graph", side_effect=AssertionError("quotient built")
+        ):
+            report = weighted_suite_cut(g, p)
+            starred = weighted_suite_cut(g, p, starred=True)
+        assert report.as_tuple() == expected.as_tuple()
+        assert starred == weighted_suite_cut(g, _unflagged(p), starred=True)
+        assert len(report.per_class) == len(p)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        build_graph(5, [(u, 2 + v) for u in range(2) for v in range(3)]),  # K2,3
+        fullerene_patch(),
+        cycle_graph(5),
+    ],
+    ids=["K2,3", "patch", "C5"],
+)
+def test_other_theta_star_partitions_build_one_quotient_per_class(g):
+    p = theta_star_partition(g)
+    assert not p.partial_cube
+    with mock.patch.object(indices, "quotient_graph", wraps=quotient_graph) as spy:
+        report = weighted_suite_cut(g, p)
+    assert spy.call_count == len(p)
+    assert report.as_tuple() == oracle_suite(g).as_tuple()

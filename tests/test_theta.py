@@ -30,6 +30,7 @@ from szegedcut import (
 )
 
 from conftest import (
+    cube_subgraph,
     cycle_graph,
     path_graph,
     random_bipartite_connected,
@@ -354,3 +355,60 @@ def test_partial_cube_memory_is_linear():
         tracemalloc.stop()
     assert cube
     assert peak < 1_000_000, f"peak {peak} bytes"
+
+
+# ---------------------------------------------------------------------------
+# the partial_cube flag set by the Theta* pass
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(GRAPH_FAMILIES + ("Q3", "Q4", "Q5")),
+    st.booleans(),
+    st.integers(0, 10**9),
+)
+def test_partial_cube_flag_matches_oracle(family, downset, seed):
+    rng = random.Random(seed)
+    if family.startswith("Q"):
+        g = cube_subgraph(rng, int(family[1]), downset)
+    else:
+        g = family_graph(family, rng)
+    cube = oracle_is_partial_cube(g)
+    assert theta_star_partition(g).partial_cube == cube
+    assert is_partial_cube(g) == cube
+
+
+def _complete_bipartite(a, b):
+    return build_graph(a + b, [(u, a + v) for u in range(a) for v in range(b)])
+
+
+@pytest.mark.parametrize(
+    "g, cube",
+    [
+        (build_graph(1, []), True),
+        (build_graph(2, [(0, 1)]), True),
+        (path_graph(5), True),
+        (cycle_graph(3), False),  # its one Theta-cut is its whole class
+        (cycle_graph(4), True),
+        (cycle_graph(7), False),
+        (cycle_graph(10), True),
+        (_complete_bipartite(2, 3), False),
+        (_complete_bipartite(3, 3), False),
+        (linear_phenylene(3).graph, True),
+    ],
+    ids=["K1", "K2", "P5", "K3", "C4", "C7", "C10", "K2,3", "K3,3", "PH3"],
+)
+def test_partial_cube_flag_on_small_graphs(g, cube):
+    assert oracle_is_partial_cube(g) == cube
+    assert theta_star_partition(g).partial_cube == cube
+    assert is_partial_cube(g) == cube
+
+
+def test_only_theta_star_sets_the_partial_cube_flag():
+    c6 = cycle_graph(6)
+    star = theta_star_partition(c6)
+    assert star.partial_cube and star.refined_by_theta_star
+    assert not EdgePartition.from_classes(star.classes, 6, True).partial_cube
+    assert not coarsen(star, {0: 0, 1: 1, 2: 2}).partial_cube
+    assert not coarsen(star, {0: 0, 1: 0, 2: 0}).partial_cube
+    assert not single_class_partition(6).partial_cube
