@@ -53,6 +53,12 @@ def _read_text(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
+def _read_graph(path: str) -> Graph:
+    # every command that reads a graph needs it connected, so a header that
+    # declares too few edges exits 3 before a graph of that size is built
+    return parse_edge_list(_read_text(path), connected=True)
+
+
 def _parse_partition(text: str, what: str, m: int) -> EdgePartition:
     """Classes from `edge_id value` lines that name each edge id once."""
     groups: dict[int, list[int]] = {}
@@ -113,7 +119,7 @@ def _print_report(report: IndexReport, fmt: str) -> None:
 
 
 def _cmd_index(args) -> int:
-    g = parse_edge_list(_read_text(args.input))
+    g = _read_graph(args.input)
     if args.method == "direct":
         report = weighted_suite_direct(g, starred=args.starred)
     else:
@@ -132,7 +138,7 @@ def _cmd_index(args) -> int:
 
 
 def _cmd_theta(args) -> int:
-    g = parse_edge_list(_read_text(args.input))
+    g = _read_graph(args.input)
     p = theta_star_partition(g)
     for members in p.classes:
         tokens = [f"{g.edges[e][0]}-{g.edges[e][1]}" for e in sorted(members)]
@@ -141,7 +147,7 @@ def _cmd_theta(args) -> int:
 
 
 def _cmd_quotient(args) -> int:
-    g = parse_edge_list(_read_text(args.input))
+    g = _read_graph(args.input)
     p = _load_partition(g, args)
     wa = WeightAssignment.degree_weighted(g, starred=args.starred)
     for idx, members in enumerate(p.classes):

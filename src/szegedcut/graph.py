@@ -118,11 +118,14 @@ def require_connected(g: Graph) -> None:
         raise DisconnectedError("graph is not connected")
 
 
-def parse_edge_list(text: str) -> Graph:
+def parse_edge_list(text: str, connected: bool = False) -> Graph:
     """Parse the edge-list text format.
 
     First data line is `n m`, followed by m lines `u v` (0-based).
-    Lines starting with `#` and blank lines are ignored.
+    Lines starting with `#` and blank lines are ignored. With `connected`,
+    a header with n > m + 1 raises `DisconnectedError` once the lines are
+    read and before anything of size n is allocated: a connected graph
+    has at least n - 1 edges.
     """
     lines = [
         line.strip()
@@ -152,6 +155,8 @@ def parse_edge_list(text: str) -> Graph:
             edges.append((int(parts[0]), int(parts[1])))
         except ValueError:
             raise ParseError(f"non-integer edge line {line!r}") from None
+    if connected and n > m + 1:
+        raise DisconnectedError(f"{n} vertices need at least {n - 1} edges, got {m}")
     try:
         return Graph(n, edges)
     except (LoopEdgeError, DuplicateEdgeError, VertexOutOfRangeError) as exc:

@@ -35,10 +35,12 @@ diameter, so long thin graphs gain least: on linear phenylenes the sweep
 is about as fast as one BFS per edge near 300 hexagons.
 
 The cut route builds one quotient per class and runs the engine on it,
-except on the Theta*-partition of a partial cube (`partial_cube` flag).
-There every quotient is K2, fixed by the weights of the two sides of
-one cut, and one subtree aggregation over a BFS tree of G gives all of
-them in O(n+m) (Klavzar, MATCH 60 (2008) 255-274).
+except for the classes that `theta_star_partition` flags as two-sided:
+bridges, and every class of a partial cube. Such a class is one cut
+with two convex sides, so its quotient is K2, fixed by the weights of
+the two sides, and one subtree aggregation over a BFS tree of G gives
+all flagged classes at once in O(n+m) (Klavzar, MATCH 60 (2008)
+255-274).
 
 All arithmetic is exact: the engine adds Python ints, and Fraction
 weights are scaled to ints first and divided back at the end.
@@ -352,25 +354,27 @@ def _class_contributions(
 ) -> list[Sums]:
     """The four quotient sums of every class of p, in class order; the
     weights must be ints."""
-    if p.partial_cube:
-        return _cube_contributions(g, wa, p)
+    rows = _two_sided_rows(g, wa, p) if any(p.two_sided) else repeat(None)
     contribs = []
-    for members in p.classes:
-        q = quotient_graph(g, wa, members)
-        contribs.append(_sums(q.graph, q.w, q.lam, q.lambda_prime, q.w_prime))
+    for members, row in zip(p.classes, rows):
+        if row is None:
+            q = quotient_graph(g, wa, members)
+            row = _sums(q.graph, q.w, q.lam, q.lambda_prime, q.w_prime)
+        contribs.append(row)
     return contribs
 
 
-def _cube_contributions(
+def _two_sided_rows(
     g: Graph, wa: WeightAssignment, p: EdgePartition
-) -> list[Sums]:
-    # In a partial cube every Theta*-class F is one cut with two convex
-    # sides A and B, and a geodesic crosses F at most once. So the side A
-    # away from the root of a BFS tree is the disjoint union of the
-    # subtrees below F's tree edges, and G/F is K2 with vertex weights
-    # w(A), w(B) and lam(A), lam(B). With s(x) the sum of lambda' over
-    # the edges at x, s(A) counts each edge inside A twice and each edge
-    # of F once, so lam(A) = (s(A) - lambda'(F)) / 2.
+) -> list[Sums | None]:
+    # A two-sided class F is one cut with two convex sides A and B, so a
+    # geodesic crosses F at most once. The side A away from the root of a
+    # BFS tree is then the disjoint union of the subtrees below F's tree
+    # edges, and G/F is K2 with vertex weights w(A), w(B) and lam(A),
+    # lam(B). With s(x) the sum of lambda' over the edges at x, s(A)
+    # counts each edge inside A twice and each edge of F once, so
+    # lam(A) = (s(A) - lambda'(F)) / 2. The pass sums over every class;
+    # the rows of classes that are not two-sided are None.
     k = len(p.classes)
     class_of = p.class_of
     sub_s = [0] * g.n  # s(x), then summed over the subtree below x
@@ -394,15 +398,16 @@ def _cube_contributions(
         px = parent[x]
         sub_w[px] += sub_w[x]
         sub_s[px] += sub_s[x]
-    contribs = []
-    for wp, lp, a, sa in zip(wp_f, lp_f, w_a, s_a):
+    rows: list[Sums | None] = []
+    for wp, lp, a, sa, flagged in zip(wp_f, lp_f, w_a, s_a, p.two_sided):
+        if not flagged:
+            rows.append(None)
+            continue
         b = total_w - a
         lam_a = (sa - lp) // 2
         lam_b = (total_s - sa - lp) // 2
-        contribs.append(
-            (wp * a * b, wp * (a + b), wp * lam_a * lam_b, wp * (lam_a + lam_b))
-        )
-    return contribs
+        rows.append((wp * a * b, wp * (a + b), wp * lam_a * lam_b, wp * (lam_a + lam_b)))
+    return rows
 
 
 def weighted_suite_cut(

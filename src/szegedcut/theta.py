@@ -8,12 +8,15 @@ Theta*-classes is called a c-partition and is the input the cut method
 requires.
 
 Theta* and c-partition validation come from one pass over the edges of a
-BFS spanning tree, in O(n*m) time and O(n+m) memory. The same pass tells
-whether the graph is a partial cube: it is iff it is bipartite and the
-Theta-cut of every tree edge is the whole Theta*-class of that edge.
-`theta_star_partition` records the answer on the partition, so
-`is_partial_cube` costs one Theta* pass. The pairwise definition over an
-all-pairs distance table is kept in `oracle` as the reference.
+BFS spanning tree, in O(n*m) time and O(n+m) memory. The same pass finds
+the classes that are one clean cut: a class F is two-sided when some tree
+edge ab in F has all of F as its Theta-cut and no vertex is equidistant
+from a and b. Then G - F has exactly two components, both convex, so the
+cut method reads F from a subtree aggregation instead of a quotient.
+Bridges are the common case in graphs with odd cycles. A graph is a
+partial cube iff every class is two-sided, so `is_partial_cube` costs one
+Theta* pass. The pairwise definition over an all-pairs distance table is
+kept in `oracle` as the reference.
 """
 
 from __future__ import annotations
@@ -62,17 +65,21 @@ class EdgePartition:
     Classes are canonically ordered by their smallest edge id. The
     `refined_by_theta_star` flag asserts that every class is a union of
     Theta*-classes; generators that know this by construction set it so
-    index pipelines can skip the O(n*m) validation. The `partial_cube`
-    flag asserts that the classes are exactly the Theta*-classes of a
-    partial cube, so each class is one cut with two convex sides; only
-    `theta_star_partition` sets it, and the cut method then reads every
-    class from one subtree aggregation instead of a quotient.
+    index pipelines can skip the O(n*m) validation. `two_sided` holds one
+    flag per class, asserting that the class is a Theta*-class F whose
+    removal leaves exactly two components, both convex; the cut method
+    reads the flagged classes from one subtree aggregation instead of a
+    quotient. The `partial_cube` flag asserts that the classes are the
+    Theta*-classes of a partial cube, which holds iff every class is
+    two-sided. Only `theta_star_partition` sets these two; an empty
+    `two_sided` flags no class.
     """
 
     classes: tuple[frozenset[int], ...]
     class_of: tuple[int, ...]
     refined_by_theta_star: bool = False
     partial_cube: bool = False
+    two_sided: tuple[bool, ...] = ()
 
     @classmethod
     def from_classes(
@@ -144,12 +151,12 @@ def _propagate(nbrs: list[list[int]], lab: list[int], sources: list[int]) -> Non
         frontier = nxt
 
 
-Cuts = Iterator[tuple[int, Iterable[int]]]
+Cuts = Iterator[tuple[int, Iterable[int], bool]]
 
 
-def _theta_cuts(g: Graph) -> tuple[bool, Cuts]:
-    """Whether g is bipartite, and (e, edges Theta-related to e) for every
-    edge e of a BFS tree.
+def _theta_cuts(g: Graph) -> Cuts:
+    """(e, edges Theta-related to e, whether some vertex is equidistant
+    from the ends of e) for every edge e of a BFS tree.
 
     Theta* is the transitive closure of Theta restricted to pairs (tree
     edge, any edge) for a BFS spanning tree (Hammack, Imrich and Klavzar,
@@ -179,7 +186,7 @@ def _theta_cuts(g: Graph) -> tuple[bool, Cuts]:
     if m <= 1:
         # a connected graph with one edge: the edge is its own class (and
         # itemgetter with a single index would return a scalar below)
-        return True, iter([(0, (0,))] if m else [])
+        return iter([(0, (0,), False)] if m else [])
 
     nbrs = [[y for y, _ in a] for a in g.adj]
     xs = itemgetter(*(u for u, _ in g.edges))
@@ -187,8 +194,8 @@ def _theta_cuts(g: Graph) -> tuple[bool, Cuts]:
     tree = [parent_edge[c] for c in order[1:]]
     # an edge joins two equal BFS depths iff g has an odd cycle
     if any(map(eq, xs(depth), ys(depth))):
-        return False, _general_cuts(g, tree, nbrs, xs, ys)
-    return True, _bipartite_cuts(g, tree, depth, nbrs, xs, ys)
+        return _general_cuts(g, tree, nbrs, xs, ys)
+    return _bipartite_cuts(g, tree, depth, nbrs, xs, ys)
 
 
 def _general_cuts(g: Graph, tree: list[int], nbrs, xs, ys) -> Cuts:
@@ -200,7 +207,7 @@ def _general_cuts(g: Graph, tree: list[int], nbrs, xs, ys) -> Cuts:
         lab = [0] * g.n
         lab[u], lab[v] = 1, 2
         _propagate(nbrs, lab, [u, v])
-        yield eid, compress(edge_ids, map(ne, xs(lab), ys(lab)))
+        yield eid, compress(edge_ids, map(ne, xs(lab), ys(lab))), 3 in lab
 
 
 def _bipartite_cuts(g: Graph, tree: list[int], depth, nbrs, xs, ys) -> Cuts:
@@ -231,42 +238,51 @@ def _bipartite_cuts(g: Graph, tree: list[int], depth, nbrs, xs, ys) -> Cuts:
             cut = list(compress(edge_ids, diff))  # cut by some edge in chunk
             cut_diff = list(map(diff.__getitem__, cut))
             for k, (_, eid) in enumerate(chunk):
-                yield eid, compress(cut, map(and_, cut_diff, repeat(1 << k)))
+                yield eid, compress(cut, map(and_, cut_diff, repeat(1 << k))), False
 
 
 def theta_star_partition(g: Graph) -> EdgePartition:
-    """Theta*-classes in O(n*m) time and O(n+m) memory, flagged
-    `partial_cube` iff g is one.
+    """Theta*-classes in O(n*m) time and O(n+m) memory, with the
+    `two_sided` flag of every class and the `partial_cube` flag.
 
     The Theta-cut of a tree edge lies inside its Theta*-class, and every
     class holds a tree edge (removing a class disconnects g, so it meets
-    every spanning tree). In a bipartite graph the cut of a tree edge uv
-    is the set of edges between the two connected halves W_uv and W_vu.
-    So if every cut is its whole class, removing any class leaves two
-    components, and g is a partial cube (Graham and Winkler, Trans. AMS
-    288, 1985); in a partial cube Theta is transitive, so the converse
-    holds too.
+    every spanning tree). A class F is flagged two-sided when some tree
+    edge ab in F has all of F as its cut and no vertex is equidistant from
+    a and b. Then every F-edge joins A = W_ab to B = W_ba, both connected,
+    so g - F has exactly two components. Both are convex: a geodesic from
+    u in A that re-entered A through an F-edge yz, y in B and z in A,
+    would have u nearer y than z, while a is nearer z (d(z,a) = d(y,b) =
+    d(y,a) - 1). Some edge of a shortest u-a path, which stays inside A,
+    changes which of y and z is nearer, so it is Theta-related to yz and
+    lies in F, yet both its ends are in A. A graph whose classes are all
+    two-sided has only even cycles and convex halves, so it is a partial
+    cube (Djokovic, J. Combin. Theory B 14, 1973), and in a partial cube
+    every class is two-sided; `partial_cube` is therefore
+    `all(two_sided)`.
 
     Raises:
         DisconnectedError: if g is not connected.
     """
     m = g.m
     uf = _UnionFind(m)
-    bipartite, cuts = _theta_cuts(g)
-    cut_size: dict[int, int] = {}
-    for e, related in cuts:
-        related = list(related)
-        cut_size[e] = len(related)
-        for f in related:
+    clean_cut: dict[int, int] = {}  # tie-free tree edge -> its cut size
+    for e, related, tie in _theta_cuts(g):
+        k = 0
+        for k, f in enumerate(related, 1):
             uf.union(e, f)
+        if not tie:
+            clean_cut[e] = k
     groups: dict[int, list[int]] = {}
     for e in range(m):
         groups.setdefault(uf.find(e), []).append(e)
     p = EdgePartition.from_classes(groups.values(), m, refined_by_theta_star=True)
-    cube = bipartite and all(
-        k == len(p.classes[p.class_of[e]]) for e, k in cut_size.items()
-    )
-    return replace(p, partial_cube=cube)
+    two_sided = [False] * len(p.classes)
+    for e, k in clean_cut.items():
+        c = p.class_of[e]
+        if k == len(p.classes[c]):
+            two_sided[c] = True
+    return replace(p, partial_cube=all(two_sided), two_sided=tuple(two_sided))
 
 
 def validate_c_partition(g: Graph, p: EdgePartition) -> bool:
@@ -284,8 +300,7 @@ def validate_c_partition(g: Graph, p: EdgePartition) -> bool:
             f"partition covers {p.num_edges} edges, graph has {g.m}"
         )
     class_of = p.class_of
-    _, cuts = _theta_cuts(g)
-    for e, related in cuts:
+    for e, related, _ in _theta_cuts(g):
         if any(map(ne, map(class_of.__getitem__, related), repeat(class_of[e]))):
             return False
     return True

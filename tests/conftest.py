@@ -6,6 +6,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
 from szegedcut import Graph, HexSpec, WeightAssignment, build_graph
 
@@ -94,6 +96,65 @@ def cube_subgraph(rng: random.Random, d: int, downset: bool) -> Graph:
     ]
     rng.shuffle(edges)
     return build_graph(len(verts), [e if rng.random() < 0.5 else e[::-1] for e in edges])
+
+
+WEIGHTS = st.one_of(
+    st.integers(0, 4), st.fractions(min_value=0, max_value=4, max_denominator=6)
+)
+
+
+def _draw_weights(draw, g: Graph, weights) -> WeightAssignment:
+    return WeightAssignment(
+        tuple(draw(weights) for _ in range(g.n)),
+        tuple(draw(weights) for _ in range(g.m)),
+        tuple(draw(weights) for _ in range(g.m)),
+    )
+
+
+@st.composite
+def cyclic_weighted_graphs(draw, bipartite, weights=WEIGHTS):
+    """A connected graph with at least one cycle, and exact weights on it.
+
+    A random spanning tree 2-colours the vertices; extra edges join
+    opposite colours for a bipartite graph, and the first one joins equal
+    colours (closing an odd cycle) otherwise.
+    """
+    n = draw(st.integers(3, 9))
+    colour = [0] * n
+    edges = set()
+    for v in range(1, n):
+        p = draw(st.integers(0, v - 1))
+        colour[v] = 1 - colour[p]
+        edges.add((p, v))
+    pairs = [
+        (a, b) for a in range(n) for b in range(a + 1, n) if (a, b) not in edges
+    ]
+    cross = [(a, b) for a, b in pairs if colour[a] != colour[b]]
+    if bipartite:
+        assume(cross)
+        extra = draw(st.lists(st.sampled_from(cross), min_size=1, unique=True))
+    else:
+        same = [(a, b) for a, b in pairs if colour[a] == colour[b]]
+        assume(same)
+        extra = [draw(st.sampled_from(same))]
+        extra += draw(st.lists(st.sampled_from(pairs), unique=True))
+    g = build_graph(n, sorted(edges | set(extra)))
+    return g, _draw_weights(draw, g, weights)
+
+
+@st.composite
+def pendant_weighted_graphs(draw, weights=WEIGHTS):
+    """A graph of `cyclic_weighted_graphs` (either kind) with pendant trees
+    hung on it, so it has bridges, and with shuffled vertex ids, edge ids
+    and orientations, so the BFS root may sit anywhere."""
+    g, _ = draw(cyclic_weighted_graphs(draw(st.booleans()), weights))
+    n = g.n + draw(st.integers(0, 6))
+    edges = list(g.edges)
+    edges += [(draw(st.integers(0, v - 1)), v) for v in range(g.n, n)]
+    ids = draw(st.permutations(range(n)))
+    edges = [(ids[u], ids[v]) for u, v in draw(st.permutations(edges))]
+    g = build_graph(n, [e[::-1] if draw(st.booleans()) else e for e in edges])
+    return g, _draw_weights(draw, g, weights)
 
 
 def random_weight_assignment(

@@ -1,13 +1,19 @@
+import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import szegedcut
 from szegedcut import (
+    DisconnectedError,
     HexSpec,
     build_graph,
     format_edge_list,
@@ -335,3 +341,154 @@ def test_closed_stdout_pipe_exits_quietly(tmp_path):
     proc.stderr.close()
     assert proc.wait(timeout=60) == 0
     assert err == b""
+
+
+# ---------------------------------------------------------------------------
+# bounded parse memory and the exit-code contract
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("command", ["index", "theta", "quotient"])
+def test_header_with_too_few_edges_exits_3_in_small_memory(capsys, tmp_path, command):
+    # 2000000 vertices and one edge cannot be connected; the check runs
+    # before a graph of that size is allocated
+    path = _write(tmp_path, "huge.edges", "2000000 1\n0 1\n")
+    tracemalloc.start()
+    try:
+        code = main([command, path])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    _, err = capsys.readouterr()
+    assert code == 3
+    assert "disconnected" in err.lower()
+    assert peak < 1_000_000, f"peak {peak} bytes"
+
+
+def test_parse_edge_list_connected_check():
+    text = "5 2\n0 1\n1 2\n"
+    assert parse_edge_list(text).n == 5   # the library still builds it
+    with pytest.raises(DisconnectedError):
+        parse_edge_list(text, connected=True)
+    assert parse_edge_list("3 2\n0 1\n1 2\n", connected=True).m == 2
+    assert parse_edge_list("1 0\n", connected=True).n == 1
+
+
+# a line that breaks the format: free text, or two tokens that are not
+# both plain integers in range
+_TOKEN = st.sampled_from(["x", "1.5", "0x1", "-1", "99999", "\u0663"])
+_BENT_LINE = st.one_of(
+    st.text(max_size=6), *[st.tuples(_TOKEN, _TOKEN).map(" ".join)] * 2
+)
+
+
+def _rarely(draw) -> bool:
+    return draw(st.booleans()) and draw(st.booleans())
+
+
+@st.composite
+def _edge_list_text(draw):
+    """A small edge list and its edge count. A spanning tree, missing an
+    edge now and then, plus a few more edges, rarely a repeat; now and
+    then bent by a wrong header or a stray line."""
+    n = draw(st.integers(1, 6))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    if edges and draw(st.booleans()):
+        edges.pop(draw(st.integers(0, len(edges) - 1)))
+    seen = set(edges)
+    if n > 1:
+        for _ in range(draw(st.integers(0, 3))):
+            u, d = draw(st.integers(0, n - 1)), draw(st.integers(1, n - 1))
+            e = min(u, (u + d) % n), max(u, (u + d) % n)
+            if e not in seen or _rarely(draw):
+                seen.add(e)
+                edges.append(e)
+    lines = [f"{n} {len(edges)}"] + [f"{u} {v}" for u, v in edges]
+    if _rarely(draw):
+        if draw(st.booleans()):
+            lines[0] = f"{draw(st.integers(-1, 9))} {draw(st.integers(-1, 9))}"
+        else:
+            lines.insert(draw(st.integers(0, len(lines))), draw(_BENT_LINE))
+    return "\n".join(lines).encode("utf-8", "surrogatepass"), len(edges)
+
+
+@st.composite
+def _cli_files(draw):
+    """Bytes of an edge-list file and of a partition file: each either
+    arbitrary or close to its format, the partition mostly over the edge
+    ids of the graph, sometimes behind the holed-region marker."""
+    if _rarely(draw):
+        graph, m = draw(st.binary(max_size=200)), draw(st.integers(0, 9))
+    else:
+        graph, m = draw(_edge_list_text())
+    if _rarely(draw):
+        return graph, draw(st.binary(max_size=200))
+    lines = ["# nonstandard_region"] if draw(st.booleans()) else []
+    form = draw(st.sampled_from(["exact", "loose", "bent"]))
+    if form == "loose":   # ids may repeat, miss or overshoot
+        ids = draw(st.lists(st.integers(-1, 9), max_size=10))
+    else:                 # each edge id once
+        ids = draw(st.permutations(range(m)))
+    lines += [f"{e} {draw(st.integers(0, 2))}" for e in ids]
+    if form == "bent":
+        lines.insert(draw(st.integers(0, len(lines))), draw(_BENT_LINE))
+    return graph, "\n".join(lines).encode("utf-8", "surrogatepass")
+
+
+@st.composite
+def _cli_args(draw, graph, part, labels):
+    """An argument list from the grammar of index, theta, quotient and
+    gen ph, with files at the given paths."""
+    command = draw(st.sampled_from(["index", "theta", "quotient", "gen"]))
+    if command == "gen":
+        argv = ["gen", "ph", str(draw(st.integers(-3, 40)))]
+        if draw(st.booleans()):
+            argv += ["--labels", labels]
+        return argv
+    argv = [command, graph]
+    options = []
+    if command == "index":
+        options.append(["--method", draw(st.sampled_from(["cut", "direct", "compare"]))])
+        options.append(["--format", draw(st.sampled_from(["json", "text"]))])
+    if command != "theta":
+        options.append(["--starred"])
+    chosen = [option for option in options if draw(st.booleans())]
+    if command != "theta":
+        partition = draw(st.sampled_from([None, "theta-star", "labels", "file"]))
+        if partition:
+            chosen.append(["--partition", partition])
+    if command != "theta":
+        # unused file options are harmless, so they are mostly given
+        for flag in ("--partition-file", "--labels-file"):
+            if not _rarely(draw):
+                chosen.append([flag, part])
+    for option in draw(st.permutations(chosen)):
+        argv += option
+    # now and then a token the grammar rejects
+    if _rarely(draw) and draw(st.booleans()):
+        argv.insert(
+            draw(st.integers(1, len(argv))),
+            draw(st.sampled_from(["--bogus", "--method", "-", "x", "--partition"])),
+        )
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cli_files(), st.data())
+def test_cli_exit_codes_on_arbitrary_input(tmp_path_factory, files, data):
+    graph_bytes, part_bytes = files
+    tmp = tmp_path_factory.getbasetemp() / "cli-property"
+    tmp.mkdir(exist_ok=True)
+    graph, part, labels = (str(tmp / name) for name in ("g.edges", "p.part", "l.labels"))
+    Path(graph).write_bytes(graph_bytes)
+    Path(part).write_bytes(part_bytes)
+    argv = data.draw(_cli_args(graph, part, labels))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:   # argparse usage errors
+            code = exc.code
+    assert code in (0, 1, 2, 3, 4, 5), (argv, code)
+    if code == 1:
+        assert argv[argv.index("--method") + 1] == "compare"
+    assert "Traceback" not in err.getvalue()

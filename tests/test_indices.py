@@ -3,7 +3,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from szegedcut import (
@@ -36,7 +36,9 @@ from conftest import (
     FULLERENE_TOTALS,
     cube_subgraph,
     cycle_graph,
+    cyclic_weighted_graphs,
     fullerene_patch,
+    pendant_weighted_graphs,
     random_bipartite_connected,
     random_connected_graph,
     random_tree,
@@ -221,47 +223,6 @@ def test_tree_fast_path_matches_oracle():
             assert weighted_index(t, wa, kind) == oracle_general(t, wa, kind)
 
 
-_WEIGHTS = st.one_of(
-    st.integers(0, 4), st.fractions(min_value=0, max_value=4, max_denominator=6)
-)
-
-
-@st.composite
-def cyclic_weighted_graphs(draw, bipartite, weights=_WEIGHTS):
-    """A connected graph with at least one cycle, and exact weights on it.
-
-    A random spanning tree 2-colours the vertices; extra edges join
-    opposite colours for a bipartite graph, and the first one joins equal
-    colours (closing an odd cycle) otherwise.
-    """
-    n = draw(st.integers(3, 9))
-    colour = [0] * n
-    edges = set()
-    for v in range(1, n):
-        p = draw(st.integers(0, v - 1))
-        colour[v] = 1 - colour[p]
-        edges.add((p, v))
-    pairs = [
-        (a, b) for a in range(n) for b in range(a + 1, n) if (a, b) not in edges
-    ]
-    cross = [(a, b) for a, b in pairs if colour[a] != colour[b]]
-    if bipartite:
-        assume(cross)
-        extra = draw(st.lists(st.sampled_from(cross), min_size=1, unique=True))
-    else:
-        same = [(a, b) for a, b in pairs if colour[a] == colour[b]]
-        assume(same)
-        extra = [draw(st.sampled_from(same))]
-        extra += draw(st.lists(st.sampled_from(pairs), unique=True))
-    g = build_graph(n, sorted(edges | set(extra)))
-    wa = WeightAssignment(
-        tuple(draw(weights) for _ in range(g.n)),
-        tuple(draw(weights) for _ in range(g.m)),
-        tuple(draw(weights) for _ in range(g.m)),
-    )
-    return g, wa
-
-
 @pytest.mark.parametrize("bipartite", [True, False])
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
@@ -428,18 +389,48 @@ def test_partial_cube_cut_builds_no_quotient():
 
 
 @pytest.mark.parametrize(
-    "g",
+    "g, builds",
     [
-        build_graph(5, [(u, 2 + v) for u in range(2) for v in range(3)]),  # K2,3
-        fullerene_patch(),
-        cycle_graph(5),
+        (build_graph(5, [(u, 2 + v) for u in range(2) for v in range(3)]), 1),  # K2,3
+        (fullerene_patch(), 1),  # five of its six classes are two-sided
+        (cycle_graph(5), 1),
     ],
     ids=["K2,3", "patch", "C5"],
 )
-def test_other_theta_star_partitions_build_one_quotient_per_class(g):
+def test_other_theta_star_partitions_build_one_quotient_per_class(g, builds):
     p = theta_star_partition(g)
     assert not p.partial_cube
     with mock.patch.object(indices, "quotient_graph", wraps=quotient_graph) as spy:
         report = weighted_suite_cut(g, p)
-    assert spy.call_count == len(p)
+    assert spy.call_count == builds
     assert report.as_tuple() == oracle_suite(g).as_tuple()
+
+
+# ---------------------------------------------------------------------------
+# two-sided classes in any graph: bridges and other clean cuts skip their
+# quotients
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(("odd", "pendant")), st.data())
+def test_two_sided_rows_match_oracle(family, data):
+    if family == "odd":
+        g, wa = data.draw(cyclic_weighted_graphs(False, _CUBE_WEIGHTS))
+    else:
+        g, wa = data.draw(pendant_weighted_graphs(_CUBE_WEIGHTS))
+    p = theta_star_partition(g)
+    for kind in _CUT_KINDS:
+        expected = oracle_general(g, wa, kind)
+        assert general_cut_index(g, wa, p, kind) == expected
+        assert general_cut_index(g, wa, _unflagged(p), kind) == expected
+    for starred in (False, True):
+        report = weighted_suite_cut(g, p, starred)
+        assert report.as_tuple() == oracle_suite(g, starred).as_tuple()
+        assert report == weighted_suite_cut(g, _unflagged(p), starred)
+    # one quotient per class that is not two-sided, none for the others
+    with mock.patch.object(indices, "quotient_graph", wraps=quotient_graph) as spy:
+        weighted_suite_cut(g, p)
+    assert spy.call_count == p.two_sided.count(False)
+    assert [call.args[2] for call in spy.call_args_list] == [
+        c for c, f in zip(p.classes, p.two_sided) if not f
+    ]

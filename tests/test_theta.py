@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from szegedcut import (
     DisconnectedError,
+    build_benzenoid,
+    is_connected,
     EdgePartition,
     IncompleteGroupingError,
     InvalidCPartitionError,
@@ -18,6 +20,7 @@ from szegedcut import (
     is_bipartite,
     is_partial_cube,
     linear_phenylene,
+    HexSpec,
     MalformedPartitionError,
     oracle_is_partial_cube,
     oracle_theta_star_partition,
@@ -30,8 +33,11 @@ from szegedcut import (
 )
 
 from conftest import (
+    FULLERENE_BIG_CLASS,
     cube_subgraph,
     cycle_graph,
+    cyclic_weighted_graphs,
+    pendant_weighted_graphs,
     path_graph,
     random_bipartite_connected,
     random_connected_graph,
@@ -329,8 +335,8 @@ def test_theta_star_and_validate_reject_disconnected_graphs():
 
 
 def test_theta_star_and_validate_memory_is_linear():
-    # the all-pairs table alone would be 600 x 600 entries (about 3 MB)
-    dlg = linear_phenylene(100)
+    # the all-pairs table alone would be 300 x 300 entries (about 0.74 MB)
+    dlg = linear_phenylene(50)
     g = dlg.graph
     p = EdgePartition.from_classes(dlg.direction_partition().classes, g.m)
     tracemalloc.start()
@@ -340,13 +346,13 @@ def test_theta_star_and_validate_memory_is_linear():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(star) == 300 and valid
-    assert peak < 1_000_000, f"peak {peak} bytes"
+    assert len(star) == 150 and valid
+    assert peak < 400_000, f"peak {peak} bytes"
 
 
 def test_partial_cube_memory_is_linear():
-    # the all-pairs table alone would be 600 x 600 entries (about 3 MB)
-    g = linear_phenylene(100).graph
+    # the all-pairs table alone would be 300 x 300 entries (about 0.74 MB)
+    g = linear_phenylene(50).graph
     tracemalloc.start()
     try:
         cube = is_partial_cube(g)
@@ -354,7 +360,7 @@ def test_partial_cube_memory_is_linear():
     finally:
         tracemalloc.stop()
     assert cube
-    assert peak < 1_000_000, f"peak {peak} bytes"
+    assert peak < 400_000, f"peak {peak} bytes"
 
 
 # ---------------------------------------------------------------------------
@@ -412,3 +418,106 @@ def test_only_theta_star_sets_the_partial_cube_flag():
     assert not coarsen(star, {0: 0, 1: 1, 2: 2}).partial_cube
     assert not coarsen(star, {0: 0, 1: 0, 2: 0}).partial_cube
     assert not single_class_partition(6).partial_cube
+
+
+# ---------------------------------------------------------------------------
+# the two_sided flag: classes that are one cut with two convex sides
+# ---------------------------------------------------------------------------
+
+def _bridges(g):
+    return {
+        e for e in range(g.m)
+        if not is_connected(build_graph(g.n, g.edges[:e] + g.edges[e + 1:]))
+    }
+
+
+def _assert_two_sided_flags_are_sound(g):
+    p = theta_star_partition(g)
+    assert len(p.two_sided) == len(p.classes)
+    assert p.partial_cube == all(p.two_sided) == oracle_is_partial_cube(g)
+    dm = all_pairs_distances(g)
+    wa = WeightAssignment.unit(g)
+    for members, flagged in zip(p.classes, p.two_sided):
+        if not flagged:
+            continue
+        # G - F has two components, joined by every edge of F
+        q = quotient_graph(g, wa, members)
+        assert (q.graph.n, q.graph.m) == (2, 1)
+        assert frozenset(q.fibers[0]) == members
+        # and both are convex: every geodesic between two vertices of a
+        # side stays inside it
+        for side in (0, 1):
+            inside = [x for x in range(g.n) if q.component_map[x] == side]
+            for u in inside:
+                for v in inside:
+                    for x in range(g.n):
+                        if dm.rows[u][x] + dm.rows[x][v] == dm.rows[u][v]:
+                            assert q.component_map[x] == side
+    for e in _bridges(g):
+        c = p.class_of[e]
+        assert p.classes[c] == {e} and p.two_sided[c]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(("bipartite", "odd", "pendant", "Q3", "Q4")), st.data())
+def test_two_sided_classes_are_clean_convex_cuts(family, data):
+    if family in ("bipartite", "odd"):
+        g, _ = data.draw(cyclic_weighted_graphs(family == "bipartite"))
+    elif family == "pendant":
+        g, _ = data.draw(pendant_weighted_graphs())
+    else:
+        seed = data.draw(st.integers(0, 10**9))
+        g = cube_subgraph(random.Random(seed), int(family[1]), data.draw(st.booleans()))
+    _assert_two_sided_flags_are_sound(g)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [cycle_graph(3), cycle_graph(5), cycle_graph(7), _complete_bipartite(2, 3)],
+    ids=["K3", "C5", "C7", "K2,3"],
+)
+def test_graphs_without_two_sided_classes(g):
+    # K3 is the tie trap: the Theta-cut of each edge is the whole class,
+    # but the third vertex is equidistant from its ends
+    p = theta_star_partition(g)
+    assert p.two_sided == (False,) * len(p.classes)
+    assert not p.partial_cube
+
+
+def test_every_bridge_is_two_sided():
+    # a triangle with a pendant path and a pendant star, and a hexagon
+    # with a pendant triangle
+    lollipop = build_graph(
+        8, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (4, 6), (0, 7)]
+    )
+    hexagon = build_graph(
+        9, [(i, (i + 1) % 6) for i in range(6)] + [(3, 6), (6, 7), (7, 8), (8, 6)]
+    )
+    for g in (lollipop, hexagon):
+        p = theta_star_partition(g)
+        bridges = _bridges(g)
+        assert bridges
+        flagged = {e for c, f in zip(p.classes, p.two_sided) if f for e in c}
+        assert bridges <= flagged
+        _assert_two_sided_flags_are_sound(g)
+    assert theta_star_partition(lollipop).two_sided.count(True) == 5
+
+
+def test_fullerene_patch_has_five_two_sided_classes(patch):
+    p = theta_star_partition(patch)
+    assert len(p.classes) == 6
+    assert p.two_sided.count(True) == 5
+    assert not p.two_sided[p.classes.index(FULLERENE_BIG_CLASS)]
+    _assert_two_sided_flags_are_sound(patch)
+
+
+def test_only_theta_star_sets_two_sided_flags():
+    c6 = cycle_graph(6)
+    star = theta_star_partition(c6)
+    assert star.two_sided == (True, True, True)
+    assert EdgePartition.from_classes(star.classes, 6, True).two_sided == ()
+    assert coarsen(star, {0: 0, 1: 1, 2: 2}).two_sided == ()
+    assert single_class_partition(6).two_sided == ()
+    dlg = build_benzenoid(HexSpec.linear_chain(3))
+    assert dlg.direction_partition().two_sided == ()
+    assert theta_star_partition(build_graph(1, [])).two_sided == ()
