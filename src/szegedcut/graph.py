@@ -4,6 +4,10 @@ Vertices are 0..n-1 and edges carry stable ids 0..m-1 in input order, so
 edge partitions and fiber sets can be stored as plain id sets. Distances
 are exact hop counts from one source at a time; the all-pairs table is
 kept in `oracle`, so no production path holds O(n^2) state.
+
+`_sweep` is the one bit-parallel multi-source BFS of the package: the
+generic side sums and the Theta* pass on graphs with odd cycles both run
+it.
 """
 
 from __future__ import annotations
@@ -93,6 +97,55 @@ def _bfs(g: Graph, source: int) -> list[int]:
                 dist[y] = dx
                 queue.append(y)
     return dist
+
+
+# source bits per sweep of `_sweep`: every mask holds at most this many
+_SOURCE_BITS = 4096
+
+
+def _sweep_ranges(count: int, bits: int = 1) -> list[range]:
+    """range(count), count >= 1, cut into the fewest runs of equal size
+    (the last may be shorter) that fit _SOURCE_BITS at `bits` bits per
+    item."""
+    sweeps = -(-count // max(1, _SOURCE_BITS // bits))
+    size = -(-count // sweeps)
+    return [range(lo, min(lo + size, count)) for lo in range(0, count, size)]
+
+
+def _sweep(g: Graph, reach: list[int]) -> tuple[list[int], list[int]]:
+    """near_u, near_v: for every edge e = uv, the sources strictly closer
+    to u, and those strictly closer to v.
+
+    One multi-source BFS over bitmasks (Then et al., PVLDB 8(4), 2014):
+    reach[y] holds the bits of the sources seeded at y, and each round
+    widens every ball by one hop. The ends of an edge uv are adjacent, so
+    a source's distances to them differ by at most one: a source strictly
+    closer to u shows in reach[u] minus reach[v] at exactly one radius,
+    and a tie never does. An edge whose two balls are full gains no more
+    sources and drops out, so a sweep takes about one round per unit of
+    diameter. It holds the balls of two rounds (n masks each) and the two
+    sides of every edge (m each). g must be connected, or some ball never
+    fills.
+    """
+    full = 0
+    for r in reach:
+        full |= r
+    near_u = [0] * g.m
+    near_v = [0] * g.m
+    live = [(e, u, v) for e, (u, v) in enumerate(g.edges)]
+    while live:
+        wider = reach[:]
+        for e, u, v in live:
+            ru = reach[u]
+            rv = reach[v]
+            both = ru & rv
+            near_u[e] |= ru ^ both
+            near_v[e] |= rv ^ both
+            wider[u] |= rv
+            wider[v] |= ru
+        reach = wider
+        live = [x for x in live if reach[x[1]] != full or reach[x[2]] != full]
+    return near_u, near_v
 
 
 def bfs_distances(g: Graph, source: int) -> tuple[int, ...]:

@@ -26,11 +26,12 @@ lam = 0, so Sz_t(G, 0, lambda', w') = Sz_e and PI_v(G, 0, w') + PI(G,
 lambda', w') = PI. Passing lam = w instead gives the total-Szeged index.
 
 The engine takes a tree in linear time by subtree totals. Any other graph
-takes one multi-source BFS over bitmasks: every vertex and every edge is a
-source with its own bit, the balls around all vertices grow one hop per
-round, and an edge uv collects at each radius the sources that reached u
-but not v. Sources run in equal sweeps of at most `_SOURCE_BITS`, so
-memory stays linear in n + m. A sweep takes about one round per unit of
+takes one multi-source BFS over bitmasks, the sweep `graph._sweep` that
+the Theta* pass shares: every vertex and every edge is a source with its
+own bit, the balls around all vertices grow one hop per round, and an
+edge uv collects at each radius the sources that reached u but not v.
+Sources run in equal sweeps of at most `graph._SOURCE_BITS`, so memory
+stays linear in n + m. A sweep takes about one round per unit of
 diameter, so long thin graphs gain least: on linear phenylenes the sweep
 is about as fast as one BFS per edge near 300 hexagons.
 
@@ -61,7 +62,7 @@ from .errors import (
     PartitionNotCoveringError,
     UnsupportedKindError,
 )
-from .graph import Graph, require_connected
+from .graph import Graph, _sweep, _sweep_ranges, require_connected
 from .quotient import Weight, WeightAssignment, quotient_graph
 from .theta import EdgePartition, validate_c_partition
 
@@ -199,56 +200,28 @@ def _tree_sums(g, w, lam, lambda_prime, w_prime) -> Sums:
     return sz, total_w * sum(w_prime), sz_t, pi
 
 
-# source ids per sweep of `_generic_sums`, one bit each in every mask
-_SOURCE_BITS = 4096
-
-
 def _generic_sums(g, w, lam, lambda_prime, w_prime) -> Sums:
-    # One multi-source BFS over bitmasks (Then et al., PVLDB 8(4), 2014)
-    # gives every edge both of its sides. Vertex x is source x, and edge f
-    # is source n + f, seeded at both ends because an edge is as far as its
-    # nearer endpoint. reach[y] holds the sources within radius k of y. The
-    # ends of an edge uv are adjacent, so a source's distances to them
-    # differ by at most one: a source strictly closer to u shows in
-    # reach[u] minus reach[v] at exactly one radius, and a tie never does.
-    # Sources run in the fewest sweeps of at most _SOURCE_BITS ids, split
-    # evenly. A sweep holds the balls of two rounds (n masks each) and the
-    # two sides of every edge (m each).
-    # The graph must be connected, or some ball never fills.
+    # The multi-source sweep of `graph._sweep`, which Theta* shares, gives
+    # every edge both of its sides. Vertex x is source x, and edge f is
+    # source n + f, seeded at both ends because an edge is as far as its
+    # nearer endpoint. Sources run in the fewest equal sweeps that fit
+    # `graph._SOURCE_BITS`, so memory stays linear in n + m.
     n, m = g.n, g.m
     edges = g.edges
     vertex_mass = [*w, *repeat(0, m)]  # n_u, n_v count vertices only
     total_mass = [*lam, *lambda_prime]  # t_u, t_v count lam and lambda'
     n_u = n_v = t_u = t_v = [0] * m
-    sweeps = -(-(n + m) // _SOURCE_BITS)
-    size = -(-(n + m) // sweeps)
-    for lo in range(0, n + m, size):
-        hi = min(lo + size, n + m)
-        full = (1 << (hi - lo)) - 1
+    for sources in _sweep_ranges(n + m):
+        lo = sources.start
         reach = [0] * n
-        for s in range(lo, hi):
+        for s in sources:
             for y in (s,) if s < n else edges[s - n]:
                 reach[y] |= 1 << (s - lo)
-        near_u = [0] * m
-        near_v = [0] * m
-        live = [(e, u, v) for e, (u, v) in enumerate(edges)]
-        while live:
-            wider = reach[:]
-            for e, u, v in live:
-                ru = reach[u]
-                rv = reach[v]
-                both = ru & rv
-                near_u[e] |= ru ^ both
-                near_v[e] |= rv ^ both
-                wider[u] |= rv
-                wider[v] |= ru
-            reach = wider
-            # an edge whose two balls are full gains no more sources
-            live = [x for x in live if reach[x[1]] != full or reach[x[2]] != full]
-        planes = _bit_planes(vertex_mass[lo:hi])
+        near_u, near_v = _sweep(g, reach)
+        planes = _bit_planes(vertex_mass[lo : sources.stop])
         n_u = _add_masses(n_u, near_u, planes)
         n_v = _add_masses(n_v, near_v, planes)
-        planes = _bit_planes(total_mass[lo:hi])
+        planes = _bit_planes(total_mass[lo : sources.stop])
         t_u = _add_masses(t_u, near_u, planes)
         t_v = _add_masses(t_v, near_v, planes)
     return (

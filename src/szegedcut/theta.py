@@ -8,23 +8,32 @@ Theta*-classes is called a c-partition and is the input the cut method
 requires.
 
 Theta* and c-partition validation come from one pass over the edges of a
-BFS spanning tree, in O(n*m) time and O(n+m) memory. The same pass finds
-the classes that are one clean cut: a class F is two-sided when some tree
-edge ab in F has all of F as its Theta-cut and no vertex is equidistant
-from a and b. Then G - F has exactly two components, both convex, so the
-cut method reads F from a subtree aggregation instead of a quotient.
-Bridges are the common case in graphs with odd cycles. A graph is a
-partial cube iff every class is two-sided, so `is_partial_cube` costs one
-Theta* pass. The pairwise definition over an all-pairs distance table is
-kept in `oracle` as the reference.
+BFS spanning tree, in O(n*m) time and O(n+m) memory. On bipartite graphs
+one BFS cuts every tree edge at a vertex. On graphs with odd cycles the
+pass runs sweeps of the bit-parallel multi-source BFS that the generic
+side sums share (`graph._sweep`): each tree edge owns one source bit at
+each end, one sweep cuts up to 2048 tree edges, and whether some vertex is
+equidistant from the ends of a tree edge is read from the edges alone. A
+sweep takes about one round per unit of diameter, so long thin graphs
+with odd cycles gain least.
+
+The same pass finds the classes that are one clean cut: a class F is
+two-sided when some tree edge ab in F has all of F as its Theta-cut and
+no vertex is equidistant from a and b. Then G - F has exactly two
+components, both convex, so the cut method reads F from a subtree
+aggregation instead of a quotient. Bridges are the common case in graphs
+with odd cycles. A graph is a partial cube iff every class is two-sided,
+so `is_partial_cube` costs at most one Theta* pass. The pairwise
+definition over an all-pairs distance table is kept in `oracle` as the
+reference.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
-from itertools import compress, repeat
-from operator import and_, eq, itemgetter, ne, xor
+from itertools import compress
+from operator import eq, itemgetter, xor
 from typing import Iterable, Iterator, Mapping
 
 from .errors import (
@@ -34,7 +43,7 @@ from .errors import (
     MalformedPartitionError,
     PartitionNotCoveringError,
 )
-from .graph import Graph, require_connected
+from .graph import Graph, _sweep, _sweep_ranges, require_connected
 
 
 class _UnionFind:
@@ -151,20 +160,26 @@ def _propagate(nbrs: list[list[int]], lab: list[int], sources: list[int]) -> Non
         frontier = nxt
 
 
-Cuts = Iterator[tuple[int, Iterable[int], bool]]
+# (tree edges, related, ties); see `_theta_cuts`
+Batch = tuple[list[int], list[int], int]
 
 
-def _theta_cuts(g: Graph) -> Cuts:
-    """(e, edges Theta-related to e, whether some vertex is equidistant
-    from the ends of e) for every edge e of a BFS tree.
+def _theta_cuts(g: Graph) -> Iterator[Batch]:
+    """The Theta-cuts of the edges of a BFS tree, in batches.
 
     Theta* is the transitive closure of Theta restricted to pairs (tree
     edge, any edge) for a BFS spanning tree (Hammack, Imrich and Klavzar,
     Handbook of Product Graphs, 2nd ed., 2011), so these pairs determine
-    it. An edge f = xy is Theta-related to e = pc iff x and y differ in
-    whether they are closer to p, closer to c, or equidistant. Time is
-    O(n*m), memory O(n+m); the cuts and each yielded iterable are
-    single-pass.
+    it. An edge f = xy is Theta-related to e = pc iff p and c differ in
+    whether they are closer to x, closer to y, or equidistant.
+
+    Yields (tree_edges, related, ties) batches: bit i of related[f] means
+    that edge f is Theta-related to tree_edges[i], and bit i of ties that
+    some vertex is equidistant from the ends of tree_edges[i]. `related`
+    holds one mask per edge of g. A batch is a sweep of up to
+    `graph._SOURCE_BITS` // 2 tree edges on a graph with odd cycles, and
+    up to _MASK_BITS tree edges at one vertex, with no ties, on a
+    bipartite graph. Time is O(n*m), memory O(n+m).
 
     Raises:
         DisconnectedError: if g is not connected.
@@ -186,31 +201,49 @@ def _theta_cuts(g: Graph) -> Cuts:
     if m <= 1:
         # a connected graph with one edge: the edge is its own class (and
         # itemgetter with a single index would return a scalar below)
-        return iter([(0, (0,), False)] if m else [])
+        return iter([([0], [1], 0)] if m else [])
 
-    nbrs = [[y for y, _ in a] for a in g.adj]
     xs = itemgetter(*(u for u, _ in g.edges))
     ys = itemgetter(*(v for _, v in g.edges))
     tree = [parent_edge[c] for c in order[1:]]
     # an edge joins two equal BFS depths iff g has an odd cycle
     if any(map(eq, xs(depth), ys(depth))):
-        return _general_cuts(g, tree, nbrs, xs, ys)
-    return _bipartite_cuts(g, tree, depth, nbrs, xs, ys)
+        return _swept_cuts(g, tree)
+    return _bipartite_cuts(g, tree, depth, xs, ys)
 
 
-def _general_cuts(g: Graph, tree: list[int], nbrs, xs, ys) -> Cuts:
-    # One two-source BFS per tree edge pc labels each vertex closer to p
-    # (1), closer to c (2) or equidistant (3).
-    edge_ids = range(g.m)
-    for eid in tree:
-        u, v = g.edges[eid]
-        lab = [0] * g.n
-        lab[u], lab[v] = 1, 2
-        _propagate(nbrs, lab, [u, v])
-        yield eid, compress(edge_ids, map(ne, xs(lab), ys(lab))), 3 in lab
+def _swept_cuts(g: Graph, tree: list[int]) -> Iterator[Batch]:
+    # A sweep of `graph._sweep` takes k tree edges: tree edge i = pc owns
+    # source bit i, seeded at p, and bit i + k, seeded at c. Edge f is
+    # Theta-related to pc iff bits i and i + k differ in near_u[f] or in
+    # near_v[f]. A vertex is equidistant from p and c iff some edge is tied
+    # (in neither near mask) for exactly one of them: along a geodesic from
+    # a tie vertex to p, d(., c) - d(., p) rises from 0 to 1 in steps of 0,
+    # 1 or 2, so exactly one step keeps d(., c) fixed; conversely, if
+    # d(x, c) = d(y, c) = a and d(y, p) = d(x, p) + 1, then d(x, p) is a or
+    # a - 1, so x or y is a tie vertex. Ties need no per-vertex work.
+    edges = g.edges
+    for run in _sweep_ranges(len(tree), 2):
+        tree_edges = tree[run.start : run.stop]
+        k = len(tree_edges)
+        low = (1 << k) - 1
+        reach = [0] * g.n
+        for i, e in enumerate(tree_edges):
+            p, c = edges[e]
+            reach[p] |= 1 << i
+            reach[c] |= 1 << (i + k)
+        near_u, near_v = _sweep(g, reach)
+        full = (1 << 2 * k) - 1
+        related = []
+        ties = 0
+        for a, b in zip(near_u, near_v):
+            related.append(((a ^ a >> k) | (b ^ b >> k)) & low)
+            z = full ^ (a | b)
+            ties |= z ^ z >> k
+        yield tree_edges, related, ties & low
 
 
-def _bipartite_cuts(g: Graph, tree: list[int], depth, nbrs, xs, ys) -> Cuts:
+def _bipartite_cuts(g: Graph, tree: list[int], depth, xs, ys) -> Iterator[Batch]:
     # No vertex is equidistant from the ends of an edge vc, and the
     # vertices closer to c are those with a shortest path from v through
     # c. One BFS from v that carries one bit per tree neighbour cuts every
@@ -218,7 +251,7 @@ def _bipartite_cuts(g: Graph, tree: list[int], depth, nbrs, xs, ys) -> Cuts:
     # hubs). Each tree edge joins two depth parities, so the smaller
     # parity class is a vertex cover of the tree.
     n = g.n
-    edge_ids = range(g.m)
+    nbrs = [[y for y, _ in a] for a in g.adj]
     tree_edges: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for eid in tree:
         u, v = g.edges[eid]
@@ -234,11 +267,7 @@ def _bipartite_cuts(g: Graph, tree: list[int], depth, nbrs, xs, ys) -> Cuts:
             for k, (c, _) in enumerate(chunk):
                 mask[c] = 1 << k
             _propagate(nbrs, mask, [v])
-            diff = list(map(xor, xs(mask), ys(mask)))
-            cut = list(compress(edge_ids, diff))  # cut by some edge in chunk
-            cut_diff = list(map(diff.__getitem__, cut))
-            for k, (_, eid) in enumerate(chunk):
-                yield eid, compress(cut, map(and_, cut_diff, repeat(1 << k))), False
+            yield [eid for _, eid in chunk], list(map(xor, xs(mask), ys(mask))), 0
 
 
 def theta_star_partition(g: Graph) -> EdgePartition:
@@ -261,18 +290,27 @@ def theta_star_partition(g: Graph) -> EdgePartition:
     every class is two-sided; `partial_cube` is therefore
     `all(two_sided)`.
 
+    The cuts come in batches of bitmasks from `_theta_cuts`; one walk over
+    the set bits unions each pair and counts the cut sizes.
+
     Raises:
         DisconnectedError: if g is not connected.
     """
     m = g.m
     uf = _UnionFind(m)
     clean_cut: dict[int, int] = {}  # tie-free tree edge -> its cut size
-    for e, related, tie in _theta_cuts(g):
-        k = 0
-        for k, f in enumerate(related, 1):
-            uf.union(e, f)
-        if not tie:
-            clean_cut[e] = k
+    for tree_edges, related, ties in _theta_cuts(g):
+        sizes = [0] * len(tree_edges)
+        for f, mask in compress(enumerate(related), related):
+            while mask:
+                bit = mask & -mask
+                mask ^= bit
+                i = bit.bit_length() - 1
+                sizes[i] += 1
+                uf.union(f, tree_edges[i])
+        for i, e in enumerate(tree_edges):
+            if not ties >> i & 1:
+                clean_cut[e] = sizes[i]
     groups: dict[int, list[int]] = {}
     for e in range(m):
         groups.setdefault(uf.find(e), []).append(e)
@@ -300,9 +338,16 @@ def validate_c_partition(g: Graph, p: EdgePartition) -> bool:
             f"partition covers {p.num_edges} edges, graph has {g.m}"
         )
     class_of = p.class_of
-    for e, related, _ in _theta_cuts(g):
-        if any(map(ne, map(class_of.__getitem__, related), repeat(class_of[e]))):
-            return False
+    # per class of p, every bit but those of the batch's tree edges in it
+    outside = [-1] * len(p.classes)
+    for tree_edges, related, _ in _theta_cuts(g):
+        for i, e in enumerate(tree_edges):
+            outside[class_of[e]] &= ~(1 << i)
+        for f, mask in compress(enumerate(related), related):
+            if mask & outside[class_of[f]]:
+                return False
+        for e in tree_edges:
+            outside[class_of[e]] = -1
     return True
 
 
@@ -349,7 +394,7 @@ def is_partial_cube(g: Graph) -> bool:
     """Partial-cube test in O(n*m) time and O(n+m) memory.
 
     A partial cube is bipartite, so the O(n+m) 2-colouring goes first and
-    spares other graphs the slower non-bipartite Theta* pass; bipartite
+    answers every graph with an odd cycle without a Theta* pass; bipartite
     graphs read the `partial_cube` flag of their Theta*-partition.
 
     Raises:

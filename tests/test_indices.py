@@ -28,7 +28,7 @@ from szegedcut import (
     weighted_suite_cut,
     weighted_suite_direct,
 )
-from szegedcut import indices
+from szegedcut import graph, indices
 from szegedcut.molgen import build_benzenoid, linear_phenylene
 
 from conftest import (
@@ -259,7 +259,7 @@ def test_multi_sweep_sides_match_oracle(source_bits, bipartite, data):
     # the odd cycles of non-bipartite graphs put ties on the sides
     g, wa = data.draw(cyclic_weighted_graphs(bipartite, _WIDE_WEIGHTS))
     p = theta_star_partition(g)
-    with mock.patch.object(indices, "_SOURCE_BITS", source_bits):
+    with mock.patch.object(graph, "_SOURCE_BITS", source_bits):
         direct = {kind: weighted_index(g, wa, kind) for kind in IndexKind}
         cut = {kind: general_cut_index(g, wa, p, kind) for kind in _CUT_KINDS}
     for kind in IndexKind:
@@ -286,7 +286,7 @@ def _complete_graph(k):
 @pytest.mark.parametrize("source_bits", [1, 4096])
 def test_small_graphs_with_ties(g, expected, source_bits):
     wa = WeightAssignment.unit(g)
-    with mock.patch.object(indices, "_SOURCE_BITS", source_bits):
+    with mock.patch.object(graph, "_SOURCE_BITS", source_bits):
         got = tuple(weighted_index(g, wa, kind) for kind in IndexKind)
     assert got == expected
     assert got == tuple(oracle_general(g, wa, kind) for kind in IndexKind)
@@ -297,7 +297,7 @@ def test_fullerene_patch_sweeps(source_bits):
     g = fullerene_patch()
     wa = random_weight_assignment(random.Random(59), g, hi=9)
     p = theta_star_partition(g)
-    with mock.patch.object(indices, "_SOURCE_BITS", source_bits):
+    with mock.patch.object(graph, "_SOURCE_BITS", source_bits):
         assert weighted_suite_direct(g).as_tuple() == FULLERENE_TOTALS
         for kind in IndexKind:
             assert weighted_index(g, wa, kind) == oracle_general(g, wa, kind)

@@ -1,5 +1,7 @@
 import random
 import tracemalloc
+from operator import eq
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -28,9 +30,11 @@ from szegedcut import (
     single_class_partition,
     theta_related,
     SzegedCutError,
+    bfs_distances,
     theta_star_partition,
     validate_c_partition,
 )
+from szegedcut import graph, theta
 
 from conftest import (
     FULLERENE_BIG_CLASS,
@@ -267,6 +271,95 @@ def test_validate_agrees_with_oracle(family, seed):
         assert validate_c_partition(g, p) == expected
 
 
+def _family_or_pendant(family: str, data):
+    # a GRAPH_FAMILIES graph, or one with pendant trees (bridges) hung on a
+    # cyclic core; and a generator for the partitions made from it
+    rng = random.Random(data.draw(st.integers(0, 10**9)))
+    if family == "pendant":
+        return data.draw(pendant_weighted_graphs())[0], rng
+    return family_graph(family, rng), rng
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(GRAPH_FAMILIES + ("pendant",)),
+    st.sampled_from((6, 7, 8)),
+    st.data(),
+)
+def test_theta_star_in_several_sweeps_matches_oracle(family, source_bits, data):
+    # 3 or 4 tree edges per sweep, so a graph with odd cycles takes several
+    g, rng = _family_or_pendant(family, data)
+    whole = theta_star_partition(g)
+    star = oracle_theta_star_partition(g)
+    parts = [_split_and_coarsen(rng, star) for _ in range(3)] if star.classes else []
+    with mock.patch.object(graph, "_SOURCE_BITS", source_bits):
+        swept = theta_star_partition(g)
+        valid = [validate_c_partition(g, p) for p in parts]
+    assert swept.classes == star.classes
+    assert swept.two_sided == whole.two_sided
+    assert swept.partial_cube == whole.partial_cube
+    for p, v in zip(parts, valid):
+        assert v == all(len({p.class_of[e] for e in c}) == 1 for c in star.classes)
+
+
+def _tie_bits(g) -> dict[int, bool]:
+    # tree edge -> whether the pass finds a vertex equidistant from its ends
+    return {
+        e: bool(ties >> i & 1)
+        for tree_edges, _, ties in theta._theta_cuts(g)
+        for i, e in enumerate(tree_edges)
+    }
+
+
+def _has_tie(g, e) -> bool:
+    p, c = g.edges[e]
+    return any(map(eq, bfs_distances(g, p), bfs_distances(g, c)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(GRAPH_FAMILIES + ("pendant",)),
+    st.sampled_from((6, 7, 4096)),
+    st.data(),
+)
+def test_tie_bits_match_distances(family, source_bits, data):
+    g, _ = _family_or_pendant(family, data)
+    with mock.patch.object(graph, "_SOURCE_BITS", source_bits):
+        ties = _tie_bits(g)
+    assert len(ties) == g.n - 1
+    for e, tie in ties.items():
+        assert tie == _has_tie(g, e)
+
+
+@pytest.mark.parametrize(
+    "g, tie",
+    [
+        (cycle_graph(3), True),
+        (cycle_graph(5), True),
+        (cycle_graph(7), True),
+        (cycle_graph(4), False),
+        (cycle_graph(8), False),
+        (path_graph(6), False),
+        (build_graph(5, [(0, 1), (0, 2), (0, 3), (3, 4)]), False),
+    ],
+    ids=["K3", "C5", "C7", "C4", "C8", "P6", "tree"],
+)
+def test_ties_on_small_graphs(g, tie):
+    # every edge of an odd cycle has one vertex equidistant from its ends
+    assert set(_tie_bits(g).values()) == {tie}
+
+
+def test_graphs_with_odd_cycles_skip_the_per_edge_bfs(patch):
+    def no_bfs(*_):
+        raise AssertionError("per-edge BFS on a graph with odd cycles")
+
+    graphs = (patch, cycle_graph(5), _phenylene_with_triangle(4))
+    with mock.patch.object(theta, "_propagate", no_bfs):
+        for g in graphs:
+            star = theta_star_partition(g)
+            assert validate_c_partition(g, EdgePartition.from_classes(star.classes, g.m))
+
+
 def hypercube_subgraph(rng: random.Random, d: int):
     """A random connected induced subgraph of the d-cube Q_d."""
     chosen = [rng.randrange(1 << d)]
@@ -347,6 +440,28 @@ def test_theta_star_and_validate_memory_is_linear():
     finally:
         tracemalloc.stop()
     assert len(star) == 150 and valid
+    assert peak < 400_000, f"peak {peak} bytes"
+
+
+def _phenylene_with_triangle(h: int):
+    # PHh plus one chord that closes a triangle, so the graph has odd cycles
+    g = linear_phenylene(h).graph
+    (a, _), (b, _) = g.adj[0][:2]
+    return build_graph(g.n, g.edges + ((a, b),))
+
+
+def test_theta_star_and_validate_memory_is_linear_with_odd_cycles():
+    # the all-pairs table alone would be 300 x 300 entries (about 0.74 MB)
+    g = _phenylene_with_triangle(50)
+    p = EdgePartition.from_classes(oracle_theta_star_partition(g).classes, g.m)
+    tracemalloc.start()
+    try:
+        star = theta_star_partition(g)
+        valid = validate_c_partition(g, p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert star.classes == p.classes and valid
     assert peak < 400_000, f"peak {peak} bytes"
 
 
