@@ -44,7 +44,8 @@ class InvalidCPartitionError(SzegedCutError):
 
 
 class UnsupportedKindError(SzegedCutError):
-    """The requested index kind has no cut decomposition."""
+    """The requested index kind is not an `IndexKind`, or has no cut
+    decomposition."""
 
 
 class DisconnectedCellsError(SzegedCutError):

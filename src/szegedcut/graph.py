@@ -5,9 +5,12 @@ edge partitions and fiber sets can be stored as plain id sets. Distances
 are exact hop counts from one source at a time; the all-pairs table is
 kept in `oracle`, so no production path holds O(n^2) state.
 
-`_sweep` is the one bit-parallel multi-source BFS of the package: the
-generic side sums and the Theta* pass on graphs with odd cycles both run
-it.
+`_bfs_tree` is the one BFS spanning tree of the package: the Theta* pass
+cuts its edges, and the subtree aggregation of the side sums folds over
+it. `_sweep` is the one bit-parallel multi-source BFS: the generic side
+sums and the Theta* pass on graphs with odd cycles both run it. The
+plain `_bfs` behind `bfs_distances` stays apart, so the all-pairs oracle
+shares no BFS-tree code with the routes it checks.
 """
 
 from __future__ import annotations
@@ -97,6 +100,33 @@ def _bfs(g: Graph, source: int) -> list[int]:
                 dist[y] = dx
                 queue.append(y)
     return dist
+
+
+def _bfs_tree(g: Graph) -> tuple[list[int], list[int], list[int], list[int]]:
+    """BFS order from vertex 0, and each vertex's parent, parent edge and
+    depth in that BFS tree (the root is its own parent, with parent edge
+    -1).
+
+    Raises:
+        DisconnectedError: if g is not connected.
+    """
+    n = g.n
+    parent = [-1] * n
+    parent_edge = [-1] * n
+    depth = [-1] * n
+    parent[0] = depth[0] = 0
+    order = [0]
+    for x in order:  # the list grows while it is read: a BFS queue
+        dx = depth[x] + 1
+        for y, eid in g.adj[x]:
+            if depth[y] < 0:
+                parent[y] = x
+                parent_edge[y] = eid
+                depth[y] = dx
+                order.append(y)
+    if len(order) < n:
+        raise DisconnectedError("graph is not connected")
+    return order, parent, parent_edge, depth
 
 
 # source bits per sweep of `_sweep`: every mask holds at most this many

@@ -25,11 +25,13 @@ graph. The direct route uses it too: G is its own quotient by E, with
 lam = 0, so Sz_t(G, 0, lambda', w') = Sz_e and PI_v(G, 0, w') + PI(G,
 lambda', w') = PI. Passing lam = w instead gives the total-Szeged index.
 
-The engine takes a tree in linear time by subtree totals. Any other graph
-takes one multi-source BFS over bitmasks, the sweep `graph._sweep` that
-the Theta* pass shares: every vertex and every edge is a source with its
-own bit, the balls around all vertices grow one hop per round, and an
-edge uv collects at each radius the sources that reached u but not v.
+The engine takes a tree in linear time as one subtree aggregation over
+its BFS tree, with every edge as its own class: removing a tree edge is a
+clean cut. Any other graph takes one multi-source BFS over bitmasks, the
+sweep `graph._sweep` that the Theta* pass shares: every vertex and every
+edge is a source with its own bit, the balls around all vertices grow
+one hop per round, and an edge uv collects at each radius the sources
+that reached u but not v.
 Sources run in equal sweeps of at most `graph._SOURCE_BITS`, so memory
 stays linear in n + m. A sweep takes about one round per unit of
 diameter, so long thin graphs gain least: on linear phenylenes the sweep
@@ -39,9 +41,9 @@ The cut route builds one quotient per class and runs the engine on it,
 except for the classes that `theta_star_partition` flags as two-sided:
 bridges, and every class of a partial cube. Such a class is one cut
 with two convex sides, so its quotient is K2, fixed by the weights of
-the two sides, and one subtree aggregation over a BFS tree of G gives
-all flagged classes at once in O(n+m) (Klavzar, MATCH 60 (2008)
-255-274).
+the two sides. The subtree aggregation that takes trees, run once over
+the BFS tree of G with the classes of the partition, gives all flagged
+classes at once in O(n+m) (Klavzar, MATCH 60 (2008) 255-274).
 
 All arithmetic is exact: the engine adds Python ints, and Fraction
 weights are scaled to ints first and divided back at the end.
@@ -62,7 +64,7 @@ from .errors import (
     PartitionNotCoveringError,
     UnsupportedKindError,
 )
-from .graph import Graph, _sweep, _sweep_ranges, require_connected
+from .graph import Graph, _bfs_tree, _sweep, _sweep_ranges, require_connected
 from .quotient import Weight, WeightAssignment, quotient_graph
 from .theta import EdgePartition, validate_c_partition
 
@@ -148,56 +150,58 @@ def _sums(
     """Sz(w, w'), PI_v(w, w'), Sz_t(lam, lambda', w') and PI_v(lam, w') +
     PI(lambda', w') of a connected graph with nonnegative int weights.
 
-    Trees take the linear subtree-aggregation path; every other graph
-    takes one bit-parallel multi-source BFS that finds both sides of every
-    edge at once. Each term is symmetric in the two sides of its edge, so
-    neither path tracks orientation.
+    Removing a tree edge splits the vertex and edge sets cleanly in two,
+    so a tree is the subtree aggregation `_cut_rows` with every edge as
+    its own class. Every other graph takes one bit-parallel multi-source
+    BFS that finds both sides of every edge at once. Each term is
+    symmetric in the two sides of its edge, so neither path tracks
+    orientation.
     """
     if g.m == g.n - 1:
-        return _tree_sums(g, w, lam, lambda_prime, w_prime)
+        return _totals(_cut_rows(g, w, lam, lambda_prime, w_prime, range(g.m), g.m))
     return _generic_sums(g, w, lam, lambda_prime, w_prime)
 
 
-def _bfs_tree(g: Graph) -> tuple[list[int], list[int], list[int]]:
-    """BFS order from vertex 0, and each vertex's parent and parent edge
-    in that BFS tree (the root is its own parent)."""
-    parent = [-1] * g.n
-    parent_edge = [-1] * g.n
-    parent[0] = 0
-    order = [0]
-    for x in order:  # the list grows while it is read
-        for y, eid in g.adj[x]:
-            if parent[y] < 0:
-                parent[y] = x
-                parent_edge[y] = eid
-                order.append(y)
-    return order, parent, parent_edge
+def _cut_rows(g, w, lam, lambda_prime, w_prime, class_of, k) -> list[Sums]:
+    """The four sums of `_sums` on G/F for each of the k classes F of
+    `class_of`, read as clean cuts, in O(n + m + k).
 
-
-def _tree_sums(g, w, lam, lambda_prime, w_prime) -> Sums:
-    # Removing a tree edge splits the vertex and edge sets cleanly in two,
-    # so subtree totals give both sides of every edge.
-    order, parent, parent_edge = _bfs_tree(g)
+    A clean cut F has two convex sides A and B, so a geodesic crosses F at
+    most once, and the side A away from the root of `graph._bfs_tree` is
+    the disjoint union of the subtrees below F's tree edges. G/F is K2 with
+    vertex weights w(A), w(B) and t(A), t(B), where t sums lam over the
+    vertices and lambda' over the edges inside a side. With s(x) = 2 lam(x)
+    plus lambda' over the edges at x, s(A) counts the edges of F once and
+    the rest twice, so t(A) = (s(A) - lambda'(F)) / 2. The row of a class
+    that is not a clean cut means nothing.
+    """
+    sub_s = list(map(add, lam, lam))  # s(x), then summed over the subtree below x
+    lp_f = [0] * k
+    wp_f = [0] * k
+    for (u, v), c, lp, wp in zip(g.edges, class_of, lambda_prime, w_prime):
+        sub_s[u] += lp
+        sub_s[v] += lp
+        lp_f[c] += lp
+        wp_f[c] += wp
     total_w = sum(w)
-    total_t = sum(lam) + sum(lambda_prime)
+    total_s = sum(sub_s)
+    order, parent, parent_edge, _ = _bfs_tree(g)
     sub_w = list(w)
-    sub_t = list(lam)  # lam of the subtree's vertices plus lambda' of its edges
-    sz = sz_t = pi = 0
+    w_a = [0] * k
+    s_a = [0] * k
     for x in reversed(order[1:]):
-        eid = parent_edge[x]
-        a = sub_w[x]
-        t = sub_t[x]
-        lp = lambda_prime[eid]
-        wp = w_prime[eid]
-        rest = total_t - lp
-        sz += wp * a * (total_w - a)
-        sz_t += wp * t * (rest - t)
-        pi += wp * rest
-        p = parent[x]
-        sub_w[p] += a
-        sub_t[p] += t + lp
-    # every vertex is strictly closer to one end of a tree edge
-    return sz, total_w * sum(w_prime), sz_t, pi
+        c = class_of[parent_edge[x]]
+        w_a[c] += sub_w[x]
+        s_a[c] += sub_s[x]
+        px = parent[x]
+        sub_w[px] += sub_w[x]
+        sub_s[px] += sub_s[x]
+    rows = []
+    for wp, lp, a, sa in zip(wp_f, lp_f, w_a, s_a):
+        t_a = (sa - lp) // 2
+        t_b = (total_s - sa - lp) // 2
+        rows.append((wp * a * (total_w - a), wp * total_w, wp * t_a * t_b, wp * (t_a + t_b)))
+    return rows
 
 
 def _generic_sums(g, w, lam, lambda_prime, w_prime) -> Sums:
@@ -273,7 +277,7 @@ def _integral(wa: WeightAssignment) -> tuple[WeightAssignment, int]:
 
 def _totals(sums: Sequence[Sums], d: int = 1) -> Sums:
     """Slot-wise totals of four-sums taken on weights scaled by d, unscaled."""
-    totals = tuple(sum(s[k] for s in sums) for k in range(4))
+    totals = tuple(map(sum, zip(*sums))) or (0, 0, 0, 0)
     if d == 1:
         return totals
     # Sz and Sz_t multiply three weights, PI_v and PI two
@@ -286,19 +290,26 @@ _SLOT = {
 }
 
 
+def _slot(kind: IndexKind) -> int:
+    if not isinstance(kind, IndexKind):
+        raise UnsupportedKindError(f"{kind!r} is not an IndexKind")
+    return _SLOT[kind]
+
+
 # ---------------------------------------------------------------------------
 # direct evaluation: G is its own quotient by E, with lam = 0
 # ---------------------------------------------------------------------------
 
 def weighted_index(g: Graph, wa: WeightAssignment, kind: IndexKind) -> Weight:
     """Evaluate one index of the weighted graph from its definition."""
+    slot = _slot(kind)
     require_connected(g)
     wa.check_shape(g)
     wa, d = _integral(wa)
     # Sz_t counts vertex masses on the sides too; Sz_e and PI count edges only
     lam = wa.w if kind is IndexKind.SZ_T else (0,) * g.n
     sums = _sums(g, wa.w, lam, wa.lambda_prime, wa.w_prime)
-    return _totals([sums], d)[_SLOT[kind]]
+    return _totals([sums], d)[slot]
 
 
 def weighted_suite_direct(g: Graph, starred: bool = False) -> IndexReport:
@@ -326,61 +337,22 @@ def _class_contributions(
     g: Graph, wa: WeightAssignment, p: EdgePartition
 ) -> list[Sums]:
     """The four quotient sums of every class of p, in class order; the
-    weights must be ints."""
-    rows = _two_sided_rows(g, wa, p) if any(p.two_sided) else repeat(None)
+    weights must be ints.
+
+    The classes flagged two-sided are clean cuts, read from one `_cut_rows`
+    pass over G, whose lam is 0; every other class builds its quotient.
+    """
+    rows = []
+    if any(p.two_sided):
+        rows = _cut_rows(g, wa.w, (0,) * g.n, wa.lambda_prime, wa.w_prime, p.class_of, len(p))
     contribs = []
-    for members, row in zip(p.classes, rows):
-        if row is None:
+    for c, members in enumerate(p.classes):
+        if rows and p.two_sided[c]:
+            contribs.append(rows[c])
+        else:
             q = quotient_graph(g, wa, members)
-            row = _sums(q.graph, q.w, q.lam, q.lambda_prime, q.w_prime)
-        contribs.append(row)
+            contribs.append(_sums(q.graph, q.w, q.lam, q.lambda_prime, q.w_prime))
     return contribs
-
-
-def _two_sided_rows(
-    g: Graph, wa: WeightAssignment, p: EdgePartition
-) -> list[Sums | None]:
-    # A two-sided class F is one cut with two convex sides A and B, so a
-    # geodesic crosses F at most once. The side A away from the root of a
-    # BFS tree is then the disjoint union of the subtrees below F's tree
-    # edges, and G/F is K2 with vertex weights w(A), w(B) and lam(A),
-    # lam(B). With s(x) the sum of lambda' over the edges at x, s(A)
-    # counts each edge inside A twice and each edge of F once, so
-    # lam(A) = (s(A) - lambda'(F)) / 2. The pass sums over every class;
-    # the rows of classes that are not two-sided are None.
-    k = len(p.classes)
-    class_of = p.class_of
-    sub_s = [0] * g.n  # s(x), then summed over the subtree below x
-    lp_f = [0] * k
-    wp_f = [0] * k
-    for (u, v), c, lp, wp in zip(g.edges, class_of, wa.lambda_prime, wa.w_prime):
-        sub_s[u] += lp
-        sub_s[v] += lp
-        lp_f[c] += lp
-        wp_f[c] += wp
-    total_w = sum(wa.w)
-    total_s = sum(sub_s)
-    order, parent, parent_edge = _bfs_tree(g)
-    sub_w = list(wa.w)
-    w_a = [0] * k
-    s_a = [0] * k
-    for x in reversed(order[1:]):
-        c = class_of[parent_edge[x]]
-        w_a[c] += sub_w[x]
-        s_a[c] += sub_s[x]
-        px = parent[x]
-        sub_w[px] += sub_w[x]
-        sub_s[px] += sub_s[x]
-    rows: list[Sums | None] = []
-    for wp, lp, a, sa, flagged in zip(wp_f, lp_f, w_a, s_a, p.two_sided):
-        if not flagged:
-            rows.append(None)
-            continue
-        b = total_w - a
-        lam_a = (sa - lp) // 2
-        lam_b = (total_s - sa - lp) // 2
-        rows.append((wp * a * b, wp * (a + b), wp * lam_a * lam_b, wp * (lam_a + lam_b)))
-    return rows
 
 
 def weighted_suite_cut(
@@ -408,10 +380,11 @@ def general_cut_index(
     total-Szeged index of the quotients; PI sums PI_v(lam_i, w_i') plus
     PI(lam_i', w_i'). Sz_t itself has no decomposition and is rejected.
     """
+    slot = _slot(kind)
     if kind is IndexKind.SZ_T:
         raise UnsupportedKindError("Sz_t has no cut decomposition")
     require_connected(g)
     wa.check_shape(g)
     _require_c_partition(g, p)
     wa, d = _integral(wa)
-    return _totals(_class_contributions(g, wa, p), d)[_SLOT[kind]]
+    return _totals(_class_contributions(g, wa, p), d)[slot]

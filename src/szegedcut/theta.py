@@ -7,15 +7,17 @@ partitions the edge set. A partition whose classes are unions of
 Theta*-classes is called a c-partition and is the input the cut method
 requires.
 
-Theta* and c-partition validation come from one pass over the edges of a
-BFS spanning tree, in O(n*m) time and O(n+m) memory. On bipartite graphs
-one BFS cuts every tree edge at a vertex. On graphs with odd cycles the
-pass runs sweeps of the bit-parallel multi-source BFS that the generic
-side sums share (`graph._sweep`): each tree edge owns one source bit at
-each end, one sweep cuts up to 2048 tree edges, and whether some vertex is
-equidistant from the ends of a tree edge is read from the edges alone. A
-sweep takes about one round per unit of diameter, so long thin graphs
-with odd cycles gain least.
+Theta* and c-partition validation come from one pass over the edges of
+the package's BFS spanning tree (`graph._bfs_tree`, the tree that the
+subtree aggregation of the side sums folds over), in O(n*m) time and
+O(n+m) memory. On bipartite graphs one BFS cuts every tree edge at a
+vertex. On graphs with odd cycles the pass runs sweeps of the
+bit-parallel multi-source BFS that the generic side sums share
+(`graph._sweep`): each tree edge owns one source bit at each end, one
+sweep cuts up to 2048 tree edges, and whether some vertex is equidistant
+from the ends of a tree edge is read from the edges alone. A sweep takes
+about one round per unit of diameter, so long thin graphs with odd
+cycles gain least.
 
 The same pass finds the classes that are one clean cut: a class F is
 two-sided when some tree edge ab in F has all of F as its Theta-cut and
@@ -23,7 +25,8 @@ no vertex is equidistant from a and b. Then G - F has exactly two
 components, both convex, so the cut method reads F from a subtree
 aggregation instead of a quotient. Bridges are the common case in graphs
 with odd cycles. A graph is a partial cube iff every class is two-sided,
-so `is_partial_cube` costs at most one Theta* pass. The pairwise
+so `EdgePartition.partial_cube` is read from the flags and
+`is_partial_cube` costs at most one Theta* pass. The pairwise
 definition over an all-pairs distance table is kept in `oracle` as the
 reference.
 """
@@ -37,13 +40,12 @@ from operator import eq, itemgetter, xor
 from typing import Iterable, Iterator, Mapping
 
 from .errors import (
-    DisconnectedError,
     IncompleteGroupingError,
     InvalidCPartitionError,
     MalformedPartitionError,
     PartitionNotCoveringError,
 )
-from .graph import Graph, _sweep, _sweep_ranges, require_connected
+from .graph import Graph, _bfs_tree, _sweep, _sweep_ranges, require_connected
 
 
 class _UnionFind:
@@ -78,16 +80,13 @@ class EdgePartition:
     flag per class, asserting that the class is a Theta*-class F whose
     removal leaves exactly two components, both convex; the cut method
     reads the flagged classes from one subtree aggregation instead of a
-    quotient. The `partial_cube` flag asserts that the classes are the
-    Theta*-classes of a partial cube, which holds iff every class is
-    two-sided. Only `theta_star_partition` sets these two; an empty
-    `two_sided` flags no class.
+    quotient. Only `theta_star_partition` sets it; an empty `two_sided`
+    flags no class.
     """
 
     classes: tuple[frozenset[int], ...]
     class_of: tuple[int, ...]
     refined_by_theta_star: bool = False
-    partial_cube: bool = False
     two_sided: tuple[bool, ...] = ()
 
     @classmethod
@@ -116,6 +115,12 @@ class EdgePartition:
                 f"classes cover {total} of {m} edges"
             )
         return cls(tuple(canon), tuple(class_of), refined_by_theta_star)
+
+    @property
+    def partial_cube(self) -> bool:
+        """Whether the classes are the Theta*-classes of a partial cube,
+        which holds iff every class is flagged two-sided."""
+        return len(self.two_sided) == len(self.classes) and all(self.two_sided)
 
     @property
     def num_edges(self) -> int:
@@ -184,24 +189,11 @@ def _theta_cuts(g: Graph) -> Iterator[Batch]:
     Raises:
         DisconnectedError: if g is not connected.
     """
-    n, m = g.n, g.m
-    depth = [-1] * n
-    parent_edge = [-1] * n
-    depth[0] = 0
-    order = [0]
-    for x in order:  # grows while iterated: a BFS queue
-        dx = depth[x] + 1
-        for y, eid in g.adj[x]:
-            if depth[y] < 0:
-                depth[y] = dx
-                parent_edge[y] = eid
-                order.append(y)
-    if len(order) < n:
-        raise DisconnectedError("graph is not connected")
-    if m <= 1:
+    order, _, parent_edge, depth = _bfs_tree(g)
+    if g.m <= 1:
         # a connected graph with one edge: the edge is its own class (and
         # itemgetter with a single index would return a scalar below)
-        return iter([([0], [1], 0)] if m else [])
+        return iter([([0], [1], 0)] if g.m else [])
 
     xs = itemgetter(*(u for u, _ in g.edges))
     ys = itemgetter(*(v for _, v in g.edges))
@@ -272,7 +264,7 @@ def _bipartite_cuts(g: Graph, tree: list[int], depth, xs, ys) -> Iterator[Batch]
 
 def theta_star_partition(g: Graph) -> EdgePartition:
     """Theta*-classes in O(n*m) time and O(n+m) memory, with the
-    `two_sided` flag of every class and the `partial_cube` flag.
+    `two_sided` flag of every class.
 
     The Theta-cut of a tree edge lies inside its Theta*-class, and every
     class holds a tree edge (removing a class disconnects g, so it meets
@@ -287,8 +279,8 @@ def theta_star_partition(g: Graph) -> EdgePartition:
     lies in F, yet both its ends are in A. A graph whose classes are all
     two-sided has only even cycles and convex halves, so it is a partial
     cube (Djokovic, J. Combin. Theory B 14, 1973), and in a partial cube
-    every class is two-sided; `partial_cube` is therefore
-    `all(two_sided)`.
+    every class is two-sided; the `partial_cube` property, which reads
+    `all(two_sided)`, is therefore the partial-cube test.
 
     The cuts come in batches of bitmasks from `_theta_cuts`; one walk over
     the set bits unions each pair and counts the cut sizes.
@@ -320,7 +312,7 @@ def theta_star_partition(g: Graph) -> EdgePartition:
         c = p.class_of[e]
         if k == len(p.classes[c]):
             two_sided[c] = True
-    return replace(p, partial_cube=all(two_sided), two_sided=tuple(two_sided))
+    return replace(p, two_sided=tuple(two_sided))
 
 
 def validate_c_partition(g: Graph, p: EdgePartition) -> bool:

@@ -203,6 +203,23 @@ def test_general_cut_rejects_total_szeged():
         )
 
 
+def test_weighted_index_rejects_a_kind_that_is_no_index_kind():
+    c6 = cycle_graph(6)
+    with mock.patch.object(indices, "_sums", side_effect=AssertionError("ran")):
+        with pytest.raises(UnsupportedKindError):
+            weighted_index(c6, WeightAssignment.unit(c6), "Sz")
+
+
+def test_general_cut_index_rejects_a_kind_that_is_no_index_kind():
+    c6 = cycle_graph(6)
+    p = theta_star_partition(c6)
+    with mock.patch.object(
+        indices, "_class_contributions", side_effect=AssertionError("ran")
+    ):
+        with pytest.raises(UnsupportedKindError):
+            general_cut_index(c6, WeightAssignment.unit(c6), p, "Sz")
+
+
 def test_cut_routes_reject_a_partition_of_another_edge_count():
     # flagged as Theta*-refined, so only the edge-count check stands in the way
     c6 = cycle_graph(6)
@@ -221,6 +238,39 @@ def test_tree_fast_path_matches_oracle():
         wa = random_weight_assignment(rng, t)
         for kind in kinds:
             assert weighted_index(t, wa, kind) == oracle_general(t, wa, kind)
+
+
+_INT_WEIGHTS = st.integers(0, 50)
+
+
+@st.composite
+def _int_weighted_trees(draw):
+    n = draw(st.integers(1, 12))
+    g = build_graph(n, [(draw(st.integers(0, v - 1)), v) for v in range(1, n)])
+    return g, WeightAssignment(
+        *(tuple(draw(st.lists(_INT_WEIGHTS, min_size=k, max_size=k))) for k in (g.n, g.m, g.m))
+    )
+
+
+@pytest.mark.parametrize("family", ["tree", "cyclic"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_engine_contract_with_independent_lam(family, data):
+    # the routes only ever pass lam = 0, lam = w or a quotient's lam; the
+    # engine must keep w and lam apart on both of its paths
+    if family == "tree":
+        g, wa = data.draw(_int_weighted_trees())
+    else:
+        g, wa = data.draw(cyclic_weighted_graphs(data.draw(st.booleans()), _INT_WEIGHTS))
+    lam = tuple(data.draw(st.lists(_INT_WEIGHTS, min_size=g.n, max_size=g.n)))
+    on_lam = WeightAssignment(lam, wa.w_prime, wa.lambda_prime)
+    sz, pi_v, sz_t, pi = indices._sums(g, wa.w, lam, wa.lambda_prime, wa.w_prime)
+    assert sz == oracle_general(g, wa, IndexKind.SZ)
+    assert pi_v == oracle_general(g, wa, IndexKind.PI_V)
+    assert sz_t == oracle_general(g, on_lam, IndexKind.SZ_T)
+    assert pi == oracle_general(g, on_lam, IndexKind.PI_V) + oracle_general(
+        g, wa, IndexKind.PI
+    )
 
 
 @pytest.mark.parametrize("bipartite", [True, False])

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from dataclasses import replace
 from operator import eq
 from unittest import mock
 
@@ -523,6 +524,8 @@ def test_partial_cube_flag_on_small_graphs(g, cube):
     assert oracle_is_partial_cube(g) == cube
     assert theta_star_partition(g).partial_cube == cube
     assert is_partial_cube(g) == cube
+    if g.m == 0:  # K1: no classes, all of them two-sided
+        assert single_class_partition(0).partial_cube
 
 
 def test_only_theta_star_sets_the_partial_cube_flag():
@@ -533,6 +536,8 @@ def test_only_theta_star_sets_the_partial_cube_flag():
     assert not coarsen(star, {0: 0, 1: 1, 2: 2}).partial_cube
     assert not coarsen(star, {0: 0, 1: 0, 2: 0}).partial_cube
     assert not single_class_partition(6).partial_cube
+    # the flag is read from two_sided, so the two cannot disagree
+    assert not replace(star, two_sided=(True, False, True)).partial_cube
 
 
 # ---------------------------------------------------------------------------
