@@ -1,7 +1,7 @@
 """Immutable simple graphs with dense ids, BFS distances, and edge-list I/O.
 
 Vertices are 0..n-1 and edges carry stable ids 0..m-1 in input order, so
-edge partitions and fiber sets can be stored as plain id sets. Distances
+edge partitions and edge sets can be stored as plain id sets. Distances
 are exact hop counts from one source at a time; the all-pairs table is
 kept in `oracle`, so no production path holds O(n^2) state.
 

@@ -2,16 +2,18 @@
 
 For a class F of a c-partition, the quotient G/F has the connected
 components of G minus F as vertices, two components being adjacent when
-an F-edge crosses between them. Each quotient edge keeps its fiber (the
-set of crossing edge ids), and four weights are induced:
+an F-edge crosses between them. The F-edges joining the same two
+components make one quotient edge, and four weights are induced:
 
     w(X)    = sum of vertex weights inside component X
     lam(X)  = sum of lambda' over edges internal to X
-    w'(E)   = sum of w' over the fiber of E
-    lam'(E) = sum of lambda' over the fiber of E
+    w'(E)   = sum of w' over the F-edges that E merges
+    lam'(E) = sum of lambda' over the F-edges that E merges
 
-One build is O(n+m) time and memory. The all-pairs self-test of the
-distance decomposition over these quotients lives in `oracle`.
+The F-edges themselves are not kept: F-edge uv lies in quotient edge
+{component_map[u], component_map[v]}. One build is O(n+m) time and
+memory. The all-pairs self-test of the distance decomposition over these
+quotients lives in `oracle`.
 """
 
 from __future__ import annotations
@@ -82,18 +84,15 @@ class QuotientGraph:
     Fields:
         graph: the quotient graph G/F.
         component_map: per host vertex, its component (quotient vertex).
-        fibers: per quotient edge, the host edge ids crossing it.
         w, lam: per quotient vertex, the induced vertex weights.
         w_prime, lambda_prime: per quotient edge, the induced edge weights.
 
     Component indices are canonical: ordered by smallest contained vertex
-    id. Quotient edges are ordered lexicographically by their component
-    pair, and each fiber lists its edge ids in increasing order.
+    id. Quotient edges are ordered lexicographically by component pair.
     """
 
     graph: Graph
     component_map: tuple[int, ...]
-    fibers: tuple[tuple[int, ...], ...]
     w: tuple[Weight, ...]
     lam: tuple[Weight, ...]
     w_prime: tuple[Weight, ...]
@@ -105,7 +104,7 @@ def quotient_graph(g: Graph, wa: WeightAssignment, f: Iterable[int]) -> Quotient
 
     f may be empty (one-vertex quotient) or all of E(G) (quotient
     isomorphic to g). Crossing edges between the same component pair are
-    merged into a single quotient edge; the fiber keeps them all.
+    merged into a single quotient edge that carries their summed weights.
     """
     wa.check_shape(g)
     m = g.m
@@ -137,25 +136,26 @@ def quotient_graph(g: Graph, wa: WeightAssignment, f: Iterable[int]) -> Quotient
         w_q[c] += wv
 
     lam_q: list[Weight] = [0] * nc
-    fibers_by_pair: dict[tuple[int, int], list[int]] = {}
+    # per component pair, the w' and lambda' sums of the F-edges joining it
+    wp_q: dict[tuple[int, int], Weight] = {}
+    lp_q: dict[tuple[int, int], Weight] = {}
     for eid, (u, v) in enumerate(g.edges):
         cu = comp[u]
         if not removed[eid]:
             lam_q[cu] += wa.lambda_prime[eid]
             continue
         cv = comp[v]
-        if cu != cv:  # a removed edge inside one component is in no fiber
+        if cu != cv:  # a removed edge inside one component joins no pair
             key = (cu, cv) if cu < cv else (cv, cu)
-            fibers_by_pair.setdefault(key, []).append(eid)
+            wp_q[key] = wp_q.get(key, 0) + wa.w_prime[eid]
+            lp_q[key] = lp_q.get(key, 0) + wa.lambda_prime[eid]
 
-    pairs = sorted(fibers_by_pair)
-    fibers = tuple(tuple(fibers_by_pair[k]) for k in pairs)
+    pairs = sorted(wp_q)
     return QuotientGraph(
         graph=Graph(nc, pairs),
         component_map=tuple(comp),
-        fibers=fibers,
         w=tuple(w_q),
         lam=tuple(lam_q),
-        w_prime=tuple(sum(wa.w_prime[e] for e in fib) for fib in fibers),
-        lambda_prime=tuple(sum(wa.lambda_prime[e] for e in fib) for fib in fibers),
+        w_prime=tuple(map(wp_q.__getitem__, pairs)),
+        lambda_prime=tuple(map(lp_q.__getitem__, pairs)),
     )

@@ -7,34 +7,38 @@ partitions the edge set. A partition whose classes are unions of
 Theta*-classes is called a c-partition and is the input the cut method
 requires.
 
-Theta* and c-partition validation come from one pass over the edges of
-the package's BFS spanning tree (`graph._bfs_tree`, the tree that the
-subtree aggregation of the side sums folds over), in O(n*m) time and
-O(n+m) memory. On bipartite graphs one BFS cuts every tree edge at a
-vertex. On graphs with odd cycles the pass runs sweeps of the
-bit-parallel multi-source BFS that the generic side sums share
-(`graph._sweep`): each tree edge owns one source bit at each end, one
-sweep cuts up to 2048 tree edges, and whether some vertex is equidistant
-from the ends of a tree edge is read from the edges alone. A sweep takes
-about one round per unit of diameter, so long thin graphs with odd
-cycles gain least.
+Theta* comes from one pass over the edges of the package's BFS spanning
+tree (`graph._bfs_tree`, the tree that the subtree aggregation of the
+side sums folds over), in O(n*m) time and O(n+m) memory. On bipartite
+graphs one BFS cuts every tree edge at a vertex. On graphs with odd
+cycles the pass runs sweeps of the bit-parallel multi-source BFS that
+the generic side sums share (`graph._sweep`): each tree edge owns one
+source bit at each end, one sweep cuts up to 2048 tree edges, and
+whether some vertex is equidistant from the ends of a tree edge is read
+from the edges alone. A sweep takes about one round per unit of
+diameter, so long thin graphs with odd cycles gain least.
+`theta_star_partition` is the one reader of that pass; c-partition
+validation reads its classes, since p is a c-partition iff every
+Theta*-class meets exactly one class of p.
 
 The same pass finds the classes that are one clean cut: a class F is
 two-sided when some tree edge ab in F has all of F as its Theta-cut and
 no vertex is equidistant from a and b. Then G - F has exactly two
 components, both convex, so the cut method reads F from a subtree
-aggregation instead of a quotient. Bridges are the common case in graphs
-with odd cycles. A graph is a partial cube iff every class is two-sided,
-so `EdgePartition.partial_cube` is read from the flags and
-`is_partial_cube` costs at most one Theta* pass. The pairwise
-definition over an all-pairs distance table is kept in `oracle` as the
-reference.
+aggregation instead of a quotient. Only `theta_star_partition` sets
+these flags: they are not a constructor argument of `EdgePartition`, so
+no caller can flag a class that is not a clean cut. Bridges are the
+common case in graphs with odd cycles. A graph is a partial cube iff
+every class is two-sided, so `EdgePartition.partial_cube` is read from
+the flags and `is_partial_cube` costs at most one Theta* pass. The
+pairwise definition over an all-pairs distance table is kept in
+`oracle` as the reference.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from itertools import compress
 from operator import eq, itemgetter, xor
 from typing import Iterable, Iterator, Mapping
@@ -73,21 +77,34 @@ class _UnionFind:
 class EdgePartition:
     """A partition of the edge ids 0..m-1 into disjoint nonempty classes.
 
-    Classes are canonically ordered by their smallest edge id. The
-    `refined_by_theta_star` flag asserts that every class is a union of
-    Theta*-classes; generators that know this by construction set it so
-    index pipelines can skip the O(n*m) validation. `two_sided` holds one
-    flag per class, asserting that the class is a Theta*-class F whose
-    removal leaves exactly two components, both convex; the cut method
-    reads the flagged classes from one subtree aggregation instead of a
-    quotient. Only `theta_star_partition` sets it; an empty `two_sided`
-    flags no class.
+    Classes are canonically ordered by their smallest edge id, and
+    `class_of[e]` is the class of edge e; construction checks in O(m) that
+    the two agree. The `refined_by_theta_star` flag asserts that every
+    class is a union of Theta*-classes; generators that know this by
+    construction set it so index pipelines can skip the O(n*m) validation.
+    `two_sided` flags each class that is a Theta*-class F whose removal
+    leaves two convex components, which the cut method reads from one
+    subtree aggregation instead of a quotient. It is no constructor
+    argument: only `theta_star_partition` sets it, and any other partition,
+    a `replace()` copy included, flags no class.
     """
 
     classes: tuple[frozenset[int], ...]
     class_of: tuple[int, ...]
     refined_by_theta_star: bool = False
-    two_sided: tuple[bool, ...] = ()
+    two_sided: tuple[bool, ...] = field(default=(), init=False)
+
+    def __post_init__(self):
+        m = len(self.class_of)
+        for idx, members in enumerate(self.classes):
+            if not members:
+                raise MalformedPartitionError("empty partition class")
+            if min(members) < 0 or max(members) >= m:
+                raise PartitionNotCoveringError(f"edge id outside 0..{m - 1}")
+            if set(map(self.class_of.__getitem__, members)) != {idx}:
+                raise MalformedPartitionError(f"class_of disagrees with class {idx}")
+        if sum(map(len, self.classes)) != m:
+            raise PartitionNotCoveringError(f"classes do not cover all {m} edges")
 
     @classmethod
     def from_classes(
@@ -96,24 +113,14 @@ class EdgePartition:
         m: int,
         refined_by_theta_star: bool = False,
     ) -> "EdgePartition":
-        canon = [frozenset(c) for c in classes]
-        if not all(canon):
-            raise MalformedPartitionError("empty partition class")
-        canon.sort(key=min)
+        # __post_init__ rejects empty classes, edge ids outside 0..m-1, an
+        # edge in two classes and uncovered edges
+        canon = sorted(map(frozenset, classes), key=lambda c: min(c, default=-1))
         class_of = [-1] * m
-        total = 0
         for idx, members in enumerate(canon):
             for e in members:
-                if not 0 <= e < m:
-                    raise PartitionNotCoveringError(f"edge id {e} outside 0..{m - 1}")
-                if class_of[e] >= 0:
-                    raise MalformedPartitionError(f"edge id {e} in two classes")
-                class_of[e] = idx
-            total += len(members)
-        if total != m:
-            raise PartitionNotCoveringError(
-                f"classes cover {total} of {m} edges"
-            )
+                if 0 <= e < m:
+                    class_of[e] = idx
         return cls(tuple(canon), tuple(class_of), refined_by_theta_star)
 
     @property
@@ -132,9 +139,7 @@ class EdgePartition:
 
 def single_class_partition(m: int) -> EdgePartition:
     """The coarsest partition {E(G)}; trivially a c-partition."""
-    if m == 0:
-        return EdgePartition((), (), refined_by_theta_star=True)
-    return EdgePartition.from_classes([range(m)], m, refined_by_theta_star=True)
+    return EdgePartition.from_classes([range(m)] if m else [], m, True)
 
 
 _MASK_BITS = 64  # tree edges cut per bipartite BFS
@@ -312,14 +317,17 @@ def theta_star_partition(g: Graph) -> EdgePartition:
         c = p.class_of[e]
         if k == len(p.classes[c]):
             two_sided[c] = True
-    return replace(p, two_sided=tuple(two_sided))
+    # the one writer of the flags, which are not a constructor argument
+    object.__setattr__(p, "two_sided", tuple(two_sided))
+    return p
 
 
 def validate_c_partition(g: Graph, p: EdgePartition) -> bool:
-    """True iff every Theta*-class of g lies inside a single class of p.
+    """True iff every Theta*-class of g lies inside a single class of p,
+    that is, iff each Theta*-class meets exactly one class of p.
 
-    Checks each Theta pair of the BFS-tree pass against p's classes, so it
-    runs in O(n*m) time and O(n+m) memory and stops at the first split.
+    Reads `theta_star_partition`, so it runs in O(n*m) time and O(n+m)
+    memory.
 
     Raises:
         PartitionNotCoveringError: if p does not cover g's edges.
@@ -329,18 +337,8 @@ def validate_c_partition(g: Graph, p: EdgePartition) -> bool:
         raise PartitionNotCoveringError(
             f"partition covers {p.num_edges} edges, graph has {g.m}"
         )
-    class_of = p.class_of
-    # per class of p, every bit but those of the batch's tree edges in it
-    outside = [-1] * len(p.classes)
-    for tree_edges, related, _ in _theta_cuts(g):
-        for i, e in enumerate(tree_edges):
-            outside[class_of[e]] &= ~(1 << i)
-        for f, mask in compress(enumerate(related), related):
-            if mask & outside[class_of[f]]:
-                return False
-        for e in tree_edges:
-            outside[class_of[e]] = -1
-    return True
+    star = theta_star_partition(g)
+    return len(set(zip(star.class_of, p.class_of))) == len(star)
 
 
 def coarsen(p: EdgePartition, grouping: Mapping[int, int]) -> EdgePartition:

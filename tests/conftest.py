@@ -157,6 +157,18 @@ def pendant_weighted_graphs(draw, weights=WEIGHTS):
     return g, _draw_weights(draw, g, weights)
 
 
+def quotient_edge_members(g: Graph, q, f) -> dict[tuple[int, int], list[int]]:
+    """Per pair of components of q joined by an edge of f, those edges in
+    increasing id order, read from `q.component_map`."""
+    cm = q.component_map
+    out: dict[tuple[int, int], list[int]] = {}
+    for e in sorted(f):
+        a, b = sorted(cm[x] for x in g.edges[e])
+        if a != b:
+            out.setdefault((a, b), []).append(e)
+    return out
+
+
 def random_weight_assignment(
     rng: random.Random, g: Graph, lo: int = 0, hi: int = 5
 ) -> WeightAssignment:

@@ -355,6 +355,18 @@ def test_fullerene_patch_sweeps(source_bits):
             assert general_cut_index(g, wa, p, kind) == oracle_general(g, wa, kind)
 
 
+def test_callers_cannot_flag_classes_as_clean_cuts():
+    # flags set by hand once made the cut route trust five bogus clean cuts
+    # and print wSz_e = -6740 on the fullerene patch
+    g = fullerene_patch()
+    p = theta_star_partition(g)
+    with pytest.raises(TypeError):
+        EdgePartition(p.classes, p.class_of, True, two_sided=(True,) * 6)
+    rewrapped = EdgePartition(p.classes, p.class_of, refined_by_theta_star=True)
+    assert rewrapped.two_sided == ()
+    assert weighted_suite_cut(g, rewrapped).as_tuple() == FULLERENE_TOTALS
+
+
 def test_whole_fraction_weights_equal_int_weights():
     # Fraction(3) has denominator 1, so it must still reach the engine as 3
     rng = random.Random(61)

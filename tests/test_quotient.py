@@ -17,6 +17,7 @@ from szegedcut import (
 
 from conftest import (
     cycle_graph,
+    quotient_edge_members,
     random_connected_graph,
     random_weight_assignment,
 )
@@ -88,7 +89,8 @@ def test_c6_opposite_pair_quotient():
     assert q.lam == (2, 2)
     assert q.lambda_prime == (2,)
     assert q.w_prime == (8,)
-    assert sorted(q.fibers[0]) == [0, 3]
+    # the one quotient edge carries both removed edges
+    assert quotient_edge_members(c6, q, [0, 3]) == {q.graph.edges[0]: [0, 3]}
 
 
 def test_empty_class_gives_one_vertex_quotient():
@@ -112,10 +114,12 @@ def test_full_edge_set_gives_isomorphic_quotient():
         assert q.component_map == tuple(range(g.n))
         assert q.w == wa.w
         assert set(q.lam) == {0}
-        for qeid, (fib, (a, b)) in enumerate(zip(q.fibers, q.graph.edges)):
-            assert len(fib) == 1
-            assert {a, b} == set(g.edges[fib[0]])
-            assert q.w_prime[qeid] == wa.w_prime[fib[0]]
+        members = quotient_edge_members(g, q, range(g.m))
+        assert set(members) == set(q.graph.edges)
+        for qeid, pair in enumerate(q.graph.edges):
+            [e] = members[pair]
+            assert set(pair) == set(g.edges[e])
+            assert q.w_prime[qeid] == wa.w_prime[e]
 
 
 def test_c6_component_membership():
@@ -140,8 +144,16 @@ def test_weight_conservation_over_theta_classes():
             fiber_lam = sum(q.lambda_prime)
             assert sum(q.lam) + fiber_lam == sum(wa.lambda_prime)
             assert sum(q.w_prime) == sum(wa.w_prime[e] for e in members)
-            covered = [e for fib in q.fibers for e in fib]
-            assert sorted(covered) == sorted(members)
+            # quotient edge (a, b) carries exactly the F-edges joining a
+            # and b, and with them their w' and lambda'
+            crossing = quotient_edge_members(g, q, members)
+            assert sorted(crossing) == list(q.graph.edges)
+            assert sorted(e for es in crossing.values() for e in es) == sorted(members)
+            for qeid, pair in enumerate(q.graph.edges):
+                assert q.w_prime[qeid] == sum(wa.w_prime[e] for e in crossing[pair])
+                assert q.lambda_prime[qeid] == sum(
+                    wa.lambda_prime[e] for e in crossing[pair]
+                )
 
 
 def test_endpoints_of_class_edges_map_to_adjacent_components():

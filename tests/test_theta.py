@@ -44,6 +44,7 @@ from conftest import (
     cyclic_weighted_graphs,
     pendant_weighted_graphs,
     path_graph,
+    quotient_edge_members,
     random_bipartite_connected,
     random_connected_graph,
     random_tree,
@@ -196,6 +197,23 @@ def test_removing_a_class_from_a_partial_cube_gives_two_components():
     for members in star.classes:
         q = quotient_graph(c6, wa, members)
         assert q.graph.n == 2
+
+
+def test_partition_rejects_class_of_that_disagrees_with_classes():
+    # every edge mapped to class 0 while class 1 holds five of them: the
+    # cut method would read wSz = 112 on C6, where the truth is 216
+    with pytest.raises(MalformedPartitionError):
+        EdgePartition((frozenset({0}), frozenset({1, 2, 3, 4, 5})), (0,) * 6)
+    with pytest.raises(MalformedPartitionError):
+        EdgePartition((frozenset({0, 1}), frozenset({1})), (0, 1))   # overlap
+    with pytest.raises(MalformedPartitionError):
+        EdgePartition((frozenset(), frozenset({0})), (1,))           # empty class
+    with pytest.raises(PartitionNotCoveringError):
+        EdgePartition((frozenset({0, 2}),), (0, 0))                  # id 2 of 2
+    with pytest.raises(PartitionNotCoveringError):
+        EdgePartition((frozenset({0}),), (0, 0))                     # edge 1 left out
+    star = theta_star_partition(cycle_graph(6))
+    assert EdgePartition(star.classes, star.class_of, True).classes == star.classes
 
 
 def test_partition_factory_errors_are_library_errors():
@@ -536,8 +554,13 @@ def test_only_theta_star_sets_the_partial_cube_flag():
     assert not coarsen(star, {0: 0, 1: 1, 2: 2}).partial_cube
     assert not coarsen(star, {0: 0, 1: 0, 2: 0}).partial_cube
     assert not single_class_partition(6).partial_cube
-    # the flag is read from two_sided, so the two cannot disagree
-    assert not replace(star, two_sided=(True, False, True)).partial_cube
+    # the flag is read from two_sided, which callers cannot set, and a
+    # copy made by replace() flags no class
+    with pytest.raises(ValueError):
+        replace(star, two_sided=(True, False, True))
+    with pytest.raises(TypeError):
+        EdgePartition(star.classes, star.class_of, True, (True, False, True))
+    assert not replace(star, refined_by_theta_star=True).partial_cube
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +586,7 @@ def _assert_two_sided_flags_are_sound(g):
         # G - F has two components, joined by every edge of F
         q = quotient_graph(g, wa, members)
         assert (q.graph.n, q.graph.m) == (2, 1)
-        assert frozenset(q.fibers[0]) == members
+        assert quotient_edge_members(g, q, members) == {(0, 1): sorted(members)}
         # and both are convex: every geodesic between two vertices of a
         # side stays inside it
         for side in (0, 1):
