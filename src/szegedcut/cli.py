@@ -1,14 +1,21 @@
 """Command-line front end: index computation, theta classes, quotients,
-molecule generation, and a cut-versus-direct benchmark."""
+molecule generation, and a cut-versus-direct benchmark.
+
+A `--partition-file` skips validation against Theta* only when its first
+line is the digest `gen --labels` wrote for that edge list and partition.
+"""
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import statistics
+import struct
 import sys
 import time
+from itertools import chain
 from typing import Sequence
 
 from .errors import (
@@ -38,10 +45,6 @@ _EXIT_DISCONNECTED = 3
 _EXIT_PARTITION = 4
 _EXIT_INPUT = 5
 
-# first line of a label sidecar whose cell set has holes: its labels may
-# split a Theta*-class, so the partition is validated instead of trusted
-_HOLED_MARKER = "# nonstandard_region"
-
 
 def _read_text(path: str) -> str:
     if path == "-":
@@ -59,8 +62,8 @@ def _read_graph(path: str) -> Graph:
     return parse_edge_list(_read_text(path), connected=True)
 
 
-def _parse_partition(text: str, what: str, m: int) -> EdgePartition:
-    """Classes from `edge_id value` lines that name each edge id once."""
+def _parse_partition(text: str, m: int) -> EdgePartition:
+    """Classes from `edge_id class_id` lines that name each edge id once."""
     groups: dict[int, list[int]] = {}
     seen: set[int] = set()
     for line in text.splitlines():
@@ -69,13 +72,13 @@ def _parse_partition(text: str, what: str, m: int) -> EdgePartition:
             continue
         parts = stripped.split()
         if len(parts) != 2:
-            raise ParseError(f"expected '{what}' line, got {line!r}")
+            raise ParseError(f"expected 'edge_id class_id' line, got {line!r}")
         try:
             key, value = int(parts[0]), int(parts[1])
         except ValueError:
-            raise ParseError(f"non-integer {what} line {line!r}") from None
+            raise ParseError(f"non-integer partition line {line!r}") from None
         if key in seen:
-            raise ParseError(f"duplicate edge id {key} in {what} file")
+            raise ParseError(f"duplicate edge id {key} in partition file")
         seen.add(key)
         groups.setdefault(value, []).append(key)
     if sorted(seen) != list(range(m)):
@@ -83,20 +86,20 @@ def _parse_partition(text: str, what: str, m: int) -> EdgePartition:
     return EdgePartition.from_classes(groups.values(), m)
 
 
-def _load_partition(g: Graph, args) -> EdgePartition:
-    if args.partition == "theta-star":
+def _digest(g: Graph, p: EdgePartition) -> str:
+    """Sidecar trust line: sha256 of n, edges and class_of as little-endian int64."""
+    values = (g.n, *chain.from_iterable(g.edges), *p.class_of)
+    packed = struct.pack(f"<{len(values)}q", *values)
+    return f"# sha256 {hashlib.sha256(packed).hexdigest()}"
+
+
+def _load_partition(g: Graph, path: str | None) -> EdgePartition:
+    if path is None:
         return theta_star_partition(g)
-    if args.partition == "labels":
-        path, option, what = args.labels_file, "--labels-file", "edge_id label"
-    else:
-        path, option, what = args.partition_file, "--partition-file", "edge_id class_id"
-    if not path:
-        raise ParseError(f"--partition {args.partition} requires {option}")
     text = _read_text(path)
-    p = _parse_partition(text, what, g.m)
-    # generator sidecars are trusted c-partitions unless marked as holed
-    holed = text.partition("\n")[0].strip() == _HOLED_MARKER
-    if (args.partition == "file" or holed) and not validate_c_partition(g, p):
+    p = _parse_partition(text, g.m)
+    trusted = text.partition("\n")[0].strip() == _digest(g, p)
+    if not trusted and not validate_c_partition(g, p):
         raise InvalidCPartitionError("partition file splits a Theta*-class across classes")
     return EdgePartition(p.classes, p.class_of, refined_by_theta_star=True)
 
@@ -123,7 +126,7 @@ def _cmd_index(args) -> int:
     if args.method == "direct":
         report = weighted_suite_direct(g, starred=args.starred)
     else:
-        p = _load_partition(g, args)
+        p = _load_partition(g, args.partition_file)
         report = weighted_suite_cut(g, p, starred=args.starred)
     if args.method == "compare":
         oracle = oracle_suite(g, starred=args.starred)
@@ -148,7 +151,7 @@ def _cmd_theta(args) -> int:
 
 def _cmd_quotient(args) -> int:
     g = _read_graph(args.input)
-    p = _load_partition(g, args)
+    p = _load_partition(g, args.partition_file)
     wa = WeightAssignment.degree_weighted(g, starred=args.starred)
     for idx, members in enumerate(p.classes):
         q = quotient_graph(g, wa, members)
@@ -177,10 +180,11 @@ def _cmd_gen(args) -> int:
         comments.append("nonstandard_region: cell set encloses holes")
     # the sidecar goes first, so an unwritable path prints no edge list
     if args.labels:
+        p = dlg.direction_partition()
         try:
             with open(args.labels, "w", encoding="utf-8") as fh:
-                if dlg.nonstandard_region:
-                    fh.write(_HOLED_MARKER + "\n")
+                if p.refined_by_theta_star:
+                    fh.write(_digest(dlg.graph, p) + "\n")
                 for eid, label in enumerate(dlg.direction_of):
                     fh.write(f"{eid} {label}\n")
         except OSError as exc:
@@ -234,14 +238,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_partition_opts(p):
-        p.add_argument(
-            "--partition",
-            choices=["theta-star", "labels", "file"],
-            default="theta-star",
-            help="where the c-partition comes from (default: theta-star)",
-        )
-        p.add_argument("--partition-file", help="edge_id class_id lines")
-        p.add_argument("--labels-file", help="edge_id label sidecar from gen")
+        p.allow_abbrev = False  # a stale `--partition X` must not mean --partition-file
+        p.add_argument("--partition-file",
+                       help="edge_id class_id lines (default: Theta*-classes)")
         p.add_argument("--starred", action="store_true",
                        help="use degree products instead of degree sums")
 

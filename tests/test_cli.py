@@ -50,7 +50,8 @@ def test_gen_ph_writes_edge_list_and_sidecar(capsys, tmp_path):
     assert code == 0
     g = parse_edge_list(out)
     assert g.n == 12 and g.m == 14
-    lines = labels.read_text().splitlines()
+    digest, *lines = labels.read_text().splitlines()
+    assert digest.startswith("# sha256 ") and len(digest.split()[2]) == 64
     assert len(lines) == 14
     assert sum(1 for line in lines if line.split()[1] == "4") == 2
 
@@ -131,7 +132,7 @@ def test_partition_file_valid(capsys, tmp_path):
     )
     code, out, _ = run_cli(
         capsys, "index", gpath, "--method", "cut",
-        "--partition", "file", "--partition-file", ppath,
+        "--partition-file", ppath,
     )
     assert code == 0
     assert json.loads(out)["wSz"] == "216"
@@ -145,24 +146,111 @@ def test_partition_file_splitting_a_class_is_rejected(capsys, tmp_path):
     )
     code, _, err = run_cli(
         capsys, "index", gpath, "--method", "cut",
-        "--partition", "file", "--partition-file", ppath,
+        "--partition-file", ppath,
     )
     assert code == 4
     assert "partition" in err.lower()
 
 
+def _bogus_c6_sidecar(tmp_path):
+    # one edge against the other five: not a union of Theta*-classes
+    gpath = _write(tmp_path, "c6.edges", format_edge_list(cycle_graph(6)))
+    return gpath, _write(tmp_path, "c6.labels", "0 0\n1 1\n2 1\n3 1\n4 1\n5 1\n")
+
+
 def test_compare_mismatch_with_bogus_labels(capsys, tmp_path):
-    # labels sidecars are trusted; a non-c-partition must make compare fail
-    c6 = cycle_graph(6)
-    gpath = _write(tmp_path, "c6.edges", format_edge_list(c6))
-    lpath = _write(tmp_path, "c6.labels", "0 0\n1 1\n2 1\n3 1\n4 1\n5 1\n")
+    # a sidecar without the digest is validated, so compare never sees it
+    gpath, lpath = _bogus_c6_sidecar(tmp_path)
     code, out, err = run_cli(
-        capsys, "index", gpath, "--method", "compare",
-        "--partition", "labels", "--labels-file", lpath,
+        capsys, "index", gpath, "--method", "compare", "--partition-file", lpath
     )
+    assert code == 4
+    assert out == ""
+    assert "invalid partition" in err
+
+
+def test_bogus_sidecar_is_validated_and_rejected(capsys, tmp_path):
+    # trusted as it stood, this sidecar gave wSz 112 instead of 216
+    gpath, lpath = _bogus_c6_sidecar(tmp_path)
+    code, out, err = run_cli(
+        capsys, "index", gpath, "--method", "cut", "--partition-file", lpath
+    )
+    assert code == 4
+    assert out == ""
+    assert "invalid partition" in err
+
+
+def test_compare_mismatch_exits_1(capsys, monkeypatch, ph2_file):
+    # an oracle that disagrees stands in for a cut route gone wrong
+    monkeypatch.setattr(
+        "szegedcut.cli.oracle_suite",
+        lambda g, starred=False: oracle_suite(cycle_graph(6), starred=starred),
+    )
+    code, out, err = run_cli(capsys, "index", ph2_file, "--method", "compare")
     assert code == 1
     assert out == ""          # no report on mismatch
     assert "mismatch" in err
+
+
+def _gen_ph_with_labels(capsys, tmp_path, n):
+    labels = tmp_path / f"ph{n}.labels"
+    code, out, _ = run_cli(capsys, "gen", "ph", str(n), "--labels", str(labels))
+    assert code == 0
+    return _write(tmp_path, f"ph{n}.edges", out), labels
+
+
+def _spy_on_validation(monkeypatch):
+    calls = []
+    real = szegedcut.cli.validate_c_partition
+
+    def spy(g, p):
+        calls.append(g.m)
+        return real(g, p)
+
+    monkeypatch.setattr("szegedcut.cli.validate_c_partition", spy)
+    return calls
+
+
+def test_edited_sidecar_is_validated_and_rejected(capsys, monkeypatch, tmp_path):
+    gpath, labels = _gen_ph_with_labels(capsys, tmp_path, 3)
+    digest, first, *rest = labels.read_text().splitlines()
+    eid, label = first.split()
+    flipped = f"{eid} {1 + int(label) % 3}"   # another hexagon direction
+    labels.write_text("\n".join([digest, flipped, *rest]) + "\n")
+    calls = _spy_on_validation(monkeypatch)
+    code, out, err = run_cli(capsys, "index", gpath, "--partition-file", str(labels))
+    assert code == 4
+    assert out == ""
+    assert "invalid partition" in err
+    assert calls == [parse_edge_list(Path(gpath).read_text()).m]
+
+
+def _suite(out):
+    data = json.loads(out)
+    return tuple(int(data[k]) for k in ("wSz", "wPI_v", "wSz_e", "wPI"))
+
+
+def test_unedited_sidecar_skips_validation(capsys, monkeypatch, tmp_path):
+    gpath, labels = _gen_ph_with_labels(capsys, tmp_path, 4)
+    g = parse_edge_list(Path(gpath).read_text())
+    calls = _spy_on_validation(monkeypatch)
+    for command in ("index", "quotient"):
+        code, out, _ = run_cli(capsys, command, gpath, "--partition-file", str(labels))
+        assert code == 0
+    assert calls == []
+    # the same edges listed backwards, with the sidecar renumbered to match:
+    # the digest no longer matches, so the partition is validated
+    m = g.m
+    rpath = _write(tmp_path, "reversed.edges", format_edge_list(
+        build_graph(g.n, reversed(g.edges))
+    ))
+    digest, *lines = labels.read_text().splitlines()
+    renumbered = [f"{m - 1 - int(e)} {label}" for e, label in map(str.split, lines)]
+    labels.write_text("\n".join([digest, *renumbered]) + "\n")
+    code, out, _ = run_cli(capsys, "index", rpath, "--partition-file", str(labels))
+    assert code == 0
+    assert calls == [m]
+    assert _suite(out) == oracle_suite(g).as_tuple()
 
 
 def _gen_with_labels(capsys, tmp_path, cells):
@@ -174,9 +262,10 @@ def _gen_with_labels(capsys, tmp_path, cells):
 
 
 def test_holed_region_sidecar_is_marked(capsys, tmp_path):
-    _, labels = _gen_with_labels(capsys, tmp_path, RING_CELLS)
-    assert Path(labels).read_text().startswith("# nonstandard_region\n")
+    # only the hole-free region's labels are known to be a c-partition
     _, labels = _gen_with_labels(capsys, tmp_path, frozenset([(0, 0), (1, 0)]))
+    assert Path(labels).read_text().startswith("# sha256 ")
+    _, labels = _gen_with_labels(capsys, tmp_path, RING_CELLS)
     assert not Path(labels).read_text().startswith("#")
 
 
@@ -185,7 +274,7 @@ def test_wide_ring_labels_are_validated_and_rejected(capsys, tmp_path, command):
     # the direction labels of this holed region split a Theta*-class
     gpath, labels = _gen_with_labels(capsys, tmp_path, WIDE_RING_CELLS)
     code, out, err = run_cli(
-        capsys, command, gpath, "--partition", "labels", "--labels-file", labels
+        capsys, command, gpath, "--partition-file", labels
     )
     assert code == 4
     assert out == ""
@@ -194,18 +283,22 @@ def test_wide_ring_labels_are_validated_and_rejected(capsys, tmp_path, command):
 
 def test_ring_labels_are_validated_and_match_the_oracle(capsys, tmp_path):
     gpath, labels = _gen_with_labels(capsys, tmp_path, RING_CELLS)
-    code, out, _ = run_cli(
-        capsys, "index", gpath, "--partition", "labels", "--labels-file", labels
-    )
+    code, out, _ = run_cli(capsys, "index", gpath, "--partition-file", labels)
     assert code == 0
-    data = json.loads(out)
     expected = oracle_suite(parse_edge_list(Path(gpath).read_text())).as_tuple()
-    assert tuple(int(data[k]) for k in ("wSz", "wPI_v", "wSz_e", "wPI")) == expected
+    assert _suite(out) == expected
 
 
 def test_threads_option_is_gone(capsys, ph2_file):
     with pytest.raises(SystemExit) as info:
         main(["index", ph2_file, "--threads", "1"])
+    assert info.value.code == 2
+
+
+@pytest.mark.parametrize("option", [["--partition", "labels"], ["--labels-file", "x"]])
+def test_partition_mode_options_are_gone(capsys, ph2_file, option):
+    with pytest.raises(SystemExit) as info:
+        main(["index", ph2_file, *option])
     assert info.value.code == 2
 
 
@@ -415,14 +508,16 @@ def _edge_list_text(draw):
 def _cli_files(draw):
     """Bytes of an edge-list file and of a partition file: each either
     arbitrary or close to its format, the partition mostly over the edge
-    ids of the graph, sometimes behind the holed-region marker."""
+    ids of the graph, sometimes behind a digest line that is not the one
+    `gen` writes for this graph and partition."""
     if _rarely(draw):
         graph, m = draw(st.binary(max_size=200)), draw(st.integers(0, 9))
     else:
         graph, m = draw(_edge_list_text())
     if _rarely(draw):
         return graph, draw(st.binary(max_size=200))
-    lines = ["# nonstandard_region"] if draw(st.booleans()) else []
+    hexes = st.text(alphabet="0123456789abcdef", min_size=64, max_size=64)
+    lines = [f"# sha256 {draw(hexes)}"] if draw(st.booleans()) else []
     form = draw(st.sampled_from(["exact", "loose", "bent"]))
     if form == "loose":   # ids may repeat, miss or overshoot
         ids = draw(st.lists(st.integers(-1, 9), max_size=10))
@@ -452,15 +547,8 @@ def _cli_args(draw, graph, part, labels):
     if command != "theta":
         options.append(["--starred"])
     chosen = [option for option in options if draw(st.booleans())]
-    if command != "theta":
-        partition = draw(st.sampled_from([None, "theta-star", "labels", "file"]))
-        if partition:
-            chosen.append(["--partition", partition])
-    if command != "theta":
-        # unused file options are harmless, so they are mostly given
-        for flag in ("--partition-file", "--labels-file"):
-            if not _rarely(draw):
-                chosen.append([flag, part])
+    if command != "theta" and draw(st.booleans()):
+        chosen.append(["--partition-file", part])
     for option in draw(st.permutations(chosen)):
         argv += option
     # now and then a token the grammar rejects
@@ -488,7 +576,6 @@ def test_cli_exit_codes_on_arbitrary_input(tmp_path_factory, files, data):
             code = main(argv)
         except SystemExit as exc:   # argparse usage errors
             code = exc.code
-    assert code in (0, 1, 2, 3, 4, 5), (argv, code)
-    if code == 1:
-        assert argv[argv.index("--method") + 1] == "compare"
+    # 1 is a compare mismatch: no partition file may reach one unvalidated
+    assert code in (0, 2, 3, 4, 5), (argv, code)
     assert "Traceback" not in err.getvalue()
