@@ -1,8 +1,9 @@
 """Command-line front end: index computation, theta classes, quotients,
 molecule generation, and a cut-versus-direct benchmark.
 
-A `--partition-file` skips validation against Theta* only when its first
-line is the digest `gen --labels` wrote for that edge list and partition.
+A `--partition-file` is read as one label per edge id. It skips
+validation against Theta* only when its first line is the digest
+`gen --labels` wrote for that edge list and partition.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .errors import (
     PartitionNotCoveringError,
     SzegedCutError,
 )
-from .graph import Graph, format_edge_list, parse_edge_list
+from .graph import Graph, _int_pairs, format_edge_list, parse_edge_list
 from .indices import IndexReport, weighted_suite_cut, weighted_suite_direct
 from .molgen import (
     HexSpec,
@@ -64,26 +65,16 @@ def _read_graph(path: str) -> Graph:
 
 def _parse_partition(text: str, m: int) -> EdgePartition:
     """Classes from `edge_id class_id` lines that name each edge id once."""
-    groups: dict[int, list[int]] = {}
-    seen: set[int] = set()
-    for line in text.splitlines():
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        parts = stripped.split()
-        if len(parts) != 2:
-            raise ParseError(f"expected 'edge_id class_id' line, got {line!r}")
-        try:
-            key, value = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(f"non-integer partition line {line!r}") from None
-        if key in seen:
-            raise ParseError(f"duplicate edge id {key} in partition file")
-        seen.add(key)
-        groups.setdefault(value, []).append(key)
-    if sorted(seen) != list(range(m)):
+    pairs = _int_pairs(text)
+    labels: list[int | None] = [None] * m
+    for e, c in pairs:
+        if not 0 <= e < m:  # before indexing: labels[-1] is the last slot
+            raise ParseError(f"edge id {e} outside 0..{m - 1} in partition file")
+        labels[e] = c
+    # m in-range ids that leave no slot empty name each edge id exactly once
+    if len(pairs) != m or None in labels:
         raise ParseError(f"file must map every edge id 0..{m - 1} exactly once")
-    return EdgePartition.from_classes(groups.values(), m)
+    return EdgePartition.from_labels(labels)
 
 
 def _digest(g: Graph, p: EdgePartition) -> str:

@@ -4,6 +4,7 @@ Vertices are 0..n-1 and edges carry stable ids 0..m-1 in input order, so
 edge partitions and edge sets can be stored as plain id sets. Distances
 are exact hop counts from one source at a time; the all-pairs table is
 kept in `oracle`, so no production path holds O(n^2) state.
+`_int_pairs` is the one line reader of all three text input formats.
 
 `_bfs_tree` is the one BFS spanning tree of the package: the Theta* pass
 cuts its edges, and the subtree aggregation of the side sums folds over
@@ -201,43 +202,39 @@ def require_connected(g: Graph) -> None:
         raise DisconnectedError("graph is not connected")
 
 
+def _int_pairs(text: str) -> list[tuple[int, int]]:
+    """The integer pair of every line that is not blank and does not start
+    with `#`: the one line grammar of the edge-list, partition and hex-spec
+    formats. Any other line raises `ParseError`."""
+    pairs = []
+    for row in map(str.split, text.splitlines()):
+        if row and row[0][0] != "#":
+            try:
+                a, b = row
+                pairs.append((int(a), int(b)))
+            except ValueError:
+                raise ParseError(f"expected two integers, got {' '.join(row)!r}") from None
+    return pairs
+
+
 def parse_edge_list(text: str, connected: bool = False) -> Graph:
     """Parse the edge-list text format.
 
-    First data line is `n m`, followed by m lines `u v` (0-based).
-    Lines starting with `#` and blank lines are ignored. With `connected`,
-    a header with n > m + 1 raises `DisconnectedError` once the lines are
-    read and before anything of size n is allocated: a connected graph
-    has at least n - 1 edges.
+    First data line is `n m`, followed by m lines `u v` (0-based), in the
+    line grammar of `_int_pairs`. With `connected`, a header with
+    n > m + 1 raises `DisconnectedError` once the lines are read and
+    before anything of size n is allocated: a connected graph has at
+    least n - 1 edges.
     """
-    lines = [
-        line.strip()
-        for line in text.splitlines()
-        if line.strip() and not line.lstrip().startswith("#")
-    ]
-    if not lines:
+    pairs = _int_pairs(text)
+    if not pairs:
         raise ParseError("empty edge-list input")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise ParseError(f"expected header 'n m', got {lines[0]!r}")
-    try:
-        n, m = int(header[0]), int(header[1])
-    except ValueError:
-        raise ParseError(f"non-integer header {lines[0]!r}") from None
+    n, m = pairs[0]
     if n < 1:
         raise ParseError(f"header declares {n} vertices, need at least one")
-    body = lines[1:]
-    if len(body) != m:
-        raise ParseError(f"header declares {m} edges, found {len(body)}")
-    edges = []
-    for line in body:
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(f"expected edge 'u v', got {line!r}")
-        try:
-            edges.append((int(parts[0]), int(parts[1])))
-        except ValueError:
-            raise ParseError(f"non-integer edge line {line!r}") from None
+    edges = pairs[1:]
+    if len(edges) != m:
+        raise ParseError(f"header declares {m} edges, found {len(edges)}")
     if connected and n > m + 1:
         raise DisconnectedError(f"{n} vertices need at least {n - 1} edges, got {m}")
     try:

@@ -9,12 +9,12 @@ Every produced edge carries a direction label: 1 for vertical edges and
 2/3 for the two diagonal families; phenylenes additionally use label 4
 for the edges that join hexagon copies across an inserted square. The
 label classes form a c-partition whose quotients are trees, which is
-what makes the cut method linear on these families.
+what makes the cut method linear on these families. A hex spec of h
+cells parses, and its holes are counted (by Euler's formula), in O(h).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from .errors import (
     CellsNotTreeError,
@@ -24,7 +24,7 @@ from .errors import (
     NTooSmallError,
     ParseError,
 )
-from .graph import Graph
+from .graph import Graph, _int_pairs
 from .indices import IndexReport
 from .quotient import QuotientGraph, WeightAssignment, quotient_graph
 from .theta import EdgePartition
@@ -86,65 +86,49 @@ class HexSpec:
         return tuple(sorted(pairs))
 
     def is_connected(self) -> bool:
-        cells = self.cells
-        start = next(iter(cells))
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            q, r = queue.popleft()
-            for dq, dr in _AXIAL_NEIGHBORS:
-                nb = (q + dq, r + dr)
-                if nb in cells and nb not in seen:
-                    seen.add(nb)
-                    queue.append(nb)
-        return len(seen) == len(cells)
+        return _component_count(self.cells) == 1
 
     def has_holes(self) -> bool:
         """True if the complement of the cell set has a bounded component."""
-        qs = [q for q, _ in self.cells]
-        rs = [r for _, r in self.cells]
-        qlo, qhi = min(qs) - 1, max(qs) + 1
-        rlo, rhi = min(rs) - 1, max(rs) + 1
-        outside: set[Cell] = set()
-        start = (qlo, rlo)
-        queue = deque([start])
-        outside.add(start)
-        while queue:
-            q, r = queue.popleft()
-            for dq, dr in _AXIAL_NEIGHBORS:
-                nb = (q + dq, r + dr)
-                if (
-                    qlo <= nb[0] <= qhi
-                    and rlo <= nb[1] <= rhi
-                    and nb not in self.cells
-                    and nb not in outside
-                ):
-                    outside.add(nb)
-                    queue.append(nb)
-        box = (qhi - qlo + 1) * (rhi - rlo + 1)
-        return len(outside) + len(self.cells) < box
+        return _hole_count(self.cells, _component_count(self.cells)) > 0
+
+
+def _component_count(cells: frozenset[Cell]) -> int:
+    """Components of the cells across shared sides, grown a ring at a time."""
+    left = set(cells)
+    count = 0
+    while left:
+        count += 1
+        ring = {left.pop()}
+        while ring:
+            ring = {(q + dq, r + dr) for q, r in ring for dq, dr in _AXIAL_NEIGHBORS} & left
+            left -= ring
+    return count
+
+
+def _hole_count(cells: frozenset[Cell], components: int) -> int:
+    """Holes of the region the h closed cells cover, in O(h) by Euler's
+    formula: cells meet two at a shared side (P pairs), three at a shared
+    corner (T triples) and never four, so by the nerve theorem the region's
+    Euler characteristic h - P + T equals components - holes."""
+    pairs = triples = 0
+    for q, r in cells:
+        east = (q + 1, r) in cells
+        others = ((q, r + 1) in cells) + ((q + 1, r - 1) in cells)
+        pairs += east + others
+        triples += east * others  # the cell's two corners on its east side
+    return pairs - triples + components - len(cells)
 
 
 def parse_hex_spec(text: str) -> HexSpec:
-    """Parse one `q r` pair per line; `#` comments and blanks ignored."""
-    cells: list[Cell] = []
-    for line in text.splitlines():
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        parts = stripped.split()
-        if len(parts) != 2:
-            raise ParseError(f"expected 'q r', got {line!r}")
-        try:
-            cell = (int(parts[0]), int(parts[1]))
-        except ValueError:
-            raise ParseError(f"non-integer cell line {line!r}") from None
-        if cell in cells:
-            raise ParseError(f"duplicate cell {cell}")
-        cells.append(cell)
+    """One `q r` cell per line, in the line grammar of `graph._int_pairs`."""
+    cells = _int_pairs(text)
     if not cells:
         raise ParseError("hex spec contains no cells")
-    return HexSpec(frozenset(cells))
+    spec = HexSpec(frozenset(cells))
+    if len(spec.cells) != len(cells):
+        raise ParseError("hex spec names a cell twice")
+    return spec
 
 
 def format_hex_spec(spec: HexSpec) -> str:
@@ -170,12 +154,8 @@ class DirectionLabeledGraph:
         split a Theta*-class across labels, so its partition is left
         unflagged and the cut method validates it first.
         """
-        by_label: dict[int, list[int]] = {}
-        for eid, label in enumerate(self.direction_of):
-            by_label.setdefault(label, []).append(eid)
-        classes = [by_label[k] for k in sorted(by_label)]
-        return EdgePartition.from_classes(
-            classes, self.graph.m, refined_by_theta_star=not self.nonstandard_region
+        return EdgePartition.from_labels(
+            self.direction_of, refined_by_theta_star=not self.nonstandard_region
         )
 
     def edges_with_label(self, label: int) -> tuple[int, ...]:
@@ -216,7 +196,7 @@ def build_benzenoid(spec: HexSpec) -> DirectionLabeledGraph:
         direction_of=tuple(direction),
         cells=cells,
         kind="benzenoid",
-        nonstandard_region=spec.has_holes(),
+        nonstandard_region=_hole_count(spec.cells, 1) > 0,  # connected, checked above
     )
 
 

@@ -97,12 +97,7 @@ def oracle_theta_star_partition(g: Graph) -> EdgePartition:
     for i, j in combinations(range(m), 2):
         if theta_related(g, dm, i, j):
             uf.union(i, j)
-    groups: dict[int, list[int]] = {}
-    for e in range(m):
-        groups.setdefault(uf.find(e), []).append(e)
-    return EdgePartition.from_classes(
-        groups.values(), m, refined_by_theta_star=True
-    )
+    return EdgePartition.from_labels(map(uf.find, range(m)), refined_by_theta_star=True)
 
 
 def oracle_is_partial_cube(g: Graph) -> bool:

@@ -41,7 +41,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import compress
 from operator import eq, itemgetter, xor
-from typing import Iterable, Iterator, Mapping
+from typing import Hashable, Iterable, Iterator, Mapping
 
 from .errors import (
     IncompleteGroupingError,
@@ -123,6 +123,20 @@ class EdgePartition:
                     class_of[e] = idx
         return cls(tuple(canon), tuple(class_of), refined_by_theta_star)
 
+    @classmethod
+    def from_labels(
+        cls, labels: Iterable[Hashable], refined_by_theta_star: bool = False
+    ) -> "EdgePartition":
+        """One class per distinct label, where `labels` holds the label of
+        each edge id in order. One O(m) pass numbers the classes by first
+        appearance, which is by smallest edge id: the canonical order."""
+        number: dict[Hashable, int] = {}
+        class_of = [number.setdefault(label, len(number)) for label in labels]
+        members: list[list[int]] = [[] for _ in number]
+        for e, c in enumerate(class_of):
+            members[c].append(e)
+        return cls(tuple(map(frozenset, members)), tuple(class_of), refined_by_theta_star)
+
     @property
     def partial_cube(self) -> bool:
         """Whether the classes are the Theta*-classes of a partial cube,
@@ -139,7 +153,7 @@ class EdgePartition:
 
 def single_class_partition(m: int) -> EdgePartition:
     """The coarsest partition {E(G)}; trivially a c-partition."""
-    return EdgePartition.from_classes([range(m)] if m else [], m, True)
+    return EdgePartition.from_labels([0] * m, True)
 
 
 _MASK_BITS = 64  # tree edges cut per bipartite BFS
@@ -308,10 +322,7 @@ def theta_star_partition(g: Graph) -> EdgePartition:
         for i, e in enumerate(tree_edges):
             if not ties >> i & 1:
                 clean_cut[e] = sizes[i]
-    groups: dict[int, list[int]] = {}
-    for e in range(m):
-        groups.setdefault(uf.find(e), []).append(e)
-    p = EdgePartition.from_classes(groups.values(), m, refined_by_theta_star=True)
+    p = EdgePartition.from_labels(map(uf.find, range(m)), refined_by_theta_star=True)
     two_sided = [False] * len(p.classes)
     for e, k in clean_cut.items():
         c = p.class_of[e]
@@ -352,12 +363,8 @@ def coarsen(p: EdgePartition, grouping: Mapping[int, int]) -> EdgePartition:
     missing = [i for i in range(len(p.classes)) if i not in grouping]
     if missing:
         raise IncompleteGroupingError(f"grouping misses class indices {missing}")
-    merged: dict[int, set[int]] = {}
-    for idx, members in enumerate(p.classes):
-        merged.setdefault(grouping[idx], set()).update(members)
-    return EdgePartition.from_classes(
-        merged.values(), p.num_edges, refined_by_theta_star=True
-    )
+    labels = (grouping[c] for c in p.class_of)
+    return EdgePartition.from_labels(labels, refined_by_theta_star=True)
 
 
 def is_bipartite(g: Graph) -> bool:

@@ -22,7 +22,7 @@ from szegedcut import (
     oracle_suite,
     parse_edge_list,
 )
-from szegedcut.cli import main
+from szegedcut.cli import _build_parser, main
 
 from conftest import RING_CELLS, WIDE_RING_CELLS, cycle_graph, fullerene_patch
 
@@ -152,6 +152,22 @@ def test_partition_file_splitting_a_class_is_rejected(capsys, tmp_path):
     assert "partition" in err.lower()
 
 
+@pytest.mark.parametrize("ids", [
+    [0, 1, 2, 3, 4, -1],      # -1 indexed unchecked would fill the last slot
+    [0, 1, 2, 3, 4, 5, 6],    # edge id m
+    [0, 1, 2, 3, 4, 4],       # a repeat, leaving edge 5 out
+    [0, 1, 2, 3, 4, 5, 5],    # a repeat of an id already named
+])
+def test_partition_file_with_bad_edge_ids_exits_2(capsys, tmp_path, ids):
+    # one class is a c-partition, so only the ids can make these fail
+    gpath = _write(tmp_path, "c6.edges", format_edge_list(cycle_graph(6)))
+    ppath = _write(tmp_path, "c6.part", "".join(f"{e} 0\n" for e in ids))
+    code, out, err = run_cli(capsys, "index", gpath, "--partition-file", ppath)
+    assert code == 2
+    assert out == ""
+    assert "parse error" in err
+
+
 def _bogus_c6_sidecar(tmp_path):
     # one edge against the other five: not a union of Theta*-classes
     gpath = _write(tmp_path, "c6.edges", format_edge_list(cycle_graph(6)))
@@ -228,6 +244,13 @@ def test_edited_sidecar_is_validated_and_rejected(capsys, monkeypatch, tmp_path)
 def _suite(out):
     data = json.loads(out)
     return tuple(int(data[k]) for k in ("wSz", "wPI_v", "wSz_e", "wPI"))
+
+
+def _printed_suite(out, fmt):
+    if fmt == "json":
+        return _suite(out)
+    values = dict(line.split(": ") for line in out.splitlines() if line.startswith("w"))
+    return tuple(int(values[k]) for k in ("wSz", "wPI_v", "wSz_e", "wPI"))
 
 
 def test_unedited_sidecar_skips_validation(capsys, monkeypatch, tmp_path):
@@ -480,16 +503,23 @@ def _rarely(draw) -> bool:
 
 @st.composite
 def _edge_list_text(draw):
-    """A small edge list and its edge count. A spanning tree, missing an
-    edge now and then, plus a few more edges, rarely a repeat; now and
-    then bent by a wrong header or a stray line."""
-    n = draw(st.integers(1, 6))
-    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
-    if edges and draw(st.booleans()):
-        edges.pop(draw(st.integers(0, len(edges) - 1)))
-    seen = set(edges)
-    if n > 1:
-        for _ in range(draw(st.integers(0, 3))):
+    """A small edge list and its edge count. Either an even cycle, whose
+    Theta*-classes are its opposite pairs, so most partitions of it are no
+    c-partition, or a spanning tree, missing an edge now and then, plus a
+    few more edges, rarely a repeat. Now and then bent by a wrong header
+    or a stray line."""
+    # hypothesis draws the first choice of `sampled_from` most often, so the
+    # choices that reach the partition checks come first here and below
+    if draw(st.sampled_from(["cycle", "tree"])) == "cycle":
+        n = draw(st.sampled_from([4, 6, 8]))
+        edges = [(v, (v + 1) % n) for v in range(n)]
+    else:
+        n = draw(st.integers(1, 6))
+        edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+        if edges and draw(st.booleans()):
+            edges.pop(draw(st.integers(0, len(edges) - 1)))
+        seen = set(edges)
+        for _ in range(draw(st.integers(0, 3)) if n > 1 else 0):
             u, d = draw(st.integers(0, n - 1)), draw(st.integers(1, n - 1))
             e = min(u, (u + d) % n), max(u, (u + d) % n)
             if e not in seen or _rarely(draw):
@@ -523,7 +553,9 @@ def _cli_files(draw):
         ids = draw(st.lists(st.integers(-1, 9), max_size=10))
     else:                 # each edge id once
         ids = draw(st.permutations(range(m)))
-    lines += [f"{e} {draw(st.integers(0, 2))}" for e in ids]
+    # the halves split every Theta*-class of an even cycle
+    halves = draw(st.sampled_from([True, False]))
+    lines += [f"{e} {int(2 * e >= m) if halves else draw(st.integers(0, 2))}" for e in ids]
     if form == "bent":
         lines.insert(draw(st.integers(0, len(lines))), draw(_BENT_LINE))
     return graph, "\n".join(lines).encode("utf-8", "surrogatepass")
@@ -547,7 +579,7 @@ def _cli_args(draw, graph, part, labels):
     if command != "theta":
         options.append(["--starred"])
     chosen = [option for option in options if draw(st.booleans())]
-    if command != "theta" and draw(st.booleans()):
+    if command != "theta" and draw(st.sampled_from([True, False])):
         chosen.append(["--partition-file", part])
     for option in draw(st.permutations(chosen)):
         argv += option
@@ -579,3 +611,9 @@ def test_cli_exit_codes_on_arbitrary_input(tmp_path_factory, files, data):
     # 1 is a compare mismatch: no partition file may reach one unvalidated
     assert code in (0, 2, 3, 4, 5), (argv, code)
     assert "Traceback" not in err.getvalue()
+    # and no route, partition file or not, may print other values
+    if code == 0 and argv[0] == "index":
+        args = _build_parser().parse_args(argv)
+        g = parse_edge_list(graph_bytes.decode("utf-8"))
+        printed = _printed_suite(out.getvalue(), args.format)
+        assert printed == oracle_suite(g, args.starred).as_tuple(), argv

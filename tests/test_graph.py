@@ -17,7 +17,9 @@ from szegedcut import (
     format_edge_list,
     is_connected,
     parse_edge_list,
+    parse_hex_spec,
 )
+from szegedcut.cli import _parse_partition
 
 from conftest import cycle_graph, path_graph, random_connected_graph, random_tree
 
@@ -165,3 +167,31 @@ def test_parse_rejects_graphs_without_vertices(text):
 def test_parse_ignores_comments_and_blanks():
     g = parse_edge_list("# header\n\n3 2\n0 1\n# middle\n1 2\n")
     assert g.n == 3 and g.m == 2
+
+
+# the three line formats, each with a valid file and what it reads as
+_FORMATS = {
+    "edge list": (lambda t: parse_edge_list(t).edges, ["3 2", "0 1", "1 2"]),
+    "partition": (lambda t: _parse_partition(t, 2).class_of, ["0 0", "1 1"]),
+    "hex spec": (lambda t: parse_hex_spec(t).cells, ["0 0", "1 0"]),
+}
+# each variant bends the lines of a valid file; True if it stays valid
+_VARIANTS = {
+    "indented #": (lambda ls: "\n".join([" \t# note", *ls]), True),
+    "# without space": (lambda ls: "\n".join(["#note", *ls]), True),
+    "tabs": (lambda ls: "\n".join(line.replace(" ", "\t") for line in ls), True),
+    "CRLF": (lambda ls: "\r\n".join(ls) + "\r\n", True),
+    "third token": (lambda ls: "\n".join([*ls[:-1], ls[-1] + " 0"]), False),
+    "non-integer": (lambda ls: "\n".join([*ls[:-1], ls[-1][:-1] + "x"]), False),
+}
+
+
+@pytest.mark.parametrize("variant", _VARIANTS)
+def test_the_three_line_formats_agree(variant):
+    bend, valid = _VARIANTS[variant]
+    for name, (parse, lines) in _FORMATS.items():
+        if valid:
+            assert parse(bend(lines)) == parse("\n".join(lines)), name
+        else:
+            with pytest.raises(ParseError):
+                parse(bend(lines))

@@ -1,4 +1,6 @@
 import random
+import time
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -246,6 +248,18 @@ def test_hex_spec_parse_errors(text):
         parse_hex_spec(text)
 
 
+def test_large_hex_spec_parses_in_linear_time():
+    # a duplicate check against a list took 4.1 s at 16000 cells
+    cells = [(i, -(i // 2)) for i in range(20000)]
+    text = "".join(f"{q} {r}\n" for q, r in cells)
+    t0 = time.perf_counter()
+    spec = parse_hex_spec(text)
+    assert time.perf_counter() - t0 < 2.0
+    assert spec.cells == frozenset(cells)
+    with pytest.raises(ParseError):
+        parse_hex_spec(text + "0 0\n")
+
+
 def test_generation_is_deterministic():
     a = build_benzenoid(CORONENE)
     b = build_benzenoid(CORONENE)
@@ -315,3 +329,64 @@ def test_label_cut_is_exact_or_rejected(seed):
         assert spec.has_holes()
     else:
         assert cut.as_tuple() == oracle_suite(b.graph).as_tuple()
+
+
+def flood_fill_has_holes(cells: frozenset) -> bool:
+    """Reference hole test: flood the complement from outside the bounding
+    box, in O(box area)."""
+    qs = [q for q, _ in cells]
+    rs = [r for _, r in cells]
+    qlo, qhi = min(qs) - 1, max(qs) + 1
+    rlo, rhi = min(rs) - 1, max(rs) + 1
+    start = (qlo, rlo)
+    outside = {start}
+    queue = deque([start])
+    while queue:
+        q, r = queue.popleft()
+        for dq, dr in _AXIAL:
+            nb = (q + dq, r + dr)
+            if (
+                qlo <= nb[0] <= qhi
+                and rlo <= nb[1] <= rhi
+                and nb not in cells
+                and nb not in outside
+            ):
+                outside.add(nb)
+                queue.append(nb)
+    box = (qhi - qlo + 1) * (rhi - rlo + 1)
+    return len(outside) + len(cells) < box
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.integers(0, 10**9).map(lambda seed: random_cell_set(random.Random(seed)).cells),
+    # dense draws from a small box: holes, pinches and several components
+    st.frozensets(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=1),
+))
+def test_hole_count_matches_the_flood_fill(cells):
+    assert HexSpec(cells).has_holes() == flood_fill_has_holes(cells)
+
+
+def hex_ring(k: int) -> frozenset:
+    """The k * 6 cells at distance k from (0, 0), which enclose a hole."""
+    cells = []
+    q, r = -k, k
+    for dq, dr in ((1, 0), (1, -1), (0, -1), (-1, 0), (-1, 1), (0, 1)):
+        for _ in range(k):
+            cells.append((q, r))
+            q, r = q + dq, r + dr
+    return frozenset(cells)
+
+
+def test_hole_test_is_linear_on_long_thin_regions():
+    # the flood fill walked the bounding box: 12 s and 649 MB on this chain
+    chain = HexSpec(frozenset((i, -i) for i in range(2000)))
+    t0 = time.perf_counter()
+    assert not chain.has_holes()
+    assert time.perf_counter() - t0 < 1.0
+    assert not build_benzenoid(chain).nonstandard_region
+    assert HexSpec(hex_ring(1)).has_holes()
+    assert HexSpec(hex_ring(1)).cells == RING_CELLS
+    t0 = time.perf_counter()
+    assert HexSpec(hex_ring(3000)).has_holes()
+    assert time.perf_counter() - t0 < 1.0

@@ -224,6 +224,24 @@ def test_partition_factory_errors_are_library_errors():
         assert isinstance(info.value, ValueError)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.one_of(st.integers(-3, 3), st.sampled_from(["a", "b"])), max_size=30),
+    st.booleans(),
+)
+def test_from_labels_matches_from_classes(labels, refined):
+    p = EdgePartition.from_labels(labels, refined)
+    groups: dict = {}
+    for e, label in enumerate(labels):
+        groups.setdefault(label, []).append(e)
+    q = EdgePartition.from_classes(groups.values(), len(labels))
+    assert p.classes == q.classes and p.class_of == q.class_of
+    smallest = [min(c) for c in p.classes]   # numbered by smallest edge id
+    assert smallest == sorted(smallest)
+    assert p.refined_by_theta_star is refined
+    assert p.two_sided == ()
+
+
 # ---------------------------------------------------------------------------
 # the BFS-tree Theta* pass against the pairwise oracle
 # ---------------------------------------------------------------------------
