@@ -3,7 +3,8 @@
 Cells are axial coordinates (q, r) of pointy-top hexagons. Corners live
 on a scaled integer grid (no floating point): the cell center is
 (2q + r, 3r) and the six corners are fixed offsets from it, so shared
-corners between neighbouring cells match exactly.
+corners between neighbouring cells match exactly. Sides, neighbours,
+direction labels and phenylene squares are read from one per-side table.
 
 Every produced edge carries a direction label: 1 for vertical edges and
 2/3 for the two diagonal families; phenylenes additionally use label 4
@@ -32,26 +33,29 @@ from .theta import EdgePartition
 Cell = tuple[int, int]
 Point = tuple[int, int]
 
-_AXIAL_NEIGHBORS: tuple[Cell, ...] = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))
 # corners of a pointy-top hexagon, counterclockwise from the east corner
 _CORNER_OFFSETS: tuple[Point, ...] = ((1, 1), (0, 2), (-1, 1), (-1, -1), (0, -2), (1, -1))
-
-
-def _center(cell: Cell) -> Point:
-    q, r = cell
-    return (2 * q + r, 3 * r)
+# Side k of a cell joins corners k and k + 1. Per side: the axial offset of
+# the cell across it, the side's direction label, its two corners in
+# coordinate order, and the pairs (corner here, corner across) that a
+# phenylene square joins, in coordinate order; the pairs are left empty
+# where the cell across sorts earlier and so owns the side.
+_SIDES = (
+    ((0, 1), 3, (1, 0), ((1, 3), (0, 4))),
+    ((-1, 1), 2, (2, 1), ()),
+    ((-1, 0), 1, (3, 2), ()),
+    ((0, -1), 3, (3, 4), ()),
+    ((1, -1), 2, (4, 5), ((4, 2), (5, 1))),
+    ((1, 0), 1, (5, 0), ((5, 3), (0, 2))),
+)
+# the sides whose cell across sorts later, in the order those cells sort
+_FORWARD = tuple(_SIDES[k] for k in (0, 4, 5))
 
 
 def _corners(cell: Cell) -> list[Point]:
-    cx, cy = _center(cell)
+    q, r = cell
+    cx, cy = 2 * q + r, 3 * r
     return [(cx + ox, cy + oy) for ox, oy in _CORNER_OFFSETS]
-
-
-def _direction(p1: Point, p2: Point) -> int:
-    dx, dy = p2[0] - p1[0], p2[1] - p1[1]
-    if dx == 0:
-        return 1
-    return 2 if dx == dy else 3
 
 
 @dataclass(frozen=True)
@@ -74,16 +78,8 @@ class HexSpec:
         return tuple(sorted(self.cells))
 
     def adjacent_pairs(self) -> tuple[tuple[int, int], ...]:
-        """Index pairs (i, j), i < j, of cells sharing an edge."""
-        cells = self.sorted_cells()
-        index = {c: i for i, c in enumerate(cells)}
-        pairs = []
-        for i, (q, r) in enumerate(cells):
-            for dq, dr in _AXIAL_NEIGHBORS:
-                j = index.get((q + dq, r + dr))
-                if j is not None and i < j:
-                    pairs.append((i, j))
-        return tuple(sorted(pairs))
+        """Index pairs (i, j), i < j, of cells sharing an edge, sorted."""
+        return tuple((i, j) for i, j, _ in _forward_pairs(self.sorted_cells()))
 
     def is_connected(self) -> bool:
         return _component_count(self.cells) == 1
@@ -91,6 +87,17 @@ class HexSpec:
     def has_holes(self) -> bool:
         """True if the complement of the cell set has a bounded component."""
         return _hole_count(self.cells, _component_count(self.cells)) > 0
+
+
+def _forward_pairs(cells: tuple[Cell, ...]):
+    """(i, j, square pairs) for sorted cells i < j sharing a side, in sorted
+    order, since cell i's forward sides reach its later neighbours in order."""
+    index = {c: i for i, c in enumerate(cells)}
+    for i, (q, r) in enumerate(cells):
+        for (dq, dr), _, _, square in _FORWARD:
+            j = index.get((q + dq, r + dr))
+            if j is not None:
+                yield i, j, square
 
 
 def _component_count(cells: frozenset[Cell]) -> int:
@@ -101,9 +108,22 @@ def _component_count(cells: frozenset[Cell]) -> int:
         count += 1
         ring = {left.pop()}
         while ring:
-            ring = {(q + dq, r + dr) for q, r in ring for dq, dr in _AXIAL_NEIGHBORS} & left
+            ring = {(q + dq, r + dr) for q, r in ring for (dq, dr), _, _, _ in _SIDES} & left
             left -= ring
     return count
+
+
+def _pairs_and_triples(cells: frozenset[Cell]) -> tuple[int, int]:
+    """P, the pairs of cells that share a side, and T, the corners that three
+    cells share, each counted once from the forward sides of one cell."""
+    (uq, ur), (dq, dr), (eq, er) = (side[0] for side in _FORWARD)
+    pairs = triples = 0
+    for q, r in cells:
+        east = (q + eq, r + er) in cells
+        others = ((q + uq, r + ur) in cells) + ((q + dq, r + dr) in cells)
+        pairs += east + others
+        triples += east * others  # the cell's two corners on its east side
+    return pairs, triples
 
 
 def _hole_count(cells: frozenset[Cell], components: int) -> int:
@@ -111,12 +131,7 @@ def _hole_count(cells: frozenset[Cell], components: int) -> int:
     formula: cells meet two at a shared side (P pairs), three at a shared
     corner (T triples) and never four, so by the nerve theorem the region's
     Euler characteristic h - P + T equals components - holes."""
-    pairs = triples = 0
-    for q, r in cells:
-        east = (q + 1, r) in cells
-        others = ((q, r + 1) in cells) + ((q + 1, r - 1) in cells)
-        pairs += east + others
-        triples += east * others  # the cell's two corners on its east side
+    pairs, triples = _pairs_and_triples(cells)
     return pairs - triples + components - len(cells)
 
 
@@ -174,22 +189,18 @@ def build_benzenoid(spec: HexSpec) -> DirectionLabeledGraph:
         raise DisconnectedCellsError("cells do not form a connected region")
     cells = spec.sorted_cells()
     point_ids: dict[Point, int] = {}
-    seen_edges: set[tuple[Point, Point]] = set()
     edges: list[tuple[int, int]] = []
     direction: list[int] = []
 
     for cell in cells:
-        corners = _corners(cell)
-        for pt in corners:
-            if pt not in point_ids:
-                point_ids[pt] = len(point_ids)
-        for k in range(6):
-            p1, p2 = corners[k], corners[(k + 1) % 6]
-            key = (p1, p2) if p1 < p2 else (p2, p1)
-            if key not in seen_edges:
-                seen_edges.add(key)
-                edges.append((point_ids[key[0]], point_ids[key[1]]))
-                direction.append(_direction(*key))
+        ids = [point_ids.setdefault(pt, len(point_ids)) for pt in _corners(cell)]
+        q, r = cell
+        for (dq, dr), label, (a, b), square in _SIDES:
+            # a side without square pairs sorts its cell across earlier,
+            # and that cell, if present, added the side already
+            if square or (q + dq, r + dr) not in spec.cells:
+                edges.append((ids[a], ids[b]))
+                direction.append(label)
 
     return DirectionLabeledGraph(
         graph=Graph(len(point_ids), edges),
@@ -207,38 +218,22 @@ def build_phenylene(spec: HexSpec) -> DirectionLabeledGraph:
     copies of the shared corners; together with the two retained hexagon
     edges they bound the inserted square.
     """
-    cells = spec.sorted_cells()
-    corner_lists = [_corners(c) for c in cells]
-
-    use_count: dict[Point, int] = {}
-    for corners in corner_lists:
-        for pt in corners:
-            use_count[pt] = use_count.get(pt, 0) + 1
-    if any(c >= 3 for c in use_count.values()):
+    pairs, triples = _pairs_and_triples(spec.cells)
+    if triples:
         raise NotCatacondensedError("a lattice corner lies in three cells")
-
-    pairs = HexSpec(frozenset(cells)).adjacent_pairs()
-    if len(pairs) != len(cells) - 1 or not spec.is_connected():
+    if pairs != len(spec.cells) - 1 or not spec.is_connected():
         raise CellsNotTreeError("cell adjacency graph is not a tree")
 
-    edges: list[tuple[int, int]] = []
-    direction: list[int] = []
-    for i, corners in enumerate(corner_lists):
-        base = 6 * i
-        for k in range(6):
-            edges.append((base + k, base + (k + 1) % 6))
-            direction.append(_direction(corners[k], corners[(k + 1) % 6]))
-
-    corner_index = [{pt: k for k, pt in enumerate(corners)} for corners in corner_lists]
-    for i, j in pairs:
-        shared = sorted(set(corner_lists[i]) & set(corner_lists[j]))
-        # adjacent hexagons share exactly one lattice edge, i.e. two corners
-        if len(shared) != 2:
-            raise CellsNotTreeError(
-                f"cells {cells[i]} and {cells[j]} share {len(shared)} corners"
-            )
-        for pt in shared:
-            edges.append((6 * i + corner_index[i][pt], 6 * j + corner_index[j][pt]))
+    cells = spec.sorted_cells()
+    edges = [
+        (base + k, base + (k + 1) % 6)
+        for base in range(0, 6 * len(cells), 6)
+        for k in range(6)
+    ]
+    direction = [label for _, label, _, _ in _SIDES] * len(cells)
+    for i, j, square in _forward_pairs(cells):
+        for a, b in square:
+            edges.append((6 * i + a, 6 * j + b))
             direction.append(4)
 
     return DirectionLabeledGraph(

@@ -45,11 +45,10 @@ class WeightAssignment:
     lambda_prime: tuple[Weight, ...]
 
     def __post_init__(self):
-        for name, values in (
-            ("w", self.w),
-            ("w_prime", self.w_prime),
-            ("lambda_prime", self.lambda_prime),
-        ):
+        for name in ("w", "w_prime", "lambda_prime"):
+            # a tuple copy, so a caller's list cannot change after the checks
+            values = tuple(getattr(self, name))
+            object.__setattr__(self, name, values)
             if not _EXACT_TYPES.issuperset(map(type, values)):
                 bad = next(x for x in values if type(x) not in _EXACT_TYPES)
                 raise InvalidWeightError(

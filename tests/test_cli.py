@@ -292,6 +292,19 @@ def test_holed_region_sidecar_is_marked(capsys, tmp_path):
     assert not Path(labels).read_text().startswith("#")
 
 
+def test_sidecar_digest_lines_are_pinned(capsys, tmp_path):
+    # another edge order or labelling would move every sidecar written
+    # before it from trusted to validated
+    _, labels = _gen_ph_with_labels(capsys, tmp_path, 50)
+    assert labels.read_text().splitlines()[0] == (
+        "# sha256 41592bbc65502473e592375ff2dbf4a59d6040777daca3abfa78d8f4b02e3ace"
+    )
+    _, labels = _gen_with_labels(capsys, tmp_path, frozenset([(0, 0), (1, 0), (0, 1)]))
+    assert Path(labels).read_text().splitlines()[0] == (
+        "# sha256 f8ec9a85071f87c822d587ba9b2c2be802f240a34d6bc3acd7bc2f112874bb06"
+    )
+
+
 @pytest.mark.parametrize("command", ["index", "quotient"])
 def test_wide_ring_labels_are_validated_and_rejected(capsys, tmp_path, command):
     # the direction labels of this holed region split a Theta*-class

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from szegedcut import (
     CellsNotTreeError,
+    DirectionLabeledGraph,
     DisconnectedCellsError,
+    Graph,
     HexSpec,
     InvalidCPartitionError,
     NotATreeError,
@@ -31,6 +33,7 @@ from szegedcut import (
     validate_c_partition,
     weighted_suite_cut,
 )
+from szegedcut.molgen import _FORWARD, _SIDES, _corners
 
 from conftest import (
     BENZENOID_SPECS,
@@ -390,3 +393,155 @@ def test_hole_test_is_linear_on_long_thin_regions():
     t0 = time.perf_counter()
     assert HexSpec(hex_ring(3000)).has_holes()
     assert time.perf_counter() - t0 < 1.0
+
+
+def _direction(p1, p2) -> int:
+    """Reference direction label of the lattice edge from p1 to p2."""
+    dx, dy = p2[0] - p1[0], p2[1] - p1[1]
+    if dx == 0:
+        return 1
+    return 2 if dx == dy else 3
+
+
+def _reference_is_connected(cells: frozenset) -> bool:
+    start = min(cells)
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        q, r = queue.popleft()
+        for dq, dr in _AXIAL:
+            nb = (q + dq, r + dr)
+            if nb in cells and nb not in seen:
+                seen.add(nb)
+                queue.append(nb)
+    return len(seen) == len(cells)
+
+
+def _reference_adjacent_pairs(cells: tuple) -> list:
+    index = {c: i for i, c in enumerate(cells)}
+    pairs = []
+    for i, (q, r) in enumerate(cells):
+        for dq, dr in _AXIAL:
+            j = index.get((q + dq, r + dr))
+            if j is not None and i < j:
+                pairs.append((i, j))
+    return sorted(pairs)
+
+
+def reference_benzenoid(spec: HexSpec) -> DirectionLabeledGraph:
+    """Reference benzenoid builder: edges deduplicated by the coordinates
+    of their corners, labelled from their corner coordinates."""
+    if not _reference_is_connected(spec.cells):
+        raise DisconnectedCellsError("cells do not form a connected region")
+    cells = spec.sorted_cells()
+    point_ids = {}
+    seen_edges = set()
+    edges = []
+    direction = []
+    for cell in cells:
+        corners = _corners(cell)
+        for pt in corners:
+            if pt not in point_ids:
+                point_ids[pt] = len(point_ids)
+        for k in range(6):
+            p1, p2 = corners[k], corners[(k + 1) % 6]
+            key = (p1, p2) if p1 < p2 else (p2, p1)
+            if key not in seen_edges:
+                seen_edges.add(key)
+                edges.append((point_ids[key[0]], point_ids[key[1]]))
+                direction.append(_direction(*key))
+    return DirectionLabeledGraph(
+        graph=Graph(len(point_ids), edges),
+        direction_of=tuple(direction),
+        cells=cells,
+        kind="benzenoid",
+        nonstandard_region=flood_fill_has_holes(spec.cells),
+    )
+
+
+def reference_phenylene(spec: HexSpec) -> DirectionLabeledGraph:
+    """Reference phenylene builder: corners counted per coordinate, and the
+    squares found by intersecting the corner sets of adjacent cells."""
+    cells = spec.sorted_cells()
+    corner_lists = [_corners(c) for c in cells]
+    use_count = {}
+    for corners in corner_lists:
+        for pt in corners:
+            use_count[pt] = use_count.get(pt, 0) + 1
+    if any(c >= 3 for c in use_count.values()):
+        raise NotCatacondensedError("a lattice corner lies in three cells")
+    pairs = _reference_adjacent_pairs(cells)
+    if len(pairs) != len(cells) - 1 or not _reference_is_connected(spec.cells):
+        raise CellsNotTreeError("cell adjacency graph is not a tree")
+    edges = []
+    direction = []
+    for i, corners in enumerate(corner_lists):
+        for k in range(6):
+            edges.append((6 * i + k, 6 * i + (k + 1) % 6))
+            direction.append(_direction(corners[k], corners[(k + 1) % 6]))
+    corner_index = [{pt: k for k, pt in enumerate(corners)} for corners in corner_lists]
+    for i, j in pairs:
+        for pt in sorted(set(corner_lists[i]) & set(corner_lists[j])):
+            edges.append((6 * i + corner_index[i][pt], 6 * j + corner_index[j][pt]))
+            direction.append(4)
+    return DirectionLabeledGraph(
+        graph=Graph(6 * len(cells), edges),
+        direction_of=tuple(direction),
+        cells=cells,
+        kind="phenylene",
+    )
+
+
+def _outcome(build, spec):
+    try:
+        d = build(spec)
+    except (DisconnectedCellsError, NotCatacondensedError, CellsNotTreeError) as e:
+        return type(e)
+    return (d.graph.n, d.graph.edges, d.direction_of, d.cells, d.kind, d.nonstandard_region)
+
+
+def _walk(steps) -> frozenset:
+    """The cells a walk from (0, 0) visits: a chain, or a cycle of cells
+    where it comes back."""
+    cells = [(0, 0)]
+    for dq, dr in steps:
+        cells.append((cells[-1][0] + dq, cells[-1][1] + dr))
+    return frozenset(cells)
+
+
+def _two_regions(seeds) -> frozenset:
+    a, b = (random_cell_set(random.Random(s)).cells for s in seeds)
+    return a | {(q + 20, r) for q, r in b}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    # blobs around one- and two-cell holes, possibly opened
+    st.integers(0, 10**9).map(lambda seed: random_cell_set(random.Random(seed)).cells),
+    # dense draws from a small box: three-cell corners, pinches, components
+    st.frozensets(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=1),
+    st.lists(st.sampled_from(_AXIAL), max_size=15).map(_walk),
+    st.integers(1, 4).map(hex_ring),
+    st.tuples(st.integers(0, 10**9), st.integers(0, 10**9)).map(_two_regions),
+))
+def test_builders_match_the_coordinate_set_reference(cells):
+    spec = HexSpec(cells)
+    assert _outcome(build_benzenoid, spec) == _outcome(reference_benzenoid, spec)
+    assert _outcome(build_phenylene, spec) == _outcome(reference_phenylene, spec)
+    assert list(spec.adjacent_pairs()) == _reference_adjacent_pairs(spec.sorted_cells())
+
+
+@pytest.mark.parametrize("cell", [(0, 0), (3, -2)])
+def test_side_table_matches_the_corner_geometry(cell):
+    corners = _corners(cell)
+    for k, ((dq, dr), label, ends, square) in enumerate(_SIDES):
+        across = (cell[0] + dq, cell[1] + dr)
+        across_corners = _corners(across)
+        side = (corners[k], corners[(k + 1) % 6])
+        assert set(corners) & set(across_corners) == set(side)
+        assert tuple(corners[e] for e in ends) == tuple(sorted(side))
+        assert label == _direction(*side)
+        # square pairs exactly where the cell across sorts later
+        expected = [(corners.index(pt), across_corners.index(pt)) for pt in sorted(side)]
+        assert list(square) == (expected if across > cell else [])
+    assert list(_FORWARD) == sorted((s for s in _SIDES if s[3]), key=lambda s: s[0])

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from szegedcut import (
+    IndexKind,
     InvalidWeightError,
     PartitionNotCoveringError,
     SzegedCutError,
@@ -11,8 +12,10 @@ from szegedcut import (
     build_graph,
     distance_decomposition_check,
     oracle_edge_sides,
+    oracle_general,
     quotient_graph,
     theta_star_partition,
+    weighted_index,
 )
 
 from conftest import (
@@ -46,6 +49,17 @@ def test_weight_assignment_rejects_inexact_values(weights):
 def test_weight_assignment_accepts_ints_and_fractions():
     wa = WeightAssignment((0, Fraction(1, 3)), (Fraction(2),), (7,))
     assert wa.w == (0, Fraction(1, 3))
+
+
+def test_weight_assignment_keeps_the_weights_it_validated():
+    # a caller's list edited after construction used to reach the engine,
+    # which failed on the float with AttributeError in `_integral`
+    w = [1] * 4
+    wa = WeightAssignment(w, [1] * 5, [1] * 5)
+    w[0] = 0.5
+    g = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+    assert weighted_index(g, wa, IndexKind.SZ) == oracle_general(g, wa, IndexKind.SZ)
+    assert wa.w == (1, 1, 1, 1)
 
 
 def test_weight_assignment_factories():
