@@ -1,7 +1,9 @@
 """Immutable simple graphs with dense ids, BFS distances, and edge-list I/O.
 
 Vertices are 0..n-1 and edges carry stable ids 0..m-1 in input order, so
-edge partitions and edge sets can be stored as plain id sets. Distances
+edge partitions and edge sets can be stored as plain id sets. A `Graph`
+checks its edges for loops, bad ids and repeats by whole-list passes, and
+builds its adjacency on first read, then keeps it. Distances
 are exact hop counts from one source at a time; the all-pairs table is
 kept in `oracle`, so no production path holds O(n^2) state.
 `_int_pairs` is the one line reader of all three text input formats.
@@ -17,6 +19,7 @@ shares no BFS-tree code with the routes it checks.
 from __future__ import annotations
 
 from collections import deque
+from operator import eq, index
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -32,38 +35,39 @@ from .errors import (
 class Graph:
     """Simple undirected graph, immutable after construction.
 
+    Construction copies the edges and checks them with whole-list passes;
+    only a failed check walks the edges in order, to name the first bad
+    one. The adjacency is built from `edges` on its first read and kept,
+    so a graph that is only written out never builds it.
+
     Attributes:
         n: number of vertices (ids 0..n-1).
         edges: tuple of (u, v) pairs; the index of a pair is its edge id.
-        adj: per-vertex tuple of (neighbor, edge_id) pairs.
+        adj: per-vertex tuple of (neighbor, edge_id) pairs, read-only.
     """
 
-    __slots__ = ("n", "edges", "adj")
+    __slots__ = ("n", "edges", "_adj")
 
     def __init__(self, n: int, edge_list: Iterable[tuple[int, int]]):
         if n < 1:
             raise NTooSmallError(f"graph needs at least one vertex, got n={n}")
-        edges: list[tuple[int, int]] = []
-        seen: set[tuple[int, int]] = set()
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for u, v in edge_list:
-            if u == v:
-                raise LoopEdgeError(f"loop edge at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise VertexOutOfRangeError(f"edge ({u}, {v}) outside 0..{n - 1}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise DuplicateEdgeError(f"duplicate edge ({u}, {v})")
-            seen.add(key)
-            eid = len(edges)
-            edges.append((u, v))
-            adj[u].append((v, eid))
-            adj[v].append((u, eid))
+        index(n)  # n sizes the adjacency lists, so it must be an int
+        edges = tuple([(u, v) for u, v in edge_list])
+        if not _is_simple(n, edges):
+            _raise_first_bad_edge(n, edges)
         self.n = n
-        self.edges: tuple[tuple[int, int], ...] = tuple(edges)
-        self.adj: tuple[tuple[tuple[int, int], ...], ...] = tuple(
-            tuple(a) for a in adj
-        )
+        self.edges: tuple[tuple[int, int], ...] = edges
+        self._adj: tuple[tuple[tuple[int, int], ...], ...] | None = None
+
+    @property
+    def adj(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        if self._adj is None:
+            adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+            for eid, (u, v) in enumerate(self.edges):
+                adj[u].append((v, eid))
+                adj[v].append((u, eid))
+            self._adj = tuple(map(tuple, adj))
+        return self._adj
 
     @property
     def m(self) -> int:
@@ -80,6 +84,38 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _is_simple(n: int, edges: tuple[tuple[int, int], ...]) -> bool:
+    """True if no edge is a loop, every id is an int in 0..n-1, and no
+    edge repeats another in either order, by whole-list passes."""
+    if not edges:
+        return True
+    us, vs = zip(*edges)
+    return (
+        not any(map(eq, us, vs))
+        and {*map(type, us), *map(type, vs)} == {int}
+        and 0 <= min(us) and 0 <= min(vs) and max(us) < n and max(vs) < n
+        and len({u * n + v if u < v else v * n + u for u, v in edges}) == len(edges)
+    )
+
+
+def _raise_first_bad_edge(n: int, edges: tuple[tuple[int, int], ...]) -> None:
+    """Raise for the first edge, in input order, that is a loop, has an id
+    outside 0..n-1, repeats an earlier edge, or has an id that cannot
+    index a list; return if there is none (ids such as `True` pass)."""
+    seen: set[tuple[int, int]] = set()
+    for u, v in edges:
+        if u == v:
+            raise LoopEdgeError(f"loop edge at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise VertexOutOfRangeError(f"edge ({u}, {v}) outside 0..{n - 1}")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise DuplicateEdgeError(f"duplicate edge ({u}, {v})")
+        seen.add(key)
+        index(u)  # ids index the adjacency lists
+        index(v)
 
 
 def build_graph(n: int, edge_list: Iterable[tuple[int, int]]) -> Graph:
@@ -117,9 +153,10 @@ def _bfs_tree(g: Graph) -> tuple[list[int], list[int], list[int], list[int]]:
     depth = [-1] * n
     parent[0] = depth[0] = 0
     order = [0]
+    adj = g.adj
     for x in order:  # the list grows while it is read: a BFS queue
         dx = depth[x] + 1
-        for y, eid in g.adj[x]:
+        for y, eid in adj[x]:
             if depth[y] < 0:
                 parent[y] = x
                 parent_edge[y] = eid

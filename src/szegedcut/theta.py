@@ -370,6 +370,7 @@ def coarsen(p: EdgePartition, grouping: Mapping[int, int]) -> EdgePartition:
 def is_bipartite(g: Graph) -> bool:
     """2-coloring BFS; assumes nothing about connectivity."""
     color = [-1] * g.n
+    adj = g.adj
     for start in range(g.n):
         if color[start] >= 0:
             continue
@@ -378,7 +379,7 @@ def is_bipartite(g: Graph) -> bool:
         while queue:
             x = queue.popleft()
             cx = color[x]
-            for y, _ in g.adj[x]:
+            for y, _ in adj[x]:
                 if color[y] < 0:
                     color[y] = 1 - cx
                     queue.append(y)

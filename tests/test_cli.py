@@ -393,6 +393,24 @@ def test_bench_csv_shape(capsys):
     assert lines[1].startswith("ph,2,12,14,cut,")
 
 
+def test_bench_times_no_adjacency_build(capsys, monkeypatch):
+    # the adjacency is built on first read; bench builds it before the
+    # timed reps, so the first rep of a route does not pay for it
+    built = []
+
+    def spy(route):
+        def timed_route(g, *args):
+            built.append(g._adj is not None)
+            return route(g, *args)
+        return timed_route
+
+    for name in ("weighted_suite_cut", "weighted_suite_direct"):
+        monkeypatch.setattr(f"szegedcut.cli.{name}", spy(getattr(szegedcut, name)))
+    code, _, _ = run_cli(capsys, "bench", "--sizes", "2,3", "--reps", "2")
+    assert code == 0
+    assert built == [True] * 8
+
+
 @pytest.mark.parametrize("reps", ["0", "-1"])
 def test_bench_rejects_reps_below_one(capsys, reps):
     code, out, err = run_cli(capsys, "bench", "--sizes", "2", "--reps", reps)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -7,13 +8,17 @@ from hypothesis import strategies as st
 from szegedcut import (
     DisconnectedError,
     DuplicateEdgeError,
+    Graph,
+    HexSpec,
     LoopEdgeError,
     NTooSmallError,
     ParseError,
+    SzegedCutError,
     VertexOutOfRangeError,
     all_pairs_distances,
     bfs_distances,
     build_graph,
+    build_phenylene,
     format_edge_list,
     is_connected,
     parse_edge_list,
@@ -48,8 +53,97 @@ def test_build_rejects_loop():
 
 
 def test_build_rejects_out_of_range():
-    with pytest.raises(VertexOutOfRangeError):
-        build_graph(3, [(0, 3)])
+    for edge in [(0, 3), (3, 0), (-1, 1), (1, -1)]:
+        with pytest.raises(VertexOutOfRangeError):
+            build_graph(3, [(0, 1), edge])
+
+
+def _reference_graph(n, edge_list):
+    """The reference constructor: one ordered pass checks each edge and
+    appends it to the adjacency lists. Returns (edges, adj)."""
+    if n < 1:
+        raise NTooSmallError(f"graph needs at least one vertex, got n={n}")
+    edges = []
+    seen = set()
+    adj = [[] for _ in range(n)]
+    for u, v in edge_list:
+        if u == v:
+            raise LoopEdgeError(f"loop edge at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise VertexOutOfRangeError(f"edge ({u}, {v}) outside 0..{n - 1}")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise DuplicateEdgeError(f"duplicate edge ({u}, {v})")
+        seen.add(key)
+        eid = len(edges)
+        edges.append((u, v))
+        adj[u].append((v, eid))
+        adj[v].append((u, eid))
+    return tuple(edges), tuple(tuple(a) for a in adj)
+
+
+@st.composite
+def _edge_inputs(draw):
+    """(n, make_edges): make_edges() returns a fresh edge iterable whose
+    pairs are tuples or lists. The pairs are drawn in range, so loops and
+    repeats come often, and are often cleaned into a simple graph; then a
+    few ids are swapped for ids outside 0..n-1 or not ints (1.0 and "1"
+    fail; True indexes a list as 1), and a few pairs are repeated, in
+    either order."""
+    n = draw(st.integers(0, 6))
+    in_range = st.integers(0, max(n - 1, 0))
+    pairs = draw(st.lists(st.tuples(in_range, in_range), max_size=10))
+    if draw(st.booleans()):
+        pairs = list({frozenset(p): p for p in pairs if p[0] != p[1]}.values())
+    if pairs:
+        for _ in range(draw(st.integers(0, 2))):
+            i = draw(st.integers(0, len(pairs) - 1))
+            bad = draw(st.sampled_from([-1, n, n + 1, 1.0, "1", True]))
+            pairs[i] = (bad, pairs[i][1]) if draw(st.booleans()) else (pairs[i][0], bad)
+        for _ in range(draw(st.integers(0, 2))):
+            u, v = pairs[draw(st.integers(0, len(pairs) - 1))]
+            pairs.insert(draw(st.integers(0, len(pairs))), draw(st.sampled_from([(u, v), (v, u)])))
+    as_lists = draw(st.booleans())
+    as_generator = draw(st.booleans())
+
+    def make_edges():
+        items = [list(p) if as_lists else p for p in pairs]
+        return (x for x in items) if as_generator else items
+
+    return n, make_edges
+
+
+@settings(max_examples=400, deadline=None)
+@given(_edge_inputs())
+def test_graph_matches_the_per_edge_constructor(case):
+    n, make_edges = case
+    try:
+        expected = _reference_graph(n, make_edges())
+    except Exception as exc:  # the reference's own failure is the expectation
+        expected = exc
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected)) as raised:
+            Graph(n, make_edges())
+        assert type(raised.value) is type(expected)
+        if isinstance(expected, SzegedCutError):
+            assert str(raised.value) == str(expected)
+        return
+    g = Graph(n, make_edges())
+    edges, adj = expected
+    assert g.edges == edges
+    assert g.adj == adj
+    assert g.degrees() == tuple(len(a) for a in adj)
+
+
+def test_graph_checks_and_keeps_the_adjacency():
+    with pytest.raises(TypeError):  # fails in the constructor, not on an adj read
+        build_graph(3, [(0, 1.0)])
+    with pytest.raises(TypeError):
+        build_graph(3.0, [(0, 1)])
+    g = cycle_graph(4)
+    assert g.adj is g.adj
+    with pytest.raises(AttributeError):
+        g.adj = ()
 
 
 def test_bfs_cycle6():
@@ -195,3 +289,34 @@ def test_the_three_line_formats_agree(variant):
         else:
             with pytest.raises(ParseError):
                 parse(bend(lines))
+
+
+# a 2000-hexagon phenylene: 12000 vertices and 15998 edges
+_CHAIN = HexSpec.linear_chain(2000)
+
+
+def _traced_peak(step):
+    tracemalloc.start()
+    try:
+        result = step()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_generate_and_write_memory_builds_no_adjacency():
+    # 9.0 MB when the generator's graph built its adjacency and a tuple
+    # key per edge, 4.5 MB without them
+    text, peak = _traced_peak(lambda: format_edge_list(build_phenylene(_CHAIN).graph))
+    assert text.startswith("12000 15998\n")
+    assert peak < 6_000_000, f"peak {peak} bytes"
+
+
+def test_parse_memory_builds_no_adjacency():
+    # 8.7 MB when parsing built the adjacency and a tuple key per edge,
+    # 4.2 MB without them
+    text = format_edge_list(build_phenylene(_CHAIN).graph)
+    g, peak = _traced_peak(lambda: parse_edge_list(text))
+    assert g.m == 15998
+    assert peak < 6_000_000, f"peak {peak} bytes"
