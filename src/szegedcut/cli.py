@@ -48,9 +48,12 @@ _EXIT_INPUT = 5
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
+    # stdin is decoded strictly like a file, whatever its own error handler
     try:
+        if path == "-":
+            if sys.stdin is None:  # started with stdin closed
+                raise OSError("stdin is closed")
+            return sys.stdin.buffer.read().decode("utf-8")
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:

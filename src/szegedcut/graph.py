@@ -11,14 +11,16 @@ kept in `oracle`, so no production path holds O(n^2) state.
 `_bfs_tree` is the one BFS spanning tree of the package: the Theta* pass
 cuts its edges, and the subtree aggregation of the side sums folds over
 it. `_sweep` is the one bit-parallel multi-source BFS: the generic side
-sums and the Theta* pass on graphs with odd cycles both run it. The
-plain `_bfs` behind `bfs_distances` stays apart, so the all-pairs oracle
-shares no BFS-tree code with the routes it checks.
+sums and the Theta* pass on graphs with odd cycles both run it. `_bfs`
+is the one distance BFS, behind `bfs_distances`, `is_connected` and
+`theta.is_bipartite`; it stays apart from `_bfs_tree`, so the all-pairs
+oracle shares no BFS-tree code with the routes it checks. Every
+single-source BFS of the package reads its queue from a list that grows
+while it is read.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from operator import eq, index
 from typing import Iterable, Sequence
 
@@ -123,19 +125,18 @@ def build_graph(n: int, edge_list: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, edge_list)
 
 
-def _bfs(g: Graph, source: int) -> list[int]:
-    # -1 marks unreached vertices; callers decide whether that is an error.
-    dist = [-1] * g.n
+def _bfs(g: Graph, source: int, dist: list[int]) -> list[int]:
+    # writes the hop distances from source into dist, which holds -1 at
+    # every vertex source reaches; callers decide whether a -1 left is an error
     dist[source] = 0
-    queue = deque([source])
+    order = [source]
     adj = g.adj
-    while queue:
-        x = queue.popleft()
+    for x in order:  # the list grows while it is read: a BFS queue
         dx = dist[x] + 1
         for y, _ in adj[x]:
             if dist[y] < 0:
                 dist[y] = dx
-                queue.append(y)
+                order.append(y)
     return dist
 
 
@@ -224,14 +225,14 @@ def bfs_distances(g: Graph, source: int) -> tuple[int, ...]:
     """
     if not 0 <= source < g.n:
         raise VertexOutOfRangeError(f"source {source} outside 0..{g.n - 1}")
-    dist = _bfs(g, source)
+    dist = _bfs(g, source, [-1] * g.n)
     if min(dist) < 0:
         raise DisconnectedError(f"vertex {dist.index(-1)} unreachable from {source}")
     return tuple(dist)
 
 
 def is_connected(g: Graph) -> bool:
-    return min(_bfs(g, 0)) >= 0
+    return min(_bfs(g, 0, [-1] * g.n)) >= 0
 
 
 def require_connected(g: Graph) -> None:

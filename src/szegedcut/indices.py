@@ -21,7 +21,8 @@ any c-partition:
     wPI   -> sum PI_v(G_i, lam_i, w_i') + PI(G_i, lam_i', w_i')
 
 One engine, `_sums`, evaluates these four quotient sums for any weighted
-graph. The direct route uses it too: G is its own quotient by E, with
+graph, and `_terms` states their per-edge terms once for both of its
+paths. The direct route uses it too: G is its own quotient by E, with
 lam = 0, so Sz_t(G, 0, lambda', w') = Sz_e and PI_v(G, 0, w') + PI(G,
 lambda', w') = PI. Passing lam = w instead gives the total-Szeged index.
 
@@ -54,10 +55,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
+from itertools import compress, repeat
 from math import lcm
 from operator import add, and_, lshift, mul
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import (
     InvalidCPartitionError,
@@ -138,6 +139,7 @@ def first_zagreb(g: Graph) -> int:
 # ---------------------------------------------------------------------------
 
 Sums = tuple[Weight, Weight, Weight, Weight]
+Columns = tuple[Iterator[Weight], ...]  # the terms of each of the four sums, read once
 
 
 def _sums(
@@ -158,13 +160,26 @@ def _sums(
     orientation.
     """
     if g.m == g.n - 1:
-        return _totals(_cut_rows(g, w, lam, lambda_prime, w_prime, range(g.m), g.m))
-    return _generic_sums(g, w, lam, lambda_prime, w_prime)
+        columns = _cut_rows(g, w, lam, lambda_prime, w_prime, range(g.m), g.m)
+    else:
+        columns = _generic_sums(g, w, lam, lambda_prime, w_prime)
+    return tuple(map(sum, columns))
 
 
-def _cut_rows(g, w, lam, lambda_prime, w_prime, class_of, k) -> list[Sums]:
-    """The four sums of `_sums` on G/F for each of the k classes F of
-    `class_of`, read as clean cuts, in O(n + m + k).
+def _terms(w_prime, n_u, n_v, t_u, t_v) -> Columns:
+    """The terms of the four sums of `_sums`, from w' and the sides n_u, n_v
+    (of w) and t_u, t_v (of lam and lambda') of each edge or class."""
+    return (
+        map(mul, w_prime, map(mul, n_u, n_v)),
+        map(mul, w_prime, map(add, n_u, n_v)),
+        map(mul, w_prime, map(mul, t_u, t_v)),
+        map(mul, w_prime, map(add, t_u, t_v)),
+    )
+
+
+def _cut_rows(g, w, lam, lambda_prime, w_prime, class_of, k) -> Columns:
+    """The `_terms` of the four sums of `_sums` on G/F for each of the k
+    classes F of `class_of`, read as clean cuts, in O(n + m + k).
 
     A clean cut F has two convex sides A and B, so a geodesic crosses F at
     most once, and the side A away from the root of `graph._bfs_tree` is
@@ -196,15 +211,13 @@ def _cut_rows(g, w, lam, lambda_prime, w_prime, class_of, k) -> list[Sums]:
         px = parent[x]
         sub_w[px] += sub_w[x]
         sub_s[px] += sub_s[x]
-    rows = []
-    for wp, lp, a, sa in zip(wp_f, lp_f, w_a, s_a):
-        t_a = (sa - lp) // 2
-        t_b = (total_s - sa - lp) // 2
-        rows.append((wp * a * (total_w - a), wp * total_w, wp * t_a * t_b, wp * (t_a + t_b)))
-    return rows
+    w_b = [total_w - a for a in w_a]
+    t_a = [(sa - lp) // 2 for sa, lp in zip(s_a, lp_f)]
+    t_b = [(total_s - sa - lp) // 2 for sa, lp in zip(s_a, lp_f)]
+    return _terms(wp_f, w_a, w_b, t_a, t_b)
 
 
-def _generic_sums(g, w, lam, lambda_prime, w_prime) -> Sums:
+def _generic_sums(g, w, lam, lambda_prime, w_prime) -> Columns:
     # The multi-source sweep of `graph._sweep`, which Theta* shares, gives
     # every edge both of its sides. Vertex x is source x, and edge f is
     # source n + f, seeded at both ends because an edge is as far as its
@@ -228,12 +241,7 @@ def _generic_sums(g, w, lam, lambda_prime, w_prime) -> Sums:
         planes = _bit_planes(total_mass[lo : sources.stop])
         t_u = _add_masses(t_u, near_u, planes)
         t_v = _add_masses(t_v, near_v, planes)
-    return (
-        sum(map(mul, w_prime, map(mul, n_u, n_v))),
-        sum(map(mul, w_prime, map(add, n_u, n_v))),
-        sum(map(mul, w_prime, map(mul, t_u, t_v))),
-        sum(map(mul, w_prime, map(add, t_u, t_v))),
-    )
+    return _terms(w_prime, n_u, n_v, t_u, t_v)
 
 
 def _bit_planes(masses: list[int]) -> list[tuple[int, int]]:
@@ -342,12 +350,14 @@ def _class_contributions(
     The classes flagged two-sided are clean cuts, read from one `_cut_rows`
     pass over G, whose lam is 0; every other class builds its quotient.
     """
-    rows = []
+    rows = {}
     if any(p.two_sided):
-        rows = _cut_rows(g, wa.w, (0,) * g.n, wa.lambda_prime, wa.w_prime, p.class_of, len(p))
+        columns = _cut_rows(g, wa.w, (0,) * g.n, wa.lambda_prime, wa.w_prime, p.class_of, len(p))
+        sided = compress(range(len(p)), p.two_sided)
+        rows = dict(zip(sided, zip(*(compress(col, p.two_sided) for col in columns))))
     contribs = []
     for c, members in enumerate(p.classes):
-        if rows and p.two_sided[c]:
+        if c in rows:
             contribs.append(rows[c])
         else:
             q = quotient_graph(g, wa, members)

@@ -10,13 +10,14 @@ requires.
 Theta* comes from one pass over the edges of the package's BFS spanning
 tree (`graph._bfs_tree`, the tree that the subtree aggregation of the
 side sums folds over), in O(n*m) time and O(n+m) memory. On bipartite
-graphs one BFS cuts every tree edge at a vertex. On graphs with odd
-cycles the pass runs sweeps of the bit-parallel multi-source BFS that
-the generic side sums share (`graph._sweep`): each tree edge owns one
-source bit at each end, one sweep cuts up to 2048 tree edges, and
-whether some vertex is equidistant from the ends of a tree edge is read
-from the edges alone. A sweep takes about one round per unit of
-diameter, so long thin graphs with odd cycles gain least.
+graphs one BFS (`_propagate`, the list-queue loop of `graph._bfs`)
+cuts every tree edge at a vertex. On graphs with odd cycles the pass
+runs sweeps of the bit-parallel multi-source BFS that the generic side
+sums share (`graph._sweep`): each tree edge owns one source bit at each
+end, one sweep cuts up to 2048 tree edges, and whether some vertex is
+equidistant from the ends of a tree edge is read from the edges alone.
+A sweep takes about one round per unit of diameter, so long thin graphs
+with odd cycles gain least.
 `theta_star_partition` is the one reader of that pass; c-partition
 validation reads its classes, since p is a c-partition iff every
 Theta*-class meets exactly one class of p.
@@ -32,12 +33,12 @@ common case in graphs with odd cycles. A graph is a partial cube iff
 every class is two-sided, so `EdgePartition.partial_cube` is read from
 the flags and `is_partial_cube` costs at most one Theta* pass. The
 pairwise definition over an all-pairs distance table is kept in
-`oracle` as the reference.
+`oracle` as the reference. `is_bipartite` runs no BFS of its own: it
+reads the depths that `graph._bfs` gives each component.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import compress
 from operator import eq, itemgetter, xor
@@ -49,7 +50,7 @@ from .errors import (
     MalformedPartitionError,
     PartitionNotCoveringError,
 )
-from .graph import Graph, _bfs_tree, _sweep, _sweep_ranges, require_connected
+from .graph import Graph, _bfs, _bfs_tree, _sweep, _sweep_ranges, require_connected
 
 
 class _UnionFind:
@@ -107,12 +108,7 @@ class EdgePartition:
             raise PartitionNotCoveringError(f"classes do not cover all {m} edges")
 
     @classmethod
-    def from_classes(
-        cls,
-        classes: Iterable[Iterable[int]],
-        m: int,
-        refined_by_theta_star: bool = False,
-    ) -> "EdgePartition":
+    def from_classes(cls, classes: Iterable[Iterable[int]], m: int) -> "EdgePartition":
         # __post_init__ rejects empty classes, edge ids outside 0..m-1, an
         # edge in two classes and uncovered edges
         canon = sorted(map(frozenset, classes), key=lambda c: min(c, default=-1))
@@ -121,7 +117,7 @@ class EdgePartition:
             for e in members:
                 if 0 <= e < m:
                     class_of[e] = idx
-        return cls(tuple(canon), tuple(class_of), refined_by_theta_star)
+        return cls(tuple(canon), tuple(class_of))
 
     @classmethod
     def from_labels(
@@ -159,29 +155,25 @@ def single_class_partition(m: int) -> EdgePartition:
 _MASK_BITS = 64  # tree edges cut per bipartite BFS
 
 
-def _propagate(nbrs: list[list[int]], lab: list[int], sources: list[int]) -> None:
-    # Level-synchronous BFS from `sources` (all at distance 0) that ORs each
-    # vertex's label into its successors in the shortest-path DAG, so on
-    # return lab[z] is the OR over every shortest path into z.
+def _propagate(nbrs: list[list[int]], lab: list[int], v: int) -> None:
+    # BFS from v that ORs each vertex's label into its successors in the
+    # shortest-path DAG, so on return lab[z] is the OR over every shortest
+    # v-z path. FIFO order reads a vertex only after all of its
+    # predecessors, so its label is final when it is passed on.
     dist = [-1] * len(nbrs)
-    for s in sources:
-        dist[s] = 0
-    frontier = sources
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for x in frontier:
-            lx = lab[x]
-            for y in nbrs[x]:
-                dy = dist[y]
-                if dy < 0:
-                    dist[y] = d
-                    lab[y] |= lx
-                    nxt.append(y)
-                elif dy == d:
-                    lab[y] |= lx
-        frontier = nxt
+    dist[v] = 0
+    order = [v]
+    for x in order:  # the list grows while it is read: a BFS queue
+        lx = lab[x]
+        d = dist[x] + 1
+        for y in nbrs[x]:
+            dy = dist[y]
+            if dy < 0:
+                dist[y] = d
+                lab[y] |= lx
+                order.append(y)
+            elif dy == d:
+                lab[y] |= lx
 
 
 # (tree edges, related, ties); see `_theta_cuts`
@@ -277,7 +269,7 @@ def _bipartite_cuts(g: Graph, tree: list[int], depth, xs, ys) -> Iterator[Batch]
             mask = [0] * n
             for k, (c, _) in enumerate(chunk):
                 mask[c] = 1 << k
-            _propagate(nbrs, mask, [v])
+            _propagate(nbrs, mask, v)
             yield [eid for _, eid in chunk], list(map(xor, xs(mask), ys(mask))), 0
 
 
@@ -368,24 +360,14 @@ def coarsen(p: EdgePartition, grouping: Mapping[int, int]) -> EdgePartition:
 
 
 def is_bipartite(g: Graph) -> bool:
-    """2-coloring BFS; assumes nothing about connectivity."""
-    color = [-1] * g.n
-    adj = g.adj
-    for start in range(g.n):
-        if color[start] >= 0:
-            continue
-        color[start] = 0
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            cx = color[x]
-            for y, _ in adj[x]:
-                if color[y] < 0:
-                    color[y] = 1 - cx
-                    queue.append(y)
-                elif color[y] == cx:
-                    return False
-    return True
+    """Whether g, connected or not, has no odd cycle: `graph._bfs` fills
+    one depth list component by component, and g has an odd cycle iff
+    some edge joins two equal depths (else the parities 2-colour g)."""
+    depth = [-1] * g.n
+    for v in range(g.n):
+        if depth[v] < 0:
+            _bfs(g, v, depth)
+    return not any(depth[u] == depth[v] for u, v in g.edges)
 
 
 def is_partial_cube(g: Graph) -> bool:

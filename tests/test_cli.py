@@ -118,8 +118,11 @@ def test_empty_graph_header_exit_code(capsys, tmp_path, text):
     assert "parse error" in err.lower()
 
 
-def test_missing_file_exit_code(capsys):
+def test_missing_file_exit_code(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "index", "/nonexistent/input.edges")
+    assert code == 2
+    monkeypatch.setattr(sys, "stdin", None)   # run with stdin closed (<&-)
+    code, _, err = run_cli(capsys, "index", "-")
     assert code == 2
 
 
@@ -457,6 +460,25 @@ def test_non_utf8_file_exit_code(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "parse error" in err.lower()
+
+
+@pytest.mark.parametrize("errors", ["strict", "surrogateescape"])
+def test_stdin_is_decoded_like_a_file(capsys, monkeypatch, ph2_file, errors):
+    # a UTF-8 locale reads stdin strictly, Python's UTF-8 mode with
+    # surrogateescape; either way a bad byte is a parse error, as in a file
+    def feed(data: bytes):
+        stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors=errors)
+        monkeypatch.setattr(sys, "stdin", stdin)
+
+    feed(b"# \xff\n2 1\n0 1\n")
+    code, out, err = run_cli(capsys, "index", "-", "--method", "direct")
+    assert code == 2
+    assert out == ""
+    assert "parse error" in err.lower()
+    feed(Path(ph2_file).read_bytes())
+    from_stdin = run_cli(capsys, "index", "-", "--method", "direct")
+    assert from_stdin == run_cli(capsys, "index", ph2_file, "--method", "direct")
+    assert from_stdin[0] == 0
 
 
 def test_unwritable_labels_path_exit_code(capsys, tmp_path):

@@ -184,6 +184,43 @@ def test_is_bipartite():
     assert is_bipartite(build_graph(4, [(0, 1), (2, 3)]))  # disconnected ok
 
 
+@st.composite
+def _small_graphs(draw):
+    n = draw(st.integers(1, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return build_graph(n, edges)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_small_graphs())
+def test_is_bipartite_matches_every_2_colouring(g):
+    # connected or not: an odd cycle in any component makes g non-bipartite
+    colourings = range(1 << g.n)
+    bipartite = any(all(c >> u & 1 != c >> v & 1 for u, v in g.edges) for c in colourings)
+    assert is_bipartite(g) == bipartite
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 10**9))
+def test_propagate_labels_the_vertices_closer_to_each_neighbour(seed):
+    # bit k starts on neighbour c_k of v and must end exactly on the
+    # vertices closer to c_k than to v
+    rng = random.Random(seed)
+    g = random_bipartite_connected(rng, extra=rng.choice((0.1, 0.3, 0.6)))
+    v = rng.randrange(g.n)
+    lab = [0] * g.n
+    for k, (c, _) in enumerate(g.adj[v]):
+        lab[c] = 1 << k
+    theta._propagate([[y for y, _ in a] for a in g.adj], lab, v)
+    from_v = bfs_distances(g, v)
+    for k, (c, _) in enumerate(g.adj[v]):
+        from_c = bfs_distances(g, c)
+        assert [lab[z] >> k & 1 for z in range(g.n)] == [
+            int(from_c[z] < from_v[z]) for z in range(g.n)
+        ]
+
+
 def test_partial_cube_examples(patch):
     assert is_partial_cube(cycle_graph(6))
     assert not is_partial_cube(cycle_graph(5))
@@ -568,7 +605,9 @@ def test_only_theta_star_sets_the_partial_cube_flag():
     c6 = cycle_graph(6)
     star = theta_star_partition(c6)
     assert star.partial_cube and star.refined_by_theta_star
-    assert not EdgePartition.from_classes(star.classes, 6, True).partial_cube
+    assert not EdgePartition(star.classes, star.class_of, True).partial_cube
+    with pytest.raises(TypeError):   # from_classes takes no trust flag
+        EdgePartition.from_classes(star.classes, 6, True)
     assert not coarsen(star, {0: 0, 1: 1, 2: 2}).partial_cube
     assert not coarsen(star, {0: 0, 1: 0, 2: 0}).partial_cube
     assert not single_class_partition(6).partial_cube
@@ -676,7 +715,7 @@ def test_only_theta_star_sets_two_sided_flags():
     c6 = cycle_graph(6)
     star = theta_star_partition(c6)
     assert star.two_sided == (True, True, True)
-    assert EdgePartition.from_classes(star.classes, 6, True).two_sided == ()
+    assert EdgePartition(star.classes, star.class_of, True).two_sided == ()
     assert coarsen(star, {0: 0, 1: 1, 2: 2}).two_sided == ()
     assert single_class_partition(6).two_sided == ()
     dlg = build_benzenoid(HexSpec.linear_chain(3))
