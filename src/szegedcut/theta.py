@@ -9,18 +9,23 @@ requires.
 
 Theta* comes from one pass over the edges of the package's BFS spanning
 tree (`graph._bfs_tree`, the tree that the subtree aggregation of the
-side sums folds over), in O(n*m) time and O(n+m) memory. On bipartite
-graphs one BFS (`_propagate`, the list-queue loop of `graph._bfs`)
-cuts every tree edge at a vertex. On graphs with odd cycles the pass
-runs sweeps of the bit-parallel multi-source BFS that the generic side
-sums share (`graph._sweep`): each tree edge owns one source bit at each
-end, one sweep cuts up to 2048 tree edges, and whether some vertex is
-equidistant from the ends of a tree edge is read from the edges alone.
-A sweep takes about one round per unit of diameter, so long thin graphs
-with odd cycles gain least.
-`theta_star_partition` is the one reader of that pass; c-partition
-validation reads its classes, since p is a c-partition iff every
-Theta*-class meets exactly one class of p.
+side sums folds over), in O(n*m) time and O(n+m) memory. Graphs with
+odd cycles, and compact graphs (n above four times the depth of the
+tree), run sweeps of the bit-parallel multi-source BFS that the generic
+side sums share (`graph._sweep`): each tree edge owns one source bit at
+each end, one sweep cuts up to 2048 tree edges, and whether some vertex
+is equidistant from the ends of a tree edge is read from the edges
+alone. A sweep takes about one round per unit of diameter, so long thin
+bipartite graphs, phenylene chains among them, run one BFS
+(`_propagate`, the list-queue loop of `graph._bfs`) per vertex instead,
+which cuts every tree edge at that vertex; long thin graphs with odd
+cycles gain least.
+`theta_star_partition` is the one reader of that pass. It closes the
+cuts row by row: per batch it notes which of the batch's tree edges each
+class already holds, so an edge's row costs two union-find lookups plus
+one per tree edge new to its class, not one union per Theta-pair.
+C-partition validation reads its classes, since p is a c-partition iff
+every Theta*-class meets exactly one class of p.
 
 The same pass finds the classes that are one clean cut: a class F is
 two-sided when some tree edge ab in F has all of F as its Theta-cut and
@@ -41,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import compress
-from operator import eq, itemgetter, xor
+from operator import itemgetter, xor
 from typing import Hashable, Iterable, Iterator, Mapping
 
 from .errors import (
@@ -192,10 +197,15 @@ def _theta_cuts(g: Graph) -> Iterator[Batch]:
     Yields (tree_edges, related, ties) batches: bit i of related[f] means
     that edge f is Theta-related to tree_edges[i], and bit i of ties that
     some vertex is equidistant from the ends of tree_edges[i]. `related`
-    holds one mask per edge of g. A batch is a sweep of up to
-    `graph._SOURCE_BITS` // 2 tree edges on a graph with odd cycles, and
-    up to _MASK_BITS tree edges at one vertex, with no ties, on a
-    bipartite graph. Time is O(n*m), memory O(n+m).
+    holds one mask per edge of g, its row, which `theta_star_partition`
+    closes in one step per row. A batch is a sweep of up to
+    `graph._SOURCE_BITS` // 2 tree edges on a graph with odd cycles or
+    with n > 4 * depth for the depth of the BFS tree: a sweep costs about
+    one round per level, and on bipartite graphs it beats one BFS per
+    vertex from n / depth of about 3 up. Other bipartite graphs, such as
+    phenylene chains (n / depth = 2), yield up to _MASK_BITS tree edges
+    at one vertex per batch, with no ties. Time is O(n*m), memory O(n+m):
+    a sweep holds 2n + 2m masks.
 
     Raises:
         DisconnectedError: if g is not connected.
@@ -206,13 +216,12 @@ def _theta_cuts(g: Graph) -> Iterator[Batch]:
         # itemgetter with a single index would return a scalar below)
         return iter([([0], [1], 0)] if g.m else [])
 
-    xs = itemgetter(*(u for u, _ in g.edges))
-    ys = itemgetter(*(v for _, v in g.edges))
     tree = [parent_edge[c] for c in order[1:]]
-    # an edge joins two equal BFS depths iff g has an odd cycle
-    if any(map(eq, xs(depth), ys(depth))):
+    # a sweep takes about one round per BFS level, so it serves compact
+    # graphs; an edge joins two equal BFS depths iff g has an odd cycle
+    if g.n > 4 * depth[order[-1]] or any(depth[u] == depth[v] for u, v in g.edges):
         return _swept_cuts(g, tree)
-    return _bipartite_cuts(g, tree, depth, xs, ys)
+    return _bipartite_cuts(g, tree, depth)
 
 
 def _swept_cuts(g: Graph, tree: list[int]) -> Iterator[Batch]:
@@ -246,7 +255,7 @@ def _swept_cuts(g: Graph, tree: list[int]) -> Iterator[Batch]:
         yield tree_edges, related, ties & low
 
 
-def _bipartite_cuts(g: Graph, tree: list[int], depth, xs, ys) -> Iterator[Batch]:
+def _bipartite_cuts(g: Graph, tree: list[int], depth: list[int]) -> Iterator[Batch]:
     # No vertex is equidistant from the ends of an edge vc, and the
     # vertices closer to c are those with a shortest path from v through
     # c. One BFS from v that carries one bit per tree neighbour cuts every
@@ -254,6 +263,8 @@ def _bipartite_cuts(g: Graph, tree: list[int], depth, xs, ys) -> Iterator[Batch]
     # hubs). Each tree edge joins two depth parities, so the smaller
     # parity class is a vertex cover of the tree.
     n = g.n
+    xs = itemgetter(*(u for u, _ in g.edges))
+    ys = itemgetter(*(v for _, v in g.edges))
     nbrs = [[y for y, _ in a] for a in g.adj]
     tree_edges: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for eid in tree:
@@ -293,24 +304,50 @@ def theta_star_partition(g: Graph) -> EdgePartition:
     every class is two-sided; the `partial_cube` property, which reads
     `all(two_sided)`, is therefore the partial-cube test.
 
-    The cuts come in batches of bitmasks from `_theta_cuts`; one walk over
-    the set bits unions each pair and counts the cut sizes.
+    The cuts come in batches of bitmasks from `_theta_cuts`, and the walk
+    over them is linear in rows, not in Theta-pairs. Per batch, `merged`
+    maps each union-find root to the batch's bits already in its class.
+    A nonzero row related[f] finds the root of its lowest bit's tree
+    edge, links only the roots of its bits outside that root's mask
+    (taking over their masks), then links f. So a batch costs two lookups
+    per row, one per tree edge and one per link. Cut sizes are counted
+    only over tie-free bits, since only a tie-free tree edge can flag its
+    class two-sided.
 
     Raises:
         DisconnectedError: if g is not connected.
     """
     m = g.m
     uf = _UnionFind(m)
+    parent = uf.parent
+    find = uf.find
     clean_cut: dict[int, int] = {}  # tie-free tree edge -> its cut size
     for tree_edges, related, ties in _theta_cuts(g):
         sizes = [0] * len(tree_edges)
+        merged: dict[int, int] = {}  # root -> this batch's bits in its class
         for f, mask in compress(enumerate(related), related):
+            low = mask & -mask
+            root = find(tree_edges[low.bit_length() - 1])
+            have = merged.pop(root, 0) | low
+            new = mask & ~have
+            while new:
+                bit = new & -new
+                r = find(tree_edges[bit.bit_length() - 1])
+                if r != root:
+                    parent[r] = root
+                    have |= merged.pop(r, 0)
+                have |= bit
+                new &= ~have
+            r = find(f)
+            if r != root:
+                parent[r] = root
+                have |= merged.pop(r, 0)
+            merged[root] = have
+            mask &= ~ties
             while mask:
                 bit = mask & -mask
                 mask ^= bit
-                i = bit.bit_length() - 1
-                sizes[i] += 1
-                uf.union(f, tree_edges[i])
+                sizes[bit.bit_length() - 1] += 1
         for i, e in enumerate(tree_edges):
             if not ties >> i & 1:
                 clean_cut[e] = sizes[i]

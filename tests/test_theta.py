@@ -452,6 +452,92 @@ def hypercube_subgraph(rng: random.Random, d: int):
     return build_graph(len(chosen), edges)
 
 
+def _refuse(name: str):
+    def run(*_):
+        raise AssertionError(f"{name} called")
+
+    return run
+
+
+def test_compact_benzenoids_sweep_and_phenylenes_bfs():
+    # a 10 x 10 parallelogram has n = 240 and BFS depth 36, so n > 4 *
+    # depth sends it to the sweep; a linear phenylene has n / depth = 2
+    cells = frozenset((q, r) for q in range(10) for r in range(10))
+    bz = build_benzenoid(HexSpec(cells)).graph
+    with mock.patch.object(theta, "_propagate", _refuse("_propagate")):
+        star = theta_star_partition(bz)
+    assert star.classes == oracle_theta_star_partition(bz).classes
+    assert star.partial_cube
+    ph = linear_phenylene(20).graph
+    with mock.patch.object(theta, "_swept_cuts", _refuse("_swept_cuts")):
+        star = theta_star_partition(ph)
+    assert star.classes == oracle_theta_star_partition(ph).classes
+    assert star.partial_cube
+
+
+def _through(source: str):
+    # run the Theta* pass of a bipartite graph on one cut source, whichever
+    # the selection rule picks
+    swept, bfs = theta._swept_cuts, theta._bipartite_cuts
+    if source == "sweep":
+        return mock.patch.object(theta, "_bipartite_cuts", lambda g, tree, _: swept(g, tree))
+    return mock.patch.object(
+        theta, "_swept_cuts", lambda g, tree: bfs(g, tree, graph._bfs_tree(g)[3])
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(("bipartite", "tree", "Q3", "Q4")),
+    st.sampled_from((6, 7, 4096)),
+    st.integers(0, 10**9),
+)
+def test_both_cut_sources_give_the_same_partition(family, source_bits, seed):
+    rng = random.Random(seed)
+    if family.startswith("Q"):
+        g = hypercube_subgraph(rng, int(family[1]))
+    else:
+        g = family_graph(family, rng)
+    runs = []
+    with mock.patch.object(graph, "_SOURCE_BITS", source_bits):
+        for source in ("sweep", "bfs"):
+            with _through(source):
+                p = theta_star_partition(g)
+            runs.append((p.classes, p.two_sided, p.partial_cube))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == oracle_theta_star_partition(g).classes
+
+
+def _sparse_graph(rng: random.Random, n: int):
+    # a random tree plus n // 4 chords, as sparse as the generic workloads
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(edges) < n + n // 4 - 1:
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    return build_graph(n, sorted(edges))
+
+
+def test_closure_walk_is_linear_in_rows():
+    # per batch, one find for the lowest bit of each nonzero row and one
+    # for the row's edge; a further bit costs a find only when it links
+    # two classes (m - classes links in all) or first joins its class's
+    # mask in this batch (once per tree edge); then one find per edge
+    # labels the classes
+    g = _sparse_graph(random.Random(1), 400)
+    finds = 0
+    real_find = theta._UnionFind.find
+
+    def counted(uf, x):
+        nonlocal finds
+        finds += 1
+        return real_find(uf, x)
+
+    rows = sum(map(bool, (r for _, related, _ in theta._theta_cuts(g) for r in related)))
+    with mock.patch.object(theta._UnionFind, "find", counted):
+        star = theta_star_partition(g)
+    assert star.classes == oracle_theta_star_partition(g).classes
+    assert finds <= 2 * rows + (g.n - 1) + (g.m - len(star)) + g.m
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(GRAPH_FAMILIES + ("Q3", "Q4")), st.integers(0, 10**9))
 def test_is_partial_cube_matches_oracle(family, seed):
