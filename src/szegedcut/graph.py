@@ -75,14 +75,8 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
     def degrees(self) -> tuple[int, ...]:
         return tuple(len(a) for a in self.adj)
-
-    def endpoints(self, eid: int) -> tuple[int, int]:
-        return self.edges[eid]
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"

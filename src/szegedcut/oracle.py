@@ -1,7 +1,8 @@
 """Brute-force references for every index, Theta*, and the partial-cube test.
 
 Every index is evaluated straight from the definitions with two fresh
-BFS runs per edge; Theta*, the partial-cube test and the distance
+BFS runs per edge, in one pass that `oracle_suite` and `oracle_general`
+share; Theta*, the partial-cube test and the distance
 decomposition of quotients read an all-pairs distance table. The module
 deliberately shares no computation with `indices`, `quotient_graph` or
 the BFS-tree pass in `theta` (only graph primitives, result types and
@@ -131,45 +132,40 @@ def distance_decomposition_check(g: Graph, quotients: Sequence[QuotientGraph]) -
     )
 
 
-def oracle_suite(g: Graph, starred: bool = False) -> IndexReport:
-    """The four degree-weighted indices, one definition-level sum per edge."""
+def _oracle_sums(g: Graph, w: Sequence[Weight], lam: Sequence[Weight],
+                 wp: Sequence[Weight]) -> tuple[Weight, ...]:
+    """Sz, PI_v, Sz_e, PI and Sz_t, in `IndexKind` order, for vertex weight
+    w, side edge weight lam and term weight wp, summed edge by edge."""
     require_connected(g)
-    deg = g.degrees()
-    w_sz = w_pi_v = w_sz_e = w_pi = 0
-    for eid, (u, v) in enumerate(g.edges):
+    sz = pi_v = sz_e = pi = sz_t = 0
+    for eid in range(g.m):
         sides = oracle_edge_sides(g, eid)
-        nu, nv = len(sides.n_u), len(sides.n_v)
-        mu, mv = len(sides.m_u), len(sides.m_v)
-        wp = deg[u] * deg[v] if starred else deg[u] + deg[v]
-        w_sz += wp * nu * nv
-        w_pi_v += wp * (nu + nv)
-        w_sz_e += wp * mu * mv
-        w_pi += wp * (mu + mv)
-    return IndexReport("direct", starred, w_sz, w_pi_v, w_sz_e, w_pi)
+        n_u = sum(w[x] for x in sides.n_u)
+        n_v = sum(w[x] for x in sides.n_v)
+        m_u = sum(lam[f] for f in sides.m_u)
+        m_v = sum(lam[f] for f in sides.m_v)
+        wpe = wp[eid]
+        sz += wpe * n_u * n_v
+        pi_v += wpe * (n_u + n_v)
+        sz_e += wpe * m_u * m_v
+        pi += wpe * (m_u + m_v)
+        sz_t += wpe * (n_u + m_u) * (n_v + m_v)
+    return sz, pi_v, sz_e, pi, sz_t
+
+
+def oracle_suite(g: Graph, starred: bool = False) -> IndexReport:
+    """The four degree-weighted indices: unit w and lambda', and w'(uv) =
+    deg(u)+deg(v), or deg(u)*deg(v) if starred."""
+    deg = g.degrees()
+    wp = [deg[u] * deg[v] if starred else deg[u] + deg[v] for u, v in g.edges]
+    sums = _oracle_sums(g, [1] * g.n, [1] * g.m, wp)
+    return IndexReport("direct", starred, *sums[:4])
 
 
 def oracle_general(g: Graph, wa: WeightAssignment, kind: IndexKind) -> Weight:
     """Definition-level evaluation of any of the five weighted indices."""
-    require_connected(g)
+    if not isinstance(kind, IndexKind):
+        raise ValueError(f"unknown index kind {kind!r}")
     wa.check_shape(g)
-    total: Weight = 0
-    for eid in range(g.m):
-        sides = oracle_edge_sides(g, eid)
-        n_u = sum(wa.w[x] for x in sides.n_u)
-        n_v = sum(wa.w[x] for x in sides.n_v)
-        m_u = sum(wa.lambda_prime[f] for f in sides.m_u)
-        m_v = sum(wa.lambda_prime[f] for f in sides.m_v)
-        wp = wa.w_prime[eid]
-        if kind is IndexKind.SZ:
-            total += wp * n_u * n_v
-        elif kind is IndexKind.PI_V:
-            total += wp * (n_u + n_v)
-        elif kind is IndexKind.SZ_E:
-            total += wp * m_u * m_v
-        elif kind is IndexKind.PI:
-            total += wp * (m_u + m_v)
-        elif kind is IndexKind.SZ_T:
-            total += wp * (n_u + m_u) * (n_v + m_v)
-        else:  # pragma: no cover - enum is exhaustive
-            raise ValueError(f"unknown index kind {kind!r}")
-    return total
+    sums = _oracle_sums(g, wa.w, wa.lambda_prime, wa.w_prime)
+    return dict(zip(IndexKind, sums))[kind]

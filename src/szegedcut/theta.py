@@ -36,7 +36,7 @@ these flags: they are not a constructor argument of `EdgePartition`, so
 no caller can flag a class that is not a clean cut. Bridges are the
 common case in graphs with odd cycles. A graph is a partial cube iff
 every class is two-sided, so `EdgePartition.partial_cube` is read from
-the flags and `is_partial_cube` costs at most one Theta* pass. The
+the flags and `is_partial_cube` is one Theta* pass. The
 pairwise definition over an all-pairs distance table is kept in
 `oracle` as the reference. `is_bipartite` runs no BFS of its own: it
 reads the depths that `graph._bfs` gives each component.
@@ -55,7 +55,7 @@ from .errors import (
     MalformedPartitionError,
     PartitionNotCoveringError,
 )
-from .graph import Graph, _bfs, _bfs_tree, _sweep, _sweep_ranges, require_connected
+from .graph import Graph, _bfs, _bfs_tree, _sweep, _sweep_ranges
 
 
 class _UnionFind:
@@ -246,13 +246,12 @@ def _swept_cuts(g: Graph, tree: list[int]) -> Iterator[Batch]:
             reach[c] |= 1 << (i + k)
         near_u, near_v = _sweep(g, reach)
         full = (1 << 2 * k) - 1
-        related = []
         ties = 0
-        for a, b in zip(near_u, near_v):
-            related.append(((a ^ a >> k) | (b ^ b >> k)) & low)
+        for f, (a, b) in enumerate(zip(near_u, near_v)):
+            near_u[f] = ((a ^ a >> k) | (b ^ b >> k)) & low  # the row of f
             z = full ^ (a | b)
             ties |= z ^ z >> k
-        yield tree_edges, related, ties & low
+        yield tree_edges, near_u, ties & low
 
 
 def _bipartite_cuts(g: Graph, tree: list[int], depth: list[int]) -> Iterator[Batch]:
@@ -408,14 +407,12 @@ def is_bipartite(g: Graph) -> bool:
 
 
 def is_partial_cube(g: Graph) -> bool:
-    """Partial-cube test in O(n*m) time and O(n+m) memory.
-
-    A partial cube is bipartite, so the O(n+m) 2-colouring goes first and
-    answers every graph with an odd cycle without a Theta* pass; bipartite
-    graphs read the `partial_cube` flag of their Theta*-partition.
+    """Partial-cube test in O(n*m) time and O(n+m) memory: the
+    `partial_cube` flag of the Theta*-partition. It is false on every graph
+    with an odd cycle, since a cycle crosses each two-sided class an even
+    number of times.
 
     Raises:
         DisconnectedError: if g is not connected.
     """
-    require_connected(g)
-    return is_bipartite(g) and theta_star_partition(g).partial_cube
+    return theta_star_partition(g).partial_cube

@@ -38,8 +38,8 @@ def test_build_k2():
 def test_build_hexagon():
     g = cycle_graph(6)
     assert g.m == 6
-    assert all(g.degree(v) == 2 for v in range(6))
-    assert g.endpoints(0) == (0, 1)
+    assert g.degrees() == (2,) * 6
+    assert g.edges[0] == (0, 1)
 
 
 def test_build_rejects_duplicate_even_reversed():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from szegedcut import (
+    DisconnectedError,
     EdgePartition,
     IndexKind,
     PartitionNotCoveringError,
@@ -228,6 +229,36 @@ def test_cut_routes_reject_a_partition_of_another_edge_count():
         weighted_suite_cut(c6, p5)
     with pytest.raises(PartitionNotCoveringError):
         general_cut_index(c6, WeightAssignment.unit(c6), p5, IndexKind.SZ)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        build_graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]),
+        build_graph(2, []),
+    ],
+    ids=["two-triangles", "two-vertices"],
+)
+def test_index_routes_reject_disconnected_graphs(g):
+    # the entry check is the only guard: without it the sweep on the two
+    # triangles never ends, since no ball ever fills, and the empty graph
+    # gets all-zero sums
+    wa = WeightAssignment.unit(g)
+    p = single_class_partition(g.m)
+    with pytest.raises(DisconnectedError):
+        weighted_suite_direct(g)
+    with pytest.raises(DisconnectedError):
+        weighted_index(g, wa, IndexKind.SZ)
+    with pytest.raises(DisconnectedError):
+        weighted_suite_cut(g, p)
+    with pytest.raises(DisconnectedError):
+        general_cut_index(g, wa, p, IndexKind.SZ)
+
+
+def test_oracle_general_rejects_a_kind_that_is_no_index_kind():
+    k2 = _k2()
+    with pytest.raises(ValueError):
+        oracle_general(k2, WeightAssignment.unit(k2), "Sz")
 
 
 def test_tree_fast_path_matches_oracle():

@@ -49,7 +49,7 @@ from conftest import (
 def test_single_cell_is_hexagon():
     b = build_benzenoid(HexSpec.linear_chain(1))
     assert b.graph.n == 6 and b.graph.m == 6
-    assert all(b.graph.degree(v) == 2 for v in range(6))
+    assert b.graph.degrees() == (2,) * 6
     for label in (1, 2, 3):
         assert len(b.edges_with_label(label)) == 2
 

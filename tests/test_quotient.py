@@ -280,7 +280,7 @@ def test_patch_big_class_quotient_is_a_weighted_pentagon(patch):
     big = max(star.classes, key=len)
     q = quotient_graph(patch, wa, big)
     assert q.graph.n == 5 and q.graph.m == 5
-    assert all(q.graph.degree(v) == 2 for v in range(5))
+    assert q.graph.degrees() == (2,) * 5
     assert q.w == (4, 4, 4, 4, 4)
     assert q.lam == (3, 3, 3, 3, 3)
     assert q.lambda_prime == (2, 2, 2, 2, 2)
