@@ -11,8 +11,7 @@ Every produced edge carries a direction label: 1 for vertical edges and
 for the edges that join hexagon copies across an inserted square. The
 label classes form a c-partition whose quotients are trees, which is
 what makes the cut method linear on these families. A hex spec of h
-cells parses, and its holes are counted (by Euler's formula), in O(h);
-`build_benzenoid` reads the holes off the graph it has just built.
+cells parses, and its holes are counted (by Euler's formula), in O(h).
 """
 
 from __future__ import annotations
@@ -184,9 +183,7 @@ def build_benzenoid(spec: HexSpec) -> DirectionLabeledGraph:
     """Graph of all lattice vertices and edges of the chosen cells.
 
     Corners shared between cells are merged by exact integer coordinates.
-    Cell sets enclosing holes are accepted but flagged `nonstandard_region`,
-    by Euler's formula for the connected plane graph, whose faces are the
-    cells, one per hole, and the outer face: holes = E - V - h + 1.
+    Cell sets enclosing holes are accepted but flagged `nonstandard_region`.
     """
     if not spec.is_connected():
         raise DisconnectedCellsError("cells do not form a connected region")
@@ -210,7 +207,7 @@ def build_benzenoid(spec: HexSpec) -> DirectionLabeledGraph:
         direction_of=tuple(direction),
         cells=cells,
         kind="benzenoid",
-        nonstandard_region=len(edges) - len(point_ids) - len(cells) + 1 > 0,
+        nonstandard_region=_hole_count(spec.cells, 1) > 0,  # connected, checked above
     )
 
 

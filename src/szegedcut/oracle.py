@@ -133,9 +133,9 @@ def distance_decomposition_check(g: Graph, quotients: Sequence[QuotientGraph]) -
 
 
 def _oracle_sums(g: Graph, w: Sequence[Weight], lam: Sequence[Weight],
-                 wp: Sequence[Weight]) -> tuple[Weight, ...]:
-    """Sz, PI_v, Sz_e, PI and Sz_t, in `IndexKind` order, for vertex weight
-    w, side edge weight lam and term weight wp, summed edge by edge."""
+                 wp: Sequence[Weight]) -> dict[IndexKind, Weight]:
+    """All five indices, keyed by kind, for vertex weight w, side edge
+    weight lam and term weight wp, summed edge by edge."""
     require_connected(g)
     sz = pi_v = sz_e = pi = sz_t = 0
     for eid in range(g.m):
@@ -150,7 +150,8 @@ def _oracle_sums(g: Graph, w: Sequence[Weight], lam: Sequence[Weight],
         sz_e += wpe * m_u * m_v
         pi += wpe * (m_u + m_v)
         sz_t += wpe * (n_u + m_u) * (n_v + m_v)
-    return sz, pi_v, sz_e, pi, sz_t
+    return {IndexKind.SZ: sz, IndexKind.PI_V: pi_v, IndexKind.SZ_E: sz_e,
+            IndexKind.PI: pi, IndexKind.SZ_T: sz_t}
 
 
 def oracle_suite(g: Graph, starred: bool = False) -> IndexReport:
@@ -158,8 +159,9 @@ def oracle_suite(g: Graph, starred: bool = False) -> IndexReport:
     deg(u)+deg(v), or deg(u)*deg(v) if starred."""
     deg = g.degrees()
     wp = [deg[u] * deg[v] if starred else deg[u] + deg[v] for u, v in g.edges]
-    sums = _oracle_sums(g, [1] * g.n, [1] * g.m, wp)
-    return IndexReport("direct", starred, *sums[:4])
+    s = _oracle_sums(g, [1] * g.n, [1] * g.m, wp)
+    return IndexReport("direct", starred, s[IndexKind.SZ], s[IndexKind.PI_V],
+                       s[IndexKind.SZ_E], s[IndexKind.PI])
 
 
 def oracle_general(g: Graph, wa: WeightAssignment, kind: IndexKind) -> Weight:
@@ -167,5 +169,4 @@ def oracle_general(g: Graph, wa: WeightAssignment, kind: IndexKind) -> Weight:
     if not isinstance(kind, IndexKind):
         raise ValueError(f"unknown index kind {kind!r}")
     wa.check_shape(g)
-    sums = _oracle_sums(g, wa.w, wa.lambda_prime, wa.w_prime)
-    return dict(zip(IndexKind, sums))[kind]
+    return _oracle_sums(g, wa.w, wa.lambda_prime, wa.w_prime)[kind]

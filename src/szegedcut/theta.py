@@ -36,7 +36,7 @@ these flags: they are not a constructor argument of `EdgePartition`, so
 no caller can flag a class that is not a clean cut. Bridges are the
 common case in graphs with odd cycles. A graph is a partial cube iff
 every class is two-sided, so `EdgePartition.partial_cube` is read from
-the flags and `is_partial_cube` is one Theta* pass. The
+the flags and `is_partial_cube` costs at most one Theta* pass. The
 pairwise definition over an all-pairs distance table is kept in
 `oracle` as the reference. `is_bipartite` runs no BFS of its own: it
 reads the depths that `graph._bfs` gives each component.
@@ -55,7 +55,7 @@ from .errors import (
     MalformedPartitionError,
     PartitionNotCoveringError,
 )
-from .graph import Graph, _bfs, _bfs_tree, _sweep, _sweep_ranges
+from .graph import Graph, _bfs, _bfs_tree, _sweep, _sweep_ranges, require_connected
 
 
 class _UnionFind:
@@ -407,12 +407,14 @@ def is_bipartite(g: Graph) -> bool:
 
 
 def is_partial_cube(g: Graph) -> bool:
-    """Partial-cube test in O(n*m) time and O(n+m) memory: the
-    `partial_cube` flag of the Theta*-partition. It is false on every graph
-    with an odd cycle, since a cycle crosses each two-sided class an even
-    number of times.
+    """Partial-cube test in O(n*m) time and O(n+m) memory.
+
+    A partial cube is bipartite, so the O(n+m) 2-colouring goes first and
+    answers every graph with an odd cycle without a Theta* pass; bipartite
+    graphs read the `partial_cube` flag of their Theta*-partition.
 
     Raises:
         DisconnectedError: if g is not connected.
     """
-    return theta_star_partition(g).partial_cube
+    require_connected(g)
+    return is_bipartite(g) and theta_star_partition(g).partial_cube
