@@ -48,6 +48,17 @@ classes at once in O(n+m) (Klavzar, MATCH 60 (2008) 255-274).
 
 All arithmetic is exact: the engine adds Python ints, and Fraction
 weights are scaled to ints first and divided back at the end.
+
+Every evaluation yields all four totals, so the per-kind calls
+`weighted_index` and `general_cut_index` on the same objects share one:
+the module keeps the last inputs, held by reference, with their totals.
+A call whose graph, edges, weight assignment and partition are those very
+objects (compared with `is`, not by value) reads its kind from those
+totals; `weighted_index` also keeps Sz_t, whose lam is w, apart from the
+other kinds, whose lam is 0. Any other call checks its inputs, evaluates,
+and replaces the entry. So a loop over the four cut kinds builds every
+quotient once, and the memo keeps its last inputs alive until the next
+evaluation.
 """
 
 from __future__ import annotations
@@ -57,7 +68,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, repeat
 from math import lcm
-from operator import add, and_, lshift, mul
+from operator import add, and_, is_, lshift, mul
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -309,15 +320,13 @@ def _slot(kind: IndexKind) -> int:
 # ---------------------------------------------------------------------------
 
 def weighted_index(g: Graph, wa: WeightAssignment, kind: IndexKind) -> Weight:
-    """Evaluate one index of the weighted graph from its definition."""
+    """Evaluate one index of the weighted graph from its definition.
+
+    Calls on the same g and wa share one evaluation, save Sz_t.
+    """
     slot = _slot(kind)
-    require_connected(g)
-    wa.check_shape(g)
-    wa, d = _integral(wa)
     # Sz_t counts vertex masses on the sides too; Sz_e and PI count edges only
-    lam = wa.w if kind is IndexKind.SZ_T else (0,) * g.n
-    sums = _sums(g, wa.w, lam, wa.lambda_prime, wa.w_prime)
-    return _totals([sums], d)[slot]
+    return _last_totals(g, wa, None, kind is IndexKind.SZ_T)[slot]
 
 
 def weighted_suite_direct(g: Graph, starred: bool = False) -> IndexReport:
@@ -389,12 +398,50 @@ def general_cut_index(
     Sz and PI_v sum the same kind over the quotients; Sz_e sums the
     total-Szeged index of the quotients; PI sums PI_v(lam_i, w_i') plus
     PI(lam_i', w_i'). Sz_t itself has no decomposition and is rejected.
+    Calls for other kinds on the same g, wa and p share one evaluation.
     """
     slot = _slot(kind)
     if kind is IndexKind.SZ_T:
         raise UnsupportedKindError("Sz_t has no cut decomposition")
+    return _last_totals(g, wa, p, False)[slot]
+
+
+# ---------------------------------------------------------------------------
+# one evaluation per input
+# ---------------------------------------------------------------------------
+
+# ((g, g.edges, wa, p, lam_is_w), totals) of the last evaluation, or None.
+# The entry holds the caller's own objects, so a later call can match them
+# by identity: an id could be reused by a new object once the old one is
+# collected, and equal-valued inputs would cost a hash over all weights.
+_last: tuple | None = None
+
+
+def _last_totals(
+    g: Graph, wa: WeightAssignment, p: EdgePartition | None, lam_is_w: bool
+) -> Sums:
+    """The four unscaled totals: of the cut route over the quotients of p,
+    or, when p is None, of the direct route with lam = w or lam = 0.
+
+    A call with the same g, edges, wa, p and lam as the last evaluation
+    reads its totals; any other call checks its inputs, evaluates, and
+    replaces the entry. A call that raises leaves the entry as it was.
+    """
+    global _last
+    key = (g, g.edges, wa, p, lam_is_w)
+    last = _last  # one read, so a concurrent write never splits the entry
+    if last is not None and all(map(is_, last[0], key)):
+        return last[1]
     require_connected(g)
     wa.check_shape(g)
-    _require_c_partition(g, p)
-    wa, d = _integral(wa)
-    return _totals(_class_contributions(g, wa, p), d)[slot]
+    if p is not None:
+        _require_c_partition(g, p)
+    scaled, d = _integral(wa)
+    if p is None:
+        lam = scaled.w if lam_is_w else (0,) * g.n
+        sums = [_sums(g, scaled.w, lam, scaled.lambda_prime, scaled.w_prime)]
+    else:
+        sums = _class_contributions(g, scaled, p)
+    totals = _totals(sums, d)
+    _last = (key, totals)
+    return totals

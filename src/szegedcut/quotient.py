@@ -54,7 +54,7 @@ class WeightAssignment:
                 raise InvalidWeightError(
                     f"{name} value {bad!r} is not an int or Fraction"
                 )
-            if any(x < 0 for x in values):
+            if min(values, default=0) < 0:
                 raise InvalidWeightError(f"negative {name} value")
 
     @classmethod

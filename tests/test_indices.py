@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 from fractions import Fraction
 from unittest import mock
 
@@ -10,11 +12,14 @@ from szegedcut import (
     DisconnectedError,
     EdgePartition,
     IndexKind,
+    InvalidCPartitionError,
+    InvalidWeightError,
     PartitionNotCoveringError,
     UnsupportedKindError,
     WeightAssignment,
     build_graph,
     first_zagreb,
+    format_edge_list,
     is_connected,
     general_cut_index,
     is_bipartite,
@@ -22,6 +27,7 @@ from szegedcut import (
     oracle_general,
     oracle_is_partial_cube,
     oracle_suite,
+    parse_edge_list,
     quotient_graph,
     single_class_partition,
     theta_star_partition,
@@ -527,3 +533,147 @@ def test_two_sided_rows_match_oracle(family, data):
     assert [call.args[2] for call in spy.call_args_list] == [
         c for c, f in zip(p.classes, p.two_sided) if not f
     ]
+
+
+# ---------------------------------------------------------------------------
+# one evaluation per input: per-kind calls on the same objects share it
+# ---------------------------------------------------------------------------
+
+def _patch_inputs(weights=int):
+    g = fullerene_patch()
+    ints = random_weight_assignment(random.Random(67), g, hi=9)
+    wa = WeightAssignment(
+        *(tuple(map(weights, vec)) for vec in (ints.w, ints.w_prime, ints.lambda_prime))
+    )
+    return g, wa, theta_star_partition(g)
+
+
+def _spy(name):
+    return mock.patch.object(indices, name, wraps=getattr(indices, name))
+
+
+@pytest.mark.parametrize("weights", [int, lambda x: Fraction(x, 3)], ids=["int", "Fraction"])
+def test_four_cut_kinds_share_one_evaluation(weights):
+    g, wa, p = _patch_inputs(weights)
+    with _spy("_class_contributions") as spy:
+        got = {kind: general_cut_index(g, wa, p, kind) for kind in _CUT_KINDS}
+    assert spy.call_count == 1
+    assert got == {kind: oracle_general(g, wa, kind) for kind in _CUT_KINDS}
+
+
+def test_direct_kinds_share_one_evaluation_per_lam():
+    # Sz, PI_v, Sz_e and PI take lam = 0, Sz_t takes lam = w
+    g, wa, _ = _patch_inputs()
+    with _spy("_sums") as spy:
+        got = {kind: weighted_index(g, wa, kind) for kind in IndexKind}
+    assert spy.call_count == 2
+    assert got == {kind: oracle_general(g, wa, kind) for kind in IndexKind}
+
+
+def test_new_but_equal_objects_evaluate_again():
+    g, wa, p = _patch_inputs()
+    expected = general_cut_index(g, wa, p, IndexKind.SZ)
+    reparsed = parse_edge_list(format_edge_list(g))
+    copied = WeightAssignment(wa.w, wa.w_prime, wa.lambda_prime)
+    for args in ((reparsed, wa, p), (g, copied, p), (g, wa, theta_star_partition(g))):
+        general_cut_index(g, wa, p, IndexKind.SZ)
+        with _spy("_class_contributions") as spy:
+            assert general_cut_index(*args, IndexKind.SZ) == expected
+        assert spy.call_count == 1
+
+
+def test_alternating_weight_assignments_match_oracle():
+    g, wa, p = _patch_inputs()
+    other = random_weight_assignment(random.Random(71), g, hi=9)
+    assert oracle_general(g, wa, IndexKind.SZ) != oracle_general(g, other, IndexKind.SZ)
+    for kind in _CUT_KINDS:
+        for weights in (wa, other, wa):
+            assert general_cut_index(g, weights, p, kind) == oracle_general(g, weights, kind)
+    for kind in IndexKind:
+        for weights in (wa, other, wa):
+            assert weighted_index(g, weights, kind) == oracle_general(g, weights, kind)
+
+
+def test_kind_checks_run_on_a_hit():
+    g, wa, p = _patch_inputs()
+    general_cut_index(g, wa, p, IndexKind.SZ)
+    with pytest.raises(UnsupportedKindError):
+        general_cut_index(g, wa, p, IndexKind.SZ_T)
+    with pytest.raises(UnsupportedKindError):
+        general_cut_index(g, wa, p, "Sz")
+    weighted_index(g, wa, IndexKind.SZ)
+    with pytest.raises(UnsupportedKindError):
+        weighted_index(g, wa, "Sz")
+
+
+def _disconnected():
+    g = build_graph(2, [])
+    return (g, WeightAssignment.unit(g), single_class_partition(0)), DisconnectedError
+
+
+def _misshaped():
+    g = cycle_graph(6)
+    wa = WeightAssignment.unit(cycle_graph(5))
+    return (g, wa, theta_star_partition(g)), InvalidWeightError
+
+
+def _splitting():
+    # C6 has three Theta*-classes of opposite edges; these halves split them
+    g = cycle_graph(6)
+    p = EdgePartition.from_classes([[0, 1, 2], [3, 4, 5]], 6)
+    return (g, WeightAssignment.unit(g), p), InvalidCPartitionError
+
+
+@pytest.mark.parametrize("bad", [_disconnected, _misshaped, _splitting])
+def test_a_call_that_raises_stores_nothing(bad):
+    g, wa, p = _patch_inputs()
+    expected = general_cut_index(g, wa, p, IndexKind.SZ)
+    args, error = bad()
+    for _ in range(2):
+        with pytest.raises(error):
+            general_cut_index(*args, IndexKind.SZ)
+    with _spy("_class_contributions") as spy:
+        assert general_cut_index(g, wa, p, IndexKind.SZ) == expected
+    assert spy.call_count == 0
+
+
+def test_unflagged_partition_is_validated_once_per_input():
+    g, wa, p = _patch_inputs()
+    unflagged = EdgePartition.from_classes(p.classes, g.m)
+    with _spy("validate_c_partition") as spy:
+        for weights in (wa, WeightAssignment.unit(g)):
+            for kind in _CUT_KINDS:
+                assert general_cut_index(g, weights, unflagged, kind) == oracle_general(
+                    g, weights, kind
+                )
+    assert spy.call_count == 2
+
+
+def test_threads_sharing_the_memo_each_get_their_own_totals():
+    # threads that alternate two weight assignments on one g and p: a
+    # torn read of the entry would hand one thread the other's totals
+    g, wa, p = _patch_inputs()
+    weights = (wa, random_weight_assignment(random.Random(73), g, hi=9))
+    expected = [{kind: oracle_general(g, w, kind) for kind in _CUT_KINDS} for w in weights]
+    wrong, finished = [], []
+
+    def work(i):
+        for _ in range(1000):
+            for kind in _CUT_KINDS:
+                if general_cut_index(g, weights[i % 2], p, kind) != expected[i % 2][kind]:
+                    wrong.append((i, kind))
+        finished.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(finished) == [0, 1, 2, 3]
+    assert wrong == []
