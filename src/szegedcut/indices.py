@@ -49,16 +49,14 @@ classes at once in O(n+m) (Klavzar, MATCH 60 (2008) 255-274).
 All arithmetic is exact: the engine adds Python ints, and Fraction
 weights are scaled to ints first and divided back at the end.
 
-Every evaluation yields all four totals, so the per-kind calls
-`weighted_index` and `general_cut_index` on the same objects share one:
-the module keeps the last inputs, held by reference, with their totals.
-A call whose graph, edges, weight assignment and partition are those very
-objects (compared with `is`, not by value) reads its kind from those
-totals; `weighted_index` also keeps Sz_t, whose lam is w, apart from the
-other kinds, whose lam is 0. Any other call checks its inputs, evaluates,
-and replaces the entry. So a loop over the four cut kinds builds every
-quotient once, and the memo keeps its last inputs alive until the next
-evaluation.
+All four routes, the two suites and the per-kind calls, share one checked
+evaluation, `_evaluate`, which yields all four totals. Only the per-kind
+calls `weighted_index` and `general_cut_index` enter a memo of the last
+inputs, held by reference, with their totals: a call on those very
+objects (compared with `is`, not by value) reads its kind from them, with
+Sz_t (lam = w) kept apart from the other kinds (lam = 0). So a loop over
+the four cut kinds builds every quotient once. The memo keeps its last
+inputs alive until the next evaluation; the suites keep nothing alive.
 """
 
 from __future__ import annotations
@@ -66,7 +64,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import chain, repeat
 from math import lcm
 from operator import add, and_, is_, lshift, mul
 from typing import Iterator, Sequence
@@ -282,12 +280,14 @@ def _add_masses(
 
 def _integral(wa: WeightAssignment) -> tuple[WeightAssignment, int]:
     """`wa` times the common denominator d of all its weights, as plain
-    ints (whole Fractions too), and d.
+    ints (whole Fractions too), and d; `wa` itself when all are ints.
 
     The engine then adds only ints and reads their bits; `_totals` divides
     the sums back.
     """
     vectors = (wa.w, wa.w_prime, wa.lambda_prime)
+    if {int}.issuperset(map(type, chain(*vectors))):
+        return wa, 1
     d = lcm(*(x.denominator for vec in vectors for x in vec))
     return WeightAssignment(
         *(tuple(x.numerator * (d // x.denominator) for x in vec) for vec in vectors)
@@ -331,10 +331,8 @@ def weighted_index(g: Graph, wa: WeightAssignment, kind: IndexKind) -> Weight:
 
 def weighted_suite_direct(g: Graph, starred: bool = False) -> IndexReport:
     """All four degree-weighted indices from the definitions, no quotients."""
-    require_connected(g)
-    wa = WeightAssignment.degree_weighted(g, starred)
-    sums = _sums(g, wa.w, (0,) * g.n, wa.lambda_prime, wa.w_prime)
-    return IndexReport("direct", starred, *sums)
+    rows, _ = _evaluate(g, WeightAssignment.degree_weighted(g, starred), None, False)
+    return IndexReport("direct", starred, *_totals(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -359,15 +357,13 @@ def _class_contributions(
     The classes flagged two-sided are clean cuts, read from one `_cut_rows`
     pass over G, whose lam is 0; every other class builds its quotient.
     """
-    rows = {}
+    rows = repeat(None)
     if any(p.two_sided):
-        columns = _cut_rows(g, wa.w, (0,) * g.n, wa.lambda_prime, wa.w_prime, p.class_of, len(p))
-        sided = compress(range(len(p)), p.two_sided)
-        rows = dict(zip(sided, zip(*(compress(col, p.two_sided) for col in columns))))
+        rows = zip(*_cut_rows(g, wa.w, (0,) * g.n, wa.lambda_prime, wa.w_prime, p.class_of, len(p)))
     contribs = []
-    for c, members in enumerate(p.classes):
-        if c in rows:
-            contribs.append(rows[c])
+    for members, sided, row in zip(p.classes, p.two_sided or repeat(False), rows):
+        if sided:
+            contribs.append(row)
         else:
             q = quotient_graph(g, wa, members)
             contribs.append(_sums(q.graph, q.w, q.lam, q.lambda_prime, q.w_prime))
@@ -382,12 +378,10 @@ def weighted_suite_cut(
     `p` must be a c-partition; partitions not flagged as Theta*-refined are
     validated first (O(n*m) time, O(n+m) memory).
     """
-    require_connected(g)
-    _require_c_partition(g, p)
-    wa = WeightAssignment.degree_weighted(g, starred)
-    contribs = _class_contributions(g, wa, p)
-    per_class = tuple(ClassContribution(i, *c) for i, c in enumerate(contribs))
-    return IndexReport("cut", starred, *_totals(contribs), per_class)
+    # degree weights are ints, so d = 1 and the rows need no unscaling
+    rows, _ = _evaluate(g, WeightAssignment.degree_weighted(g, starred), p, False)
+    per_class = tuple(ClassContribution(i, *c) for i, c in enumerate(rows))
+    return IndexReport("cut", starred, *_totals(rows), per_class)
 
 
 def general_cut_index(
@@ -407,8 +401,25 @@ def general_cut_index(
 
 
 # ---------------------------------------------------------------------------
-# one evaluation per input
+# one checked evaluation, and one per input for the per-kind calls
 # ---------------------------------------------------------------------------
+
+def _evaluate(
+    g: Graph, wa: WeightAssignment, p: EdgePartition | None, lam_is_w: bool
+) -> tuple[list[Sums], int]:
+    """The four sums of each class of p, or when p is None the one row of
+    the direct route, on weights scaled by d; and d. Checks g, then the
+    shape of wa, then p."""
+    require_connected(g)
+    wa.check_shape(g)
+    if p is not None:
+        _require_c_partition(g, p)
+    scaled, d = _integral(wa)
+    if p is not None:
+        return _class_contributions(g, scaled, p), d
+    lam = scaled.w if lam_is_w else (0,) * g.n
+    return [_sums(g, scaled.w, lam, scaled.lambda_prime, scaled.w_prime)], d
+
 
 # ((g, g.edges, wa, p, lam_is_w), totals) of the last evaluation, or None.
 # The entry holds the caller's own objects, so a later call can match them
@@ -420,28 +431,14 @@ _last: tuple | None = None
 def _last_totals(
     g: Graph, wa: WeightAssignment, p: EdgePartition | None, lam_is_w: bool
 ) -> Sums:
-    """The four unscaled totals: of the cut route over the quotients of p,
-    or, when p is None, of the direct route with lam = w or lam = 0.
-
-    A call with the same g, edges, wa, p and lam as the last evaluation
-    reads its totals; any other call checks its inputs, evaluates, and
-    replaces the entry. A call that raises leaves the entry as it was.
-    """
+    """The unscaled totals of `_evaluate`, read from the entry when g, its
+    edges, wa, p and lam are those of the last evaluation; a call that
+    raises leaves the entry as it was."""
     global _last
     key = (g, g.edges, wa, p, lam_is_w)
     last = _last  # one read, so a concurrent write never splits the entry
     if last is not None and all(map(is_, last[0], key)):
         return last[1]
-    require_connected(g)
-    wa.check_shape(g)
-    if p is not None:
-        _require_c_partition(g, p)
-    scaled, d = _integral(wa)
-    if p is None:
-        lam = scaled.w if lam_is_w else (0,) * g.n
-        sums = [_sums(g, scaled.w, lam, scaled.lambda_prime, scaled.w_prime)]
-    else:
-        sums = _class_contributions(g, scaled, p)
-    totals = _totals(sums, d)
+    totals = _totals(*_evaluate(g, wa, p, lam_is_w))
     _last = (key, totals)
     return totals

@@ -677,3 +677,32 @@ def test_threads_sharing_the_memo_each_get_their_own_totals():
     assert not any(t.is_alive() for t in threads)
     assert sorted(finished) == [0, 1, 2, 3]
     assert wrong == []
+
+
+def test_int_weights_reach_the_engine_uncopied():
+    _, wa, _ = _patch_inputs()
+    scaled, d = indices._integral(wa)
+    assert scaled is wa and d == 1
+
+
+def test_suites_leave_the_memo_as_it_was():
+    # a stored suite would keep the last molecule alive until the next call
+    g, wa, p = _patch_inputs()
+    general_cut_index(g, wa, p, IndexKind.SZ)
+    entry = indices._last
+    for starred in (False, True):
+        weighted_suite_cut(g, p, starred)
+        weighted_suite_direct(g, starred)
+        assert indices._last is entry
+    with _spy("_class_contributions") as spy:
+        general_cut_index(g, wa, p, IndexKind.PI)
+    assert spy.call_count == 0
+
+
+def test_suite_validates_an_unflagged_partition_once():
+    g, _, p = _patch_inputs()
+    unflagged = EdgePartition.from_classes(p.classes, g.m)
+    with _spy("validate_c_partition") as spy:
+        report = weighted_suite_cut(g, unflagged)
+    assert spy.call_count == 1
+    assert report.as_tuple() == oracle_suite(g).as_tuple()
