@@ -1,9 +1,9 @@
 """Command-line front end: index computation, theta classes, quotients,
 molecule generation, and a cut-versus-direct benchmark.
 
-A `--partition-file` is read as one label per edge id. It skips
-validation against Theta* only when its first line is the digest
-`gen --labels` wrote for that edge list and partition.
+A `--partition-file` is read as one label per edge id. Only a file whose
+first line is the digest `gen --labels` wrote for that edge list and
+partition is trusted; any other is validated as `weighted_suite_cut` is.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ from .errors import (
     SzegedCutError,
 )
 from .graph import Graph, _int_pairs, format_edge_list, parse_edge_list
-from .indices import IndexReport, weighted_suite_cut, weighted_suite_direct
+from .indices import IndexReport, _require_c_partition
+from .indices import weighted_suite_cut, weighted_suite_direct
 from .molgen import (
     HexSpec,
     build_benzenoid,
@@ -37,7 +38,7 @@ from .molgen import (
 )
 from .oracle import oracle_suite
 from .quotient import quotient_graph, WeightAssignment
-from .theta import EdgePartition, theta_star_partition, validate_c_partition
+from .theta import EdgePartition, theta_star_partition
 
 _EXIT_OK = 0
 _EXIT_MISMATCH = 1
@@ -92,10 +93,9 @@ def _load_partition(g: Graph, path: str | None) -> EdgePartition:
         return theta_star_partition(g)
     text = _read_text(path)
     p = _parse_partition(text, g.m)
-    trusted = text.partition("\n")[0].strip() == _digest(g, p)
-    if not trusted and not validate_c_partition(g, p):
-        raise InvalidCPartitionError("partition file splits a Theta*-class across classes")
-    return EdgePartition(p.classes, p.class_of, refined_by_theta_star=True)
+    if text.partition("\n")[0].strip() != _digest(g, p):
+        return p  # unflagged: the index and quotient routes validate it
+    return EdgePartition.from_labels(p.class_of, refined_by_theta_star=True)
 
 
 def _print_report(report: IndexReport, fmt: str) -> None:
@@ -146,6 +146,7 @@ def _cmd_theta(args) -> int:
 def _cmd_quotient(args) -> int:
     g = _read_graph(args.input)
     p = _load_partition(g, args.partition_file)
+    _require_c_partition(g, p)
     wa = WeightAssignment.degree_weighted(g, starred=args.starred)
     for idx, members in enumerate(p.classes):
         q = quotient_graph(g, wa, members)

@@ -90,15 +90,14 @@ class EdgePartition:
     construction set it so index pipelines can skip the O(n*m) validation.
     `two_sided` flags each class that is a Theta*-class F whose removal
     leaves two convex components, which the cut method reads from one
-    subtree aggregation instead of a quotient. It is no constructor
-    argument: only `theta_star_partition` sets it, and any other partition,
-    a `replace()` copy included, flags no class.
+    subtree aggregation instead of a quotient. Only `theta_star_partition`
+    sets it (not the constructor, nor `replace()`); equality ignores it.
     """
 
     classes: tuple[frozenset[int], ...]
     class_of: tuple[int, ...]
     refined_by_theta_star: bool = False
-    two_sided: tuple[bool, ...] = field(default=(), init=False)
+    two_sided: tuple[bool, ...] = field(default=(), init=False, compare=False)
 
     def __post_init__(self):
         m = len(self.class_of)

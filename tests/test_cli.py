@@ -220,13 +220,13 @@ def _gen_ph_with_labels(capsys, tmp_path, n):
 
 def _spy_on_validation(monkeypatch):
     calls = []
-    real = szegedcut.cli.validate_c_partition
+    real = szegedcut.indices.validate_c_partition
 
     def spy(g, p):
         calls.append(g.m)
         return real(g, p)
 
-    monkeypatch.setattr("szegedcut.cli.validate_c_partition", spy)
+    monkeypatch.setattr("szegedcut.indices.validate_c_partition", spy)
     return calls
 
 
@@ -242,6 +242,23 @@ def test_edited_sidecar_is_validated_and_rejected(capsys, monkeypatch, tmp_path)
     assert out == ""
     assert "invalid partition" in err
     assert calls == [parse_edge_list(Path(gpath).read_text()).m]
+
+
+def test_quotient_validates_a_file_without_digest_once(capsys, monkeypatch, tmp_path):
+    gpath = _write(tmp_path, "c6.edges", format_edge_list(cycle_graph(6)))
+    # the Theta*-classes of C6, opposite pairs, then a split of all three
+    classes = _write(tmp_path, "c6.theta", "0 0\n1 1\n2 2\n3 0\n4 1\n5 2\n")
+    split = _write(tmp_path, "c6.part", "0 0\n1 0\n2 0\n3 1\n4 1\n5 1\n")
+    calls = _spy_on_validation(monkeypatch)
+    code, out, _ = run_cli(capsys, "quotient", gpath, "--partition-file", classes)
+    assert code == 0
+    assert calls == [6]
+    assert out.count("# class") == 3
+    code, out, err = run_cli(capsys, "quotient", gpath, "--partition-file", split)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("invalid partition:")
+    assert calls == [6, 6]
 
 
 def _suite(out):

@@ -1,6 +1,7 @@
 import random
 import time
 from collections import deque
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -214,6 +215,38 @@ def test_formulas_match_cut_and_oracle(n):
     formulas = ph_closed_formulas(n).as_tuple()
     assert weighted_suite_cut(ph.graph, ph.direction_partition()).as_tuple() == formulas
     assert oracle_suite(ph.graph).as_tuple() == formulas
+
+
+def _polynomial_at(points, x):
+    """The value at x of the polynomial through the (x_i, y_i) `points`."""
+    total = Fraction(0)
+    for i, (xi, yi) in enumerate(points):
+        term = Fraction(yi)
+        for j, (xj, _) in enumerate(points):
+            if j != i:
+                term *= Fraction(x - xj, xi - xj)
+        total += term
+    return total
+
+
+def test_linear_benzenoid_chains_match_the_oracle_cubic_at_10000():
+    # the four values are cubic in the number of hexagons h: their 4th
+    # differences vanish on the oracle's values at h = 3..9, and the cubic
+    # through h = 3..6 checks the cut route at a size the oracle cannot reach
+    h = 10_000
+    chain = build_benzenoid(HexSpec.linear_chain(h))
+    p = chain.direction_partition()
+    for starred in (False, True):
+        oracle = [
+            oracle_suite(build_benzenoid(HexSpec.linear_chain(k)).graph, starred).as_tuple()
+            for k in range(3, 10)
+        ]
+        for values in zip(*oracle):
+            for _ in range(4):
+                values = [b - a for a, b in zip(values, values[1:])]
+            assert values == [0, 0, 0], starred
+        cubic = [_polynomial_at(list(zip(range(3, 7), values)), h) for values in zip(*oracle)]
+        assert weighted_suite_cut(chain.graph, p, starred).as_tuple() == tuple(cubic), starred
 
 
 def _square_quotient(dlg):

@@ -1,14 +1,18 @@
-"""A certificate over every connected graph on 2 to 5 vertices.
+"""A certificate over every connected graph on 2 to 6 vertices.
 
-The graphs are enumerated here, one canonical edge list per isomorphism
-class, and each is checked against the oracle: its Theta*-partition, its
-partial-cube test and two-sided flags, every coarsening of its
-Theta*-partition on the cut route, and every split of a Theta*-class,
-which must be refused.
+The graphs on 2 to 5 vertices are enumerated here, one canonical edge list
+per isomorphism class. The 112 on 6 vertices, whose brute-force
+enumeration takes minutes, are read from `data/connected6.txt`, and a test
+checks that the list is complete: 112 connected graphs in pairwise
+distinct canonical forms. Each graph is checked against the oracle: its
+Theta*-partition, its partial-cube test and two-sided flags, every
+coarsening of its Theta*-partition on the cut route, and splits of its
+Theta*-classes, which must be refused.
 """
 
 from functools import lru_cache
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 
@@ -28,8 +32,9 @@ from szegedcut import (
     weighted_suite_direct,
 )
 
-# connected graphs up to isomorphism on n = 2..5 vertices (OEIS A001349)
+# connected graphs up to isomorphism on n = 2..6 vertices (OEIS A001349)
 COUNTS = {2: 1, 3: 2, 4: 6, 5: 21}
+SIX = 112
 
 
 def _canonical(n, edges):
@@ -52,8 +57,20 @@ def connected_graphs(n):
     return sorted(found)
 
 
+@lru_cache(maxsize=None)
+def six_vertex_graphs():
+    """The canonical edge lists of `data/connected6.txt`, one graph a line."""
+    text = (Path(__file__).parent / "data" / "connected6.txt").read_text()
+    return [
+        tuple(tuple(map(int, pair.split("-"))) for pair in line.split())
+        for line in text.splitlines()
+        if not line.startswith("#")
+    ]
+
+
 def _all_graphs():
-    return [build_graph(n, edges) for n in COUNTS for edges in connected_graphs(n)]
+    graphs = [build_graph(n, edges) for n in COUNTS for edges in connected_graphs(n)]
+    return graphs + [build_graph(6, edges) for edges in six_vertex_graphs()]
 
 
 def _set_partitions(items):
@@ -102,14 +119,25 @@ def test_the_enumeration_is_complete_and_canonical():
         graphs = connected_graphs(n)
         assert len(graphs) == count
         assert all(_canonical(n, edges) == edges for edges in graphs)
-    assert len(_all_graphs()) == 30
+    assert len(_all_graphs()) == 30 + SIX
+
+
+def test_the_six_vertex_list_is_complete_and_canonical():
+    # 112 pairwise distinct canonical forms of connected graphs are 112
+    # isomorphism classes, which is all of them
+    graphs = six_vertex_graphs()
+    assert len(graphs) == len(set(graphs)) == SIX
+    for edges in graphs:
+        assert is_connected(build_graph(6, edges)), edges
+        assert _canonical(6, edges) == edges
 
 
 def test_theta_star_flags_match_the_oracle():
     for g in _all_graphs():
         p = theta_star_partition(g)
         star = oracle_theta_star_partition(g)
-        assert (p.classes, p.class_of) == (star.classes, star.class_of), g.edges
+        # equality and hashing ignore the two-sided flags only Theta* writes
+        assert p == star and hash(p) == hash(star), g.edges
         assert p.partial_cube == oracle_is_partial_cube(g), g.edges
         rows = all_pairs_distances(g).rows
         for members, flag in zip(p.classes, p.two_sided, strict=True):
@@ -133,23 +161,34 @@ def test_every_coarsening_gives_cut_equal_direct_equal_oracle():
             coarsenings += 1
             for s in (False, True):
                 assert weighted_suite_cut(g, q, s).as_tuple() == expected[s], (g.edges, blocks)
-    # Bell numbers of the class counts: 104 coarsenings, each plain and starred
-    assert coarsenings == 104
+    # Bell numbers of the class counts: 104 coarsenings on 2..5 vertices and
+    # 676 on 6, each plain and starred
+    assert coarsenings == 780
+
+
+def _splits(members, every):
+    """The edge sets to move out of a class, which leave both parts nonempty:
+    every two-part split (the part holding the least edge stays), or, for a
+    class of more than 6 edges unless `every`, each single edge."""
+    first, *rest = sorted(members)
+    if not every and len(members) > 6:
+        return [{e} for e in sorted(members)]
+    masks = range((1 << len(rest)) - 1)
+    return [{e for i, e in enumerate(rest) if not mask >> i & 1} for mask in masks]
 
 
 def test_every_split_of_a_theta_star_class_is_refused():
+    # all two-part splits on 6 vertices would be 63 933
     splits = 0
     for g in _all_graphs():
         p = theta_star_partition(g)
-        for c, members in enumerate(p.classes):
-            first, *rest = sorted(members)
-            # every two-part split, the part holding `first` named c
-            for mask in range((1 << len(rest)) - 1):
-                moved = {e for i, e in enumerate(rest) if not mask >> i & 1}
+        for members in p.classes:
+            for moved in _splits(members, every=g.n < 6):
                 labels = [len(p) if e in moved else k for e, k in enumerate(p.class_of)]
                 split = EdgePartition.from_labels(labels)
                 splits += 1
                 assert not validate_c_partition(g, split), (g.edges, sorted(moved))
                 with pytest.raises(InvalidCPartitionError):
                     weighted_suite_cut(g, split)
-    assert splits > 0
+    # 1395 on 2..5 vertices, 1190 on 6
+    assert splits == 2585

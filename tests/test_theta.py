@@ -797,6 +797,19 @@ def test_fullerene_patch_has_five_two_sided_classes(patch):
     _assert_two_sided_flags_are_sound(patch)
 
 
+def test_equality_ignores_the_two_sided_flags():
+    # only Theta* writes the flags, so the oracle's equal classes have none
+    c4 = cycle_graph(4)
+    star = theta_star_partition(c4)
+    oracle = oracle_theta_star_partition(c4)
+    assert star.two_sided == (True, True) and oracle.two_sided == ()
+    assert star == oracle and hash(star) == hash(oracle)
+    # the classes and the trust flag still take part; that no caller can
+    # set the flags is test_only_theta_star_sets_the_partial_cube_flag's
+    assert star != replace(star, refined_by_theta_star=False)
+    assert star != EdgePartition.from_labels([0, 0, 1, 1], True)
+
+
 def test_only_theta_star_sets_two_sided_flags():
     c6 = cycle_graph(6)
     star = theta_star_partition(c6)
