@@ -376,7 +376,8 @@ def weighted_suite_cut(
     """All four degree-weighted indices as sums over quotient contributions.
 
     `p` must be a c-partition; partitions not flagged as Theta*-refined are
-    validated first (O(n*m) time, O(n+m) memory).
+    validated first (O(m) time on a hole-free benzenoid or a phenylene,
+    else O(n*m) time and O(n+m) memory).
     """
     # degree weights are ints, so d = 1 and the rows need no unscaling
     rows, _ = _evaluate(g, WeightAssignment.degree_weighted(g, starred), p, False)

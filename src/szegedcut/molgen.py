@@ -28,7 +28,7 @@ from .errors import (
 from .graph import Graph, _int_pairs
 from .indices import IndexReport
 from .quotient import QuotientGraph, WeightAssignment, quotient_graph
-from .theta import EdgePartition
+from .theta import EdgePartition, _UnionFind, is_bipartite
 
 Cell = tuple[int, int]
 Point = tuple[int, int]
@@ -249,6 +249,127 @@ def linear_phenylene(n: int) -> DirectionLabeledGraph:
     if n < 2:
         raise NTooSmallError("linear phenylene needs n >= 2 hexagons")
     return build_phenylene(HexSpec.linear_chain(n))
+
+
+def _lattice_labels(g: Graph) -> list[int] | None:
+    """One label per edge, equal exactly on each Theta*-class, if g is a
+    hole-free benzenoid or a phenylene in any vertex and edge order; None
+    for any other graph. Time O(m).
+
+    A degree above 3 or an odd cycle rejects g at once. One walk over g's
+    faces (`_faces`) unfolds them into cells; g is rebuilt from the cells
+    and accepted only if the vertex map of the walk sends the rebuilt
+    edges one to one onto g's and the region is no `nonstandard_region`.
+    The labels are a union-find over the opposite sides of every hexagon
+    and square of the walk. Soundness: in a bipartite graph a chordless
+    4- or 6-cycle is isometric (the antipodes of a 6-cycle lie at odd
+    distance at most 3, and at 1 only across a chord), so opposite sides
+    are Theta-related and the labels refine Theta*. The rebuild gives the
+    converse. In a hole-free benzenoid the Theta*-classes are the
+    elementary cuts (Klavzar, Gutman and Mohar, J. Chem. Inf. Comput. Sci.
+    35 (1995) 590-593), which are the label classes. A phenylene is a tree
+    of C6s and C4s glued along edges, and an edge is gated in a bipartite
+    graph, so Theta* of the whole joins the classes of the pieces (opposite
+    sides) at the shared edges, as the labels do. A ring around a one-cell
+    hole has the graph of the filled region, and the walk takes the 6-cycle
+    round the hole for its hexagon; a wider hole falls back.
+    """
+    if g.m < 6 or max(map(len, g.adj)) > 3 or not is_bipartite(g):
+        return None
+    walk = _faces([[y for y, _ in a] for a in g.adj])
+    if walk is None:
+        return None
+    cells, squares = walk
+    spec = HexSpec(frozenset(cells))
+    try:
+        mol = build_phenylene(spec) if squares else build_benzenoid(spec)
+    except (CellsNotTreeError, NotCatacondensedError):  # not a phenylene's cells
+        return None
+    if squares:  # build_phenylene numbers corner k of sorted cell i as 6i + k
+        vmap = [v for cell in mol.cells for v in cells[cell]]
+    else:  # build_benzenoid numbers the points in order of first corner
+        at: dict[Point, int] = {}
+        for cell in mol.cells:
+            for point, v in zip(_corners(cell), cells[cell]):
+                if at.setdefault(point, v) != v:
+                    return None
+        vmap = list(at.values())
+    ids = {}
+    for e, (u, v) in enumerate(g.edges):
+        ids[u, v] = ids[v, u] = e
+    if mol.nonstandard_region or len(vmap) != g.n or len(set(vmap)) != g.n or mol.graph.m != g.m:
+        return None
+    if not all((vmap[a], vmap[b]) in ids for a, b in mol.graph.edges):
+        return None
+    uf = _UnionFind(g.m)
+    for t in cells.values():
+        for k in range(3):
+            uf.union(ids[t[k], t[k + 1]], ids[t[k + 3], t[k - 2]])
+    for a, b, q, p in squares:
+        uf.union(ids[a, b], ids[p, q])
+        uf.union(ids[b, q], ids[a, p])
+    return list(map(uf.find, range(g.m)))
+
+
+def _hexagons(nbrs: list[list[int]], p: int, q: int, xs, ys) -> list[tuple[int, ...]]:
+    """The chordless 6-cycles p q y w z x over the edge pq, for x in xs next
+    to p and y in ys next to q, in a bipartite graph: z next to x and w
+    next to y close the cycle. Its antipodes are (p, w), (q, z) and (y, x),
+    and bipartiteness makes its six vertices distinct. Each comes as
+    (z, w, y, q, p, x), the order of corners 0..5 of a cell entered across
+    its side 3, with p at corner 4 and q at corner 3."""
+    return [(z, w, y, q, p, x) for x in xs for y in ys if y not in nbrs[x]
+            for z in nbrs[x] if z != p and z not in nbrs[q]
+            for w in nbrs[y] if w != q and w in nbrs[z] and w not in nbrs[p]]
+
+
+def _faces(nbrs: list[list[int]]):
+    """The cells that one walk over the faces of a graph of degree at most
+    3 unfolds, each with its vertices at corners 0..5, and the squares
+    (a, b, q, p) it crosses; None if a side has two 6-cycles across it, a
+    cell comes twice with other vertices, or the cells pass n / 2, which no
+    benzenoid (n > 2h) or phenylene (n = 6h) does: a strip that winds
+    round, as in a prism, would unfold for ever.
+
+    A 6-cycle through vertex 0 is cell (0, 0). The corners a = k and b =
+    k + 1 of side k of a cell each have at most one neighbour p, q outside
+    it. If p and q are adjacent, a b q p is a square and the 6-cycle over
+    pq is the cell across; otherwise the one over ab is, with p = a and
+    q = b. The cell across sits at the offset of side k, with p at corner
+    k + 4 and q at corner k + 3, as in the builders.
+    """
+    # x = q or y = 0 would make x and y adjacent, which `_hexagons` skips
+    at_0 = [c for q in nbrs[0] for c in _hexagons(nbrs, 0, q, nbrs[0], nbrs[q])]
+    if not at_0:
+        return None
+    cells = {(0, 0): at_0[0]}
+    squares: list[tuple[int, int, int, int]] = []
+    queue = [(0, 0)]
+    for cell in queue:  # the list grows while it is read: a BFS queue
+        t = cells[cell]
+        for k, ((dq, dr), _, _, _) in enumerate(_SIDES):
+            a, b = t[k], t[k - 5]
+            xs = [x for x in nbrs[a] if x != b and x != t[k - 1]]
+            ys = [y for y in nbrs[b] if y != a and y != t[k - 4]]
+            if xs and ys and ys[0] in nbrs[xs[0]]:
+                p, q = xs[0], ys[0]
+                squares.append((a, b, q, p))
+                xs = [x for x in nbrs[p] if x != a and x != q]
+                ys = [y for y in nbrs[q] if y != b and y != p]
+            else:
+                p, q = a, b
+            found = _hexagons(nbrs, p, q, xs, ys)
+            if len(found) > 1:
+                return None
+            if found:
+                across = found[0][6 - k :] + found[0][: 6 - k]  # p at corner k + 4
+                nxt = (cell[0] + dq, cell[1] + dr)
+                if nxt not in cells and 2 * len(cells) < len(nbrs):
+                    cells[nxt] = across
+                    queue.append(nxt)
+                elif cells.get(nxt) != across:  # a clash, or too many cells
+                    return None
+    return cells, squares
 
 
 def benzenoid_quotient_trees(

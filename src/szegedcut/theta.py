@@ -7,10 +7,23 @@ partitions the edge set. A partition whose classes are unions of
 Theta*-classes is called a c-partition and is the input the cut method
 requires.
 
-Theta* comes from one pass over the edges of the package's BFS spanning
-tree (`graph._bfs_tree`, the tree that the subtree aggregation of the
-side sums folds over), in O(n*m) time and O(n+m) memory. Graphs with
-odd cycles, and compact graphs (n above four times the depth of the
+A benzenoid without holes or a phenylene, read as an edge list in any
+order, takes the lattice route in O(m) time: `molgen._lattice_labels`
+unfolds its hexagons and squares into lattice cells, rebuilds it from
+them, and reads its Theta*-classes as the chains of opposite sides of
+its faces. Opposite sides of a chordless 4- or 6-cycle of a bipartite
+graph are Theta-related, so those chains refine Theta*; the rebuild
+makes the graph a hole-free benzenoid, whose Theta*-classes are its
+elementary cuts, or a phenylene, glued from C6s and C4s along gated
+edges, so they are whole classes. Such a graph is a partial cube, so
+every class is two-sided. A degree above 3 or an odd cycle rejects a
+graph in O(n+m), and every graph the recognizer rejects, a benzenoid
+with a hole wider than one cell among them, falls back to the pass.
+
+Otherwise Theta* comes from one pass over the edges of the package's BFS
+spanning tree (`graph._bfs_tree`, the tree that the subtree aggregation
+of the side sums folds over), in O(n*m) time and O(n+m) memory. Graphs
+with odd cycles, and compact graphs (n above four times the depth of the
 tree), run sweeps of the bit-parallel multi-source BFS that the generic
 side sums share (`graph._sweep`): each tree edge owns one source bit at
 each end, one sweep cuts up to 2048 tree edges, and whether some vertex
@@ -18,12 +31,12 @@ is equidistant from the ends of a tree edge is read from the edges
 alone. A sweep takes about one round per unit of diameter, so long thin
 bipartite graphs, phenylene chains among them, run one BFS
 (`_propagate`, the list-queue loop of `graph._bfs`) per vertex instead,
-which cuts every tree edge at that vertex; long thin graphs with odd
-cycles gain least.
-`theta_star_partition` is the one reader of that pass. It closes the
-cuts row by row: per batch it notes which of the batch's tree edges each
-class already holds, so an edge's row costs two union-find lookups plus
-one per tree edge new to its class, not one union per Theta-pair.
+which cuts every tree edge at that vertex and hands on only the edges
+whose ends its labels tell apart; long thin graphs with odd cycles gain
+least. `theta_star_partition` is the one reader of that pass. It closes
+the cuts row by row: per batch it notes which of the batch's tree edges
+each class already holds, so an edge's row costs two union-find lookups
+plus one per tree edge new to its class, not one union per Theta-pair.
 C-partition validation reads its classes, since p is a c-partition iff
 every Theta*-class meets exactly one class of p.
 
@@ -45,8 +58,7 @@ reads the depths that `graph._bfs` gives each component.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress
-from operator import itemgetter, xor
+from itertools import chain, compress
 from typing import Hashable, Iterable, Iterator, Mapping
 
 from .errors import (
@@ -159,14 +171,18 @@ def single_class_partition(m: int) -> EdgePartition:
 _MASK_BITS = 64  # tree edges cut per bipartite BFS
 
 
-def _propagate(nbrs: list[list[int]], lab: list[int], v: int) -> None:
+def _propagate(nbrs: list[list[int]], lab: list[int], v: int) -> list[int]:
     # BFS from v that ORs each vertex's label into its successors in the
     # shortest-path DAG, so on return lab[z] is the OR over every shortest
     # v-z path. FIFO order reads a vertex only after all of its
-    # predecessors, so its label is final when it is passed on.
+    # predecessors, so its label is final when it is passed on. Returns
+    # the vertices that a later predecessor reached with another label: a
+    # vertex whose predecessors all carry one label ends no DAG edge with
+    # two labels, unless it is a neighbour of v.
     dist = [-1] * len(nbrs)
     dist[v] = 0
     order = [v]
+    mixed = []
     for x in order:  # the list grows while it is read: a BFS queue
         lx = lab[x]
         d = dist[x] + 1
@@ -176,12 +192,14 @@ def _propagate(nbrs: list[list[int]], lab: list[int], v: int) -> None:
                 dist[y] = d
                 lab[y] |= lx
                 order.append(y)
-            elif dy == d:
+            elif dy == d and lab[y] != lx:
                 lab[y] |= lx
+                mixed.append(y)
+    return mixed
 
 
 # (tree edges, related, ties); see `_theta_cuts`
-Batch = tuple[list[int], list[int], int]
+Batch = tuple[list[int], Iterable[tuple[int, int]], int]
 
 
 def _theta_cuts(g: Graph) -> Iterator[Batch]:
@@ -193,27 +211,26 @@ def _theta_cuts(g: Graph) -> Iterator[Batch]:
     it. An edge f = xy is Theta-related to e = pc iff p and c differ in
     whether they are closer to x, closer to y, or equidistant.
 
-    Yields (tree_edges, related, ties) batches: bit i of related[f] means
-    that edge f is Theta-related to tree_edges[i], and bit i of ties that
-    some vertex is equidistant from the ends of tree_edges[i]. `related`
-    holds one mask per edge of g, its row, which `theta_star_partition`
-    closes in one step per row. A batch is a sweep of up to
-    `graph._SOURCE_BITS` // 2 tree edges on a graph with odd cycles or
-    with n > 4 * depth for the depth of the BFS tree: a sweep costs about
-    one round per level, and on bipartite graphs it beats one BFS per
-    vertex from n / depth of about 3 up. Other bipartite graphs, such as
-    phenylene chains (n / depth = 2), yield up to _MASK_BITS tree edges
-    at one vertex per batch, with no ties. Time is O(n*m), memory O(n+m):
-    a sweep holds 2n + 2m masks.
+    Yields (tree_edges, related, ties) batches. `related` holds the pairs
+    (f, row) of the edges f related to some tree edge of the batch: bit i
+    of row means that f is Theta-related to tree_edges[i]. Bit i of ties
+    means that some vertex is equidistant from the ends of tree_edges[i].
+    `theta_star_partition` closes each row in one step. A batch is a
+    sweep of up to `graph._SOURCE_BITS` // 2 tree edges on a graph with
+    odd cycles or with n > 4 * depth for the depth of the BFS tree: a
+    sweep costs about one round per level, and on bipartite graphs it
+    beats one BFS per vertex from n / depth of about 3 up. Other
+    bipartite graphs, such as phenylene chains (n / depth = 2), yield up
+    to _MASK_BITS tree edges at one vertex per batch, with no ties. Time
+    is O(n*m), memory O(n+m): a sweep holds 2n + 2m masks.
 
     Raises:
         DisconnectedError: if g is not connected.
     """
     order, _, parent_edge, depth = _bfs_tree(g)
     if g.m <= 1:
-        # a connected graph with one edge: the edge is its own class (and
-        # itemgetter with a single index would return a scalar below)
-        return iter([([0], [1], 0)] if g.m else [])
+        # a connected graph with one edge: the edge is its own class
+        return iter([([0], [(0, 1)], 0)] if g.m else [])
 
     tree = [parent_edge[c] for c in order[1:]]
     # a sweep takes about one round per BFS level, so it serves compact
@@ -250,7 +267,7 @@ def _swept_cuts(g: Graph, tree: list[int]) -> Iterator[Batch]:
             near_u[f] = ((a ^ a >> k) | (b ^ b >> k)) & low  # the row of f
             z = full ^ (a | b)
             ties |= z ^ z >> k
-        yield tree_edges, near_u, ties & low
+        yield tree_edges, compress(enumerate(near_u), near_u), ties & low
 
 
 def _bipartite_cuts(g: Graph, tree: list[int], depth: list[int]) -> Iterator[Batch]:
@@ -259,11 +276,13 @@ def _bipartite_cuts(g: Graph, tree: list[int], depth: list[int]) -> Iterator[Bat
     # c. One BFS from v that carries one bit per tree neighbour cuts every
     # tree edge at v (up to _MASK_BITS of them, so masks stay small on
     # hubs). Each tree edge joins two depth parities, so the smaller
-    # parity class is a vertex cover of the tree.
+    # parity class is a vertex cover of the tree. An edge is related to a
+    # tree edge at v iff its ends carry different labels, so only the
+    # edges at the neighbours of v and at the vertices that `_propagate`
+    # reports are read.
     n = g.n
-    xs = itemgetter(*(u for u, _ in g.edges))
-    ys = itemgetter(*(v for _, v in g.edges))
-    nbrs = [[y for y, _ in a] for a in g.adj]
+    adj = g.adj
+    nbrs = [[y for y, _ in a] for a in adj]
     tree_edges: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for eid in tree:
         u, v = g.edges[eid]
@@ -278,13 +297,52 @@ def _bipartite_cuts(g: Graph, tree: list[int], depth: list[int]) -> Iterator[Bat
             mask = [0] * n
             for k, (c, _) in enumerate(chunk):
                 mask[c] = 1 << k
-            _propagate(nbrs, mask, v)
-            yield [eid for _, eid in chunk], list(map(xor, xs(mask), ys(mask))), 0
+            rows: dict[int, int] = {}
+            for y in chain(nbrs[v], _propagate(nbrs, mask, v)):
+                label = mask[y]
+                for x, f in adj[y]:
+                    if mask[x] != label:
+                        rows[f] = mask[x] ^ label
+            yield [eid for _, eid in chunk], rows.items(), 0
 
 
 def theta_star_partition(g: Graph) -> EdgePartition:
+    """Theta*-classes with the `two_sided` flag of every class: O(m) time
+    on a recognized molecule, else O(n*m) time and O(n+m) memory.
+
+    A hole-free benzenoid or a phenylene, given as any edge list, is
+    recognized by `molgen._lattice_labels`, which reads its Theta*-classes
+    as the chains of opposite sides of its hexagons and squares. These
+    refine Theta*, since a chordless 4- or 6-cycle of a bipartite graph is
+    isometric, and they are whole classes because the graph is accepted
+    only if it rebuilds from its cells as a hole-free benzenoid (whose
+    classes are its elementary cuts) or a phenylene. Such a graph is a
+    partial cube, so every class is two-sided. A graph of degree above 3
+    or with an odd cycle is rejected in O(n+m), and any graph the
+    recognizer rejects gets the Theta* pass, `_theta_star_pass`.
+
+    Raises:
+        DisconnectedError: if g is not connected.
+    """
+    from .molgen import _lattice_labels  # deferred: molgen imports this module
+
+    labels = _lattice_labels(g)
+    if labels is None:
+        return _theta_star_pass(g)
+    p = EdgePartition.from_labels(labels, refined_by_theta_star=True)
+    return _flagged(p, (True,) * len(p.classes))
+
+
+def _flagged(p: EdgePartition, two_sided: tuple[bool, ...]) -> EdgePartition:
+    # the one writer of the flags, which are not a constructor argument
+    object.__setattr__(p, "two_sided", two_sided)
+    return p
+
+
+def _theta_star_pass(g: Graph) -> EdgePartition:
     """Theta*-classes in O(n*m) time and O(n+m) memory, with the
-    `two_sided` flag of every class.
+    `two_sided` flag of every class, from the BFS-tree cuts of any
+    connected graph.
 
     The Theta-cut of a tree edge lies inside its Theta*-class, and every
     class holds a tree edge (removing a class disconnects g, so it meets
@@ -302,13 +360,13 @@ def theta_star_partition(g: Graph) -> EdgePartition:
     every class is two-sided; the `partial_cube` property, which reads
     `all(two_sided)`, is therefore the partial-cube test.
 
-    The cuts come in batches of bitmasks from `_theta_cuts`, and the walk
-    over them is linear in rows, not in Theta-pairs. Per batch, `merged`
-    maps each union-find root to the batch's bits already in its class.
-    A nonzero row related[f] finds the root of its lowest bit's tree
-    edge, links only the roots of its bits outside that root's mask
-    (taking over their masks), then links f. So a batch costs two lookups
-    per row, one per tree edge and one per link. Cut sizes are counted
+    The cuts come in batches of bitmasks from `_theta_cuts`, one nonzero
+    row per related edge, and the walk over them is linear in rows, not
+    in Theta-pairs. Per batch, `merged` maps each union-find root to the
+    batch's bits already in its class. The row of an edge f finds the
+    root of its lowest bit's tree edge, links only the roots of its bits
+    outside that root's mask (taking over their masks), then links f. So
+    a batch costs two lookups per row, one per tree edge and one per link. Cut sizes are counted
     only over tie-free bits, since only a tie-free tree edge can flag its
     class two-sided.
 
@@ -323,7 +381,7 @@ def theta_star_partition(g: Graph) -> EdgePartition:
     for tree_edges, related, ties in _theta_cuts(g):
         sizes = [0] * len(tree_edges)
         merged: dict[int, int] = {}  # root -> this batch's bits in its class
-        for f, mask in compress(enumerate(related), related):
+        for f, mask in related:
             low = mask & -mask
             root = find(tree_edges[low.bit_length() - 1])
             have = merged.pop(root, 0) | low
@@ -355,17 +413,16 @@ def theta_star_partition(g: Graph) -> EdgePartition:
         c = p.class_of[e]
         if k == len(p.classes[c]):
             two_sided[c] = True
-    # the one writer of the flags, which are not a constructor argument
-    object.__setattr__(p, "two_sided", tuple(two_sided))
-    return p
+    return _flagged(p, tuple(two_sided))
 
 
 def validate_c_partition(g: Graph, p: EdgePartition) -> bool:
     """True iff every Theta*-class of g lies inside a single class of p,
     that is, iff each Theta*-class meets exactly one class of p.
 
-    Reads `theta_star_partition`, so it runs in O(n*m) time and O(n+m)
-    memory.
+    Reads `theta_star_partition`, so it runs in O(m) time on a hole-free
+    benzenoid or a phenylene, which take the lattice route, and in O(n*m)
+    time and O(n+m) memory on any other graph.
 
     Raises:
         PartitionNotCoveringError: if p does not cover g's edges.
@@ -406,11 +463,13 @@ def is_bipartite(g: Graph) -> bool:
 
 
 def is_partial_cube(g: Graph) -> bool:
-    """Partial-cube test in O(n*m) time and O(n+m) memory.
+    """Partial-cube test in O(n*m) time and O(n+m) memory, and in O(m) on
+    a hole-free benzenoid or a phenylene.
 
     A partial cube is bipartite, so the O(n+m) 2-colouring goes first and
     answers every graph with an odd cycle without a Theta* pass; bipartite
-    graphs read the `partial_cube` flag of their Theta*-partition.
+    graphs read the `partial_cube` flag of their Theta*-partition, which
+    the lattice route gives a recognized molecule without the pass.
 
     Raises:
         DisconnectedError: if g is not connected.

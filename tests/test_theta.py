@@ -461,16 +461,17 @@ def _refuse(name: str):
 
 def test_compact_benzenoids_sweep_and_phenylenes_bfs():
     # a 10 x 10 parallelogram has n = 240 and BFS depth 36, so n > 4 *
-    # depth sends it to the sweep; a linear phenylene has n / depth = 2
+    # depth sends it to the sweep; a linear phenylene has n / depth = 2.
+    # Both would take the lattice route, so the pass is called directly
     cells = frozenset((q, r) for q in range(10) for r in range(10))
     bz = build_benzenoid(HexSpec(cells)).graph
     with mock.patch.object(theta, "_propagate", _refuse("_propagate")):
-        star = theta_star_partition(bz)
+        star = theta._theta_star_pass(bz)
     assert star.classes == oracle_theta_star_partition(bz).classes
     assert star.partial_cube
     ph = linear_phenylene(20).graph
     with mock.patch.object(theta, "_swept_cuts", _refuse("_swept_cuts")):
-        star = theta_star_partition(ph)
+        star = theta._theta_star_pass(ph)
     assert star.classes == oracle_theta_star_partition(ph).classes
     assert star.partial_cube
 
@@ -506,6 +507,23 @@ def test_both_cut_sources_give_the_same_partition(family, source_bits, seed):
             runs.append((p.classes, p.two_sided, p.partial_cube))
     assert runs[0] == runs[1]
     assert runs[0][0] == oracle_theta_star_partition(g).classes
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(("bipartite", "tree", "even-cycle", "Q4")), st.integers(0, 10**9))
+def test_bipartite_batches_hold_exactly_the_related_edges(family, seed):
+    # one BFS per vertex hands on only the edges it finds related to a
+    # tree edge of its batch, each with its full row
+    rng = random.Random(seed)
+    g = hypercube_subgraph(rng, 4) if family == "Q4" else family_graph(family, rng)
+    dm = all_pairs_distances(g)
+    with _through("bfs"):
+        batches = [(t, dict(related)) for t, related, _ in theta._theta_cuts(g)]
+    for tree_edges, rows in batches:
+        for f in range(g.m):
+            row = sum(1 << i for i, e in enumerate(tree_edges) if theta_related(g, dm, f, e))
+            assert rows.get(f, 0) == row
+        assert all(rows.values())
 
 
 def _sparse_graph(rng: random.Random, n: int):
@@ -600,6 +618,20 @@ def test_theta_star_and_validate_memory_is_linear():
     finally:
         tracemalloc.stop()
     assert len(star) == 150 and valid
+    assert peak < 400_000, f"peak {peak} bytes"
+
+
+def test_theta_star_pass_memory_is_linear_on_a_phenylene():
+    # a phenylene takes the lattice route; its pass, one BFS per vertex,
+    # must stay linear too (the all-pairs table would be about 0.74 MB)
+    g = linear_phenylene(50).graph
+    tracemalloc.start()
+    try:
+        star = theta._theta_star_pass(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(star) == 150 and star.partial_cube
     assert peak < 400_000, f"peak {peak} bytes"
 
 
