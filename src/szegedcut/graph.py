@@ -11,7 +11,7 @@ kept in `oracle`, so no production path holds O(n^2) state.
 `_bfs_tree` is the one BFS spanning tree of the package: the Theta* pass
 cuts its edges, and the subtree aggregation of the side sums folds over
 it. `_sweep` is the one bit-parallel multi-source BFS: the generic side
-sums and the Theta* pass on graphs with odd cycles both run it. `_bfs`
+sums and the Theta* pass of every graph with a cycle both run it. `_bfs`
 is the one distance BFS, behind `bfs_distances`, `is_connected` and
 `theta.is_bipartite`; it stays apart from `_bfs_tree`, so the all-pairs
 oracle shares no BFS-tree code with the routes it checks. Every
@@ -134,10 +134,9 @@ def _bfs(g: Graph, source: int, dist: list[int]) -> list[int]:
     return dist
 
 
-def _bfs_tree(g: Graph) -> tuple[list[int], list[int], list[int], list[int]]:
-    """BFS order from vertex 0, and each vertex's parent, parent edge and
-    depth in that BFS tree (the root is its own parent, with parent edge
-    -1).
+def _bfs_tree(g: Graph) -> tuple[list[int], list[int], list[int]]:
+    """BFS order from vertex 0, and each vertex's parent and parent edge
+    in that BFS tree (the root is its own parent, with parent edge -1).
 
     Raises:
         DisconnectedError: if g is not connected.
@@ -145,21 +144,18 @@ def _bfs_tree(g: Graph) -> tuple[list[int], list[int], list[int], list[int]]:
     n = g.n
     parent = [-1] * n
     parent_edge = [-1] * n
-    depth = [-1] * n
-    parent[0] = depth[0] = 0
+    parent[0] = 0
     order = [0]
     adj = g.adj
     for x in order:  # the list grows while it is read: a BFS queue
-        dx = depth[x] + 1
         for y, eid in adj[x]:
-            if depth[y] < 0:
+            if parent[y] < 0:
                 parent[y] = x
                 parent_edge[y] = eid
-                depth[y] = dx
                 order.append(y)
     if len(order) < n:
         raise DisconnectedError("graph is not connected")
-    return order, parent, parent_edge, depth
+    return order, parent, parent_edge
 
 
 # source bits per sweep of `_sweep`: every mask holds at most this many

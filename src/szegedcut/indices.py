@@ -209,7 +209,7 @@ def _cut_rows(g, w, lam, lambda_prime, w_prime, class_of, k) -> Columns:
         wp_f[c] += wp
     total_w = sum(w)
     total_s = sum(sub_s)
-    order, parent, parent_edge, _ = _bfs_tree(g)
+    order, parent, parent_edge = _bfs_tree(g)
     sub_w = list(w)
     w_a = [0] * k
     s_a = [0] * k

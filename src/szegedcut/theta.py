@@ -22,21 +22,19 @@ with a hole wider than one cell among them, falls back to the pass.
 
 Otherwise Theta* comes from one pass over the edges of the package's BFS
 spanning tree (`graph._bfs_tree`, the tree that the subtree aggregation
-of the side sums folds over), in O(n*m) time and O(n+m) memory. Graphs
-with odd cycles, and compact graphs (n above four times the depth of the
-tree), run sweeps of the bit-parallel multi-source BFS that the generic
-side sums share (`graph._sweep`): each tree edge owns one source bit at
-each end, one sweep cuts up to 2048 tree edges, and whether some vertex
-is equidistant from the ends of a tree edge is read from the edges
-alone. A sweep takes about one round per unit of diameter, so long thin
-bipartite graphs, phenylene chains among them, run one BFS
-(`_propagate`, the list-queue loop of `graph._bfs`) per vertex instead,
-which cuts every tree edge at that vertex and hands on only the edges
-whose ends its labels tell apart; long thin graphs with odd cycles gain
-least. `theta_star_partition` is the one reader of that pass. It closes
-the cuts row by row: per batch it notes which of the batch's tree edges
-each class already holds, so an edge's row costs two union-find lookups
-plus one per tree edge new to its class, not one union per Theta-pair.
+of the side sums folds over), in O(n*m) time and O(n+m) memory. Every
+edge of a tree is a bridge and a Theta*-class of its own, read in O(m).
+Any other graph runs sweeps of the bit-parallel multi-source BFS that
+the generic side sums share (`graph._sweep`; Then et al., PVLDB 8(4),
+2014): each tree edge owns one source bit at each end, one sweep cuts up
+to 2048 tree edges, and whether some vertex is equidistant from the ends
+of a tree edge is read from the edges alone. A sweep takes about one
+round per unit of diameter, so long thin graphs that are not trees, such
+as long cycles and ladders, pay the most per edge. `theta_star_partition`
+is the one reader of that pass. It closes the cuts row by row: per batch
+it notes which of the batch's tree edges each class already holds, so an
+edge's row costs two union-find lookups plus one per tree edge new to its
+class, not one union per Theta-pair.
 C-partition validation reads its classes, since p is a c-partition iff
 every Theta*-class meets exactly one class of p.
 
@@ -58,7 +56,7 @@ reads the depths that `graph._bfs` gives each component.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, compress
+from itertools import compress
 from typing import Hashable, Iterable, Iterator, Mapping
 
 from .errors import (
@@ -168,36 +166,6 @@ def single_class_partition(m: int) -> EdgePartition:
     return EdgePartition.from_labels([0] * m, True)
 
 
-_MASK_BITS = 64  # tree edges cut per bipartite BFS
-
-
-def _propagate(nbrs: list[list[int]], lab: list[int], v: int) -> list[int]:
-    # BFS from v that ORs each vertex's label into its successors in the
-    # shortest-path DAG, so on return lab[z] is the OR over every shortest
-    # v-z path. FIFO order reads a vertex only after all of its
-    # predecessors, so its label is final when it is passed on. Returns
-    # the vertices that a later predecessor reached with another label: a
-    # vertex whose predecessors all carry one label ends no DAG edge with
-    # two labels, unless it is a neighbour of v.
-    dist = [-1] * len(nbrs)
-    dist[v] = 0
-    order = [v]
-    mixed = []
-    for x in order:  # the list grows while it is read: a BFS queue
-        lx = lab[x]
-        d = dist[x] + 1
-        for y in nbrs[x]:
-            dy = dist[y]
-            if dy < 0:
-                dist[y] = d
-                lab[y] |= lx
-                order.append(y)
-            elif dy == d and lab[y] != lx:
-                lab[y] |= lx
-                mixed.append(y)
-    return mixed
-
-
 # (tree edges, related, ties); see `_theta_cuts`
 Batch = tuple[list[int], Iterable[tuple[int, int]], int]
 
@@ -215,41 +183,33 @@ def _theta_cuts(g: Graph) -> Iterator[Batch]:
     (f, row) of the edges f related to some tree edge of the batch: bit i
     of row means that f is Theta-related to tree_edges[i]. Bit i of ties
     means that some vertex is equidistant from the ends of tree_edges[i].
-    `theta_star_partition` closes each row in one step. A batch is a
-    sweep of up to `graph._SOURCE_BITS` // 2 tree edges on a graph with
-    odd cycles or with n > 4 * depth for the depth of the BFS tree: a
-    sweep costs about one round per level, and on bipartite graphs it
-    beats one BFS per vertex from n / depth of about 3 up. Other
-    bipartite graphs, such as phenylene chains (n / depth = 2), yield up
-    to _MASK_BITS tree edges at one vertex per batch, with no ties. Time
-    is O(n*m), memory O(n+m): a sweep holds 2n + 2m masks.
+    `theta_star_partition` closes each row in one step. A tree yields
+    ([e], [(e, 1)], 0) for each edge e in O(m): every edge is a bridge, so
+    it is related to itself alone and no vertex is equidistant from its
+    ends. Any other graph yields one batch per sweep of `graph._sweep`
+    over up to `graph._SOURCE_BITS` // 2 tree edges, which takes about one
+    round per unit of diameter. Time is O(n*m), memory O(n+m): a sweep
+    holds 2n + 2m masks.
 
     Raises:
         DisconnectedError: if g is not connected.
     """
-    order, _, parent_edge, depth = _bfs_tree(g)
-    if g.m <= 1:
-        # a connected graph with one edge: the edge is its own class
-        return iter([([0], [(0, 1)], 0)] if g.m else [])
+    order, _, parent_edge = _bfs_tree(g)
+    if g.m == g.n - 1:
+        for e in range(g.m):
+            yield [e], [(e, 1)], 0
+        return
 
+    # A sweep takes k tree edges: tree edge i = pc owns source bit i,
+    # seeded at p, and bit i + k, seeded at c. Edge f is Theta-related to
+    # pc iff bits i and i + k differ in near_u[f] or in near_v[f]. A vertex
+    # is equidistant from p and c iff some edge is tied (in neither near
+    # mask) for exactly one of them: along a geodesic from a tie vertex to
+    # p, d(., c) - d(., p) rises from 0 to 1 in steps of 0, 1 or 2, so
+    # exactly one step keeps d(., c) fixed; conversely, if d(x, c) = d(y,
+    # c) = a and d(y, p) = d(x, p) + 1, then d(x, p) is a or a - 1, so x
+    # or y is a tie vertex. Ties need no per-vertex work.
     tree = [parent_edge[c] for c in order[1:]]
-    # a sweep takes about one round per BFS level, so it serves compact
-    # graphs; an edge joins two equal BFS depths iff g has an odd cycle
-    if g.n > 4 * depth[order[-1]] or any(depth[u] == depth[v] for u, v in g.edges):
-        return _swept_cuts(g, tree)
-    return _bipartite_cuts(g, tree, depth)
-
-
-def _swept_cuts(g: Graph, tree: list[int]) -> Iterator[Batch]:
-    # A sweep of `graph._sweep` takes k tree edges: tree edge i = pc owns
-    # source bit i, seeded at p, and bit i + k, seeded at c. Edge f is
-    # Theta-related to pc iff bits i and i + k differ in near_u[f] or in
-    # near_v[f]. A vertex is equidistant from p and c iff some edge is tied
-    # (in neither near mask) for exactly one of them: along a geodesic from
-    # a tie vertex to p, d(., c) - d(., p) rises from 0 to 1 in steps of 0,
-    # 1 or 2, so exactly one step keeps d(., c) fixed; conversely, if
-    # d(x, c) = d(y, c) = a and d(y, p) = d(x, p) + 1, then d(x, p) is a or
-    # a - 1, so x or y is a tie vertex. Ties need no per-vertex work.
     edges = g.edges
     for run in _sweep_ranges(len(tree), 2):
         tree_edges = tree[run.start : run.stop]
@@ -268,42 +228,6 @@ def _swept_cuts(g: Graph, tree: list[int]) -> Iterator[Batch]:
             z = full ^ (a | b)
             ties |= z ^ z >> k
         yield tree_edges, compress(enumerate(near_u), near_u), ties & low
-
-
-def _bipartite_cuts(g: Graph, tree: list[int], depth: list[int]) -> Iterator[Batch]:
-    # No vertex is equidistant from the ends of an edge vc, and the
-    # vertices closer to c are those with a shortest path from v through
-    # c. One BFS from v that carries one bit per tree neighbour cuts every
-    # tree edge at v (up to _MASK_BITS of them, so masks stay small on
-    # hubs). Each tree edge joins two depth parities, so the smaller
-    # parity class is a vertex cover of the tree. An edge is related to a
-    # tree edge at v iff its ends carry different labels, so only the
-    # edges at the neighbours of v and at the vertices that `_propagate`
-    # reports are read.
-    n = g.n
-    adj = g.adj
-    nbrs = [[y for y, _ in a] for a in adj]
-    tree_edges: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for eid in tree:
-        u, v = g.edges[eid]
-        tree_edges[u].append((v, eid))
-        tree_edges[v].append((u, eid))
-    even = [x for x in range(n) if not depth[x] & 1]
-    odd = [x for x in range(n) if depth[x] & 1]
-    for v in even if len(even) <= len(odd) else odd:
-        at_v = tree_edges[v]
-        for lo in range(0, len(at_v), _MASK_BITS):
-            chunk = at_v[lo : lo + _MASK_BITS]
-            mask = [0] * n
-            for k, (c, _) in enumerate(chunk):
-                mask[c] = 1 << k
-            rows: dict[int, int] = {}
-            for y in chain(nbrs[v], _propagate(nbrs, mask, v)):
-                label = mask[y]
-                for x, f in adj[y]:
-                    if mask[x] != label:
-                        rows[f] = mask[x] ^ label
-            yield [eid for _, eid in chunk], rows.items(), 0
 
 
 def theta_star_partition(g: Graph) -> EdgePartition:

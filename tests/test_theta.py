@@ -201,26 +201,6 @@ def test_is_bipartite_matches_every_2_colouring(g):
     assert is_bipartite(g) == bipartite
 
 
-@settings(max_examples=400, deadline=None)
-@given(st.integers(0, 10**9))
-def test_propagate_labels_the_vertices_closer_to_each_neighbour(seed):
-    # bit k starts on neighbour c_k of v and must end exactly on the
-    # vertices closer to c_k than to v
-    rng = random.Random(seed)
-    g = random_bipartite_connected(rng, extra=rng.choice((0.1, 0.3, 0.6)))
-    v = rng.randrange(g.n)
-    lab = [0] * g.n
-    for k, (c, _) in enumerate(g.adj[v]):
-        lab[c] = 1 << k
-    theta._propagate([[y for y, _ in a] for a in g.adj], lab, v)
-    from_v = bfs_distances(g, v)
-    for k, (c, _) in enumerate(g.adj[v]):
-        from_c = bfs_distances(g, c)
-        assert [lab[z] >> k & 1 for z in range(g.n)] == [
-            int(from_c[z] < from_v[z]) for z in range(g.n)
-        ]
-
-
 def test_partial_cube_examples(patch):
     assert is_partial_cube(cycle_graph(6))
     assert not is_partial_cube(cycle_graph(5))
@@ -310,6 +290,13 @@ def test_theta_star_matches_pairwise_oracle(family, seed):
 def test_theta_star_matches_oracle_on_patch_and_molecule(patch):
     for g in (patch, linear_phenylene(6).graph):
         assert theta_star_partition(g).classes == oracle_theta_star_partition(g).classes
+    # a 10 x 10 parallelogram and PH20 take the lattice route, so their
+    # sweeps are run through the pass itself
+    cells = frozenset((q, r) for q in range(10) for r in range(10))
+    for g in (build_benzenoid(HexSpec(cells)).graph, linear_phenylene(20).graph):
+        star = theta._theta_star_pass(g)
+        assert star.classes == oracle_theta_star_partition(g).classes
+        assert star.partial_cube
 
 
 def _split_and_coarsen(rng: random.Random, star: EdgePartition) -> EdgePartition:
@@ -346,22 +333,25 @@ def test_validate_agrees_with_oracle(family, seed):
 
 
 def _family_or_pendant(family: str, data):
-    # a GRAPH_FAMILIES graph, or one with pendant trees (bridges) hung on a
-    # cyclic core; and a generator for the partitions made from it
+    # a GRAPH_FAMILIES graph, one with pendant trees (bridges) hung on a
+    # cyclic core, or a connected induced subgraph of Q3 or Q4; and a
+    # generator for the partitions made from it
     rng = random.Random(data.draw(st.integers(0, 10**9)))
     if family == "pendant":
         return data.draw(pendant_weighted_graphs())[0], rng
+    if family in ("Q3", "Q4"):
+        return hypercube_subgraph(rng, int(family[1])), rng
     return family_graph(family, rng), rng
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=250, deadline=None)
 @given(
-    st.sampled_from(GRAPH_FAMILIES + ("pendant",)),
+    st.sampled_from(GRAPH_FAMILIES + ("pendant", "Q3", "Q4")),
     st.sampled_from((6, 7, 8)),
     st.data(),
 )
 def test_theta_star_in_several_sweeps_matches_oracle(family, source_bits, data):
-    # 3 or 4 tree edges per sweep, so a graph with odd cycles takes several
+    # 3 or 4 tree edges per sweep, so any graph with a cycle takes several
     g, rng = _family_or_pendant(family, data)
     whole = theta_star_partition(g)
     star = oracle_theta_star_partition(g)
@@ -423,17 +413,6 @@ def test_ties_on_small_graphs(g, tie):
     assert set(_tie_bits(g).values()) == {tie}
 
 
-def test_graphs_with_odd_cycles_skip_the_per_edge_bfs(patch):
-    def no_bfs(*_):
-        raise AssertionError("per-edge BFS on a graph with odd cycles")
-
-    graphs = (patch, cycle_graph(5), _phenylene_with_triangle(4))
-    with mock.patch.object(theta, "_propagate", no_bfs):
-        for g in graphs:
-            star = theta_star_partition(g)
-            assert validate_c_partition(g, EdgePartition.from_classes(star.classes, g.m))
-
-
 def hypercube_subgraph(rng: random.Random, d: int):
     """A random connected induced subgraph of the d-cube Q_d."""
     chosen = [rng.randrange(1 << d)]
@@ -459,71 +438,39 @@ def _refuse(name: str):
     return run
 
 
-def test_compact_benzenoids_sweep_and_phenylenes_bfs():
-    # a 10 x 10 parallelogram has n = 240 and BFS depth 36, so n > 4 *
-    # depth sends it to the sweep; a linear phenylene has n / depth = 2.
-    # Both would take the lattice route, so the pass is called directly
-    cells = frozenset((q, r) for q in range(10) for r in range(10))
-    bz = build_benzenoid(HexSpec(cells)).graph
-    with mock.patch.object(theta, "_propagate", _refuse("_propagate")):
-        star = theta._theta_star_pass(bz)
-    assert star.classes == oracle_theta_star_partition(bz).classes
-    assert star.partial_cube
-    ph = linear_phenylene(20).graph
-    with mock.patch.object(theta, "_swept_cuts", _refuse("_swept_cuts")):
-        star = theta._theta_star_pass(ph)
-    assert star.classes == oracle_theta_star_partition(ph).classes
-    assert star.partial_cube
-
-
-def _through(source: str):
-    # run the Theta* pass of a bipartite graph on one cut source, whichever
-    # the selection rule picks
-    swept, bfs = theta._swept_cuts, theta._bipartite_cuts
-    if source == "sweep":
-        return mock.patch.object(theta, "_bipartite_cuts", lambda g, tree, _: swept(g, tree))
-    return mock.patch.object(
-        theta, "_swept_cuts", lambda g, tree: bfs(g, tree, graph._bfs_tree(g)[3])
-    )
-
-
 @settings(max_examples=150, deadline=None)
 @given(
-    st.sampled_from(("bipartite", "tree", "Q3", "Q4")),
+    st.sampled_from(GRAPH_FAMILIES + ("Q4",)),
     st.sampled_from((6, 7, 4096)),
     st.integers(0, 10**9),
 )
-def test_both_cut_sources_give_the_same_partition(family, source_bits, seed):
-    rng = random.Random(seed)
-    if family.startswith("Q"):
-        g = hypercube_subgraph(rng, int(family[1]))
-    else:
-        g = family_graph(family, rng)
-    runs = []
-    with mock.patch.object(graph, "_SOURCE_BITS", source_bits):
-        for source in ("sweep", "bfs"):
-            with _through(source):
-                p = theta_star_partition(g)
-            runs.append((p.classes, p.two_sided, p.partial_cube))
-    assert runs[0] == runs[1]
-    assert runs[0][0] == oracle_theta_star_partition(g).classes
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.sampled_from(("bipartite", "tree", "even-cycle", "Q4")), st.integers(0, 10**9))
-def test_bipartite_batches_hold_exactly_the_related_edges(family, seed):
-    # one BFS per vertex hands on only the edges it finds related to a
-    # tree edge of its batch, each with its full row
+def test_batches_hold_exactly_the_related_edges(family, source_bits, seed):
+    # every batch, a sweep or a tree's edge, hands on only the edges
+    # related to one of its tree edges, each with its full row
     rng = random.Random(seed)
     g = hypercube_subgraph(rng, 4) if family == "Q4" else family_graph(family, rng)
     dm = all_pairs_distances(g)
-    with _through("bfs"):
+    with mock.patch.object(graph, "_SOURCE_BITS", source_bits):
         batches = [(t, dict(related)) for t, related, _ in theta._theta_cuts(g)]
     for tree_edges, rows in batches:
         for f in range(g.m):
             row = sum(1 << i for i, e in enumerate(tree_edges) if theta_related(g, dm, f, e))
             assert rows.get(f, 0) == row
         assert all(rows.values())
+
+
+def test_trees_take_no_sweep():
+    # a tree's edges are bridges, each a two-sided class of its own, so
+    # its pass needs no sweep, however shallow or long the tree
+    g = random_tree(random.Random(7), min_n=500, max_n=500)
+    with mock.patch.object(theta, "_sweep", _refuse("_sweep")):
+        star = theta_star_partition(g)
+    assert star.classes == tuple(frozenset({e}) for e in range(g.m))
+    assert star.two_sided == (True,) * g.m
+    assert star == oracle_theta_star_partition(g)
+    batches = list(theta._theta_cuts(path_graph(20000)))
+    assert len(batches) == 19999
+    assert all(len(t) == 1 and ties == 0 for t, _, ties in batches)
 
 
 def _sparse_graph(rng: random.Random, n: int):
@@ -622,8 +569,9 @@ def test_theta_star_and_validate_memory_is_linear():
 
 
 def test_theta_star_pass_memory_is_linear_on_a_phenylene():
-    # a phenylene takes the lattice route; its pass, one BFS per vertex,
-    # must stay linear too (the all-pairs table would be about 0.74 MB)
+    # a phenylene takes the lattice route; its pass, one sweep over the
+    # 299 tree edges, must stay linear too (the all-pairs table would be
+    # about 0.74 MB)
     g = linear_phenylene(50).graph
     tracemalloc.start()
     try:
