@@ -18,7 +18,6 @@ from .errors import (
     InvalidWeightError,
     LoopEdgeError,
     MalformedPartitionError,
-    NotATreeError,
     NotCatacondensedError,
     NTooSmallError,
     ParseError,
@@ -48,11 +47,8 @@ from .indices import (
 from .molgen import (
     DirectionLabeledGraph,
     HexSpec,
-    benzenoid_quotient_trees,
     build_benzenoid,
     build_phenylene,
-    format_hex_spec,
-    inner_dual,
     linear_phenylene,
     parse_hex_spec,
     ph_closed_formulas,

@@ -60,10 +60,6 @@ class CellsNotTreeError(SzegedCutError):
     """The cell adjacency graph is not a tree."""
 
 
-class NotATreeError(SzegedCutError):
-    """A quotient expected to be a tree contains a cycle."""
-
-
 class NTooSmallError(SzegedCutError):
     """A size parameter (vertex count, generator size) is below its minimum."""
 

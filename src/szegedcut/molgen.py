@@ -20,15 +20,13 @@ from dataclasses import dataclass
 from .errors import (
     CellsNotTreeError,
     DisconnectedCellsError,
-    NotATreeError,
     NotCatacondensedError,
     NTooSmallError,
     ParseError,
 )
 from .graph import Graph, _int_pairs
 from .indices import IndexReport
-from .quotient import QuotientGraph, WeightAssignment, quotient_graph
-from .theta import EdgePartition, _UnionFind, is_bipartite
+from .theta import EdgePartition, _UnionFind, _trust, is_bipartite
 
 Cell = tuple[int, int]
 Point = tuple[int, int]
@@ -76,10 +74,6 @@ class HexSpec:
 
     def sorted_cells(self) -> tuple[Cell, ...]:
         return tuple(sorted(self.cells))
-
-    def adjacent_pairs(self) -> tuple[tuple[int, int], ...]:
-        """Index pairs (i, j), i < j, of cells sharing an edge, sorted."""
-        return tuple((i, j) for i, j, _ in _forward_pairs(self.sorted_cells()))
 
     def is_connected(self) -> bool:
         return _component_count(self.cells) == 1
@@ -146,10 +140,6 @@ def parse_hex_spec(text: str) -> HexSpec:
     return spec
 
 
-def format_hex_spec(spec: HexSpec) -> str:
-    return "\n".join(f"{q} {r}" for q, r in spec.sorted_cells()) + "\n"
-
-
 @dataclass(frozen=True)
 class DirectionLabeledGraph:
     """A generated molecular graph with per-edge direction labels."""
@@ -169,14 +159,8 @@ class DirectionLabeledGraph:
         split a Theta*-class across labels, so its partition is left
         unflagged and the cut method validates it first.
         """
-        return EdgePartition.from_labels(
-            self.direction_of, refined_by_theta_star=not self.nonstandard_region
-        )
-
-    def edges_with_label(self, label: int) -> tuple[int, ...]:
-        return tuple(
-            eid for eid, lab in enumerate(self.direction_of) if lab == label
-        )
+        p = EdgePartition.from_labels(self.direction_of)
+        return p if self.nonstandard_region else _trust(p)
 
 
 def build_benzenoid(spec: HexSpec) -> DirectionLabeledGraph:
@@ -370,25 +354,6 @@ def _faces(nbrs: list[list[int]]):
                 elif cells.get(nxt) != across:  # a clash, or too many cells
                     return None
     return cells, squares
-
-
-def benzenoid_quotient_trees(
-    b: DirectionLabeledGraph, starred: bool = False
-) -> tuple[QuotientGraph, QuotientGraph, QuotientGraph]:
-    """Quotients by the three direction classes, each asserted to be a tree."""
-    wa = WeightAssignment.degree_weighted(b.graph, starred)
-    out = []
-    for label in (1, 2, 3):
-        q = quotient_graph(b.graph, wa, b.edges_with_label(label))
-        if q.graph.m != q.graph.n - 1:
-            raise NotATreeError(f"direction-{label} quotient contains a cycle")
-        out.append(q)
-    return tuple(out)
-
-
-def inner_dual(spec: HexSpec) -> Graph:
-    """Cell adjacency graph: one vertex per sorted cell, edges by shared edges."""
-    return Graph(len(spec.cells), spec.adjacent_pairs())
 
 
 def ph_closed_formulas(n: int) -> IndexReport:

@@ -20,7 +20,7 @@ from typing import Sequence
 from .graph import Graph, bfs_distances, require_connected
 from .indices import IndexKind, IndexReport
 from .quotient import QuotientGraph, Weight, WeightAssignment
-from .theta import EdgePartition, _UnionFind
+from .theta import EdgePartition, _UnionFind, _trust
 
 __all__ = [
     "DistanceMatrix",
@@ -98,7 +98,7 @@ def oracle_theta_star_partition(g: Graph) -> EdgePartition:
     for i, j in combinations(range(m), 2):
         if theta_related(g, dm, i, j):
             uf.union(i, j)
-    return EdgePartition.from_labels(map(uf.find, range(m)), refined_by_theta_star=True)
+    return _trust(EdgePartition.from_labels(map(uf.find, range(m))))
 
 
 def oracle_is_partial_cube(g: Graph) -> bool:

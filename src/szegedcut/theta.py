@@ -42,15 +42,18 @@ The same pass finds the classes that are one clean cut: a class F is
 two-sided when some tree edge ab in F has all of F as its Theta-cut and
 no vertex is equidistant from a and b. Then G - F has exactly two
 components, both convex, so the cut method reads F from a subtree
-aggregation instead of a quotient. Only `theta_star_partition` sets
-these flags: they are not a constructor argument of `EdgePartition`, so
-no caller can flag a class that is not a clean cut. Bridges are the
-common case in graphs with odd cycles. A graph is a partial cube iff
-every class is two-sided, so `EdgePartition.partial_cube` is read from
-the flags and `is_partial_cube` costs at most one Theta* pass. The
-pairwise definition over an all-pairs distance table is kept in
-`oracle` as the reference. `is_bipartite` runs no BFS of its own: it
-reads the depths that `graph._bfs` gives each component.
+aggregation instead of a quotient. Bridges are the common case in graphs
+with odd cycles. A graph is a partial cube iff every class is two-sided,
+so `is_partial_cube` reads `all(two_sided)` of the Theta*-partition and
+costs at most one Theta* pass. The pairwise definition over an all-pairs
+distance table is kept in `oracle` as the reference. `is_bipartite` runs
+no BFS of its own: it reads the depths that `graph._bfs` gives each
+component.
+
+The library's partition sources set both flags, `refined_by_theta_star`
+and `two_sided`, through one private writer, `_trust`. `from_labels` sets
+neither; the constructor's `refined_by_theta_star` keyword, which
+`replace()` also passes, is the last writer outside the library.
 """
 
 from __future__ import annotations
@@ -96,12 +99,12 @@ class EdgePartition:
     Classes are canonically ordered by their smallest edge id, and
     `class_of[e]` is the class of edge e; construction checks in O(m) that
     the two agree. The `refined_by_theta_star` flag asserts that every
-    class is a union of Theta*-classes; generators that know this by
-    construction set it so index pipelines can skip the O(n*m) validation.
-    `two_sided` flags each class that is a Theta*-class F whose removal
-    leaves two convex components, which the cut method reads from one
-    subtree aggregation instead of a quotient. Only `theta_star_partition`
-    sets it (not the constructor, nor `replace()`); equality ignores it.
+    class is a union of Theta*-classes, so index pipelines can skip the
+    O(n*m) validation. `two_sided` flags each class that is a Theta*-class
+    F whose removal leaves two convex components, which the cut method
+    reads from one subtree aggregation instead of a quotient; equality
+    ignores it. The library's writers set both through `_trust`;
+    `from_labels` sets neither, and no caller can set `two_sided`.
     """
 
     classes: tuple[frozenset[int], ...]
@@ -134,9 +137,7 @@ class EdgePartition:
         return cls(tuple(canon), tuple(class_of))
 
     @classmethod
-    def from_labels(
-        cls, labels: Iterable[Hashable], refined_by_theta_star: bool = False
-    ) -> "EdgePartition":
+    def from_labels(cls, labels: Iterable[Hashable]) -> "EdgePartition":
         """One class per distinct label, where `labels` holds the label of
         each edge id in order. One O(m) pass numbers the classes by first
         appearance, which is by smallest edge id: the canonical order."""
@@ -145,13 +146,7 @@ class EdgePartition:
         members: list[list[int]] = [[] for _ in number]
         for e, c in enumerate(class_of):
             members[c].append(e)
-        return cls(tuple(map(frozenset, members)), tuple(class_of), refined_by_theta_star)
-
-    @property
-    def partial_cube(self) -> bool:
-        """Whether the classes are the Theta*-classes of a partial cube,
-        which holds iff every class is flagged two-sided."""
-        return len(self.two_sided) == len(self.classes) and all(self.two_sided)
+        return cls(tuple(map(frozenset, members)), tuple(class_of))
 
     @property
     def num_edges(self) -> int:
@@ -163,7 +158,14 @@ class EdgePartition:
 
 def single_class_partition(m: int) -> EdgePartition:
     """The coarsest partition {E(G)}; trivially a c-partition."""
-    return EdgePartition.from_labels([0] * m, True)
+    return _trust(EdgePartition.from_labels([0] * m))
+
+
+def _trust(p: EdgePartition, two_sided: tuple[bool, ...] = ()) -> EdgePartition:
+    # the one writer of both flags, on a partition that nothing has read yet
+    object.__setattr__(p, "refined_by_theta_star", True)
+    object.__setattr__(p, "two_sided", two_sided)
+    return p
 
 
 # (tree edges, related, ties); see `_theta_cuts`
@@ -253,14 +255,8 @@ def theta_star_partition(g: Graph) -> EdgePartition:
     labels = _lattice_labels(g)
     if labels is None:
         return _theta_star_pass(g)
-    p = EdgePartition.from_labels(labels, refined_by_theta_star=True)
-    return _flagged(p, (True,) * len(p.classes))
-
-
-def _flagged(p: EdgePartition, two_sided: tuple[bool, ...]) -> EdgePartition:
-    # the one writer of the flags, which are not a constructor argument
-    object.__setattr__(p, "two_sided", two_sided)
-    return p
+    p = EdgePartition.from_labels(labels)
+    return _trust(p, (True,) * len(p.classes))
 
 
 def _theta_star_pass(g: Graph) -> EdgePartition:
@@ -281,8 +277,8 @@ def _theta_star_pass(g: Graph) -> EdgePartition:
     lies in F, yet both its ends are in A. A graph whose classes are all
     two-sided has only even cycles and convex halves, so it is a partial
     cube (Djokovic, J. Combin. Theory B 14, 1973), and in a partial cube
-    every class is two-sided; the `partial_cube` property, which reads
-    `all(two_sided)`, is therefore the partial-cube test.
+    every class is two-sided; `all(two_sided)` is therefore the
+    partial-cube test that `is_partial_cube` reads.
 
     The cuts come in batches of bitmasks from `_theta_cuts`, one nonzero
     row per related edge, and the walk over them is linear in rows, not
@@ -331,13 +327,13 @@ def _theta_star_pass(g: Graph) -> EdgePartition:
         for i, e in enumerate(tree_edges):
             if not ties >> i & 1:
                 clean_cut[e] = sizes[i]
-    p = EdgePartition.from_labels(map(uf.find, range(m)), refined_by_theta_star=True)
+    p = EdgePartition.from_labels(map(uf.find, range(m)))
     two_sided = [False] * len(p.classes)
     for e, k in clean_cut.items():
         c = p.class_of[e]
         if k == len(p.classes[c]):
             two_sided[c] = True
-    return _flagged(p, tuple(two_sided))
+    return _trust(p, tuple(two_sided))
 
 
 def validate_c_partition(g: Graph, p: EdgePartition) -> bool:
@@ -371,8 +367,7 @@ def coarsen(p: EdgePartition, grouping: Mapping[int, int]) -> EdgePartition:
     missing = [i for i in range(len(p.classes)) if i not in grouping]
     if missing:
         raise IncompleteGroupingError(f"grouping misses class indices {missing}")
-    labels = (grouping[c] for c in p.class_of)
-    return EdgePartition.from_labels(labels, refined_by_theta_star=True)
+    return _trust(EdgePartition.from_labels(grouping[c] for c in p.class_of))
 
 
 def is_bipartite(g: Graph) -> bool:
@@ -392,11 +387,11 @@ def is_partial_cube(g: Graph) -> bool:
 
     A partial cube is bipartite, so the O(n+m) 2-colouring goes first and
     answers every graph with an odd cycle without a Theta* pass; bipartite
-    graphs read the `partial_cube` flag of their Theta*-partition, which
+    graphs read the `two_sided` flags of their Theta*-partition, which
     the lattice route gives a recognized molecule without the pass.
 
     Raises:
         DisconnectedError: if g is not connected.
     """
     require_connected(g)
-    return is_bipartite(g) and theta_star_partition(g).partial_cube
+    return is_bipartite(g) and all(theta_star_partition(g).two_sided)

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from szegedcut import Graph, HexSpec, WeightAssignment, build_graph
+from szegedcut import Graph, HexSpec, WeightAssignment, build_graph, quotient_graph
+from szegedcut.molgen import _forward_pairs
 
 
 def cycle_graph(k: int) -> Graph:
@@ -167,6 +168,35 @@ def quotient_edge_members(g: Graph, q, f) -> dict[tuple[int, int], list[int]]:
         if a != b:
             out.setdefault((a, b), []).append(e)
     return out
+
+
+def label_edges(dlg, label: int) -> list[int]:
+    """The edge ids of a generated molecule that carry one direction label."""
+    return [e for e, lab in enumerate(dlg.direction_of) if lab == label]
+
+
+def direction_quotients(dlg, starred: bool = False) -> list:
+    """The degree-weighted quotients of a molecule by its direction classes
+    1, 2 and 3, which are trees when the region has no holes."""
+    wa = WeightAssignment.degree_weighted(dlg.graph, starred)
+    return [quotient_graph(dlg.graph, wa, label_edges(dlg, label)) for label in (1, 2, 3)]
+
+
+def assert_square_quotient_is_the_cell_tree(ph) -> None:
+    """A phenylene's quotient by its square edges (label 4) has one
+    component per hexagon, and cell i -> its component maps the sorted
+    cells' adjacency (`molgen._forward_pairs`) onto the quotient's edges."""
+    wa = WeightAssignment.degree_weighted(ph.graph)
+    q = quotient_graph(ph.graph, wa, label_edges(ph, 4))
+    k = len(ph.cells)
+    assert q.graph.n == k and q.graph.m == k - 1
+    mapping = [q.component_map[6 * i] for i in range(k)]
+    assert sorted(mapping) == list(range(k))
+    for i in range(k):
+        hexagon = tuple(v for v, c in enumerate(q.component_map) if c == mapping[i])
+        assert hexagon == tuple(range(6 * i, 6 * i + 6))
+    adjacent = {tuple(sorted((mapping[i], mapping[j]))) for i, j, _ in _forward_pairs(ph.cells)}
+    assert adjacent == {tuple(sorted(e)) for e in q.graph.edges}
 
 
 def random_weight_assignment(

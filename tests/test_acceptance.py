@@ -12,15 +12,12 @@ import time
 
 from szegedcut import (
     IndexKind,
-    WeightAssignment,
-    benzenoid_quotient_trees,
     build_benzenoid,
     build_phenylene,
     coarsen,
     distance_decomposition_check,
     first_zagreb,
     general_cut_index,
-    inner_dual,
     is_partial_cube,
     linear_phenylene,
     oracle_edge_sides,
@@ -39,6 +36,8 @@ from conftest import (
     FULLERENE_BIG_CLASS,
     FULLERENE_TOTALS,
     PHENYLENE_SPECS,
+    assert_square_quotient_is_the_cell_tree,
+    direction_quotients,
     fullerene_patch,
     random_bipartite_connected,
     random_connected_graph,
@@ -219,20 +218,11 @@ def test_criterion_5_bipartite_identity():
 def test_criterion_6_molecule_structure():
     for spec in BENZENOID_SPECS:
         b = build_benzenoid(spec)
-        trees = benzenoid_quotient_trees(b)   # raises if any quotient has a cycle
-        assert all(t.graph.m == t.graph.n - 1 for t in trees)
+        assert all(t.graph.m == t.graph.n - 1 for t in direction_quotients(b))
         assert is_partial_cube(b.graph)
     for spec in PHENYLENE_SPECS:
         ph = build_phenylene(spec)
-        wa = WeightAssignment.degree_weighted(ph.graph)
-        q4 = quotient_graph(ph.graph, wa, ph.edges_with_label(4))
-        dual = inner_dual(spec)
-        k = len(ph.cells)
-        assert q4.graph.n == k and q4.graph.m == k - 1
-        mapping = [q4.component_map[6 * i] for i in range(k)]
-        assert sorted(mapping) == list(range(k))
-        dual_edges = {tuple(sorted((mapping[a], mapping[b]))) for a, b in dual.edges}
-        assert dual_edges == {tuple(sorted(e)) for e in q4.graph.edges}
+        assert_square_quotient_is_the_cell_tree(ph)
         assert is_partial_cube(ph.graph)
     return (
         f"{len(BENZENOID_SPECS)} benzenoids: 3 tree quotients; "

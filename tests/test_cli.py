@@ -14,10 +14,8 @@ from hypothesis import strategies as st
 import szegedcut
 from szegedcut import (
     DisconnectedError,
-    HexSpec,
     build_graph,
     format_edge_list,
-    format_hex_spec,
     linear_phenylene,
     oracle_suite,
     parse_edge_list,
@@ -297,7 +295,7 @@ def test_unedited_sidecar_skips_validation(capsys, monkeypatch, tmp_path):
 
 
 def _gen_with_labels(capsys, tmp_path, cells):
-    spec = _write(tmp_path, "region.hex", format_hex_spec(HexSpec(cells)))
+    spec = _write(tmp_path, "region.hex", "".join(f"{q} {r}\n" for q, r in sorted(cells)))
     labels = str(tmp_path / "region.labels")
     code, out, _ = run_cli(capsys, "gen", "benzenoid", spec, "--labels", labels)
     assert code == 0

@@ -404,6 +404,18 @@ def test_callers_cannot_flag_classes_as_clean_cuts():
     assert weighted_suite_cut(g, rewrapped).as_tuple() == FULLERENE_TOTALS
 
 
+def test_callers_cannot_declare_a_split_of_c6_trusted():
+    # these labels split the Theta*-class {0, 3} of C6; declared trusted
+    # through from_labels they gave (112, 96, 112, 96)
+    c6 = cycle_graph(6)
+    labels = [0, 1, 1, 1, 1, 1]
+    assert weighted_suite_direct(c6).as_tuple() == (216, 144, 96, 96)
+    with pytest.raises(TypeError):
+        EdgePartition.from_labels(labels, True)
+    with pytest.raises(InvalidCPartitionError):
+        weighted_suite_cut(c6, EdgePartition.from_labels(labels))
+
+
 def test_whole_fraction_weights_equal_int_weights():
     # Fraction(3) has denominator 1, so it must still reach the engine as 3
     rng = random.Random(61)
@@ -429,7 +441,7 @@ def test_whole_fraction_weights_equal_int_weights():
 # ---------------------------------------------------------------------------
 
 def _unflagged(p):
-    # the same classes, trusted but without the partial_cube flag, so the
+    # the same classes, trusted but without the two_sided flags, so the
     # cut method builds one quotient per class
     return EdgePartition(p.classes, p.class_of, refined_by_theta_star=True)
 
@@ -439,8 +451,8 @@ def _unflagged(p):
 def test_cube_aggregation_matches_oracle_suite(d, downset, seed):
     g = cube_subgraph(random.Random(seed), d, downset)
     p = theta_star_partition(g)
-    assert p.partial_cube == oracle_is_partial_cube(g)
-    assert p.partial_cube or not downset
+    assert all(p.two_sided) == oracle_is_partial_cube(g)
+    assert all(p.two_sided) or not downset
     for starred in (False, True):
         report = weighted_suite_cut(g, p, starred)
         assert report.as_tuple() == oracle_suite(g, starred).as_tuple()
@@ -476,7 +488,7 @@ def test_partial_cube_cut_builds_no_quotient():
         g = dlg.graph
         expected = weighted_suite_cut(g, dlg.direction_partition())
         p = theta_star_partition(g)
-        assert p.partial_cube
+        assert all(p.two_sided)
         with mock.patch.object(
             indices, "quotient_graph", side_effect=AssertionError("quotient built")
         ):
@@ -498,7 +510,7 @@ def test_partial_cube_cut_builds_no_quotient():
 )
 def test_other_theta_star_partitions_build_one_quotient_per_class(g, builds):
     p = theta_star_partition(g)
-    assert not p.partial_cube
+    assert not all(p.two_sided)
     with mock.patch.object(indices, "quotient_graph", wraps=quotient_graph) as spy:
         report = weighted_suite_cut(g, p)
     assert spy.call_count == builds

@@ -120,7 +120,7 @@ def test_a_ring_around_one_cell_has_the_classes_of_coronene():
     assert ring.nonstandard_region
     assert (ring.graph.n, ring.graph.m) == (24, 30)
     star = theta_star_partition(ring.graph)
-    assert len(star) == 9 and star.partial_cube
+    assert len(star) == 9 and all(star.two_sided)
     _assert_like_the_pass(ring.graph)
 
 

@@ -242,12 +242,9 @@ def test_partition_factory_errors_are_library_errors():
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    st.lists(st.one_of(st.integers(-3, 3), st.sampled_from(["a", "b"])), max_size=30),
-    st.booleans(),
-)
-def test_from_labels_matches_from_classes(labels, refined):
-    p = EdgePartition.from_labels(labels, refined)
+@given(st.lists(st.one_of(st.integers(-3, 3), st.sampled_from(["a", "b"])), max_size=30))
+def test_from_labels_matches_from_classes(labels):
+    p = EdgePartition.from_labels(labels)
     groups: dict = {}
     for e, label in enumerate(labels):
         groups.setdefault(label, []).append(e)
@@ -255,7 +252,7 @@ def test_from_labels_matches_from_classes(labels, refined):
     assert p.classes == q.classes and p.class_of == q.class_of
     smallest = [min(c) for c in p.classes]   # numbered by smallest edge id
     assert smallest == sorted(smallest)
-    assert p.refined_by_theta_star is refined
+    assert p.refined_by_theta_star is False
     assert p.two_sided == ()
 
 
@@ -296,7 +293,7 @@ def test_theta_star_matches_oracle_on_patch_and_molecule(patch):
     for g in (build_benzenoid(HexSpec(cells)).graph, linear_phenylene(20).graph):
         star = theta._theta_star_pass(g)
         assert star.classes == oracle_theta_star_partition(g).classes
-        assert star.partial_cube
+        assert all(star.two_sided)
 
 
 def _split_and_coarsen(rng: random.Random, star: EdgePartition) -> EdgePartition:
@@ -361,7 +358,6 @@ def test_theta_star_in_several_sweeps_matches_oracle(family, source_bits, data):
         valid = [validate_c_partition(g, p) for p in parts]
     assert swept.classes == star.classes
     assert swept.two_sided == whole.two_sided
-    assert swept.partial_cube == whole.partial_cube
     for p, v in zip(parts, valid):
         assert v == all(len({p.class_of[e] for e in c}) == 1 for c in star.classes)
 
@@ -579,7 +575,7 @@ def test_theta_star_pass_memory_is_linear_on_a_phenylene():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(star) == 150 and star.partial_cube
+    assert len(star) == 150 and all(star.two_sided)
     assert peak < 400_000, f"peak {peak} bytes"
 
 
@@ -619,7 +615,7 @@ def test_partial_cube_memory_is_linear():
 
 
 # ---------------------------------------------------------------------------
-# the partial_cube flag set by the Theta* pass
+# the partial-cube test, read from the two_sided flags of the Theta* pass
 # ---------------------------------------------------------------------------
 
 @settings(max_examples=300, deadline=None)
@@ -635,7 +631,7 @@ def test_partial_cube_flag_matches_oracle(family, downset, seed):
     else:
         g = family_graph(family, rng)
     cube = oracle_is_partial_cube(g)
-    assert theta_star_partition(g).partial_cube == cube
+    assert all(theta_star_partition(g).two_sided) == cube
     assert is_partial_cube(g) == cube
 
 
@@ -661,29 +657,10 @@ def _complete_bipartite(a, b):
 )
 def test_partial_cube_flag_on_small_graphs(g, cube):
     assert oracle_is_partial_cube(g) == cube
-    assert theta_star_partition(g).partial_cube == cube
+    assert all(theta_star_partition(g).two_sided) == cube
     assert is_partial_cube(g) == cube
     if g.m == 0:  # K1: no classes, all of them two-sided
-        assert single_class_partition(0).partial_cube
-
-
-def test_only_theta_star_sets_the_partial_cube_flag():
-    c6 = cycle_graph(6)
-    star = theta_star_partition(c6)
-    assert star.partial_cube and star.refined_by_theta_star
-    assert not EdgePartition(star.classes, star.class_of, True).partial_cube
-    with pytest.raises(TypeError):   # from_classes takes no trust flag
-        EdgePartition.from_classes(star.classes, 6, True)
-    assert not coarsen(star, {0: 0, 1: 1, 2: 2}).partial_cube
-    assert not coarsen(star, {0: 0, 1: 0, 2: 0}).partial_cube
-    assert not single_class_partition(6).partial_cube
-    # the flag is read from two_sided, which callers cannot set, and a
-    # copy made by replace() flags no class
-    with pytest.raises(ValueError):
-        replace(star, two_sided=(True, False, True))
-    with pytest.raises(TypeError):
-        EdgePartition(star.classes, star.class_of, True, (True, False, True))
-    assert not replace(star, refined_by_theta_star=True).partial_cube
+        assert theta_star_partition(g).two_sided == ()
 
 
 # ---------------------------------------------------------------------------
@@ -700,7 +677,7 @@ def _bridges(g):
 def _assert_two_sided_flags_are_sound(g):
     p = theta_star_partition(g)
     assert len(p.two_sided) == len(p.classes)
-    assert p.partial_cube == all(p.two_sided) == oracle_is_partial_cube(g)
+    assert is_partial_cube(g) == all(p.two_sided) == oracle_is_partial_cube(g)
     dm = all_pairs_distances(g)
     wa = WeightAssignment.unit(g)
     for members, flagged in zip(p.classes, p.two_sided):
@@ -747,7 +724,7 @@ def test_graphs_without_two_sided_classes(g):
     # but the third vertex is equidistant from its ends
     p = theta_star_partition(g)
     assert p.two_sided == (False,) * len(p.classes)
-    assert not p.partial_cube
+    assert not is_partial_cube(g)
 
 
 def test_every_bridge_is_two_sided():
@@ -785,18 +762,28 @@ def test_equality_ignores_the_two_sided_flags():
     assert star.two_sided == (True, True) and oracle.two_sided == ()
     assert star == oracle and hash(star) == hash(oracle)
     # the classes and the trust flag still take part; that no caller can
-    # set the flags is test_only_theta_star_sets_the_partial_cube_flag's
+    # set the flags is test_only_theta_star_sets_two_sided_flags's
     assert star != replace(star, refined_by_theta_star=False)
-    assert star != EdgePartition.from_labels([0, 0, 1, 1], True)
+    assert star != theta._trust(EdgePartition.from_labels([0, 0, 1, 1]))
 
 
 def test_only_theta_star_sets_two_sided_flags():
     c6 = cycle_graph(6)
     star = theta_star_partition(c6)
-    assert star.two_sided == (True, True, True)
+    assert star.two_sided == (True, True, True) and star.refined_by_theta_star
     assert EdgePartition(star.classes, star.class_of, True).two_sided == ()
+    with pytest.raises(TypeError):   # from_classes takes no trust flag
+        EdgePartition.from_classes(star.classes, 6, True)
     assert coarsen(star, {0: 0, 1: 1, 2: 2}).two_sided == ()
+    assert coarsen(star, {0: 0, 1: 0, 2: 0}).two_sided == ()
     assert single_class_partition(6).two_sided == ()
+    # callers cannot set two_sided, and a copy made by replace() flags no
+    # class
+    with pytest.raises(ValueError):
+        replace(star, two_sided=(True, False, True))
+    with pytest.raises(TypeError):
+        EdgePartition(star.classes, star.class_of, True, (True, False, True))
+    assert replace(star, refined_by_theta_star=True).two_sided == ()
     dlg = build_benzenoid(HexSpec.linear_chain(3))
     assert dlg.direction_partition().two_sided == ()
     assert theta_star_partition(build_graph(1, [])).two_sided == ()
