@@ -762,9 +762,34 @@ def test_equality_ignores_the_two_sided_flags():
     assert star.two_sided == (True, True) and oracle.two_sided == ()
     assert star == oracle and hash(star) == hash(oracle)
     # the classes and the trust flag still take part; that no caller can
-    # set the flags is test_only_theta_star_sets_two_sided_flags's
+    # set the flags is test_only_theta_star_sets_the_partial_cube_flag's
     assert star != replace(star, refined_by_theta_star=False)
     assert star != theta._trust(EdgePartition.from_labels([0, 0, 1, 1]))
+
+
+def _flags_a_partial_cube(p):
+    # every class flagged two-sided: the partial-cube test `is_partial_cube`
+    # reads from the Theta*-partition
+    return len(p.two_sided) == len(p.classes) and all(p.two_sided)
+
+
+def test_only_theta_star_sets_the_partial_cube_flag():
+    c6 = cycle_graph(6)
+    star = theta_star_partition(c6)
+    assert _flags_a_partial_cube(star) and star.refined_by_theta_star
+    assert not _flags_a_partial_cube(EdgePartition(star.classes, star.class_of, True))
+    with pytest.raises(TypeError):   # from_classes takes no trust flag
+        EdgePartition.from_classes(star.classes, 6, True)
+    assert not _flags_a_partial_cube(coarsen(star, {0: 0, 1: 1, 2: 2}))
+    assert not _flags_a_partial_cube(coarsen(star, {0: 0, 1: 0, 2: 0}))
+    assert not _flags_a_partial_cube(single_class_partition(6))
+    # the flags are read from two_sided, which callers cannot set, and a
+    # copy made by replace() flags no class
+    with pytest.raises(ValueError):
+        replace(star, two_sided=(True, False, True))
+    with pytest.raises(TypeError):
+        EdgePartition(star.classes, star.class_of, True, (True, False, True))
+    assert not _flags_a_partial_cube(replace(star, refined_by_theta_star=True))
 
 
 def test_only_theta_star_sets_two_sided_flags():
@@ -772,17 +797,9 @@ def test_only_theta_star_sets_two_sided_flags():
     star = theta_star_partition(c6)
     assert star.two_sided == (True, True, True) and star.refined_by_theta_star
     assert EdgePartition(star.classes, star.class_of, True).two_sided == ()
-    with pytest.raises(TypeError):   # from_classes takes no trust flag
-        EdgePartition.from_classes(star.classes, 6, True)
     assert coarsen(star, {0: 0, 1: 1, 2: 2}).two_sided == ()
     assert coarsen(star, {0: 0, 1: 0, 2: 0}).two_sided == ()
     assert single_class_partition(6).two_sided == ()
-    # callers cannot set two_sided, and a copy made by replace() flags no
-    # class
-    with pytest.raises(ValueError):
-        replace(star, two_sided=(True, False, True))
-    with pytest.raises(TypeError):
-        EdgePartition(star.classes, star.class_of, True, (True, False, True))
     assert replace(star, refined_by_theta_star=True).two_sided == ()
     dlg = build_benzenoid(HexSpec.linear_chain(3))
     assert dlg.direction_partition().two_sided == ()
