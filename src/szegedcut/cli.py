@@ -97,7 +97,7 @@ def _load_partition(g: Graph, path: str | None) -> EdgePartition:
         # the digest `gen` wrote for these very classes: trust the one copy,
         # which nothing has read yet; any other file stays unflagged, and
         # the index and quotient routes validate it
-        return _trust(p)
+        return _trust(p, g.edges)
     return p
 
 

@@ -35,8 +35,7 @@ one hop per round, and an edge uv collects at each radius the sources
 that reached u but not v.
 Sources run in equal sweeps of at most `graph._SOURCE_BITS`, so memory
 stays linear in n + m. A sweep takes about one round per unit of
-diameter, so long thin graphs gain least: on linear phenylenes the sweep
-is about as fast as one BFS per edge near 300 hexagons.
+diameter, so long thin graphs cost the most per edge.
 
 The cut route builds one quotient per class and runs the engine on it,
 except for the classes that `theta_star_partition` flags as two-sided:
@@ -339,29 +338,37 @@ def weighted_suite_direct(g: Graph, starred: bool = False) -> IndexReport:
 # cut method
 # ---------------------------------------------------------------------------
 
-def _require_c_partition(g: Graph, p: EdgePartition) -> None:
+def _require_c_partition(g: Graph, p: EdgePartition) -> tuple[bool, ...]:
+    """Raises unless p is a c-partition of g, and returns the `two_sided`
+    flags that hold on g. A trusted p skips validation on the edge list it
+    was certified on, matched by identity and then by value, or on any
+    graph when it is bound to none; only then are its flags read."""
     if p.num_edges != g.m:
         raise PartitionNotCoveringError(
             f"partition covers {p.num_edges} edges, graph has {g.m}"
         )
-    if not p.refined_by_theta_star and not validate_c_partition(g, p):
+    edges = p._certified_on
+    if p.refined_by_theta_star and (edges is None or edges is g.edges or edges == g.edges):
+        return p.two_sided
+    if not validate_c_partition(g, p):
         raise InvalidCPartitionError("partition splits a Theta*-class across classes")
+    return ()
 
 
 def _class_contributions(
-    g: Graph, wa: WeightAssignment, p: EdgePartition
+    g: Graph, wa: WeightAssignment, p: EdgePartition, two_sided: tuple[bool, ...]
 ) -> list[Sums]:
     """The four quotient sums of every class of p, in class order; the
     weights must be ints.
 
-    The classes flagged two-sided are clean cuts, read from one `_cut_rows`
-    pass over G, whose lam is 0; every other class builds its quotient.
+    The classes that `two_sided` flags are clean cuts, read from one
+    `_cut_rows` pass over G, whose lam is 0; every other builds its quotient.
     """
     rows = repeat(None)
-    if any(p.two_sided):
+    if any(two_sided):
         rows = zip(*_cut_rows(g, wa.w, (0,) * g.n, wa.lambda_prime, wa.w_prime, p.class_of, len(p)))
     contribs = []
-    for members, sided, row in zip(p.classes, p.two_sided or repeat(False), rows):
+    for members, sided, row in zip(p.classes, two_sided or repeat(False), rows):
         if sided:
             contribs.append(row)
         else:
@@ -414,10 +421,10 @@ def _evaluate(
     require_connected(g)
     wa.check_shape(g)
     if p is not None:
-        _require_c_partition(g, p)
+        two_sided = _require_c_partition(g, p)
     scaled, d = _integral(wa)
     if p is not None:
-        return _class_contributions(g, scaled, p), d
+        return _class_contributions(g, scaled, p, two_sided), d
     lam = scaled.w if lam_is_w else (0,) * g.n
     return [_sums(g, scaled.w, lam, scaled.lambda_prime, scaled.w_prime)], d
 

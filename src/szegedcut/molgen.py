@@ -26,7 +26,7 @@ from .errors import (
 )
 from .graph import Graph, _int_pairs
 from .indices import IndexReport
-from .theta import EdgePartition, _UnionFind, _trust, is_bipartite
+from .theta import EdgePartition, _UnionFind, _trust
 
 Cell = tuple[int, int]
 Point = tuple[int, int]
@@ -155,12 +155,12 @@ class DirectionLabeledGraph:
 
         Without holes every Theta*-class of a benzenoid or phenylene stays
         inside one direction class, so the partition is flagged as
-        Theta*-refined. A `nonstandard_region` (a cell set with holes) can
-        split a Theta*-class across labels, so its partition is left
-        unflagged and the cut method validates it first.
+        Theta*-refined on the edges of `graph`. A `nonstandard_region` (a
+        cell set with holes) can split a Theta*-class across labels, so its
+        partition is left unflagged and the cut method validates it first.
         """
         p = EdgePartition.from_labels(self.direction_of)
-        return p if self.nonstandard_region else _trust(p)
+        return p if self.nonstandard_region else _trust(p, self.graph.edges)
 
 
 def build_benzenoid(spec: HexSpec) -> DirectionLabeledGraph:
@@ -240,25 +240,26 @@ def _lattice_labels(g: Graph) -> list[int] | None:
     hole-free benzenoid or a phenylene in any vertex and edge order; None
     for any other graph. Time O(m).
 
-    A degree above 3 or an odd cycle rejects g at once. One walk over g's
-    faces (`_faces`) unfolds them into cells; g is rebuilt from the cells
-    and accepted only if the vertex map of the walk sends the rebuilt
-    edges one to one onto g's and the region is no `nonstandard_region`.
-    The labels are a union-find over the opposite sides of every hexagon
-    and square of the walk. Soundness: in a bipartite graph a chordless
-    4- or 6-cycle is isometric (the antipodes of a 6-cycle lie at odd
-    distance at most 3, and at 1 only across a chord), so opposite sides
-    are Theta-related and the labels refine Theta*. The rebuild gives the
-    converse. In a hole-free benzenoid the Theta*-classes are the
-    elementary cuts (Klavzar, Gutman and Mohar, J. Chem. Inf. Comput. Sci.
-    35 (1995) 590-593), which are the label classes. A phenylene is a tree
-    of C6s and C4s glued along edges, and an edge is gated in a bipartite
-    graph, so Theta* of the whole joins the classes of the pieces (opposite
-    sides) at the shared edges, as the labels do. A ring around a one-cell
-    hole has the graph of the filled region, and the walk takes the 6-cycle
-    round the hole for its hexagon; a wider hole falls back.
+    A degree above 3 rejects g at once. One walk over g's faces (`_faces`)
+    unfolds them into cells and g is rebuilt from them; every other reject,
+    an odd cycle among them, comes from the walk or the rebuild. Soundness:
+    g is accepted only if the walk's vertex map sends the rebuilt edges one
+    to one onto g's and the region is no `nonstandard_region`, so g is a
+    hole-free benzenoid or a phenylene up to isomorphism, hence bipartite,
+    and the walk's hexagons and squares are chordless cycles. The labels
+    join the opposite sides of each, which are Theta-related, since a
+    chordless 4- or 6-cycle of a bipartite graph is isometric (a 6-cycle's
+    antipodes lie at odd distance at most 3, and at 1 only across a chord);
+    so they refine Theta*. They are whole classes: those of a hole-free
+    benzenoid are its elementary cuts (Klavzar, Gutman and Mohar, J. Chem.
+    Inf. Comput. Sci. 35 (1995) 590-593), and a phenylene is a tree of C6s
+    and C4s glued along edges, gated in a bipartite graph, so its classes
+    join those of the pieces at the shared edges. Either is a partial cube:
+    every class is two-sided. A ring round a one-cell hole has the graph of the filled
+    region, and the walk takes the 6-cycle round the hole for its hexagon;
+    a wider hole falls back.
     """
-    if g.m < 6 or max(map(len, g.adj)) > 3 or not is_bipartite(g):
+    if max(map(len, g.adj)) > 3:
         return None
     walk = _faces([[y for y, _ in a] for a in g.adj])
     if walk is None:
@@ -278,12 +279,10 @@ def _lattice_labels(g: Graph) -> list[int] | None:
                 if at.setdefault(point, v) != v:
                     return None
         vmap = list(at.values())
-    ids = {}
-    for e, (u, v) in enumerate(g.edges):
-        ids[u, v] = ids[v, u] = e
-    if mol.nonstandard_region or len(vmap) != g.n or len(set(vmap)) != g.n or mol.graph.m != g.m:
-        return None
-    if not all((vmap[a], vmap[b]) in ids for a, b in mol.graph.edges):
+    ids = {(u, v): e for e, (u, v) in enumerate(g.edges)}
+    ids.update({(v, u): e for (u, v), e in ids.items()})
+    if (mol.nonstandard_region or len(vmap) != g.n or len(set(vmap)) != g.n or mol.graph.m != g.m
+            or not all((vmap[a], vmap[b]) in ids for a, b in mol.graph.edges)):
         return None
     uf = _UnionFind(g.m)
     for t in cells.values():
@@ -296,12 +295,12 @@ def _lattice_labels(g: Graph) -> list[int] | None:
 
 
 def _hexagons(nbrs: list[list[int]], p: int, q: int, xs, ys) -> list[tuple[int, ...]]:
-    """The chordless 6-cycles p q y w z x over the edge pq, for x in xs next
-    to p and y in ys next to q, in a bipartite graph: z next to x and w
-    next to y close the cycle. Its antipodes are (p, w), (q, z) and (y, x),
-    and bipartiteness makes its six vertices distinct. Each comes as
+    """The 6-cycles p q y w z x over the edge pq with no chord between
+    antipodes, (p, w), (q, z) and (y, x), for x in xs next to p and y in ys
+    next to q: z next to x and w next to y close the cycle. Each comes as
     (z, w, y, q, p, x), the order of corners 0..5 of a cell entered across
-    its side 3, with p at corner 4 and q at corner 3."""
+    its side 3, with p at corner 4 and q at corner 3. On a graph with odd
+    cycles corners may repeat; the rebuild rejects such a cell."""
     return [(z, w, y, q, p, x) for x in xs for y in ys if y not in nbrs[x]
             for z in nbrs[x] if z != p and z not in nbrs[q]
             for w in nbrs[y] if w != q and w in nbrs[z] and w not in nbrs[p]]
@@ -313,7 +312,8 @@ def _faces(nbrs: list[list[int]]):
     (a, b, q, p) it crosses; None if a side has two 6-cycles across it, a
     cell comes twice with other vertices, or the cells pass n / 2, which no
     benzenoid (n > 2h) or phenylene (n = 6h) does: a strip that winds
-    round, as in a prism, would unfold for ever.
+    round, as in a prism, would unfold for ever. On a graph with odd cycles
+    a cell's corners may repeat; the rebuild rejects it.
 
     A 6-cycle through vertex 0 is cell (0, 0). The corners a = k and b =
     k + 1 of side k of a cell each have at most one neighbour p, q outside

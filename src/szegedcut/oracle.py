@@ -98,7 +98,7 @@ def oracle_theta_star_partition(g: Graph) -> EdgePartition:
     for i, j in combinations(range(m), 2):
         if theta_related(g, dm, i, j):
             uf.union(i, j)
-    return _trust(EdgePartition.from_labels(map(uf.find, range(m))))
+    return _trust(EdgePartition.from_labels(map(uf.find, range(m))), g.edges)
 
 
 def oracle_is_partial_cube(g: Graph) -> bool:

@@ -10,15 +10,11 @@ requires.
 A benzenoid without holes or a phenylene, read as an edge list in any
 order, takes the lattice route in O(m) time: `molgen._lattice_labels`
 unfolds its hexagons and squares into lattice cells, rebuilds it from
-them, and reads its Theta*-classes as the chains of opposite sides of
-its faces. Opposite sides of a chordless 4- or 6-cycle of a bipartite
-graph are Theta-related, so those chains refine Theta*; the rebuild
-makes the graph a hole-free benzenoid, whose Theta*-classes are its
-elementary cuts, or a phenylene, glued from C6s and C4s along gated
-edges, so they are whole classes. Such a graph is a partial cube, so
-every class is two-sided. A degree above 3 or an odd cycle rejects a
-graph in O(n+m), and every graph the recognizer rejects, a benzenoid
-with a hole wider than one cell among them, falls back to the pass.
+them, and reads its Theta*-classes, all two-sided, as the chains of
+opposite sides of its faces; its docstring holds the proof. A degree
+above 3 rejects a graph at once, and every graph the recognizer
+rejects, one with an odd cycle or a hole wider than one cell among
+them, falls back to the pass.
 
 Otherwise Theta* comes from one pass over the edges of the package's BFS
 spanning tree (`graph._bfs_tree`, the tree that the subtree aggregation
@@ -51,9 +47,11 @@ no BFS of its own: it reads the depths that `graph._bfs` gives each
 component.
 
 The library's partition sources set both flags, `refined_by_theta_star`
-and `two_sided`, through one private writer, `_trust`. `from_labels` sets
-neither; the constructor's `refined_by_theta_star` keyword, which
-`replace()` also passes, is the last writer outside the library.
+and `two_sided`, through one private writer, `_trust`, which also keeps
+the edge tuple of the graph they were certified on: the cut method
+trusts them on that edge list alone. `from_labels` sets neither flag;
+the constructor's `refined_by_theta_star` keyword, which `replace()`
+also passes, is the last writer outside the library, bound to no edges.
 """
 
 from __future__ import annotations
@@ -103,7 +101,9 @@ class EdgePartition:
     O(n*m) validation. `two_sided` flags each class that is a Theta*-class
     F whose removal leaves two convex components, which the cut method
     reads from one subtree aggregation instead of a quotient; equality
-    ignores it. The library's writers set both through `_trust`;
+    ignores it. The library's writers set both through `_trust`, which
+    keeps the edges of the graph the flags hold for, or None for a
+    partition that is a c-partition of every graph with m edges;
     `from_labels` sets neither, and no caller can set `two_sided`.
     """
 
@@ -111,6 +111,7 @@ class EdgePartition:
     class_of: tuple[int, ...]
     refined_by_theta_star: bool = False
     two_sided: tuple[bool, ...] = field(default=(), init=False, compare=False)
+    _certified_on: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         m = len(self.class_of)
@@ -158,13 +159,17 @@ class EdgePartition:
 
 def single_class_partition(m: int) -> EdgePartition:
     """The coarsest partition {E(G)}; trivially a c-partition."""
-    return _trust(EdgePartition.from_labels([0] * m))
+    return _trust(EdgePartition.from_labels([0] * m), None)
 
 
-def _trust(p: EdgePartition, two_sided: tuple[bool, ...] = ()) -> EdgePartition:
-    # the one writer of both flags, on a partition that nothing has read yet
+def _trust(
+    p: EdgePartition, edges: tuple | None, two_sided: tuple[bool, ...] = ()
+) -> EdgePartition:
+    # the one writer of both flags, on a partition that nothing has read
+    # yet; they hold on the graph whose own `edges` tuple is kept
     object.__setattr__(p, "refined_by_theta_star", True)
     object.__setattr__(p, "two_sided", two_sided)
+    object.__setattr__(p, "_certified_on", edges)
     return p
 
 
@@ -237,15 +242,10 @@ def theta_star_partition(g: Graph) -> EdgePartition:
     on a recognized molecule, else O(n*m) time and O(n+m) memory.
 
     A hole-free benzenoid or a phenylene, given as any edge list, is
-    recognized by `molgen._lattice_labels`, which reads its Theta*-classes
-    as the chains of opposite sides of its hexagons and squares. These
-    refine Theta*, since a chordless 4- or 6-cycle of a bipartite graph is
-    isometric, and they are whole classes because the graph is accepted
-    only if it rebuilds from its cells as a hole-free benzenoid (whose
-    classes are its elementary cuts) or a phenylene. Such a graph is a
-    partial cube, so every class is two-sided. A graph of degree above 3
-    or with an odd cycle is rejected in O(n+m), and any graph the
-    recognizer rejects gets the Theta* pass, `_theta_star_pass`.
+    recognized by `molgen._lattice_labels`, which reads its Theta*-classes,
+    all two-sided, as the chains of opposite sides of its hexagons and
+    squares; its docstring holds the proof. Any graph the recognizer
+    rejects gets the Theta* pass, `_theta_star_pass`.
 
     Raises:
         DisconnectedError: if g is not connected.
@@ -256,7 +256,7 @@ def theta_star_partition(g: Graph) -> EdgePartition:
     if labels is None:
         return _theta_star_pass(g)
     p = EdgePartition.from_labels(labels)
-    return _trust(p, (True,) * len(p.classes))
+    return _trust(p, g.edges, (True,) * len(p.classes))
 
 
 def _theta_star_pass(g: Graph) -> EdgePartition:
@@ -333,7 +333,7 @@ def _theta_star_pass(g: Graph) -> EdgePartition:
         c = p.class_of[e]
         if k == len(p.classes[c]):
             two_sided[c] = True
-    return _trust(p, tuple(two_sided))
+    return _trust(p, g.edges, tuple(two_sided))
 
 
 def validate_c_partition(g: Graph, p: EdgePartition) -> bool:
@@ -360,14 +360,15 @@ def coarsen(p: EdgePartition, grouping: Mapping[int, int]) -> EdgePartition:
     """Merge classes of a Theta*-refined partition according to `grouping`.
 
     `grouping` maps each class index of p to a group; classes mapped to
-    the same group are unioned. The result stays a valid c-partition.
+    the same group are unioned. The result stays a valid c-partition of
+    the graph p was certified on.
     """
     if not p.refined_by_theta_star:
         raise InvalidCPartitionError("coarsen requires a Theta*-refined partition")
     missing = [i for i in range(len(p.classes)) if i not in grouping]
     if missing:
         raise IncompleteGroupingError(f"grouping misses class indices {missing}")
-    return _trust(EdgePartition.from_labels(grouping[c] for c in p.class_of))
+    return _trust(EdgePartition.from_labels(grouping[c] for c in p.class_of), p._certified_on)
 
 
 def is_bipartite(g: Graph) -> bool:

@@ -15,9 +15,11 @@ from szegedcut import (
     InvalidCPartitionError,
     InvalidWeightError,
     PartitionNotCoveringError,
+    HexSpec,
     UnsupportedKindError,
     WeightAssignment,
     build_graph,
+    coarsen,
     first_zagreb,
     format_edge_list,
     is_connected,
@@ -45,6 +47,7 @@ from conftest import (
     cycle_graph,
     cyclic_weighted_graphs,
     fullerene_patch,
+    path_graph,
     pendant_weighted_graphs,
     random_bipartite_connected,
     random_connected_graph,
@@ -414,6 +417,68 @@ def test_callers_cannot_declare_a_split_of_c6_trusted():
         EdgePartition.from_labels(labels, True)
     with pytest.raises(InvalidCPartitionError):
         weighted_suite_cut(c6, EdgePartition.from_labels(labels))
+
+
+def _star_k14():
+    return build_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
+
+
+def test_a_certificate_holds_only_for_its_own_edge_list():
+    # a Theta*-partition trusted for one graph was once trusted on any graph
+    # with as many edges: P7's six bridges on C6 gave (140, 144, 20, 96) and
+    # Sz = 35, and C4's two clean cuts on the star K1,4 gave (120, 100, 0, 40)
+    c6 = cycle_graph(6)
+    bridges = theta_star_partition(path_graph(7))
+    with pytest.raises(InvalidCPartitionError):
+        weighted_suite_cut(c6, bridges)
+    with pytest.raises(InvalidCPartitionError):
+        general_cut_index(c6, WeightAssignment.unit(c6), bridges, IndexKind.SZ)
+    # C4's classes are a c-partition of the star; only their flags are wrong
+    k14 = _star_k14()
+    report = weighted_suite_cut(k14, theta_star_partition(cycle_graph(4)))
+    assert report.as_tuple() == oracle_suite(k14).as_tuple() == (80, 100, 0, 60)
+
+
+def _validations():
+    return mock.patch.object(indices, "validate_c_partition", wraps=indices.validate_c_partition)
+
+
+def test_a_certificate_holds_on_an_equal_reparse():
+    # the certificate is the edge list, compared by value: a fresh parse of
+    # the same text is not validated again, nor is the graph it came from
+    g = build_benzenoid(HexSpec.linear_chain(3)).graph
+    again = parse_edge_list(format_edge_list(g))
+    assert again.edges is not g.edges
+    p = theta_star_partition(g)
+    with _validations() as spy:
+        assert weighted_suite_cut(again, p) == weighted_suite_cut(g, p)
+        assert weighted_suite_cut(again, coarsen(p, {c: c % 2 for c in range(len(p))}))
+    assert spy.call_count == 0
+    # the same edges in another order are another edge list, on which the
+    # edge ids of p name other edges
+    with _validations() as spy, pytest.raises(InvalidCPartitionError):
+        weighted_suite_cut(build_graph(g.n, g.edges[::-1]), p)
+    assert spy.call_count == 1
+
+
+def test_coarsen_keeps_the_certificate():
+    g = cycle_graph(6)
+    p = theta_star_partition(g)
+    merged = coarsen(p, {0: 0, 1: 0, 2: 1})
+    assert merged._certified_on is p._certified_on is g.edges
+    with _validations() as spy:
+        weighted_suite_cut(path_graph(7), merged)
+    assert spy.call_count == 1
+
+
+def test_the_single_class_partition_is_trusted_on_every_graph():
+    graphs = [cycle_graph(4), _star_k14(), path_graph(5)]
+    p = single_class_partition(4)
+    assert p._certified_on is None
+    with _validations() as spy:
+        for g in graphs:
+            assert weighted_suite_cut(g, p).as_tuple() == oracle_suite(g).as_tuple()
+    assert spy.call_count == 0
 
 
 def test_whole_fraction_weights_equal_int_weights():

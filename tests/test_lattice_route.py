@@ -5,27 +5,35 @@ Theta*-classes from `molgen._lattice_labels`; every other graph gets the
 Theta* pass, `theta._theta_star_pass`. Both must give the same partition
 (`classes`, `class_of`, `two_sided`) on every free polyhex of up to 7
 cells, on every catacondensed one built as a phenylene, and on graphs
-built to fool the recognizer.
+built to fool the recognizer, odd graphs of degree at most 3 among them.
+The same corpus certifies the generators' direction labels, which
+`direction_partition` trusts on hole-free regions.
 """
 
 import random
+from unittest import mock
 
 import pytest
 
 from szegedcut import (
     CellsNotTreeError,
     HexSpec,
+    InvalidCPartitionError,
     NotCatacondensedError,
     bfs_distances,
     build_benzenoid,
     build_graph,
     build_phenylene,
     format_edge_list,
+    is_bipartite,
     linear_phenylene,
+    oracle_suite,
+    oracle_theta_star_partition,
     parse_edge_list,
     theta_star_partition,
+    weighted_suite_cut,
 )
-from szegedcut import theta
+from szegedcut import molgen, theta
 from szegedcut.molgen import _forward_pairs, _lattice_labels
 
 from conftest import RING_CELLS, WIDE_RING_CELLS
@@ -124,10 +132,11 @@ def test_a_ring_around_one_cell_has_the_classes_of_coronene():
     _assert_like_the_pass(ring.graph)
 
 
-def _with_far_chord(g):
-    # g plus an edge between two vertices of degree 2 at the largest odd
-    # distance: still bipartite and of degree at most 3, with no new
-    # 4- or 6-cycle, but no longer a molecule
+def _with_far_chord(g, parity=1):
+    # g plus an edge between two vertices of degree 2 at the largest
+    # distance of this parity, of degree at most 3 and with no new 4- or
+    # 6-cycle: at an odd distance still bipartite but no longer a
+    # molecule, at an even one closing an odd cycle
     degree = g.degrees()
     ends = [v for v in range(g.n) if degree[v] == 2]
     _, u, v = max(
@@ -135,9 +144,9 @@ def _with_far_chord(g):
         for u in ends
         for d in [bfs_distances(g, u)]
         for v in ends
-        if d[v] % 2
+        if d[v] % 2 == parity
     )
-    assert bfs_distances(g, u)[v] >= 7
+    assert bfs_distances(g, u)[v] >= 6
     return build_graph(g.n, g.edges + ((u, v),))
 
 
@@ -156,17 +165,6 @@ def _q3():
     return build_graph(8, [(v, v ^ 1 << b) for v in range(8) for b in range(3) if v >> b & 1])
 
 
-def _hexagonal_prism():
-    # two hexagons joined by six squares: unfolded on the lattice, the
-    # strip of squares winds round for ever
-    return build_graph(
-        12,
-        [(i, (i + 1) % 6) for i in range(6)]
-        + [(6 + i, 6 + (i + 1) % 6) for i in range(6)]
-        + [(i, 6 + i) for i in range(6)],
-    )
-
-
 def _phenylene_ring():
     # six hexagons round a missing one, each joined to the next by a
     # square, as `build_phenylene` joins them: its cells form a cycle
@@ -176,19 +174,58 @@ def _phenylene_ring():
     return build_graph(36, edges)
 
 
-_PARALLELOGRAM = frozenset((q, r) for q in range(4) for r in range(4))
+def _prism(k):
+    # the cycle Ck times K2: two k-cycles joined by k spokes
+    return build_graph(
+        2 * k,
+        [(i, (i + 1) % k) for i in range(k)]
+        + [(k + i, k + (i + 1) % k) for i in range(k)]
+        + [(i, k + i) for i in range(k)],
+    )
+
+
+def _petersen():
+    # outer 5-cycle, inner pentagram, five spokes
+    return build_graph(
+        10,
+        [(i, (i + 1) % 5) for i in range(5)]
+        + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+        + [(i, 5 + i) for i in range(5)],
+    )
+
+
+def _moebius_ladder_8():
+    # C8 plus its four diameters, each closing a 5-cycle
+    return build_graph(8, [(i, (i + 1) % 8) for i in range(8)] + [(i, i + 4) for i in range(4)])
+
+
+_TWO_CELL_HOLE = frozenset((q, r) for q in range(4) for r in range(4)) - {(1, 1), (2, 1)}
+
+# graphs of degree at most 3 with an odd cycle: they reach the recognizer's
+# walk and rebuild, which must reject them
+ODD_FALLBACKS = {
+    "Petersen": _petersen,
+    "C5xK2": lambda: _prism(5),
+    "C7xK2": lambda: _prism(7),
+    "Moebius ladder on 8 vertices": _moebius_ladder_8,
+    "PH3 plus an odd chord": lambda: _with_far_chord(linear_phenylene(3).graph, 0),
+    "BZ4 plus an odd chord": lambda: _with_far_chord(build_benzenoid(HexSpec.linear_chain(4)).graph, 0),
+}
 
 FALLBACKS = {
     "wide ring": lambda: build_benzenoid(HexSpec(WIDE_RING_CELLS)).graph,
-    "two-cell hole": lambda: build_benzenoid(HexSpec(_PARALLELOGRAM - {(1, 1), (2, 1)})).graph,
+    "two-cell hole": lambda: build_benzenoid(HexSpec(_TWO_CELL_HOLE)).graph,
     "PH300 plus a pendant": lambda: _with_pendant(linear_phenylene(300).graph),
     "Heawood": _heawood,
     "Q3": _q3,
     "K3,3": lambda: build_graph(6, [(a, 3 + b) for a in range(3) for b in range(3)]),
-    "hexagonal prism": _hexagonal_prism,
+    # two hexagons joined by six squares: unfolded on the lattice, the
+    # strip of squares winds round for ever
+    "hexagonal prism": lambda: _prism(6),
     "phenylene ring": _phenylene_ring,
     "benzenoid plus a chord": lambda: _with_far_chord(build_benzenoid(HexSpec.linear_chain(4)).graph),
     "phenylene plus a chord": lambda: _with_far_chord(linear_phenylene(3).graph),
+    **ODD_FALLBACKS,
 }
 
 
@@ -197,3 +234,51 @@ def test_graphs_that_are_no_hole_free_molecule_fall_back(name):
     g = FALLBACKS[name]()
     assert _lattice_labels(g) is None
     _assert_like_the_pass(g)
+
+
+@pytest.mark.parametrize("name", ODD_FALLBACKS)
+def test_odd_graphs_of_degree_at_most_3_fail_the_walk_or_the_rebuild(name):
+    # no 2-colouring rejects them first: the walk runs on each
+    g = ODD_FALLBACKS[name]()
+    assert max(g.degrees()) <= 3 and not is_bipartite(g)
+    with mock.patch.object(molgen, "_faces", wraps=molgen._faces) as walk:
+        star = theta_star_partition(g)
+    assert walk.call_count == 1
+    assert star == oracle_theta_star_partition(g)
+
+
+def _assert_label_cut_like_the_oracle(mol):
+    """A trusted direction partition must cut like the oracle; an untrusted
+    one must raise exactly when its labels split a Theta*-class."""
+    g, p = mol.graph, mol.direction_partition()
+    if not p.refined_by_theta_star:
+        star = oracle_theta_star_partition(g)
+        if len(set(zip(star.class_of, p.class_of))) > len(star):
+            with pytest.raises(InvalidCPartitionError):
+                weighted_suite_cut(g, p)
+            return
+    assert weighted_suite_cut(g, p).as_tuple() == oracle_suite(g).as_tuple()
+
+
+def test_direction_labels_are_trusted_iff_hole_free_and_cut_like_the_oracle():
+    holed = 0
+    for mol in _molecules():
+        trusted = mol.direction_partition().refined_by_theta_star
+        if mol.kind == "benzenoid":
+            holes = HexSpec(frozenset(mol.cells)).has_holes()
+            holed += holes
+            assert trusted is not holes, mol.cells
+        else:
+            assert trusted, mol.cells
+        _assert_label_cut_like_the_oracle(mol)
+    assert holed == 3
+
+
+@pytest.mark.parametrize("cells", [WIDE_RING_CELLS, _TWO_CELL_HOLE], ids=["wide ring", "two-cell hole"])
+def test_labels_round_a_wide_hole_split_a_class_and_the_cut_raises(cells):
+    mol = build_benzenoid(HexSpec(cells))
+    p = mol.direction_partition()
+    star = oracle_theta_star_partition(mol.graph)
+    assert not p.refined_by_theta_star
+    assert len(set(zip(star.class_of, p.class_of))) > len(star)
+    _assert_label_cut_like_the_oracle(mol)

@@ -764,7 +764,7 @@ def test_equality_ignores_the_two_sided_flags():
     # the classes and the trust flag still take part; that no caller can
     # set the flags is test_only_theta_star_sets_the_partial_cube_flag's
     assert star != replace(star, refined_by_theta_star=False)
-    assert star != theta._trust(EdgePartition.from_labels([0, 0, 1, 1]))
+    assert star != theta._trust(EdgePartition.from_labels([0, 0, 1, 1]), c4.edges)
 
 
 def _flags_a_partial_cube(p):
