@@ -1,22 +1,18 @@
 """Command-line front end: index computation, theta classes, quotients,
 molecule generation, and a cut-versus-direct benchmark.
 
-A `--partition-file` is read as one label per edge id. Only a file whose
-first line is the digest `gen --labels` wrote for that edge list and
-partition is trusted; any other is validated as `weighted_suite_cut` is.
+A `--partition-file` is read as one label per edge id and validated as
+`weighted_suite_cut` validates any partition the library did not write.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import statistics
-import struct
 import sys
 import time
-from itertools import chain
 from typing import Sequence
 
 from .errors import (
@@ -38,7 +34,7 @@ from .molgen import (
 )
 from .oracle import oracle_suite
 from .quotient import quotient_graph, WeightAssignment
-from .theta import EdgePartition, _trust, theta_star_partition
+from .theta import EdgePartition, theta_star_partition
 
 _EXIT_OK = 0
 _EXIT_MISMATCH = 1
@@ -81,24 +77,10 @@ def _parse_partition(text: str, m: int) -> EdgePartition:
     return EdgePartition.from_labels(labels)
 
 
-def _digest(g: Graph, p: EdgePartition) -> str:
-    """Sidecar trust line: sha256 of n, edges and class_of as little-endian int64."""
-    values = (g.n, *chain.from_iterable(g.edges), *p.class_of)
-    packed = struct.pack(f"<{len(values)}q", *values)
-    return f"# sha256 {hashlib.sha256(packed).hexdigest()}"
-
-
 def _load_partition(g: Graph, path: str | None) -> EdgePartition:
     if path is None:
         return theta_star_partition(g)
-    text = _read_text(path)
-    p = _parse_partition(text, g.m)
-    if text.partition("\n")[0].strip() == _digest(g, p):
-        # the digest `gen` wrote for these very classes: trust the one copy,
-        # which nothing has read yet; any other file stays unflagged, and
-        # the index and quotient routes validate it
-        return _trust(p, g.edges)
-    return p
+    return _parse_partition(_read_text(path), g.m)
 
 
 def _print_report(report: IndexReport, fmt: str) -> None:
@@ -178,11 +160,8 @@ def _cmd_gen(args) -> int:
         comments.append("nonstandard_region: cell set encloses holes")
     # the sidecar goes first, so an unwritable path prints no edge list
     if args.labels:
-        p = dlg.direction_partition()
         try:
             with open(args.labels, "w", encoding="utf-8") as fh:
-                if p.refined_by_theta_star:
-                    fh.write(_digest(dlg.graph, p) + "\n")
                 for eid, label in enumerate(dlg.direction_of):
                     fh.write(f"{eid} {label}\n")
         except OSError as exc:

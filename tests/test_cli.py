@@ -1,6 +1,8 @@
+import hashlib
 import io
 import json
 import os
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -48,9 +50,10 @@ def test_gen_ph_writes_edge_list_and_sidecar(capsys, tmp_path):
     assert code == 0
     g = parse_edge_list(out)
     assert g.n == 12 and g.m == 14
-    digest, *lines = labels.read_text().splitlines()
-    assert digest.startswith("# sha256 ") and len(digest.split()[2]) == 64
+    lines = labels.read_text().splitlines()
     assert len(lines) == 14
+    assert not any(line.startswith("#") for line in lines)
+    assert sorted(int(line.split()[0]) for line in lines) == list(range(14))
     assert sum(1 for line in lines if line.split()[1] == "4") == 2
 
 
@@ -176,7 +179,7 @@ def _bogus_c6_sidecar(tmp_path):
 
 
 def test_compare_mismatch_with_bogus_labels(capsys, tmp_path):
-    # a sidecar without the digest is validated, so compare never sees it
+    # every partition file is validated, so compare never sees this one
     gpath, lpath = _bogus_c6_sidecar(tmp_path)
     code, out, err = run_cli(
         capsys, "index", gpath, "--method", "compare", "--partition-file", lpath
@@ -228,12 +231,58 @@ def _spy_on_validation(monkeypatch):
     return calls
 
 
+# a split of C6 behind the `# sha256` line of its own n, edges and classes
+_FORGED_C6 = (
+    "# sha256 6ac13ef968f120e5a828e1fb51cd5b77a3d3d703613402892e9698f093c57bf4\n"
+    "0 0\n1 0\n2 0\n3 1\n4 1\n5 1\n"
+)
+
+
+@pytest.mark.parametrize("command", ["index", "quotient"])
+def test_forged_digest_line_is_validated_and_rejected(capsys, tmp_path, command):
+    # trusted for its first line, this file gave (72, 96, 72, 96) instead
+    # of (216, 144, 96, 96)
+    gpath = _write(tmp_path, "c6.edges", format_edge_list(cycle_graph(6)))
+    ppath = _write(tmp_path, "c6.forged", _FORGED_C6)
+    code, out, err = run_cli(capsys, command, gpath, "--partition-file", ppath)
+    assert code == 4
+    assert out == ""
+    assert "invalid partition" in err
+
+
+def _sha256_line(g, labels):
+    """A `# sha256` comment over n, the edges and the classes numbered by
+    first appearance, packed as little-endian int64, as old sidecars began."""
+    ids = {}
+    class_of = [ids.setdefault(c, len(ids)) for c in labels]
+    values = (g.n, *(v for e in g.edges for v in e), *class_of)
+    packed = struct.pack(f"<{len(values)}q", *values)
+    return f"# sha256 {hashlib.sha256(packed).hexdigest()}"
+
+
+def test_relabelled_sidecar_with_recomputed_sha256_line_is_rejected(capsys, tmp_path):
+    # trusted for its first line, this file gave (6469, 1815, 6848, 1974)
+    # instead of (7560, 2016, 7360, 2112)
+    gpath, labels = _gen_ph_with_labels(capsys, tmp_path, 3)
+    g = parse_edge_list(Path(gpath).read_text())
+    lines = [line for line in labels.read_text().splitlines() if not line.startswith("#")]
+    eid, label = lines[0].split()
+    lines[0] = f"{eid} {1 + int(label) % 3}"   # another hexagon direction
+    header = _sha256_line(g, [int(line.split()[1]) for line in lines])
+    labels.write_text("\n".join([header, *lines]) + "\n")
+    code, out, err = run_cli(capsys, "index", gpath, "--partition-file", str(labels))
+    assert code == 4
+    assert out == ""
+    assert "invalid partition" in err
+
+
 def test_edited_sidecar_is_validated_and_rejected(capsys, monkeypatch, tmp_path):
     gpath, labels = _gen_ph_with_labels(capsys, tmp_path, 3)
-    digest, first, *rest = labels.read_text().splitlines()
+    first, *rest = labels.read_text().splitlines()
     eid, label = first.split()
+    assert eid == "0"
     flipped = f"{eid} {1 + int(label) % 3}"   # another hexagon direction
-    labels.write_text("\n".join([digest, flipped, *rest]) + "\n")
+    labels.write_text("\n".join([flipped, *rest]) + "\n")
     calls = _spy_on_validation(monkeypatch)
     code, out, err = run_cli(capsys, "index", gpath, "--partition-file", str(labels))
     assert code == 4
@@ -271,26 +320,29 @@ def _printed_suite(out, fmt):
     return tuple(int(values[k]) for k in ("wSz", "wPI_v", "wSz_e", "wPI"))
 
 
-def test_unedited_sidecar_skips_validation(capsys, monkeypatch, tmp_path):
+def test_every_sidecar_is_validated_once_per_command(capsys, monkeypatch, tmp_path):
     gpath, labels = _gen_ph_with_labels(capsys, tmp_path, 4)
     g = parse_edge_list(Path(gpath).read_text())
-    calls = _spy_on_validation(monkeypatch)
-    for command in ("index", "quotient"):
-        code, out, _ = run_cli(capsys, command, gpath, "--partition-file", str(labels))
-        assert code == 0
-    assert calls == []
-    # the same edges listed backwards, with the sidecar renumbered to match:
-    # the digest no longer matches, so the partition is validated
     m = g.m
+    calls = _spy_on_validation(monkeypatch)
+    code, out, _ = run_cli(capsys, "index", gpath, "--partition-file", str(labels))
+    assert code == 0
+    assert calls == [m]
+    assert _suite(out) == oracle_suite(g).as_tuple()
+    code, out, _ = run_cli(capsys, "quotient", gpath, "--partition-file", str(labels))
+    assert code == 0
+    assert calls == [m, m]
+    assert out.count("# class") == 4
+    # the same edges listed backwards, with the sidecar renumbered to match
     rpath = _write(tmp_path, "reversed.edges", format_edge_list(
         build_graph(g.n, reversed(g.edges))
     ))
-    digest, *lines = labels.read_text().splitlines()
+    lines = labels.read_text().splitlines()
     renumbered = [f"{m - 1 - int(e)} {label}" for e, label in map(str.split, lines)]
-    labels.write_text("\n".join([digest, *renumbered]) + "\n")
+    labels.write_text("\n".join(renumbered) + "\n")
     code, out, _ = run_cli(capsys, "index", rpath, "--partition-file", str(labels))
     assert code == 0
-    assert calls == [m]
+    assert calls == [m, m, m]
     assert _suite(out) == oracle_suite(g).as_tuple()
 
 
@@ -302,25 +354,30 @@ def _gen_with_labels(capsys, tmp_path, cells):
     return _write(tmp_path, "region.edges", out), labels
 
 
-def test_holed_region_sidecar_is_marked(capsys, tmp_path):
-    # only the hole-free region's labels are known to be a c-partition
-    _, labels = _gen_with_labels(capsys, tmp_path, frozenset([(0, 0), (1, 0)]))
-    assert Path(labels).read_text().startswith("# sha256 ")
-    _, labels = _gen_with_labels(capsys, tmp_path, RING_CELLS)
-    assert not Path(labels).read_text().startswith("#")
+@pytest.mark.parametrize("cells, holed", [
+    (frozenset([(0, 0), (1, 0)]), False),
+    (RING_CELLS, True),
+    (WIDE_RING_CELLS, True),
+], ids=["pair", "ring", "wide-ring"])
+def test_holed_region_is_marked_in_the_edge_list(capsys, tmp_path, cells, holed):
+    gpath, labels = _gen_with_labels(capsys, tmp_path, cells)
+    marked = "# nonstandard_region: cell set encloses holes\n"
+    assert (marked in Path(gpath).read_text()) == holed
+    assert not any(line.startswith("#") for line in Path(labels).read_text().splitlines())
 
 
-def test_sidecar_digest_lines_are_pinned(capsys, tmp_path):
-    # another edge order or labelling would move every sidecar written
-    # before it from trusted to validated
-    _, labels = _gen_ph_with_labels(capsys, tmp_path, 50)
-    assert labels.read_text().splitlines()[0] == (
-        "# sha256 41592bbc65502473e592375ff2dbf4a59d6040777daca3abfa78d8f4b02e3ace"
-    )
-    _, labels = _gen_with_labels(capsys, tmp_path, frozenset([(0, 0), (1, 0), (0, 1)]))
-    assert Path(labels).read_text().splitlines()[0] == (
-        "# sha256 f8ec9a85071f87c822d587ba9b2c2be802f240a34d6bc3acd7bc2f112874bb06"
-    )
+def _sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def test_generated_output_is_pinned(capsys, tmp_path):
+    # sidecar labels name edges by id, so the edge order must not move silently
+    gpath, labels = _gen_ph_with_labels(capsys, tmp_path, 50)
+    assert _sha256(gpath) == "fcb6ae61e263a4932426e3807b6ae20364db2a5c8fa2ebfd34b5aef6540d22bc"
+    assert _sha256(labels) == "9bd1bb132751816bbe6421f9d256efc856518209b2c464b7e3a5cafe4b9f6b1f"
+    gpath, labels = _gen_with_labels(capsys, tmp_path, frozenset([(0, 0), (1, 0), (0, 1)]))
+    assert _sha256(gpath) == "eaf68d4445b5ed50fe3c349adee4efa018255287fd2cfd3b054cab9e990da642"
+    assert _sha256(labels) == "bf072f93c9802a73f90f8b827b15d81456e6db58634878f477573e7431b2f2e7"
 
 
 @pytest.mark.parametrize("command", ["index", "quotient"])
@@ -606,8 +663,8 @@ def _edge_list_text(draw):
 def _cli_files(draw):
     """Bytes of an edge-list file and of a partition file: each either
     arbitrary or close to its format, the partition mostly over the edge
-    ids of the graph, sometimes behind a digest line that is not the one
-    `gen` writes for this graph and partition."""
+    ids of the graph, sometimes behind a `# sha256` comment line, which
+    the reader skips like any other comment."""
     if _rarely(draw):
         graph, m = draw(st.binary(max_size=200)), draw(st.integers(0, 9))
     else:
