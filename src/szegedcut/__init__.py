@@ -13,7 +13,6 @@ from .errors import (
     DisconnectedCellsError,
     DisconnectedError,
     DuplicateEdgeError,
-    IncompleteGroupingError,
     InvalidCPartitionError,
     InvalidWeightError,
     LoopEdgeError,
@@ -73,10 +72,8 @@ from .quotient import (
 )
 from .theta import (
     EdgePartition,
-    coarsen,
     is_bipartite,
     is_partial_cube,
-    single_class_partition,
     theta_star_partition,
     validate_c_partition,
 )

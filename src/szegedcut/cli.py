@@ -3,6 +3,7 @@ molecule generation, and a cut-versus-direct benchmark.
 
 A `--partition-file` is read as one label per edge id and validated as
 `weighted_suite_cut` validates any partition the library did not write.
+`index --method direct` reads no partition and refuses the option.
 """
 
 from __future__ import annotations
@@ -58,9 +59,7 @@ def _read_text(path: str) -> str:
 
 
 def _read_graph(path: str) -> Graph:
-    # every command that reads a graph needs it connected, so a header that
-    # declares too few edges exits 3 before a graph of that size is built
-    return parse_edge_list(_read_text(path), connected=True)
+    return parse_edge_list(_read_text(path))
 
 
 def _parse_partition(text: str, m: int) -> EdgePartition:
@@ -101,6 +100,8 @@ def _print_report(report: IndexReport, fmt: str) -> None:
 
 
 def _cmd_index(args) -> int:
+    if args.method == "direct" and args.partition_file is not None:
+        raise ParseError("--partition-file needs --method cut or compare")
     g = _read_graph(args.input)
     if args.method == "direct":
         report = weighted_suite_direct(g, starred=args.starred)

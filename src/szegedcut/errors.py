@@ -27,10 +27,6 @@ class PartitionNotCoveringError(SzegedCutError):
     """An edge partition does not cover the graph's edge set."""
 
 
-class IncompleteGroupingError(SzegedCutError):
-    """A coarsening grouping misses one or more class indices."""
-
-
 class MalformedPartitionError(SzegedCutError, ValueError):
     """A partition has an empty class or lists an edge in two classes."""
 

@@ -245,14 +245,14 @@ def _int_pairs(text: str) -> list[tuple[int, int]]:
     return pairs
 
 
-def parse_edge_list(text: str, connected: bool = False) -> Graph:
+def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list text format.
 
     First data line is `n m`, followed by m lines `u v` (0-based), in the
-    line grammar of `_int_pairs`. With `connected`, a header with
-    n > m + 1 raises `DisconnectedError` once the lines are read and
-    before anything of size n is allocated: a connected graph has at
-    least n - 1 edges.
+    line grammar of `_int_pairs`. Every graph the package works on is
+    connected, so a header with n > m + 1 raises `DisconnectedError` once
+    the lines are read and before anything of size n is allocated: a
+    connected graph has at least n - 1 edges.
     """
     pairs = _int_pairs(text)
     if not pairs:
@@ -263,7 +263,7 @@ def parse_edge_list(text: str, connected: bool = False) -> Graph:
     edges = pairs[1:]
     if len(edges) != m:
         raise ParseError(f"header declares {m} edges, found {len(edges)}")
-    if connected and n > m + 1:
+    if n > m + 1:
         raise DisconnectedError(f"{n} vertices need at least {n - 1} edges, got {m}")
     try:
         return Graph(n, edges)

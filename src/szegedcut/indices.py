@@ -68,11 +68,7 @@ from math import lcm
 from operator import add, and_, is_, lshift, mul
 from typing import Iterator, Sequence
 
-from .errors import (
-    InvalidCPartitionError,
-    PartitionNotCoveringError,
-    UnsupportedKindError,
-)
+from .errors import InvalidCPartitionError, UnsupportedKindError
 from .graph import Graph, _bfs_tree, _sweep, _sweep_ranges, require_connected
 from .quotient import Weight, WeightAssignment, quotient_graph
 from .theta import EdgePartition, validate_c_partition
@@ -341,14 +337,15 @@ def weighted_suite_direct(g: Graph, starred: bool = False) -> IndexReport:
 def _require_c_partition(g: Graph, p: EdgePartition) -> tuple[bool, ...]:
     """Raises unless p is a c-partition of g, and returns the `two_sided`
     flags that hold on g. A trusted p skips validation on the edge list it
-    was certified on, matched by identity and then by value, or on any
-    graph when it is bound to none; only then are its flags read."""
-    if p.num_edges != g.m:
-        raise PartitionNotCoveringError(
-            f"partition covers {p.num_edges} edges, graph has {g.m}"
-        )
+    was certified on, matched by identity and then by value; only then
+    are its flags read. Only the raw constructor keyword and `replace()`
+    bind a trusted p to no edge list, and it then skips validation on any
+    graph with as many edges. Every other p is validated, and
+    `validate_c_partition` raises first on a wrong edge count."""
     edges = p._certified_on
-    if p.refined_by_theta_star and (edges is None or edges is g.edges or edges == g.edges):
+    if p.refined_by_theta_star and (
+        edges is g.edges or edges == g.edges or (edges is None and p.num_edges == g.m)
+    ):
         return p.two_sided
     if not validate_c_partition(g, p):
         raise InvalidCPartitionError("partition splits a Theta*-class across classes")

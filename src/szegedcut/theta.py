@@ -46,26 +46,24 @@ distance table is kept in `oracle` as the reference. `is_bipartite` runs
 no BFS of its own: it reads the depths that `graph._bfs` gives each
 component.
 
-The library's partition sources set both flags, `refined_by_theta_star`
-and `two_sided`, through one private writer, `_trust`, which also keeps
-the edge tuple of the graph they were certified on: the cut method
-trusts them on that edge list alone. `from_labels` sets neither flag;
-the constructor's `refined_by_theta_star` keyword, which `replace()`
-also passes, is the last writer outside the library, bound to no edges.
+The library certifies a partition only where it computed it on a
+graph's edge list: the lattice route, `_theta_star_pass`,
+`oracle.oracle_theta_star_partition` and `molgen`'s `direction_partition`.
+Each sets both flags, `refined_by_theta_star` and `two_sided`, through
+one private writer, `_trust`, which also keeps that edge tuple: the cut
+method trusts them on that edge list alone. `from_labels` sets neither
+flag, so unions of Theta*-classes built with it are validated; the
+constructor's `refined_by_theta_star` keyword, which `replace()` also
+passes, is the last writer outside the library, bound to no edges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import Hashable, Iterable, Iterator, Mapping
+from typing import Hashable, Iterable, Iterator
 
-from .errors import (
-    IncompleteGroupingError,
-    InvalidCPartitionError,
-    MalformedPartitionError,
-    PartitionNotCoveringError,
-)
+from .errors import MalformedPartitionError, PartitionNotCoveringError
 from .graph import Graph, _bfs, _bfs_tree, _sweep, _sweep_ranges, require_connected
 
 
@@ -102,9 +100,8 @@ class EdgePartition:
     F whose removal leaves two convex components, which the cut method
     reads from one subtree aggregation instead of a quotient; equality
     ignores it. The library's writers set both through `_trust`, which
-    keeps the edges of the graph the flags hold for, or None for a
-    partition that is a c-partition of every graph with m edges;
-    `from_labels` sets neither, and no caller can set `two_sided`.
+    keeps the edges of the graph the flags hold for; `from_labels` sets
+    neither, and no caller can set `two_sided`.
     """
 
     classes: tuple[frozenset[int], ...]
@@ -157,16 +154,9 @@ class EdgePartition:
         return len(self.classes)
 
 
-def single_class_partition(m: int) -> EdgePartition:
-    """The coarsest partition {E(G)}; trivially a c-partition."""
-    return _trust(EdgePartition.from_labels([0] * m), None)
-
-
-def _trust(
-    p: EdgePartition, edges: tuple | None, two_sided: tuple[bool, ...] = ()
-) -> EdgePartition:
+def _trust(p: EdgePartition, edges: tuple, two_sided: tuple[bool, ...] = ()) -> EdgePartition:
     # the one writer of both flags, on a partition that nothing has read
-    # yet; they hold on the graph whose own `edges` tuple is kept
+    # yet and that its caller computed on `edges`: they hold there alone
     object.__setattr__(p, "refined_by_theta_star", True)
     object.__setattr__(p, "two_sided", two_sided)
     object.__setattr__(p, "_certified_on", edges)
@@ -354,21 +344,6 @@ def validate_c_partition(g: Graph, p: EdgePartition) -> bool:
         )
     star = theta_star_partition(g)
     return len(set(zip(star.class_of, p.class_of))) == len(star)
-
-
-def coarsen(p: EdgePartition, grouping: Mapping[int, int]) -> EdgePartition:
-    """Merge classes of a Theta*-refined partition according to `grouping`.
-
-    `grouping` maps each class index of p to a group; classes mapped to
-    the same group are unioned. The result stays a valid c-partition of
-    the graph p was certified on.
-    """
-    if not p.refined_by_theta_star:
-        raise InvalidCPartitionError("coarsen requires a Theta*-refined partition")
-    missing = [i for i in range(len(p.classes)) if i not in grouping]
-    if missing:
-        raise IncompleteGroupingError(f"grouping misses class indices {missing}")
-    return _trust(EdgePartition.from_labels(grouping[c] for c in p.class_of), p._certified_on)
 
 
 def is_bipartite(g: Graph) -> bool:

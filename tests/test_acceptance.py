@@ -11,10 +11,10 @@ import random
 import time
 
 from szegedcut import (
+    EdgePartition,
     IndexKind,
     build_benzenoid,
     build_phenylene,
-    coarsen,
     distance_decomposition_check,
     first_zagreb,
     general_cut_index,
@@ -25,7 +25,6 @@ from szegedcut import (
     oracle_suite,
     ph_closed_formulas,
     quotient_graph,
-    single_class_partition,
     theta_star_partition,
     weighted_suite_cut,
     weighted_suite_direct,
@@ -83,7 +82,7 @@ def test_criterion_1_fullerene_patch():
     assert cut_star.as_tuple() == FULLERENE_TOTALS
 
     grouping = {i: (0 if i == big_index else 1) for i in range(len(star.classes))}
-    two = coarsen(star, grouping)
+    two = EdgePartition.from_labels(grouping[c] for c in star.class_of)
     cut_two = weighted_suite_cut(g, two)
     assert cut_two.as_tuple() == FULLERENE_TOTALS
     # per-quotient contributions of the {big class, rest} split
@@ -121,10 +120,10 @@ def test_criterion_3_cut_equals_direct():
     for _ in range(200):
         g = random_connected_graph(rng, max_n=12)
         star = theta_star_partition(g)
-        partitions = [star, single_class_partition(g.m)]
+        partitions = [star, EdgePartition.from_labels([0] * g.m)]
         if len(star) > 1:
             grouping = {i: rng.randrange(2) for i in range(len(star.classes))}
-            partitions.append(coarsen(star, grouping))
+            partitions.append(EdgePartition.from_labels(grouping[c] for c in star.class_of))
         for starred in (False, True):
             direct = weighted_suite_direct(g, starred=starred).as_tuple()
             for p in partitions:

@@ -276,6 +276,19 @@ def test_relabelled_sidecar_with_recomputed_sha256_line_is_rejected(capsys, tmp_
     assert "invalid partition" in err
 
 
+def test_direct_method_rejects_a_partition_file(capsys, tmp_path):
+    # the direct route reads no partition, so the option is refused before
+    # any file is read: a missing path and a valid sidecar both exit 2
+    gpath, labels = _gen_ph_with_labels(capsys, tmp_path, 3)
+    for path in (str(tmp_path / "missing.labels"), str(labels)):
+        code, out, err = run_cli(
+            capsys, "index", gpath, "--method", "direct", "--partition-file", path
+        )
+        assert code == 2
+        assert out == ""
+        assert "--method cut" in err and "compare" in err
+
+
 def test_edited_sidecar_is_validated_and_rejected(capsys, monkeypatch, tmp_path):
     gpath, labels = _gen_ph_with_labels(capsys, tmp_path, 3)
     first, *rest = labels.read_text().splitlines()
@@ -606,12 +619,11 @@ def test_header_with_too_few_edges_exits_3_in_small_memory(capsys, tmp_path, com
 
 
 def test_parse_edge_list_connected_check():
-    text = "5 2\n0 1\n1 2\n"
-    assert parse_edge_list(text).n == 5   # the library still builds it
+    # a connected graph has at least n - 1 edges, so no graph is built
     with pytest.raises(DisconnectedError):
-        parse_edge_list(text, connected=True)
-    assert parse_edge_list("3 2\n0 1\n1 2\n", connected=True).m == 2
-    assert parse_edge_list("1 0\n", connected=True).n == 1
+        parse_edge_list("5 2\n0 1\n1 2\n")
+    assert parse_edge_list("3 2\n0 1\n1 2\n").m == 2
+    assert parse_edge_list("1 0\n").n == 1
 
 
 # a line that breaks the format: free text, or two tokens that are not

@@ -19,7 +19,6 @@ from szegedcut import (
     UnsupportedKindError,
     WeightAssignment,
     build_graph,
-    coarsen,
     first_zagreb,
     format_edge_list,
     is_connected,
@@ -31,7 +30,6 @@ from szegedcut import (
     oracle_suite,
     parse_edge_list,
     quotient_graph,
-    single_class_partition,
     theta_star_partition,
     weighted_index,
     weighted_suite_cut,
@@ -113,7 +111,7 @@ def test_single_class_cut_equals_direct():
     rng = random.Random(31)
     for _ in range(20):
         g = random_connected_graph(rng)
-        p = single_class_partition(g.m)
+        p = EdgePartition.from_labels([0] * g.m)
         for starred in (False, True):
             cut = weighted_suite_cut(g, p, starred=starred)
             direct = weighted_suite_direct(g, starred=starred)
@@ -174,7 +172,7 @@ def test_bipartite_identity_with_first_zagreb():
 def test_general_cut_k2_formula():
     g = _k2()
     wa = WeightAssignment((3, 5), (7,), (2,))
-    p = single_class_partition(1)
+    p = EdgePartition.from_labels([0])
     assert general_cut_index(g, wa, p, IndexKind.SZ) == 7 * 3 * 5
 
 
@@ -231,13 +229,15 @@ def test_general_cut_index_rejects_a_kind_that_is_no_index_kind():
 
 
 def test_cut_routes_reject_a_partition_of_another_edge_count():
-    # flagged as Theta*-refined, so only the edge-count check stands in the way
+    # both flagged as Theta*-refined: one through the raw keyword, bound to
+    # no edge list, and one certified on C5's edges
     c6 = cycle_graph(6)
-    p5 = single_class_partition(5)
-    with pytest.raises(PartitionNotCoveringError):
-        weighted_suite_cut(c6, p5)
-    with pytest.raises(PartitionNotCoveringError):
-        general_cut_index(c6, WeightAssignment.unit(c6), p5, IndexKind.SZ)
+    one = EdgePartition.from_labels([0] * 5)
+    for p5 in (EdgePartition(one.classes, one.class_of, True), theta_star_partition(cycle_graph(5))):
+        with pytest.raises(PartitionNotCoveringError):
+            weighted_suite_cut(c6, p5)
+        with pytest.raises(PartitionNotCoveringError):
+            general_cut_index(c6, WeightAssignment.unit(c6), p5, IndexKind.SZ)
 
 
 @pytest.mark.parametrize(
@@ -253,7 +253,7 @@ def test_index_routes_reject_disconnected_graphs(g):
     # triangles never ends, since no ball ever fills, and the empty graph
     # gets all-zero sums
     wa = WeightAssignment.unit(g)
-    p = single_class_partition(g.m)
+    p = EdgePartition.from_labels([0] * g.m)
     with pytest.raises(DisconnectedError):
         weighted_suite_direct(g)
     with pytest.raises(DisconnectedError):
@@ -452,33 +452,12 @@ def test_a_certificate_holds_on_an_equal_reparse():
     p = theta_star_partition(g)
     with _validations() as spy:
         assert weighted_suite_cut(again, p) == weighted_suite_cut(g, p)
-        assert weighted_suite_cut(again, coarsen(p, {c: c % 2 for c in range(len(p))}))
     assert spy.call_count == 0
     # the same edges in another order are another edge list, on which the
     # edge ids of p name other edges
     with _validations() as spy, pytest.raises(InvalidCPartitionError):
         weighted_suite_cut(build_graph(g.n, g.edges[::-1]), p)
     assert spy.call_count == 1
-
-
-def test_coarsen_keeps_the_certificate():
-    g = cycle_graph(6)
-    p = theta_star_partition(g)
-    merged = coarsen(p, {0: 0, 1: 0, 2: 1})
-    assert merged._certified_on is p._certified_on is g.edges
-    with _validations() as spy:
-        weighted_suite_cut(path_graph(7), merged)
-    assert spy.call_count == 1
-
-
-def test_the_single_class_partition_is_trusted_on_every_graph():
-    graphs = [cycle_graph(4), _star_k14(), path_graph(5)]
-    p = single_class_partition(4)
-    assert p._certified_on is None
-    with _validations() as spy:
-        for g in graphs:
-            assert weighted_suite_cut(g, p).as_tuple() == oracle_suite(g).as_tuple()
-    assert spy.call_count == 0
 
 
 def test_whole_fraction_weights_equal_int_weights():
@@ -685,7 +664,7 @@ def test_kind_checks_run_on_a_hit():
 
 def _disconnected():
     g = build_graph(2, [])
-    return (g, WeightAssignment.unit(g), single_class_partition(0)), DisconnectedError
+    return (g, WeightAssignment.unit(g), EdgePartition.from_labels([])), DisconnectedError
 
 
 def _misshaped():

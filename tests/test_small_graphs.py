@@ -21,7 +21,6 @@ from szegedcut import (
     InvalidCPartitionError,
     all_pairs_distances,
     build_graph,
-    coarsen,
     is_connected,
     is_partial_cube,
     oracle_is_partial_cube,
@@ -158,7 +157,7 @@ def test_every_coarsening_gives_cut_equal_direct_equal_oracle():
             assert weighted_suite_cut(g, p, s).as_tuple() == expected[s], g.edges
         for blocks in _set_partitions(list(range(len(p)))):
             grouping = {c: i for i, block in enumerate(blocks) for c in block}
-            q = coarsen(p, grouping)
+            q = EdgePartition.from_labels(grouping[c] for c in p.class_of)
             coarsenings += 1
             for s in (False, True):
                 assert weighted_suite_cut(g, q, s).as_tuple() == expected[s], (g.edges, blocks)

@@ -13,13 +13,10 @@ from szegedcut import (
     build_benzenoid,
     is_connected,
     EdgePartition,
-    IncompleteGroupingError,
-    InvalidCPartitionError,
     PartitionNotCoveringError,
     WeightAssignment,
     all_pairs_distances,
     build_graph,
-    coarsen,
     is_bipartite,
     is_partial_cube,
     linear_phenylene,
@@ -28,7 +25,6 @@ from szegedcut import (
     oracle_is_partial_cube,
     oracle_theta_star_partition,
     quotient_graph,
-    single_class_partition,
     theta_related,
     SzegedCutError,
     bfs_distances,
@@ -130,7 +126,7 @@ def test_validate_identity_and_coarsest():
         g = random_connected_graph(rng)
         star = theta_star_partition(g)
         assert validate_c_partition(g, star)
-        assert validate_c_partition(g, single_class_partition(g.m))
+        assert validate_c_partition(g, EdgePartition.from_labels([0] * g.m))
 
 
 def test_validate_rejects_split_class():
@@ -154,28 +150,6 @@ def test_partition_factory_rejects_bad_input():
         EdgePartition.from_classes([{0}, {2}], 2)      # id out of range
     with pytest.raises(PartitionNotCoveringError):
         EdgePartition.from_classes([{0}], 2)           # not covering
-
-
-def test_coarsen_identity_and_total():
-    c6 = cycle_graph(6)
-    star = theta_star_partition(c6)
-    same = coarsen(star, {0: 0, 1: 1, 2: 2})
-    assert same.classes == star.classes
-    one = coarsen(star, {0: 0, 1: 0, 2: 0})
-    assert len(one) == 1 and one.classes[0] == frozenset(range(6))
-    assert one.refined_by_theta_star
-
-
-def test_coarsen_incomplete_grouping():
-    star = theta_star_partition(cycle_graph(6))
-    with pytest.raises(IncompleteGroupingError):
-        coarsen(star, {0: 0, 1: 0})
-
-
-def test_coarsen_requires_refined_flag():
-    p = EdgePartition.from_classes([{0, 1, 2}, {3, 4, 5}], 6)
-    with pytest.raises(InvalidCPartitionError):
-        coarsen(p, {0: 0, 1: 0})
 
 
 def test_is_bipartite():
@@ -523,10 +497,10 @@ def test_is_partial_cube_on_one_vertex_and_disconnected_input():
 def test_theta_star_with_at_most_one_edge():
     k1 = build_graph(1, [])
     assert theta_star_partition(k1).classes == ()
-    assert validate_c_partition(k1, single_class_partition(0))
+    assert validate_c_partition(k1, EdgePartition.from_labels([]))
     k2 = build_graph(2, [(0, 1)])
     assert theta_star_partition(k2).classes == (frozenset({0}),)
-    assert validate_c_partition(k2, single_class_partition(1))
+    assert validate_c_partition(k2, EdgePartition.from_labels([0]))
 
 
 @pytest.mark.parametrize("k", [63, 64, 65, 130])
@@ -545,7 +519,7 @@ def test_theta_star_and_validate_reject_disconnected_graphs():
         with pytest.raises(DisconnectedError):
             theta_star_partition(g)
         with pytest.raises(DisconnectedError):
-            validate_c_partition(g, single_class_partition(g.m))
+            validate_c_partition(g, EdgePartition.from_labels([0] * g.m))
 
 
 def test_theta_star_and_validate_memory_is_linear():
@@ -780,9 +754,6 @@ def test_only_theta_star_sets_the_partial_cube_flag():
     assert not _flags_a_partial_cube(EdgePartition(star.classes, star.class_of, True))
     with pytest.raises(TypeError):   # from_classes takes no trust flag
         EdgePartition.from_classes(star.classes, 6, True)
-    assert not _flags_a_partial_cube(coarsen(star, {0: 0, 1: 1, 2: 2}))
-    assert not _flags_a_partial_cube(coarsen(star, {0: 0, 1: 0, 2: 0}))
-    assert not _flags_a_partial_cube(single_class_partition(6))
     # the flags are read from two_sided, which callers cannot set, and a
     # copy made by replace() flags no class
     with pytest.raises(ValueError):
@@ -797,9 +768,6 @@ def test_only_theta_star_sets_two_sided_flags():
     star = theta_star_partition(c6)
     assert star.two_sided == (True, True, True) and star.refined_by_theta_star
     assert EdgePartition(star.classes, star.class_of, True).two_sided == ()
-    assert coarsen(star, {0: 0, 1: 1, 2: 2}).two_sided == ()
-    assert coarsen(star, {0: 0, 1: 0, 2: 0}).two_sided == ()
-    assert single_class_partition(6).two_sided == ()
     assert replace(star, refined_by_theta_star=True).two_sided == ()
     dlg = build_benzenoid(HexSpec.linear_chain(3))
     assert dlg.direction_partition().two_sided == ()
