@@ -11,11 +11,13 @@ Every produced edge carries a direction label: 1 for vertical edges and
 for the edges that join hexagon copies across an inserted square. The
 label classes form a c-partition whose quotients are trees, which is
 what makes the cut method linear on these families. A hex spec of h
-cells parses, and its holes are counted (by Euler's formula), in O(h).
+cells parses in O(h), and its components and holes are counted over the
+runs of consecutive cells in its rows, in O(h log h).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from .errors import (
     CellsNotTreeError,
@@ -76,11 +78,11 @@ class HexSpec:
         return tuple(sorted(self.cells))
 
     def is_connected(self) -> bool:
-        return _component_count(self.cells) == 1
+        return _region(self.cells)[0] == 1
 
     def has_holes(self) -> bool:
         """True if the complement of the cell set has a bounded component."""
-        return _hole_count(self.cells, _component_count(self.cells)) > 0
+        return _region(self.cells)[1] > 0
 
 
 def _forward_pairs(cells: tuple[Cell, ...]):
@@ -94,39 +96,32 @@ def _forward_pairs(cells: tuple[Cell, ...]):
                 yield i, j, square
 
 
-def _component_count(cells: frozenset[Cell]) -> int:
-    """Components of the cells across shared sides, grown a ring at a time."""
-    left = set(cells)
-    count = 0
-    while left:
-        count += 1
-        ring = {left.pop()}
-        while ring:
-            ring = {(q + dq, r + dr) for q, r in ring for (dq, dr), _, _, _ in _SIDES} & left
-            left -= ring
-    return count
-
-
-def _pairs_and_triples(cells: frozenset[Cell]) -> tuple[int, int]:
-    """P, the pairs of cells that share a side, and T, the corners that three
-    cells share, each counted once from the forward sides of one cell."""
-    (uq, ur), (dq, dr), (eq, er) = (side[0] for side in _FORWARD)
-    pairs = triples = 0
-    for q, r in cells:
-        east = (q + eq, r + er) in cells
-        others = ((q + uq, r + ur) in cells) + ((q + dq, r + dr) in cells)
-        pairs += east + others
-        triples += east * others  # the cell's two corners on its east side
-    return pairs, triples
-
-
-def _hole_count(cells: frozenset[Cell], components: int) -> int:
-    """Holes of the region the h closed cells cover, in O(h) by Euler's
-    formula: cells meet two at a shared side (P pairs), three at a shared
-    corner (T triples) and never four, so by the nerve theorem the region's
-    Euler characteristic h - P + T equals components - holes."""
-    pairs, triples = _pairs_and_triples(cells)
-    return pairs - triples + components - len(cells)
+def _region(cells: frozenset[Cell]) -> tuple[int, int, int]:
+    """The components and holes of the region the cells cover, and its T
+    corners in three cells, over runs of consecutive cells per row. Cell
+    (q, r) is keyed r * w + q - q0, with w - 2 the width of the q range,
+    so a run's keys are consecutive, and key k touches k + w - 1 and k + w,
+    the cells (q - 1, r + 1) and (q, r + 1). Two runs that touch share a
+    zigzag of m cells with m - 2 corners in three of them. Runs and
+    zigzags are contractible and no three runs meet, so by the nerve
+    theorem the holes are the cycle rank of the graph of touching runs."""
+    q0 = min(q for q, _ in cells)
+    w = max(q for q, _ in cells) - q0 + 2
+    keys = sorted([r * w + q - q0 for q, r in cells])
+    starts = [b for a, b in zip([None, *keys], keys) if a != b - 1]
+    ends = [a for a, b in zip(keys, [*keys[1:], None]) if b != a + 1]
+    uf = _UnionFind(len(starts))
+    touching = triples = j = 0
+    for i, (lo, hi) in enumerate(zip(starts, ends)):
+        while j < len(ends) and ends[j] < lo + w - 1:
+            j += 1
+        for k in range(j, bisect_right(starts, hi + w)):  # the runs it touches in the next row
+            uf.union(i, k)
+            lo2, hi2 = starts[k] - w, ends[k] - w  # moved down a row
+            touching += 1
+            triples += min(hi, hi2 + 1) + min(hi, hi2) - max(lo, lo2) - max(lo - 1, lo2)
+    components = len(set(map(uf.find, range(len(starts)))))
+    return components, touching - len(starts) + components, triples
 
 
 def parse_hex_spec(text: str) -> HexSpec:
@@ -169,16 +164,28 @@ def build_benzenoid(spec: HexSpec) -> DirectionLabeledGraph:
     Corners shared between cells are merged by exact integer coordinates.
     Cell sets enclosing holes are accepted but flagged `nonstandard_region`.
     """
-    if not spec.is_connected():
+    return _benzenoid(spec)[0]
+
+
+def _benzenoid(spec: HexSpec) -> tuple[DirectionLabeledGraph, list[int]]:
+    """`build_benzenoid`'s molecule, and the id of corner k of sorted cell i
+    at 6i + k: the points are numbered in order of first corner."""
+    components, holes, _ = _region(spec.cells)
+    if components != 1:
         raise DisconnectedCellsError("cells do not form a connected region")
     cells = spec.sorted_cells()
-    point_ids: dict[Point, int] = {}
+    # point (x, y) is keyed x * span + y, as y takes fewer than span values
+    span = 3 * (max(r for _, r in cells) - min(r for _, r in cells)) + 5
+    offsets = [ox * span + oy for ox, oy in _CORNER_OFFSETS]
+    point_ids: dict[int, int] = {}
+    corner: list[int] = []
     edges: list[tuple[int, int]] = []
     direction: list[int] = []
 
-    for cell in cells:
-        ids = [point_ids.setdefault(pt, len(point_ids)) for pt in _corners(cell)]
-        q, r = cell
+    for q, r in cells:
+        centre = (2 * q + r) * span + 3 * r
+        ids = [point_ids.setdefault(centre + o, len(point_ids)) for o in offsets]
+        corner += ids
         for (dq, dr), label, (a, b), square in _SIDES:
             # a side without square pairs sorts its cell across earlier,
             # and that cell, if present, added the side already
@@ -191,8 +198,8 @@ def build_benzenoid(spec: HexSpec) -> DirectionLabeledGraph:
         direction_of=tuple(direction),
         cells=cells,
         kind="benzenoid",
-        nonstandard_region=_hole_count(spec.cells, 1) > 0,  # connected, checked above
-    )
+        nonstandard_region=holes > 0,
+    ), corner
 
 
 def build_phenylene(spec: HexSpec) -> DirectionLabeledGraph:
@@ -202,10 +209,10 @@ def build_phenylene(spec: HexSpec) -> DirectionLabeledGraph:
     copies of the shared corners; together with the two retained hexagon
     edges they bound the inserted square.
     """
-    pairs, triples = _pairs_and_triples(spec.cells)
+    components, holes, triples = _region(spec.cells)
     if triples:
         raise NotCatacondensedError("a lattice corner lies in three cells")
-    if pairs != len(spec.cells) - 1 or not spec.is_connected():
+    if holes or components != 1:  # with no three cells at a corner, a hole is a cycle of cells
         raise CellsNotTreeError("cell adjacency graph is not a tree")
 
     cells = spec.sorted_cells()
@@ -241,60 +248,60 @@ def _lattice_labels(g: Graph) -> list[int] | None:
     for any other graph. Time O(m).
 
     A degree above 3 rejects g at once. One walk over g's faces (`_faces`)
-    unfolds them into cells and g is rebuilt from them; every other reject,
-    an odd cycle among them, comes from the walk or the rebuild. Soundness:
-    g is accepted only if the walk's vertex map sends the rebuilt edges one
-    to one onto g's and the region is no `nonstandard_region`, so g is a
-    hole-free benzenoid or a phenylene up to isomorphism, hence bipartite,
-    and the walk's hexagons and squares are chordless cycles. The labels
-    join the opposite sides of each, which are Theta-related, since a
-    chordless 4- or 6-cycle of a bipartite graph is isometric (a 6-cycle's
-    antipodes lie at odd distance at most 3, and at 1 only across a chord);
-    so they refine Theta*. They are whole classes: those of a hole-free
-    benzenoid are its elementary cuts (Klavzar, Gutman and Mohar, J. Chem.
-    Inf. Comput. Sci. 35 (1995) 590-593), and a phenylene is a tree of C6s
-    and C4s glued along edges, gated in a bipartite graph, so its classes
-    join those of the pieces at the shared edges. Either is a partial cube:
-    every class is two-sided. A ring round a one-cell hole has the graph of the filled
-    region, and the walk takes the 6-cycle round the hole for its hexagon;
-    a wider hole falls back.
+    unfolds them into cells, and it rejects g if vertex 0 is on no 6-cycle,
+    a side has two 6-cycles across it, or the cells pass n / 2. The cells
+    are rebuilt with the builders, which reject a phenylene's cells that are
+    no tree or meet three at a corner. Then g is rejected if the region has
+    holes (`nonstandard_region`), if its edge count differs from g's, or
+    unless the walk's vertex map is a bijection from the rebuild's points
+    onto g's vertices: one vertex per point, no two points alike. The map
+    rejects a triangle walked twice for a hexagon, and two molecules joined
+    by extra edges. Soundness: then each rebuilt edge maps to an edge of g,
+    as a side joins consecutive corners of a 6-cycle of g and the walk
+    crossed a square of g between any two cells of a phenylene (else two
+    cells would share a vertex), so with equal edge counts g is a hole-free
+    benzenoid or a phenylene up to isomorphism, hence bipartite, and the
+    walk's hexagons and squares are chordless cycles. The labels join the
+    opposite sides of each, which are Theta-related, since a chordless 4- or
+    6-cycle of a bipartite graph is isometric (a 6-cycle's antipodes lie at
+    odd distance at most 3, and at 1 only across a chord); so they refine
+    Theta*. They are whole classes: those of a hole-free benzenoid are its
+    elementary cuts (Klavzar, Gutman and Mohar, J. Chem. Inf. Comput. Sci.
+    35 (1995) 590-593), and a phenylene is a tree of C6s and C4s glued along
+    edges, gated in a bipartite graph, so its classes join those of the
+    pieces at the shared edges. Either is a partial cube: every class is
+    two-sided. A ring round a one-cell hole has the graph of the filled
+    region, and the walk takes the 6-cycle round the hole for its hexagon; a
+    wider hole falls back.
     """
     if max(map(len, g.adj)) > 3:
         return None
-    walk = _faces([[y for y, _ in a] for a in g.adj])
+    nbrs = [dict(a) for a in g.adj]  # neighbour -> edge id
+    walk = _faces(nbrs)
     if walk is None:
         return None
     cells, squares = walk
     spec = HexSpec(frozenset(cells))
-    try:
-        mol = build_phenylene(spec) if squares else build_benzenoid(spec)
+    try:  # build_phenylene numbers corner k of sorted cell i as 6i + k
+        mol, corner = (build_phenylene(spec), range(6 * len(cells))) if squares else _benzenoid(spec)
     except (CellsNotTreeError, NotCatacondensedError):  # not a phenylene's cells
         return None
-    if squares:  # build_phenylene numbers corner k of sorted cell i as 6i + k
-        vmap = [v for cell in mol.cells for v in cells[cell]]
-    else:  # build_benzenoid numbers the points in order of first corner
-        at: dict[Point, int] = {}
-        for cell in mol.cells:
-            for point, v in zip(_corners(cell), cells[cell]):
-                if at.setdefault(point, v) != v:
-                    return None
-        vmap = list(at.values())
-    ids = {(u, v): e for e, (u, v) in enumerate(g.edges)}
-    ids.update({(v, u): e for (u, v), e in ids.items()})
-    if (mol.nonstandard_region or len(vmap) != g.n or len(set(vmap)) != g.n or mol.graph.m != g.m
-            or not all((vmap[a], vmap[b]) in ids for a, b in mol.graph.edges)):
+    at = [v for cell in mol.cells for v in cells[cell]]  # the walk's vertex at each corner
+    vmap = dict(zip(corner, at))
+    if (mol.nonstandard_region or mol.graph.m != g.m or len(vmap) != g.n
+            or len(set(vmap.values())) != g.n or any(vmap[p] != v for p, v in zip(corner, at))):
         return None
     uf = _UnionFind(g.m)
     for t in cells.values():
         for k in range(3):
-            uf.union(ids[t[k], t[k + 1]], ids[t[k + 3], t[k - 2]])
+            uf.union(nbrs[t[k]][t[k + 1]], nbrs[t[k + 3]][t[k - 2]])
     for a, b, q, p in squares:
-        uf.union(ids[a, b], ids[p, q])
-        uf.union(ids[b, q], ids[a, p])
+        uf.union(nbrs[a][b], nbrs[p][q])
+        uf.union(nbrs[b][q], nbrs[a][p])
     return list(map(uf.find, range(g.m)))
 
 
-def _hexagons(nbrs: list[list[int]], p: int, q: int, xs, ys) -> list[tuple[int, ...]]:
+def _hexagons(nbrs: list[dict[int, int]], p: int, q: int, xs, ys) -> list[tuple[int, ...]]:
     """The 6-cycles p q y w z x over the edge pq with no chord between
     antipodes, (p, w), (q, z) and (y, x), for x in xs next to p and y in ys
     next to q: z next to x and w next to y close the cycle. Each comes as
@@ -306,36 +313,49 @@ def _hexagons(nbrs: list[list[int]], p: int, q: int, xs, ys) -> list[tuple[int, 
             for w in nbrs[y] if w != q and w in nbrs[z] and w not in nbrs[p]]
 
 
-def _faces(nbrs: list[list[int]]):
+def _faces(nbrs: list[dict[int, int]]):
     """The cells that one walk over the faces of a graph of degree at most
     3 unfolds, each with its vertices at corners 0..5, and the squares
-    (a, b, q, p) it crosses; None if a side has two 6-cycles across it, a
-    cell comes twice with other vertices, or the cells pass n / 2, which no
-    benzenoid (n > 2h) or phenylene (n = 6h) does: a strip that winds
-    round, as in a prism, would unfold for ever. On a graph with odd cycles
-    a cell's corners may repeat; the rebuild rejects it.
+    (a, b, q, p) it crosses; None if a side has two 6-cycles across it or
+    the cells pass n / 2, which no benzenoid (n > 2h) or phenylene (n = 6h)
+    does: a strip that winds round, as in a prism, would unfold for ever.
+    On a graph with odd cycles a cell's corners may repeat; the rebuild
+    rejects it.
 
     A 6-cycle through vertex 0 is cell (0, 0). The corners a = k and b =
     k + 1 of side k of a cell each have at most one neighbour p, q outside
-    it. If p and q are adjacent, a b q p is a square and the 6-cycle over
-    pq is the cell across; otherwise the one over ab is, with p = a and
-    q = b. The cell across sits at the offset of side k, with p at corner
-    k + 4 and q at corner k + 3, as in the builders.
+    it, none if either has degree 2. If p and q are adjacent, a b q p is a
+    square and the 6-cycle over pq is the cell across; otherwise the one
+    over ab is, with p = a and q = b. The cell across sits at the offset of
+    side k, with p at corner k + 4 and q at corner k + 3, as in the
+    builders. Each side is searched once, from the first of its two cells
+    placed; no check compares the placed cell across with a second search,
+    as the rebuild's vertex map proves it: two cells of a benzenoid share
+    the side's two points, and one cell of a phenylene was placed from the
+    other across this very square.
     """
+    n = len(nbrs)
+    span = 2 * n + 1  # cell (q, r) is keyed q * span + r, and |r| <= n / 2 + 1
+    steps = [dq * span + dr for (dq, dr), _, _, _ in _SIDES]
     # x = q or y = 0 would make x and y adjacent, which `_hexagons` skips
     at_0 = [c for q in nbrs[0] for c in _hexagons(nbrs, 0, q, nbrs[0], nbrs[q])]
     if not at_0:
         return None
-    cells = {(0, 0): at_0[0]}
+    cells = {0: at_0[0]}
     squares: list[tuple[int, int, int, int]] = []
-    queue = [(0, 0)]
+    queue = [0]
     for cell in queue:  # the list grows while it is read: a BFS queue
         t = cells[cell]
-        for k, ((dq, dr), _, _, _) in enumerate(_SIDES):
+        for k, step in enumerate(steps):
+            nxt = cell + step
+            if nxt in cells:  # searched from there: the rebuild checks the side
+                continue
             a, b = t[k], t[k - 5]
+            if len(nbrs[a]) < 3 or len(nbrs[b]) < 3:  # a boundary side
+                continue
             xs = [x for x in nbrs[a] if x != b and x != t[k - 1]]
             ys = [y for y in nbrs[b] if y != a and y != t[k - 4]]
-            if xs and ys and ys[0] in nbrs[xs[0]]:
+            if ys[0] in nbrs[xs[0]]:
                 p, q = xs[0], ys[0]
                 squares.append((a, b, q, p))
                 xs = [x for x in nbrs[p] if x != a and x != q]
@@ -343,17 +363,12 @@ def _faces(nbrs: list[list[int]]):
             else:
                 p, q = a, b
             found = _hexagons(nbrs, p, q, xs, ys)
-            if len(found) > 1:
+            if len(found) > 1 or found and 2 * len(cells) >= n:  # too many cells
                 return None
             if found:
-                across = found[0][6 - k :] + found[0][: 6 - k]  # p at corner k + 4
-                nxt = (cell[0] + dq, cell[1] + dr)
-                if nxt not in cells and 2 * len(cells) < len(nbrs):
-                    cells[nxt] = across
-                    queue.append(nxt)
-                elif cells.get(nxt) != across:  # a clash, or too many cells
-                    return None
-    return cells, squares
+                cells[nxt] = found[0][6 - k :] + found[0][: 6 - k]  # p at corner k + 4
+                queue.append(nxt)
+    return {(q, r - n): t for key, t in cells.items() for q, r in [divmod(key + n, span)]}, squares
 
 
 def ph_closed_formulas(n: int) -> IndexReport:

@@ -6,6 +6,7 @@ Theta* pass, `theta._theta_star_pass`. Both must give the same partition
 (`classes`, `class_of`, `two_sided`) on every free polyhex of up to 7
 cells, on every catacondensed one built as a phenylene, and on graphs
 built to fool the recognizer, odd graphs of degree at most 3 among them.
+Molecules of a thousand cells take the route with the pass refused.
 The same corpus certifies the generators' direction labels, which
 `direction_partition` trusts on hole-free regions.
 """
@@ -201,6 +202,24 @@ def _moebius_ladder_8():
 
 _TWO_CELL_HOLE = frozenset((q, r) for q in range(4) for r in range(4)) - {(1, 1), (2, 1)}
 
+
+def _triangle_with_a_tail():
+    # six vertices and six edges, as benzene: the walk takes the triangle,
+    # gone round twice, for a hexagon, and only the rebuild's vertex map
+    # tells the two apart
+    return build_graph(6, [(1, 0), (2, 1), (3, 4), (4, 5), (5, 0), (0, 2)])
+
+
+def _benzene_and_naphthalene_joined():
+    # bipartite, with 16 vertices and 20 edges: its 6-cycles unfold onto
+    # four cells whose region has 20 edges but 17 points, so again only the
+    # rebuild's vertex map rejects it
+    benzene = build_benzenoid(HexSpec.linear_chain(1)).graph
+    naphthalene = build_benzenoid(HexSpec(frozenset({(0, 0), (0, 1)}))).graph
+    edges = list(benzene.edges) + [(u + 6, v + 6) for u, v in naphthalene.edges]
+    return build_graph(16, edges + [(2, 8), (0, 12), (5, 11)])
+
+
 # graphs of degree at most 3 with an odd cycle: they reach the recognizer's
 # walk and rebuild, which must reject them
 ODD_FALLBACKS = {
@@ -210,6 +229,7 @@ ODD_FALLBACKS = {
     "Moebius ladder on 8 vertices": _moebius_ladder_8,
     "PH3 plus an odd chord": lambda: _with_far_chord(linear_phenylene(3).graph, 0),
     "BZ4 plus an odd chord": lambda: _with_far_chord(build_benzenoid(HexSpec.linear_chain(4)).graph, 0),
+    "triangle with a tail": _triangle_with_a_tail,
 }
 
 FALLBACKS = {
@@ -225,6 +245,7 @@ FALLBACKS = {
     "phenylene ring": _phenylene_ring,
     "benzenoid plus a chord": lambda: _with_far_chord(build_benzenoid(HexSpec.linear_chain(4)).graph),
     "phenylene plus a chord": lambda: _with_far_chord(linear_phenylene(3).graph),
+    "benzene and naphthalene joined": _benzene_and_naphthalene_joined,
     **ODD_FALLBACKS,
 }
 
@@ -282,3 +303,43 @@ def test_labels_round_a_wide_hole_split_a_class_and_the_cut_raises(cells):
     assert not p.refined_by_theta_star
     assert len(set(zip(star.class_of, p.class_of))) > len(star)
     _assert_label_cut_like_the_oracle(mol)
+
+
+def _row_convex_cells(rng: random.Random, h: int, width: int) -> frozenset:
+    # rows of consecutive cells, each starting within one cell of the row
+    # below, so the region is connected and has no holes
+    cells, start, r = set(), 0, 0
+    while len(cells) < h:
+        w = min(h - len(cells), width + rng.randint(-width // 4, width // 4))
+        cells.update((q, r) for q in range(start, start + w))
+        start += rng.randint(-1, 1 if w > 1 else 0)
+        r += 1
+    return frozenset(cells)
+
+
+def _kinked_chain(rng: random.Random, h: int) -> frozenset:
+    # each cell one step right or up-right of the last, 60 degrees apart, so
+    # cells i and j lie |i - j| apart and only consecutive cells touch
+    step, cells = (1, 0), [(0, 0)]
+    for _ in range(h - 1):
+        if rng.random() < 0.25:
+            step = step[::-1]
+        cells.append((cells[-1][0] + step[0], cells[-1][1] + step[1]))
+    return frozenset(cells)
+
+
+@pytest.mark.parametrize("kind", ["benzenoid", "phenylene"])
+def test_molecules_of_a_thousand_cells_take_the_lattice_route(kind):
+    rng = random.Random(28)
+    if kind == "benzenoid":
+        mol = build_benzenoid(HexSpec(_row_convex_cells(rng, 1500, 39)))
+    else:
+        mol = build_phenylene(HexSpec(_kinked_chain(rng, 800)))
+    label_cut = weighted_suite_cut(mol.graph, mol.direction_partition()).as_tuple()
+    text = parse_edge_list(format_edge_list(mol.graph))
+    refuse = AssertionError("the Theta* pass ran")
+    with mock.patch.object(theta, "_theta_star_pass", side_effect=refuse):
+        for g in (text, _relabelled(text, rng)):
+            star = theta_star_partition(g)
+            assert all(star.two_sided)
+            assert weighted_suite_cut(g, star).as_tuple() == label_cut
