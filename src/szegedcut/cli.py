@@ -14,6 +14,7 @@ import os
 import statistics
 import sys
 import time
+from itertools import repeat
 from typing import Sequence
 
 from .errors import (
@@ -24,7 +25,7 @@ from .errors import (
     SzegedCutError,
 )
 from .graph import Graph, _int_pairs, format_edge_list, parse_edge_list
-from .indices import IndexReport, _require_c_partition
+from .indices import IndexReport, _cut_sides, _require_c_partition
 from .indices import weighted_suite_cut, weighted_suite_direct
 from .molgen import (
     HexSpec,
@@ -132,16 +133,23 @@ def _cmd_theta(args) -> int:
 def _cmd_quotient(args) -> int:
     g = _read_graph(args.input)
     p = _load_partition(g, args.partition_file)
-    _require_c_partition(g, p)
+    two_sided = _require_c_partition(g, p)
     wa = WeightAssignment.degree_weighted(g, starred=args.starred)
-    for idx, members in enumerate(p.classes):
-        q = quotient_graph(g, wa, members)
-        print(f"# class {idx}: {q.graph.n} components, {q.graph.m} quotient edges")
-        print(f"{q.graph.n} {q.graph.m}")
-        for x in range(q.graph.n):
-            print(f"{q.w[x]} {q.lam[x]}")
-        for eid, (a, b) in enumerate(q.graph.edges):
-            print(f"{a} {b} {q.lambda_prime[eid]} {q.w_prime[eid]}")
+    sides = repeat(None)
+    if any(two_sided):  # clean cuts, read from one pass over G with lam = 0
+        sides = zip(*_cut_sides(g, wa.w, (0,) * g.n, wa.lambda_prime, wa.w_prime, p.class_of, len(p)))
+    for idx, (members, sided, cut) in enumerate(zip(p.classes, two_sided or repeat(False), sides)):
+        if sided:  # G/F is K2, and component 0 is the side B of the root, vertex 0
+            lp, wp, w_a, w_b, t_a, t_b = cut
+            vertices, edges = [(w_b, t_b), (w_a, t_a)], [(0, 1, lp, wp)]
+        else:
+            q = quotient_graph(g, wa, members)
+            vertices = list(zip(q.w, q.lam))
+            edges = [(a, b, lp, wp) for (a, b), lp, wp in zip(q.graph.edges, q.lambda_prime, q.w_prime)]
+        print(f"# class {idx}: {len(vertices)} components, {len(edges)} quotient edges")
+        print(f"{len(vertices)} {len(edges)}")
+        for row in vertices + edges:
+            print(*row)
     return _EXIT_OK
 
 

@@ -157,14 +157,14 @@ def _sums(
     PI(lambda', w') of a connected graph with nonnegative int weights.
 
     Removing a tree edge splits the vertex and edge sets cleanly in two,
-    so a tree is the subtree aggregation `_cut_rows` with every edge as
+    so a tree is the subtree aggregation `_cut_sides` with every edge as
     its own class. Every other graph takes one bit-parallel multi-source
     BFS that finds both sides of every edge at once. Each term is
     symmetric in the two sides of its edge, so neither path tracks
     orientation.
     """
     if g.m == g.n - 1:
-        columns = _cut_rows(g, w, lam, lambda_prime, w_prime, range(g.m), g.m)
+        columns = _terms(*_cut_sides(g, w, lam, lambda_prime, w_prime, range(g.m), g.m)[1:])
     else:
         columns = _generic_sums(g, w, lam, lambda_prime, w_prime)
     return tuple(map(sum, columns))
@@ -181,9 +181,10 @@ def _terms(w_prime, n_u, n_v, t_u, t_v) -> Columns:
     )
 
 
-def _cut_rows(g, w, lam, lambda_prime, w_prime, class_of, k) -> Columns:
-    """The `_terms` of the four sums of `_sums` on G/F for each of the k
-    classes F of `class_of`, read as clean cuts, in O(n + m + k).
+def _cut_sides(g, w, lam, lambda_prime, w_prime, class_of, k):
+    """The weights of G/F for each of the k classes F of `class_of`, read
+    as clean cuts, in O(n + m + k): the lists lambda'(F), w'(F), w(A), w(B),
+    t(A) and t(B), of which the last five are the `_terms` arguments.
 
     A clean cut F has two convex sides A and B, so a geodesic crosses F at
     most once, and the side A away from the root of `graph._bfs_tree` is
@@ -191,8 +192,8 @@ def _cut_rows(g, w, lam, lambda_prime, w_prime, class_of, k) -> Columns:
     vertex weights w(A), w(B) and t(A), t(B), where t sums lam over the
     vertices and lambda' over the edges inside a side. With s(x) = 2 lam(x)
     plus lambda' over the edges at x, s(A) counts the edges of F once and
-    the rest twice, so t(A) = (s(A) - lambda'(F)) / 2. The row of a class
-    that is not a clean cut means nothing.
+    the rest twice, so t(A) = (s(A) - lambda'(F)) / 2. B holds the root,
+    vertex 0. The weights of a class that is not a clean cut mean nothing.
     """
     sub_s = list(map(add, lam, lam))  # s(x), then summed over the subtree below x
     lp_f = [0] * k
@@ -218,7 +219,7 @@ def _cut_rows(g, w, lam, lambda_prime, w_prime, class_of, k) -> Columns:
     w_b = [total_w - a for a in w_a]
     t_a = [(sa - lp) // 2 for sa, lp in zip(s_a, lp_f)]
     t_b = [(total_s - sa - lp) // 2 for sa, lp in zip(s_a, lp_f)]
-    return _terms(wp_f, w_a, w_b, t_a, t_b)
+    return lp_f, wp_f, w_a, w_b, t_a, t_b
 
 
 def _generic_sums(g, w, lam, lambda_prime, w_prime) -> Columns:
@@ -359,11 +360,12 @@ def _class_contributions(
     weights must be ints.
 
     The classes that `two_sided` flags are clean cuts, read from one
-    `_cut_rows` pass over G, whose lam is 0; every other builds its quotient.
+    `_cut_sides` pass over G, whose lam is 0; every other builds its quotient.
     """
     rows = repeat(None)
     if any(two_sided):
-        rows = zip(*_cut_rows(g, wa.w, (0,) * g.n, wa.lambda_prime, wa.w_prime, p.class_of, len(p)))
+        sides = _cut_sides(g, wa.w, (0,) * g.n, wa.lambda_prime, wa.w_prime, p.class_of, len(p))
+        rows = zip(*_terms(*sides[1:]))
     contribs = []
     for members, sided, row in zip(p.classes, two_sided or repeat(False), rows):
         if sided:

@@ -96,7 +96,7 @@ def _forward_pairs(cells: tuple[Cell, ...]):
                 yield i, j, square
 
 
-def _region(cells: frozenset[Cell]) -> tuple[int, int, int]:
+def _region(cells) -> tuple[int, int, int]:
     """The components and holes of the region the cells cover, and its T
     corners in three cells, over runs of consecutive cells per row. Cell
     (q, r) is keyed r * w + q - q0, with w - 2 the width of the q range,
@@ -158,34 +158,31 @@ class DirectionLabeledGraph:
         return p if self.nonstandard_region else _trust(p, self.graph.edges)
 
 
+def _point_ids(cells) -> list[int]:
+    """The id of corner k of the i-th cell at 6i + k, with the points
+    numbered in order of first corner."""
+    # point (x, y) is keyed x * span + y, as y takes fewer than span values
+    span = 3 * (max(r for _, r in cells) - min(r for _, r in cells)) + 5
+    offsets = [ox * span + oy for ox, oy in _CORNER_OFFSETS]
+    ids: dict[int, int] = {}
+    return [ids.setdefault((2 * q + r) * span + 3 * r + o, len(ids)) for q, r in cells for o in offsets]
+
+
 def build_benzenoid(spec: HexSpec) -> DirectionLabeledGraph:
     """Graph of all lattice vertices and edges of the chosen cells.
 
     Corners shared between cells are merged by exact integer coordinates.
     Cell sets enclosing holes are accepted but flagged `nonstandard_region`.
     """
-    return _benzenoid(spec)[0]
-
-
-def _benzenoid(spec: HexSpec) -> tuple[DirectionLabeledGraph, list[int]]:
-    """`build_benzenoid`'s molecule, and the id of corner k of sorted cell i
-    at 6i + k: the points are numbered in order of first corner."""
     components, holes, _ = _region(spec.cells)
     if components != 1:
         raise DisconnectedCellsError("cells do not form a connected region")
     cells = spec.sorted_cells()
-    # point (x, y) is keyed x * span + y, as y takes fewer than span values
-    span = 3 * (max(r for _, r in cells) - min(r for _, r in cells)) + 5
-    offsets = [ox * span + oy for ox, oy in _CORNER_OFFSETS]
-    point_ids: dict[int, int] = {}
-    corner: list[int] = []
+    corner = _point_ids(cells)
     edges: list[tuple[int, int]] = []
     direction: list[int] = []
-
-    for q, r in cells:
-        centre = (2 * q + r) * span + 3 * r
-        ids = [point_ids.setdefault(centre + o, len(point_ids)) for o in offsets]
-        corner += ids
+    for i, (q, r) in enumerate(cells):
+        ids = corner[6 * i : 6 * i + 6]
         for (dq, dr), label, (a, b), square in _SIDES:
             # a side without square pairs sorts its cell across earlier,
             # and that cell, if present, added the side already
@@ -194,12 +191,12 @@ def _benzenoid(spec: HexSpec) -> tuple[DirectionLabeledGraph, list[int]]:
                 direction.append(label)
 
     return DirectionLabeledGraph(
-        graph=Graph(len(point_ids), edges),
+        graph=Graph(max(corner) + 1, edges),
         direction_of=tuple(direction),
         cells=cells,
         kind="benzenoid",
         nonstandard_region=holes > 0,
-    ), corner
+    )
 
 
 def build_phenylene(spec: HexSpec) -> DirectionLabeledGraph:
@@ -248,31 +245,33 @@ def _lattice_labels(g: Graph) -> list[int] | None:
     for any other graph. Time O(m).
 
     A degree above 3 rejects g at once. One walk over g's faces (`_faces`)
-    unfolds them into cells, and it rejects g if vertex 0 is on no 6-cycle,
-    a side has two 6-cycles across it, or the cells pass n / 2. The cells
-    are rebuilt with the builders, which reject a phenylene's cells that are
-    no tree or meet three at a corner. Then g is rejected if the region has
-    holes (`nonstandard_region`), if its edge count differs from g's, or
-    unless the walk's vertex map is a bijection from the rebuild's points
-    onto g's vertices: one vertex per point, no two points alike. The map
-    rejects a triangle walked twice for a hexagon, and two molecules joined
-    by extra edges. Soundness: then each rebuilt edge maps to an edge of g,
-    as a side joins consecutive corners of a 6-cycle of g and the walk
-    crossed a square of g between any two cells of a phenylene (else two
+    unfolds them into cells, and it rejects g if vertex 0 is on no 6-cycle, a
+    side has two 6-cycles across it, or the cells pass n / 2. The cells must
+    pass the builders' checks: one region, no hole, and, if the walk crossed
+    squares, no corner in three cells, so that they form a tree. Then g is
+    rejected if its edge count is not that of the molecule B that
+    `build_benzenoid` or `build_phenylene` would build from the cells, by
+    Euler's formula 8h - 2 for a phenylene of h cells and p + h - 1 for a
+    benzenoid of p points, or unless the walk's vertex map is a bijection from
+    B's points onto g's vertices: one vertex per point, no two points alike.
+    `_point_ids` numbers a benzenoid's points, and a phenylene's corners are
+    its own points. The map rejects a triangle walked twice for a hexagon, and
+    two molecules joined by extra edges. Soundness: then each edge of B maps to
+    an edge of g, as a side joins consecutive corners of a 6-cycle of g and the
+    walk crossed a square of g between any two cells of a phenylene (else two
     cells would share a vertex), so with equal edge counts g is a hole-free
-    benzenoid or a phenylene up to isomorphism, hence bipartite, and the
-    walk's hexagons and squares are chordless cycles. The labels join the
-    opposite sides of each, which are Theta-related, since a chordless 4- or
-    6-cycle of a bipartite graph is isometric (a 6-cycle's antipodes lie at
-    odd distance at most 3, and at 1 only across a chord); so they refine
-    Theta*. They are whole classes: those of a hole-free benzenoid are its
-    elementary cuts (Klavzar, Gutman and Mohar, J. Chem. Inf. Comput. Sci.
-    35 (1995) 590-593), and a phenylene is a tree of C6s and C4s glued along
-    edges, gated in a bipartite graph, so its classes join those of the
-    pieces at the shared edges. Either is a partial cube: every class is
-    two-sided. A ring round a one-cell hole has the graph of the filled
-    region, and the walk takes the 6-cycle round the hole for its hexagon; a
-    wider hole falls back.
+    benzenoid or a phenylene up to isomorphism, hence bipartite, and the walk's
+    hexagons and squares are chordless cycles. The labels join the opposite
+    sides of each, which are Theta-related, since a chordless 4- or 6-cycle of
+    a bipartite graph is isometric (a 6-cycle's antipodes lie at odd distance
+    at most 3, and at 1 only across a chord); so they refine Theta*. They are
+    whole classes: those of a hole-free benzenoid are its elementary cuts
+    (Klavzar, Gutman and Mohar, J. Chem. Inf. Comput. Sci. 35 (1995) 590-593),
+    and a phenylene is a tree of C6s and C4s glued along edges, gated in a
+    bipartite graph, so its classes join those of the pieces at the shared
+    edges. Either is a partial cube: every class is two-sided. A ring round a
+    one-cell hole has the graph of the filled region, and the walk takes the
+    6-cycle round the hole for its hexagon; a wider hole falls back.
     """
     if max(map(len, g.adj)) > 3:
         return None
@@ -281,14 +280,14 @@ def _lattice_labels(g: Graph) -> list[int] | None:
     if walk is None:
         return None
     cells, squares = walk
-    spec = HexSpec(frozenset(cells))
-    try:  # build_phenylene numbers corner k of sorted cell i as 6i + k
-        mol, corner = (build_phenylene(spec), range(6 * len(cells))) if squares else _benzenoid(spec)
-    except (CellsNotTreeError, NotCatacondensedError):  # not a phenylene's cells
+    components, holes, triples = _region(cells)
+    if components != 1 or holes or squares and triples:
         return None
-    at = [v for cell in mol.cells for v in cells[cell]]  # the walk's vertex at each corner
+    h = len(cells)
+    corner = range(6 * h) if squares else _point_ids(cells)
+    at = [v for t in cells.values() for v in t]  # the walk's vertex at each corner
     vmap = dict(zip(corner, at))
-    if (mol.nonstandard_region or mol.graph.m != g.m or len(vmap) != g.n
+    if (g.m != (8 * h - 2 if squares else len(vmap) + h - 1) or len(vmap) != g.n
             or len(set(vmap.values())) != g.n or any(vmap[p] != v for p, v in zip(corner, at))):
         return None
     uf = _UnionFind(g.m)
@@ -307,7 +306,7 @@ def _hexagons(nbrs: list[dict[int, int]], p: int, q: int, xs, ys) -> list[tuple[
     next to q: z next to x and w next to y close the cycle. Each comes as
     (z, w, y, q, p, x), the order of corners 0..5 of a cell entered across
     its side 3, with p at corner 4 and q at corner 3. On a graph with odd
-    cycles corners may repeat; the rebuild rejects such a cell."""
+    cycles corners may repeat; the vertex map rejects such a cell."""
     return [(z, w, y, q, p, x) for x in xs for y in ys if y not in nbrs[x]
             for z in nbrs[x] if z != p and z not in nbrs[q]
             for w in nbrs[y] if w != q and w in nbrs[z] and w not in nbrs[p]]
@@ -319,8 +318,8 @@ def _faces(nbrs: list[dict[int, int]]):
     (a, b, q, p) it crosses; None if a side has two 6-cycles across it or
     the cells pass n / 2, which no benzenoid (n > 2h) or phenylene (n = 6h)
     does: a strip that winds round, as in a prism, would unfold for ever.
-    On a graph with odd cycles a cell's corners may repeat; the rebuild
-    rejects it.
+    On a graph with odd cycles a cell's corners may repeat; the vertex map
+    of `_lattice_labels` rejects it.
 
     A 6-cycle through vertex 0 is cell (0, 0). The corners a = k and b =
     k + 1 of side k of a cell each have at most one neighbour p, q outside
@@ -330,7 +329,7 @@ def _faces(nbrs: list[dict[int, int]]):
     side k, with p at corner k + 4 and q at corner k + 3, as in the
     builders. Each side is searched once, from the first of its two cells
     placed; no check compares the placed cell across with a second search,
-    as the rebuild's vertex map proves it: two cells of a benzenoid share
+    as the vertex map proves it: two cells of a benzenoid share
     the side's two points, and one cell of a phenylene was placed from the
     other across this very square.
     """
@@ -348,7 +347,7 @@ def _faces(nbrs: list[dict[int, int]]):
         t = cells[cell]
         for k, step in enumerate(steps):
             nxt = cell + step
-            if nxt in cells:  # searched from there: the rebuild checks the side
+            if nxt in cells:  # searched from there: the vertex map checks the side
                 continue
             a, b = t[k], t[k - 5]
             if len(nbrs[a]) < 3 or len(nbrs[b]) < 3:  # a boundary side

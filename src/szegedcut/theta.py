@@ -9,12 +9,12 @@ requires.
 
 A benzenoid without holes or a phenylene, read as an edge list in any
 order, takes the lattice route in O(m) time: `molgen._lattice_labels`
-unfolds its hexagons and squares into lattice cells, rebuilds it from
-them, and reads its Theta*-classes, all two-sided, as the chains of
-opposite sides of its faces; its docstring holds the proof. A degree
-above 3 rejects a graph at once, and every graph the recognizer
-rejects, one with an odd cycle or a hole wider than one cell among
-them, falls back to the pass.
+unfolds its hexagons and squares into lattice cells, checks them by
+counting, without building the molecule, and reads its Theta*-classes,
+all two-sided, as the chains of opposite sides of its faces; its
+docstring holds the proof. A degree above 3 rejects a graph at once, and
+every graph the recognizer rejects, one with an odd cycle or a hole
+wider than one cell among them, falls back to the pass.
 
 Otherwise Theta* comes from one pass over the edges of the package's BFS
 spanning tree (`graph._bfs_tree`, the tree that the subtree aggregation

@@ -16,15 +16,18 @@ from hypothesis import strategies as st
 import szegedcut
 from szegedcut import (
     DisconnectedError,
+    WeightAssignment,
     build_graph,
     format_edge_list,
     linear_phenylene,
     oracle_suite,
     parse_edge_list,
+    quotient_graph,
+    theta_star_partition,
 )
 from szegedcut.cli import _build_parser, main
 
-from conftest import RING_CELLS, WIDE_RING_CELLS, cycle_graph, fullerene_patch
+from conftest import RING_CELLS, WIDE_RING_CELLS, cycle_graph, fullerene_patch, path_graph
 
 
 def run_cli(capsys, *argv):
@@ -442,6 +445,61 @@ def test_quotient_output(capsys, tmp_path):
     # each opposite-pair quotient is a K2 with weights 3/2 and edge 2/8
     assert out.count("3 2") == 6
     assert out.count("0 1 2 8") == 3
+
+
+def _quotient_blocks(g, p, starred):
+    """The lines `quotient` prints for the classes of p, from one
+    `quotient_graph` per class."""
+    wa = WeightAssignment.degree_weighted(g, starred=starred)
+    lines = []
+    for idx, members in enumerate(p.classes):
+        q = quotient_graph(g, wa, members)
+        lines.append(f"# class {idx}: {q.graph.n} components, {q.graph.m} quotient edges")
+        lines.append(f"{q.graph.n} {q.graph.m}")
+        lines += [f"{w} {lam}" for w, lam in zip(q.w, q.lam)]
+        lines += [f"{a} {b} {lp} {wp}" for (a, b), lp, wp in zip(q.graph.edges, q.lambda_prime, q.w_prime)]
+    return lines
+
+
+QUOTIENT_GRAPHS = {
+    "C6": lambda: cycle_graph(6),
+    "PH3": lambda: linear_phenylene(3).graph,
+    # the triangle builds its quotient, the two bridges are clean cuts
+    "triangle with a tail": lambda: build_graph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)]),
+    # vertex 0 is a leaf, and the tree edges are listed out of BFS order
+    "small tree": lambda: build_graph(7, [(5, 6), (3, 1), (1, 4), (0, 3), (4, 2), (3, 5)]),
+}
+
+
+@pytest.mark.parametrize("starred", [False, True], ids=["plain", "starred"])
+@pytest.mark.parametrize("name", QUOTIENT_GRAPHS)
+def test_quotient_prints_two_sided_classes_as_their_quotient_graphs(capsys, tmp_path, name, starred):
+    # a class that Theta* flags as two-sided is read from one pass over G,
+    # and its block must be the one its `quotient_graph` gives
+    g = QUOTIENT_GRAPHS[name]()
+    star = theta_star_partition(g)
+    assert any(star.two_sided)
+    gpath = _write(tmp_path, "g.edges", format_edge_list(g))
+    code, out, _ = run_cli(capsys, "quotient", gpath, *["--starred"] * starred)
+    assert code == 0
+    assert out.splitlines() == _quotient_blocks(g, star, starred)
+
+
+def test_quotient_on_a_path_builds_no_quotient(capsys, monkeypatch, tmp_path):
+    # every edge of a tree is a two-sided class of its own, so the Theta*
+    # route prints all of them from one pass over G, in linear time
+    g = path_graph(200)
+    expected = _quotient_blocks(g, theta_star_partition(g), False)
+    gpath = _write(tmp_path, "path.edges", format_edge_list(g))
+
+    def refuse(*args):
+        raise AssertionError("quotient built")
+
+    monkeypatch.setattr("szegedcut.cli.quotient_graph", refuse)
+    code, out, _ = run_cli(capsys, "quotient", gpath)
+    assert code == 0
+    assert out.splitlines() == expected
+    assert out.count("# class") == 199
 
 
 def test_gen_benzenoid_from_spec_with_hole_tag(capsys, tmp_path):

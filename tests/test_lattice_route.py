@@ -166,13 +166,20 @@ def _q3():
     return build_graph(8, [(v, v ^ 1 << b) for v in range(8) for b in range(3) if v >> b & 1])
 
 
+def _hexagons_and_squares(cells, drop=0):
+    # a hexagon per cell, and a square between adjacent cells as
+    # `build_phenylene` joins them, save for the last `drop` pairs
+    cells = tuple(sorted(cells))
+    pairs = list(_forward_pairs(cells))
+    edges = [(6 * i + k, 6 * i + (k + 1) % 6) for i in range(len(cells)) for k in range(6)]
+    edges += [(6 * i + a, 6 * j + b) for i, j, square in pairs[: len(pairs) - drop] for a, b in square]
+    return build_graph(6 * len(cells), edges)
+
+
 def _phenylene_ring():
     # six hexagons round a missing one, each joined to the next by a
-    # square, as `build_phenylene` joins them: its cells form a cycle
-    cells = tuple(sorted(RING_CELLS))
-    edges = [(6 * i + k, 6 * i + (k + 1) % 6) for i in range(6) for k in range(6)]
-    edges += [(6 * i + a, 6 * j + b) for i, j, square in _forward_pairs(cells) for a, b in square]
-    return build_graph(36, edges)
+    # square: its cells form a cycle
+    return _hexagons_and_squares(RING_CELLS)
 
 
 def _prism(k):
@@ -205,15 +212,15 @@ _TWO_CELL_HOLE = frozenset((q, r) for q in range(4) for r in range(4)) - {(1, 1)
 
 def _triangle_with_a_tail():
     # six vertices and six edges, as benzene: the walk takes the triangle,
-    # gone round twice, for a hexagon, and only the rebuild's vertex map
-    # tells the two apart
+    # gone round twice, for a hexagon, and only the vertex map tells the
+    # two apart
     return build_graph(6, [(1, 0), (2, 1), (3, 4), (4, 5), (5, 0), (0, 2)])
 
 
 def _benzene_and_naphthalene_joined():
     # bipartite, with 16 vertices and 20 edges: its 6-cycles unfold onto
-    # four cells whose region has 20 edges but 17 points, so again only the
-    # rebuild's vertex map rejects it
+    # four cells whose region has 20 edges but 17 points, so again only
+    # the vertex map rejects it
     benzene = build_benzenoid(HexSpec.linear_chain(1)).graph
     naphthalene = build_benzenoid(HexSpec(frozenset({(0, 0), (0, 1)}))).graph
     edges = list(benzene.edges) + [(u + 6, v + 6) for u, v in naphthalene.edges]
@@ -221,7 +228,7 @@ def _benzene_and_naphthalene_joined():
 
 
 # graphs of degree at most 3 with an odd cycle: they reach the recognizer's
-# walk and rebuild, which must reject them
+# walk and checks, which must reject them
 ODD_FALLBACKS = {
     "Petersen": _petersen,
     "C5xK2": lambda: _prism(5),
@@ -243,6 +250,10 @@ FALLBACKS = {
     # strip of squares winds round for ever
     "hexagonal prism": lambda: _prism(6),
     "phenylene ring": _phenylene_ring,
+    # a chain of six hexagons that the walk lays on cells round a hole: it
+    # crosses each square and finds no other, so the edge count and the
+    # vertex map pass, and only the hole test rejects it
+    "phenylene ring less a square": lambda: _hexagons_and_squares(RING_CELLS, drop=1),
     "benzenoid plus a chord": lambda: _with_far_chord(build_benzenoid(HexSpec.linear_chain(4)).graph),
     "phenylene plus a chord": lambda: _with_far_chord(linear_phenylene(3).graph),
     "benzene and naphthalene joined": _benzene_and_naphthalene_joined,
@@ -266,6 +277,21 @@ def test_odd_graphs_of_degree_at_most_3_fail_the_walk_or_the_rebuild(name):
         star = theta_star_partition(g)
     assert walk.call_count == 1
     assert star == oracle_theta_star_partition(g)
+
+
+def test_cells_that_meet_three_at_a_corner_are_rejected():
+    # squares on two sides of a hexagon round one corner would give that
+    # corner degree 4, and no hexagon-and-square graph of at most 7 cells
+    # walks onto such cells past the other checks; so the walk of PH3 is
+    # laid on three cells round a corner, where the edge count and the
+    # vertex map still pass
+    g = linear_phenylene(3).graph
+    cells, squares = molgen._faces([dict(a) for a in g.adj])
+    bent = dict(zip([(0, 0), (1, 0), (0, 1)], cells.values()))
+    assert molgen._region(bent)[2] == 1
+    with mock.patch.object(molgen, "_faces", return_value=(bent, squares)):
+        assert _lattice_labels(g) is None
+    assert _lattice_labels(g) is not None
 
 
 def _assert_label_cut_like_the_oracle(mol):
@@ -343,3 +369,22 @@ def test_molecules_of_a_thousand_cells_take_the_lattice_route(kind):
             star = theta_star_partition(g)
             assert all(star.two_sided)
             assert weighted_suite_cut(g, star).as_tuple() == label_cut
+
+
+def test_the_route_builds_no_molecule():
+    # the cells are checked by counting: with the builders and molgen's
+    # Graph refused, a phenylene and a benzenoid given as text still take
+    # the route and get the classes of the pass
+    rng = random.Random(29)
+    phenylene = build_phenylene(HexSpec(_kinked_chain(rng, 40)))
+    benzenoid = build_benzenoid(HexSpec(_row_convex_cells(rng, 60, 7)))
+    for mol in (phenylene, benzenoid):
+        g = _relabelled(parse_edge_list(format_edge_list(mol.graph)), rng)
+        expected = _facts(theta._theta_star_pass(g))
+        with (
+            mock.patch.object(molgen, "Graph", side_effect=AssertionError("Graph built")),
+            mock.patch.object(molgen, "build_phenylene", side_effect=AssertionError("builder ran")),
+            mock.patch.object(molgen, "build_benzenoid", side_effect=AssertionError("builder ran")),
+            mock.patch.object(theta, "_theta_star_pass", side_effect=AssertionError("the Theta* pass ran")),
+        ):
+            assert _facts(theta_star_partition(g)) == expected
