@@ -2,7 +2,8 @@
 molecule generation, and a cut-versus-direct benchmark.
 
 A `--partition-file` is read as one label per edge id and validated as
-`weighted_suite_cut` validates any partition the library did not write.
+`weighted_suite_cut` validates any partition the library did not write,
+which flags each class that is one two-sided Theta*-class as a clean cut.
 `index --method direct` reads no partition and refuses the option.
 """
 
@@ -25,7 +26,7 @@ from .errors import (
     SzegedCutError,
 )
 from .graph import Graph, _int_pairs, format_edge_list, parse_edge_list
-from .indices import IndexReport, _cut_sides, _require_c_partition
+from .indices import IndexReport, _cut_sides
 from .indices import weighted_suite_cut, weighted_suite_direct
 from .molgen import (
     HexSpec,
@@ -36,7 +37,7 @@ from .molgen import (
 )
 from .oracle import oracle_suite
 from .quotient import quotient_graph, WeightAssignment
-from .theta import EdgePartition, theta_star_partition
+from .theta import EdgePartition, _require_c_partition, theta_star_partition
 
 _EXIT_OK = 0
 _EXIT_MISMATCH = 1
@@ -138,7 +139,7 @@ def _cmd_quotient(args) -> int:
     sides = repeat(None)
     if any(two_sided):  # clean cuts, read from one pass over G with lam = 0
         sides = zip(*_cut_sides(g, wa.w, (0,) * g.n, wa.lambda_prime, wa.w_prime, p.class_of, len(p)))
-    for idx, (members, sided, cut) in enumerate(zip(p.classes, two_sided or repeat(False), sides)):
+    for idx, (members, sided, cut) in enumerate(zip(p.classes, two_sided, sides)):
         if sided:  # G/F is K2, and component 0 is the side B of the root, vertex 0
             lp, wp, w_a, w_b, t_a, t_b = cut
             vertices, edges = [(w_b, t_b), (w_a, t_a)], [(0, 1, lp, wp)]

@@ -38,7 +38,8 @@ stays linear in n + m. A sweep takes about one round per unit of
 diameter, so long thin graphs cost the most per edge.
 
 The cut route builds one quotient per class and runs the engine on it,
-except for the classes that `theta_star_partition` flags as two-sided:
+except for the classes that are one two-sided Theta*-class, which the
+gate `theta._require_c_partition` flags on every partition it accepts:
 bridges, and every class of a partial cube. Such a class is one cut
 with two convex sides, so its quotient is K2, fixed by the weights of
 the two sides. The subtree aggregation that takes trees, run once over
@@ -68,10 +69,10 @@ from math import lcm
 from operator import add, and_, is_, lshift, mul
 from typing import Iterator, Sequence
 
-from .errors import InvalidCPartitionError, UnsupportedKindError
+from .errors import UnsupportedKindError
 from .graph import Graph, _bfs_tree, _sweep, _sweep_ranges, require_connected
 from .quotient import Weight, WeightAssignment, quotient_graph
-from .theta import EdgePartition, validate_c_partition
+from .theta import EdgePartition, _require_c_partition
 
 
 class IndexKind(enum.Enum):
@@ -335,39 +336,20 @@ def weighted_suite_direct(g: Graph, starred: bool = False) -> IndexReport:
 # cut method
 # ---------------------------------------------------------------------------
 
-def _require_c_partition(g: Graph, p: EdgePartition) -> tuple[bool, ...]:
-    """Raises unless p is a c-partition of g, and returns the `two_sided`
-    flags that hold on g. A trusted p skips validation on the edge list it
-    was certified on, matched by identity and then by value; only then
-    are its flags read. Only the raw constructor keyword and `replace()`
-    bind a trusted p to no edge list, and it then skips validation on any
-    graph with as many edges. Every other p is validated, and
-    `validate_c_partition` raises first on a wrong edge count."""
-    edges = p._certified_on
-    if p.refined_by_theta_star and (
-        edges is g.edges or edges == g.edges or (edges is None and p.num_edges == g.m)
-    ):
-        return p.two_sided
-    if not validate_c_partition(g, p):
-        raise InvalidCPartitionError("partition splits a Theta*-class across classes")
-    return ()
-
-
 def _class_contributions(
     g: Graph, wa: WeightAssignment, p: EdgePartition, two_sided: tuple[bool, ...]
 ) -> list[Sums]:
     """The four quotient sums of every class of p, in class order; the
-    weights must be ints.
-
-    The classes that `two_sided` flags are clean cuts, read from one
-    `_cut_sides` pass over G, whose lam is 0; every other builds its quotient.
-    """
+    weights must be ints. The classes that `two_sided`, the gate's one flag
+    per class of a trusted or validated p, marks are clean cuts, read from
+    one `_cut_sides` pass over G, whose lam is 0; every other builds its
+    quotient."""
     rows = repeat(None)
     if any(two_sided):
         sides = _cut_sides(g, wa.w, (0,) * g.n, wa.lambda_prime, wa.w_prime, p.class_of, len(p))
         rows = zip(*_terms(*sides[1:]))
     contribs = []
-    for members, sided, row in zip(p.classes, two_sided or repeat(False), rows):
+    for members, sided, row in zip(p.classes, two_sided, rows):
         if sided:
             contribs.append(row)
         else:

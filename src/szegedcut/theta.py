@@ -31,8 +31,6 @@ is the one reader of that pass. It closes the cuts row by row: per batch
 it notes which of the batch's tree edges each class already holds, so an
 edge's row costs two union-find lookups plus one per tree edge new to its
 class, not one union per Theta-pair.
-C-partition validation reads its classes, since p is a c-partition iff
-every Theta*-class meets exactly one class of p.
 
 The same pass finds the classes that are one clean cut: a class F is
 two-sided when some tree edge ab in F has all of F as its Theta-cut and
@@ -46,15 +44,17 @@ distance table is kept in `oracle` as the reference. `is_bipartite` runs
 no BFS of its own: it reads the depths that `graph._bfs` gives each
 component.
 
-The library certifies a partition only where it computed it on a
-graph's edge list: the lattice route, `_theta_star_pass`,
-`oracle.oracle_theta_star_partition` and `molgen`'s `direction_partition`.
-Each sets both flags, `refined_by_theta_star` and `two_sided`, through
-one private writer, `_trust`, which also keeps that edge tuple: the cut
-method trusts them on that edge list alone. `from_labels` sets neither
-flag, so unions of Theta*-classes built with it are validated; the
-constructor's `refined_by_theta_star` keyword, which `replace()` also
-passes, is the last writer outside the library, bound to no edges.
+The library certifies a partition only where it computed it on a graph's
+edge list: the lattice route, `_theta_star_pass`,
+`oracle.oracle_theta_star_partition` and `molgen`'s
+`direction_partition`. Each sets both flags, `refined_by_theta_star` and
+`two_sided`, through one private writer, `_trust`, which also keeps that
+edge tuple; the constructor's `refined_by_theta_star` keyword, which
+`replace()` also passes, is the last writer outside the library, bound
+to no edges. One gate, `_require_c_partition`, reads them: it returns
+the flags of a partition trusted on g and validates any other, since p
+is a c-partition iff every Theta*-class meets exactly one class of p;
+the same pairs flag each class of p that is one two-sided Theta*-class.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ from dataclasses import dataclass, field
 from itertools import compress
 from typing import Hashable, Iterable, Iterator
 
-from .errors import MalformedPartitionError, PartitionNotCoveringError
+from .errors import InvalidCPartitionError, MalformedPartitionError, PartitionNotCoveringError
 from .graph import Graph, _bfs, _bfs_tree, _sweep, _sweep_ranges, require_connected
 
 
@@ -326,24 +326,51 @@ def _theta_star_pass(g: Graph) -> EdgePartition:
     return _trust(p, g.edges, tuple(two_sided))
 
 
+def _clean_cuts(g: Graph, p: EdgePartition) -> tuple[bool, ...] | None:
+    """`validate_c_partition` with one flag per class of p, or None if p is
+    no c-partition of g. Over the (Theta*-class, class) pairs a class scores
+    1 per two-sided Theta*-class and 2 per other one; it is flagged iff its
+    score is 1. Pairs, not class numbers, match p's classes, in any order."""
+    if p.num_edges != g.m:
+        raise PartitionNotCoveringError(f"partition covers {p.num_edges} edges, graph has {g.m}")
+    star = theta_star_partition(g)
+    pairs = set(zip(star.class_of, p.class_of))
+    if len(pairs) != len(star):
+        return None
+    score = [0] * len(p)
+    for s, c in pairs:
+        score[c] += 1 if star.two_sided[s] else 2
+    return tuple(k == 1 for k in score)
+
+
 def validate_c_partition(g: Graph, p: EdgePartition) -> bool:
     """True iff every Theta*-class of g lies inside a single class of p,
-    that is, iff each Theta*-class meets exactly one class of p.
-
-    Reads `theta_star_partition`, so it runs in O(m) time on a hole-free
-    benzenoid or a phenylene, which take the lattice route, and in O(n*m)
-    time and O(n+m) memory on any other graph.
+    that is, iff each Theta*-class meets exactly one class of p: O(m) time
+    on a hole-free benzenoid or a phenylene, which take the lattice route,
+    else O(n*m) time and O(n+m) memory.
 
     Raises:
         PartitionNotCoveringError: if p does not cover g's edges.
         DisconnectedError: if g is not connected.
     """
-    if p.num_edges != g.m:
-        raise PartitionNotCoveringError(
-            f"partition covers {p.num_edges} edges, graph has {g.m}"
-        )
-    star = theta_star_partition(g)
-    return len(set(zip(star.class_of, p.class_of))) == len(star)
+    return _clean_cuts(g, p) is not None
+
+
+def _require_c_partition(g: Graph, p: EdgePartition) -> tuple[bool, ...]:
+    """Raises unless p is a c-partition of g; returns one flag per class of
+    p, set on its clean cuts. A trusted p skips validation on its certified
+    edge list (by identity, then by value), or, bound to none by the raw
+    keyword or `replace()`, on any graph with as many edges, and returns
+    its stored flags, all False if none. Any other p gets `_clean_cuts`."""
+    edges = p._certified_on
+    if p.refined_by_theta_star and (
+        edges is g.edges or edges == g.edges or (edges is None and p.num_edges == g.m)
+    ):
+        return p.two_sided or (False,) * len(p)
+    flags = _clean_cuts(g, p)
+    if flags is None:
+        raise InvalidCPartitionError("partition splits a Theta*-class across classes")
+    return flags
 
 
 def is_bipartite(g: Graph) -> bool:

@@ -35,7 +35,7 @@ from szegedcut import (
     weighted_suite_cut,
     weighted_suite_direct,
 )
-from szegedcut import graph, indices
+from szegedcut import graph, indices, theta
 from szegedcut.molgen import build_benzenoid, linear_phenylene
 
 from conftest import (
@@ -440,7 +440,7 @@ def test_a_certificate_holds_only_for_its_own_edge_list():
 
 
 def _validations():
-    return mock.patch.object(indices, "validate_c_partition", wraps=indices.validate_c_partition)
+    return mock.patch.object(theta, "_clean_cuts", wraps=theta._clean_cuts)
 
 
 def test_a_certificate_holds_on_an_equal_reparse():
@@ -591,6 +591,51 @@ def test_two_sided_rows_match_oracle(family, data):
     ]
 
 
+def _triangle_with_tail():
+    # the triangle is one Theta*-class that is no clean cut; the two
+    # bridges 2-3 and 3-4 are two-sided classes of their own
+    return build_graph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)])
+
+
+@pytest.mark.parametrize(
+    "labels, flags",
+    [
+        ([0, 0, 0, 1, 2], (False, True, True)),   # every class alone
+        ([0, 0, 0, 1, 0], (False, True)),         # the far bridge joins the triangle
+        ([0, 0, 0, 1, 1], (False, False)),        # the two bridges merged
+        ([0, 0, 0, 0, 1], (False, True)),         # the near bridge joins the triangle
+    ],
+)
+def test_a_validated_partition_is_flagged_on_its_lone_two_sided_classes(labels, flags):
+    # a validated partition once came back with no flags, so each of its
+    # classes built a quotient, which is quadratic on a file of bridges
+    g = _triangle_with_tail()
+    p = EdgePartition.from_labels(labels)
+    assert theta._require_c_partition(g, p) == flags
+    with mock.patch.object(indices, "quotient_graph", wraps=quotient_graph) as spy:
+        for starred in (False, True):
+            report = weighted_suite_cut(g, p, starred)
+            assert report.as_tuple() == oracle_suite(g, starred).as_tuple()
+    assert spy.call_count == 2 * flags.count(False)
+
+
+def test_flags_follow_the_classes_not_their_numbers():
+    # the raw constructor takes classes in any order: flags read by class
+    # number off the Theta*-partition would call the triangle a clean cut
+    g = _triangle_with_tail()
+    star = theta_star_partition(g)
+    assert star.two_sided == (False, True, True)
+    k = len(star)
+    reverse = EdgePartition(star.classes[::-1], tuple(k - 1 - c for c in star.class_of))
+    assert theta._require_c_partition(g, reverse) == (True, True, False)
+    wa = random_weight_assignment(random.Random(79), g, hi=9)
+    with mock.patch.object(indices, "quotient_graph", wraps=quotient_graph) as spy:
+        assert weighted_suite_cut(g, reverse).as_tuple() == oracle_suite(g).as_tuple()
+        for kind in _CUT_KINDS:
+            assert general_cut_index(g, wa, reverse, kind) == oracle_general(g, wa, kind)
+    assert spy.call_count == 2
+
+
 # ---------------------------------------------------------------------------
 # one evaluation per input: per-kind calls on the same objects share it
 # ---------------------------------------------------------------------------
@@ -696,7 +741,7 @@ def test_a_call_that_raises_stores_nothing(bad):
 def test_unflagged_partition_is_validated_once_per_input():
     g, wa, p = _patch_inputs()
     unflagged = EdgePartition.from_classes(p.classes, g.m)
-    with _spy("validate_c_partition") as spy:
+    with _validations() as spy:
         for weights in (wa, WeightAssignment.unit(g)):
             for kind in _CUT_KINDS:
                 assert general_cut_index(g, weights, unflagged, kind) == oracle_general(
@@ -758,7 +803,7 @@ def test_suites_leave_the_memo_as_it_was():
 def test_suite_validates_an_unflagged_partition_once():
     g, _, p = _patch_inputs()
     unflagged = EdgePartition.from_classes(p.classes, g.m)
-    with _spy("validate_c_partition") as spy:
+    with _validations() as spy:
         report = weighted_suite_cut(g, unflagged)
     assert spy.call_count == 1
     assert report.as_tuple() == oracle_suite(g).as_tuple()

@@ -6,8 +6,9 @@ enumeration takes minutes, are read from `data/connected6.txt`, and a test
 checks that the list is complete: 112 connected graphs in pairwise
 distinct canonical forms. Each graph is checked against the oracle: its
 Theta*-partition, its partial-cube test and two-sided flags, every
-coarsening of its Theta*-partition on the cut route, and splits of its
-Theta*-classes, which must be refused.
+coarsening of its Theta*-partition on the cut route with the clean-cut
+flags its validation gives, and splits of its Theta*-classes, which must
+be refused.
 """
 
 from functools import lru_cache
@@ -31,6 +32,7 @@ from szegedcut import (
     weighted_suite_cut,
     weighted_suite_direct,
 )
+from szegedcut import theta
 
 # connected graphs up to isomorphism on n = 2..6 vertices (OEIS A001349)
 COUNTS = {2: 1, 3: 2, 4: 6, 5: 21}
@@ -147,7 +149,7 @@ def test_theta_star_flags_match_the_oracle():
 
 
 def test_every_coarsening_gives_cut_equal_direct_equal_oracle():
-    coarsenings = 0
+    coarsenings = with_flags = flagged = 0
     for g in _all_graphs():
         p = theta_star_partition(g)
         expected = {s: oracle_suite(g, s).as_tuple() for s in (False, True)}
@@ -155,15 +157,28 @@ def test_every_coarsening_gives_cut_equal_direct_equal_oracle():
             assert weighted_suite_direct(g, s).as_tuple() == expected[s], g.edges
             # the flagged partition itself reads its two-sided classes as cuts
             assert weighted_suite_cut(g, p, s).as_tuple() == expected[s], g.edges
+        # the gate flags a class of a validated coarsening iff it is one
+        # oracle Theta*-class whose removal leaves two convex components
+        rows = all_pairs_distances(g).rows
+        clean = set()
+        for members in oracle_theta_star_partition(g).classes:
+            sides = _components(g, members)
+            if len(sides) == 2 and all(_convex(rows, side) for side in sides):
+                clean.add(members)
         for blocks in _set_partitions(list(range(len(p)))):
             grouping = {c: i for i, block in enumerate(blocks) for c in block}
             q = EdgePartition.from_labels(grouping[c] for c in p.class_of)
             coarsenings += 1
+            flags = theta._require_c_partition(g, q)
+            assert flags == tuple(c in clean for c in q.classes), (g.edges, blocks)
+            with_flags += any(flags)
+            flagged += sum(flags)
             for s in (False, True):
                 assert weighted_suite_cut(g, q, s).as_tuple() == expected[s], (g.edges, blocks)
     # Bell numbers of the class counts: 104 coarsenings on 2..5 vertices and
     # 676 on 6, each plain and starred
     assert coarsenings == 780
+    assert (with_flags, flagged) == (502, 833)
 
 
 def _splits(members, every):
