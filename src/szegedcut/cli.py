@@ -2,8 +2,9 @@
 molecule generation, and a cut-versus-direct benchmark.
 
 A `--partition-file` is read as one label per edge id and validated as
-`weighted_suite_cut` validates any partition the library did not write,
-which flags each class that is one two-sided Theta*-class as a clean cut.
+`weighted_suite_cut` validates any partition the library did not write.
+The gate returns the Theta*-partition it computed, and `quotient` prints
+a class as K2 exactly when it is one two-sided Theta*-class.
 `index --method direct` reads no partition and refuses the option.
 """
 
@@ -15,7 +16,6 @@ import os
 import statistics
 import sys
 import time
-from itertools import repeat
 from typing import Sequence
 
 from .errors import (
@@ -134,14 +134,18 @@ def _cmd_theta(args) -> int:
 def _cmd_quotient(args) -> int:
     g = _read_graph(args.input)
     p = _load_partition(g, args.partition_file)
-    two_sided = _require_c_partition(g, p)
+    star = _require_c_partition(g, p)
     wa = WeightAssignment.degree_weighted(g, starred=args.starred)
-    sides = repeat(None)
-    if any(two_sided):  # clean cuts, read from one pass over G with lam = 0
-        sides = zip(*_cut_sides(g, wa.w, (0,) * g.n, wa.lambda_prime, wa.w_prime, p.class_of, len(p)))
-    for idx, (members, sided, cut) in enumerate(zip(p.classes, two_sided, sides)):
-        if sided:  # G/F is K2, and component 0 is the side B of the root, vertex 0
-            lp, wp, w_a, w_b, t_a, t_b = cut
+    cuts = {}  # class of p -> the sides of the two-sided Theta*-class that is all of it
+    if star is not None:  # clean cuts, read from one pass over G with lam = 0
+        sides = zip(*_cut_sides(g, wa.w, (0,) * g.n, wa.lambda_prime, wa.w_prime, star.class_of, len(star)))
+        for members, sided, cut in zip(star.classes, star.two_sided, sides):
+            c = p.class_of[next(iter(members))]
+            if sided and len(members) == len(p.classes[c]):
+                cuts[c] = cut
+    for idx, members in enumerate(p.classes):
+        if idx in cuts:  # G/F is K2, and component 0 is the side B of the root, vertex 0
+            lp, wp, w_a, w_b, t_a, t_b = cuts[idx]
             vertices, edges = [(w_b, t_b), (w_a, t_a)], [(0, 1, lp, wp)]
         else:
             q = quotient_graph(g, wa, members)

@@ -37,14 +37,16 @@ Sources run in equal sweeps of at most `graph._SOURCE_BITS`, so memory
 stays linear in n + m. A sweep takes about one round per unit of
 diameter, so long thin graphs cost the most per edge.
 
-The cut route builds one quotient per class and runs the engine on it,
-except for the classes that are one two-sided Theta*-class, which the
-gate `theta._require_c_partition` flags on every partition it accepts:
-bridges, and every class of a partial cube. Such a class is one cut
-with two convex sides, so its quotient is K2, fixed by the weights of
-the two sides. The subtree aggregation that takes trees, run once over
-the BFS tree of G with the classes of the partition, gives all flagged
-classes at once in O(n+m) (Klavzar, MATCH 60 (2008) 255-274).
+The cut route reads each class of a c-partition as its two-sided
+Theta*-classes plus one quotient of the rest: splitting a class so
+gives another c-partition with the same totals for any weights
+(Klavzar, MATCH 60 (2008) 255-274). A two-sided class, such as a bridge
+or any class of a partial cube, is one cut with two convex sides, so its
+quotient is K2, fixed by the weights of the sides. The subtree
+aggregation that takes trees, run once over the BFS tree of G with the
+Theta*-classes that the gate `theta._require_c_partition` returns, gives
+all their rows in O(n+m). A partition trusted without flags builds one
+quotient per class.
 
 All arithmetic is exact: the engine adds Python ints, and Fraction
 weights are scaled to ints first and divided back at the end.
@@ -337,24 +339,28 @@ def weighted_suite_direct(g: Graph, starred: bool = False) -> IndexReport:
 # ---------------------------------------------------------------------------
 
 def _class_contributions(
-    g: Graph, wa: WeightAssignment, p: EdgePartition, two_sided: tuple[bool, ...]
+    g: Graph, wa: WeightAssignment, p: EdgePartition, star: EdgePartition | None
 ) -> list[Sums]:
     """The four quotient sums of every class of p, in class order; the
-    weights must be ints. The classes that `two_sided`, the gate's one flag
-    per class of a trusted or validated p, marks are clean cuts, read from
-    one `_cut_sides` pass over G, whose lam is 0; every other builds its
-    quotient."""
-    rows = repeat(None)
-    if any(two_sided):
-        sides = _cut_sides(g, wa.w, (0,) * g.n, wa.lambda_prime, wa.w_prime, p.class_of, len(p))
-        rows = zip(*_terms(*sides[1:]))
-    contribs = []
-    for members, sided, row in zip(p.classes, two_sided, rows):
-        if sided:
-            contribs.append(row)
-        else:
-            q = quotient_graph(g, wa, members)
-            contribs.append(_sums(q.graph, q.w, q.lam, q.lambda_prime, q.w_prime))
+    weights must be ints. `star` is the gate's Theta*-partition of g, or
+    None. One `_cut_sides` pass over G, whose lam is 0, gives the row of
+    each two-sided Theta*-class, added to the class of p that holds it;
+    the rest of each class builds one quotient, and a class with no rest
+    builds none. With no `star`, every class builds its quotient."""
+    contribs: list = [None] * len(p)
+    rest = dict(enumerate(p.classes)) if star is None else {}  # class -> edges left
+    if star is not None:
+        sides = _cut_sides(g, wa.w, (0,) * g.n, wa.lambda_prime, wa.w_prime, star.class_of, len(star))
+        for members, sided, row in zip(star.classes, star.two_sided, zip(*_terms(*sides[1:]))):
+            c = p.class_of[next(iter(members))]
+            if sided:
+                contribs[c] = row if contribs[c] is None else tuple(map(add, contribs[c], row))
+            else:
+                rest.setdefault(c, set()).update(members)
+    for c in sorted(rest):
+        q = quotient_graph(g, wa, rest[c])
+        row = _sums(q.graph, q.w, q.lam, q.lambda_prime, q.w_prime)
+        contribs[c] = row if contribs[c] is None else tuple(map(add, contribs[c], row))
     return contribs
 
 
@@ -402,10 +408,10 @@ def _evaluate(
     require_connected(g)
     wa.check_shape(g)
     if p is not None:
-        two_sided = _require_c_partition(g, p)
+        star = _require_c_partition(g, p)
     scaled, d = _integral(wa)
     if p is not None:
-        return _class_contributions(g, scaled, p, two_sided), d
+        return _class_contributions(g, scaled, p, star), d
     lam = scaled.w if lam_is_w else (0,) * g.n
     return [_sums(g, scaled.w, lam, scaled.lambda_prime, scaled.w_prime)], d
 

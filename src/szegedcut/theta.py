@@ -51,10 +51,11 @@ edge list: the lattice route, `_theta_star_pass`,
 `two_sided`, through one private writer, `_trust`, which also keeps that
 edge tuple; the constructor's `refined_by_theta_star` keyword, which
 `replace()` also passes, is the last writer outside the library, bound
-to no edges. One gate, `_require_c_partition`, reads them: it returns
-the flags of a partition trusted on g and validates any other, since p
-is a c-partition iff every Theta*-class meets exactly one class of p;
-the same pairs flag each class of p that is one two-sided Theta*-class.
+to no edges. One gate, `_require_c_partition`, reads them: it trusts a
+partition certified on g, validates any other (p is a c-partition iff
+every Theta*-class meets exactly one class of p), and returns g's
+Theta*-partition where one was computed, whose `two_sided` flags are
+the one record of which Theta*-classes are clean cuts.
 """
 
 from __future__ import annotations
@@ -326,21 +327,14 @@ def _theta_star_pass(g: Graph) -> EdgePartition:
     return _trust(p, g.edges, tuple(two_sided))
 
 
-def _clean_cuts(g: Graph, p: EdgePartition) -> tuple[bool, ...] | None:
-    """`validate_c_partition` with one flag per class of p, or None if p is
-    no c-partition of g. Over the (Theta*-class, class) pairs a class scores
-    1 per two-sided Theta*-class and 2 per other one; it is flagged iff its
-    score is 1. Pairs, not class numbers, match p's classes, in any order."""
+def _clean_cuts(g: Graph, p: EdgePartition) -> EdgePartition | None:
+    """g's Theta*-partition, with its `two_sided` flags, if p is a
+    c-partition of g, else None: p is one iff every Theta*-class meets
+    exactly one class of p, read from the (Theta*-class, class) pairs."""
     if p.num_edges != g.m:
         raise PartitionNotCoveringError(f"partition covers {p.num_edges} edges, graph has {g.m}")
     star = theta_star_partition(g)
-    pairs = set(zip(star.class_of, p.class_of))
-    if len(pairs) != len(star):
-        return None
-    score = [0] * len(p)
-    for s, c in pairs:
-        score[c] += 1 if star.two_sided[s] else 2
-    return tuple(k == 1 for k in score)
+    return star if len(set(zip(star.class_of, p.class_of))) == len(star) else None
 
 
 def validate_c_partition(g: Graph, p: EdgePartition) -> bool:
@@ -356,21 +350,22 @@ def validate_c_partition(g: Graph, p: EdgePartition) -> bool:
     return _clean_cuts(g, p) is not None
 
 
-def _require_c_partition(g: Graph, p: EdgePartition) -> tuple[bool, ...]:
-    """Raises unless p is a c-partition of g; returns one flag per class of
-    p, set on its clean cuts. A trusted p skips validation on its certified
-    edge list (by identity, then by value), or, bound to none by the raw
-    keyword or `replace()`, on any graph with as many edges, and returns
-    its stored flags, all False if none. Any other p gets `_clean_cuts`."""
+def _require_c_partition(g: Graph, p: EdgePartition) -> EdgePartition | None:
+    """Raises unless p is a c-partition of g; returns g's Theta*-partition
+    with its `two_sided` flags, or None. A trusted p skips validation on its
+    certified edge list (by identity, then by value), or, bound to none by
+    the raw keyword or `replace()`, on any graph with as many edges, and is
+    returned if it has flags, which only Theta* writes. Any other p gets
+    `_clean_cuts`, which returns the Theta*-partition it computed."""
     edges = p._certified_on
     if p.refined_by_theta_star and (
         edges is g.edges or edges == g.edges or (edges is None and p.num_edges == g.m)
     ):
-        return p.two_sided or (False,) * len(p)
-    flags = _clean_cuts(g, p)
-    if flags is None:
+        return p if p.two_sided else None
+    star = _clean_cuts(g, p)
+    if star is None:
         raise InvalidCPartitionError("partition splits a Theta*-class across classes")
-    return flags
+    return star
 
 
 def is_bipartite(g: Graph) -> bool:

@@ -1,11 +1,12 @@
 import random
 import sys
 import threading
+from dataclasses import astuple
 from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from szegedcut import (
@@ -36,11 +37,12 @@ from szegedcut import (
     weighted_suite_direct,
 )
 from szegedcut import graph, indices, theta
-from szegedcut.molgen import build_benzenoid, linear_phenylene
+from szegedcut.molgen import build_benzenoid, build_phenylene, linear_phenylene
 
 from conftest import (
     CORONENE,
     FULLERENE_TOTALS,
+    ZIGZAG4,
     cube_subgraph,
     cycle_graph,
     cyclic_weighted_graphs,
@@ -597,6 +599,15 @@ def _triangle_with_tail():
     return build_graph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)])
 
 
+def _builds():
+    return mock.patch.object(indices, "quotient_graph", wraps=quotient_graph)
+
+
+def _rows(report):
+    # the four values of each per-class row, without its class number
+    return [astuple(c)[1:] for c in report.per_class]
+
+
 @pytest.mark.parametrize(
     "labels, flags",
     [
@@ -608,32 +619,120 @@ def _triangle_with_tail():
 )
 def test_a_validated_partition_is_flagged_on_its_lone_two_sided_classes(labels, flags):
     # a validated partition once came back with no flags, so each of its
-    # classes built a quotient, which is quadratic on a file of bridges
+    # classes built a quotient, which is quadratic on a file of bridges;
+    # later a class holding a bridge still built its whole quotient. The
+    # gate returns the Theta*-partition, whose flags mark the classes of p
+    # that are one two-sided Theta*-class (`flags`), and the triangle, the
+    # one Theta*-class that is no clean cut, is the only quotient built
     g = _triangle_with_tail()
     p = EdgePartition.from_labels(labels)
-    assert theta._require_c_partition(g, p) == flags
-    with mock.patch.object(indices, "quotient_graph", wraps=quotient_graph) as spy:
+    star = theta._require_c_partition(g, p)
+    assert star == theta_star_partition(g) and star.two_sided == (False, True, True)
+    clean = {f for f, sided in zip(star.classes, star.two_sided) if sided}
+    assert tuple(c in clean for c in p.classes) == flags
+    with _builds() as spy:
         for starred in (False, True):
             report = weighted_suite_cut(g, p, starred)
             assert report.as_tuple() == oracle_suite(g, starred).as_tuple()
-    assert spy.call_count == 2 * flags.count(False)
+    assert [call.args[2] for call in spy.call_args_list] == [{0, 1, 2}] * 2
 
 
 def test_flags_follow_the_classes_not_their_numbers():
-    # the raw constructor takes classes in any order: flags read by class
-    # number off the Theta*-partition would call the triangle a clean cut
+    # the raw constructor takes classes in any order: rows added by class
+    # number off the Theta*-partition would give the triangle a bridge's row
     g = _triangle_with_tail()
     star = theta_star_partition(g)
     assert star.two_sided == (False, True, True)
     k = len(star)
     reverse = EdgePartition(star.classes[::-1], tuple(k - 1 - c for c in star.class_of))
-    assert theta._require_c_partition(g, reverse) == (True, True, False)
+    assert theta._require_c_partition(g, reverse) == star
+    for starred in (False, True):
+        forward = _rows(weighted_suite_cut(g, star, starred))
+        assert _rows(weighted_suite_cut(g, reverse, starred)) == forward[::-1]
     wa = random_weight_assignment(random.Random(79), g, hi=9)
-    with mock.patch.object(indices, "quotient_graph", wraps=quotient_graph) as spy:
+    with _builds() as spy:
         assert weighted_suite_cut(g, reverse).as_tuple() == oracle_suite(g).as_tuple()
         for kind in _CUT_KINDS:
             assert general_cut_index(g, wa, reverse, kind) == oracle_general(g, wa, kind)
     assert spy.call_count == 2
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: linear_phenylene(6),
+        lambda: build_phenylene(ZIGZAG4),
+        lambda: build_benzenoid(HexSpec.linear_chain(6)),
+        lambda: build_benzenoid(ZIGZAG4),
+    ],
+    ids=["PH6", "zigzag phenylene", "BZ6", "zigzag benzenoid"],
+)
+def test_validated_direction_labels_build_no_quotient(make):
+    # every direction class of a molecule is a union of two-sided
+    # Theta*-classes, so its validated labels are read from one pass over
+    # G; they once built a quotient for each class of several such cuts
+    dlg = make()
+    g = dlg.graph
+    labels = EdgePartition.from_labels(dlg.direction_of)
+    for starred in (False, True):
+        expected = weighted_suite_cut(g, dlg.direction_partition(), starred)
+        with mock.patch.object(
+            indices, "quotient_graph", side_effect=AssertionError("quotient built")
+        ):
+            assert weighted_suite_cut(g, labels, starred) == expected
+
+
+def _coarsening(star, seed):
+    # the Theta*-classes dealt into a random number of groups
+    rng = random.Random(seed)
+    k = rng.randint(1, len(star))
+    group = [rng.randrange(k) for _ in star.classes]
+    return EdgePartition.from_labels(group[c] for c in star.class_of)
+
+
+def _whole_quotient_row(g, wa, members):
+    """The four sums of one class, by the oracle on its whole quotient."""
+    q = quotient_graph(g, wa, members)
+    on_w = WeightAssignment(q.w, q.w_prime, q.lambda_prime)
+    on_lam = WeightAssignment(q.lam, q.w_prime, q.lambda_prime)
+    return (
+        oracle_general(q.graph, on_w, IndexKind.SZ),
+        oracle_general(q.graph, on_w, IndexKind.PI_V),
+        oracle_general(q.graph, on_lam, IndexKind.SZ_T),
+        oracle_general(q.graph, on_lam, IndexKind.PI_V)
+        + oracle_general(q.graph, on_lam, IndexKind.PI),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.booleans().flatmap(lambda bipartite: cyclic_weighted_graphs(bipartite, _CUBE_WEIGHTS)),
+    st.integers(0, 2**32),
+)
+@example(
+    (_triangle_with_tail(), random_weight_assignment(random.Random(83), _triangle_with_tail(), hi=9)),
+    7,  # groups [0, 0, 0, 1, 0]: the far bridge shares the triangle's class
+)
+def test_each_class_row_equals_its_whole_quotient(graph_and_weights, seed):
+    # a class is read as its two-sided Theta*-classes plus one quotient of
+    # the rest, which must give the row of the class's whole quotient
+    g, wa = graph_and_weights
+    star = theta_star_partition(g)
+    p = _coarsening(star, seed)
+    rest = {}
+    for members, sided in zip(star.classes, star.two_sided):
+        if not sided:
+            rest.setdefault(p.class_of[min(members)], set()).update(members)
+    rows, d = indices._evaluate(g, wa, p, False)
+    for row, members in zip(rows, p.classes, strict=True):
+        assert indices._totals([row], d) == _whole_quotient_row(g, wa, members)
+    with _builds() as spy:
+        for starred in (False, True):
+            degree = WeightAssignment.degree_weighted(g, starred)
+            assert _rows(weighted_suite_cut(g, p, starred)) == [
+                _whole_quotient_row(g, degree, members) for members in p.classes
+            ]
+    assert [call.args[2] for call in spy.call_args_list] == [rest[c] for c in sorted(rest)] * 2
 
 
 # ---------------------------------------------------------------------------

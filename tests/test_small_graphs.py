@@ -6,14 +6,15 @@ enumeration takes minutes, are read from `data/connected6.txt`, and a test
 checks that the list is complete: 112 connected graphs in pairwise
 distinct canonical forms. Each graph is checked against the oracle: its
 Theta*-partition, its partial-cube test and two-sided flags, every
-coarsening of its Theta*-partition on the cut route with the clean-cut
-flags its validation gives, and splits of its Theta*-classes, which must
-be refused.
+coarsening of its Theta*-partition on the cut route with the quotients
+its classes build, over their Theta*-classes that are no clean cut, and
+splits of its Theta*-classes, which must be refused.
 """
 
 from functools import lru_cache
 from itertools import combinations, permutations
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -27,12 +28,13 @@ from szegedcut import (
     oracle_is_partial_cube,
     oracle_suite,
     oracle_theta_star_partition,
+    quotient_graph,
     theta_star_partition,
     validate_c_partition,
     weighted_suite_cut,
     weighted_suite_direct,
 )
-from szegedcut import theta
+from szegedcut import indices, theta
 
 # connected graphs up to isomorphism on n = 2..6 vertices (OEIS A001349)
 COUNTS = {2: 1, 3: 2, 4: 6, 5: 21}
@@ -149,7 +151,7 @@ def test_theta_star_flags_match_the_oracle():
 
 
 def test_every_coarsening_gives_cut_equal_direct_equal_oracle():
-    coarsenings = with_flags = flagged = 0
+    coarsenings = builds = mixed = 0
     for g in _all_graphs():
         p = theta_star_partition(g)
         expected = {s: oracle_suite(g, s).as_tuple() for s in (False, True)}
@@ -157,28 +159,41 @@ def test_every_coarsening_gives_cut_equal_direct_equal_oracle():
             assert weighted_suite_direct(g, s).as_tuple() == expected[s], g.edges
             # the flagged partition itself reads its two-sided classes as cuts
             assert weighted_suite_cut(g, p, s).as_tuple() == expected[s], g.edges
-        # the gate flags a class of a validated coarsening iff it is one
-        # oracle Theta*-class whose removal leaves two convex components
+        # an oracle Theta*-class is clean when its removal leaves two convex
+        # components; the rest of a class is its Theta*-classes that are not
         rows = all_pairs_distances(g).rows
-        clean = set()
-        for members in oracle_theta_star_partition(g).classes:
+        star = oracle_theta_star_partition(g)
+        clean = []
+        for members in star.classes:
             sides = _components(g, members)
-            if len(sides) == 2 and all(_convex(rows, side) for side in sides):
-                clean.add(members)
+            clean.append(len(sides) == 2 and all(_convex(rows, side) for side in sides))
         for blocks in _set_partitions(list(range(len(p)))):
             grouping = {c: i for i, block in enumerate(blocks) for c in block}
             q = EdgePartition.from_labels(grouping[c] for c in p.class_of)
             coarsenings += 1
-            flags = theta._require_c_partition(g, q)
-            assert flags == tuple(c in clean for c in q.classes), (g.edges, blocks)
-            with_flags += any(flags)
-            flagged += sum(flags)
+            # the gate returns the Theta*-partition of g with its flags
+            gate = theta._require_c_partition(g, q)
+            assert gate == star and gate.two_sided == tuple(clean), (g.edges, blocks)
+            rest, kinds = {}, {}
+            for members, sided in zip(star.classes, clean):
+                c = q.class_of[min(members)]
+                kinds.setdefault(c, set()).add(sided)
+                if not sided:
+                    rest.setdefault(c, set()).update(members)
+            mixed += sum(len(k) == 2 for k in kinds.values())
+            builds += len(rest)
+            # each class builds one quotient over its rest, or none
             for s in (False, True):
-                assert weighted_suite_cut(g, q, s).as_tuple() == expected[s], (g.edges, blocks)
+                with mock.patch.object(indices, "quotient_graph", wraps=quotient_graph) as spy:
+                    report = weighted_suite_cut(g, q, s)
+                assert report.as_tuple() == expected[s], (g.edges, blocks)
+                assert [call.args[2] for call in spy.call_args_list] == [
+                    rest[c] for c in sorted(rest)
+                ], (g.edges, blocks)
     # Bell numbers of the class counts: 104 coarsenings on 2..5 vertices and
     # 676 on 6, each plain and starred
     assert coarsenings == 780
-    assert (with_flags, flagged) == (502, 833)
+    assert (builds, mixed) == (347, 159)
 
 
 def _splits(members, every):
