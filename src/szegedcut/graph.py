@@ -2,10 +2,15 @@
 
 Vertices are 0..n-1 and edges carry stable ids 0..m-1 in input order, so
 edge partitions and edge sets can be stored as plain id sets. A `Graph`
-checks its edges for loops, bad ids and repeats by whole-list passes, and
-builds its adjacency on first read, then keeps it. Distances
-are exact hop counts from one source at a time; the all-pairs table is
-kept in `oracle`, so no production path holds O(n^2) state.
+has two entry points. `Graph(n, edges)` (and `build_graph`) copies a
+caller's edges and checks them for loops, bad ids and repeats by
+whole-list passes. `Graph._wrap(n, edges)` keeps an edge tuple the
+package made itself as given, with no copy and no check: the molecule
+builders and `quotient_graph` make simple graphs by construction, and
+`parse_edge_list` runs the same checks on its parsed pairs before it
+wraps them. Either way the adjacency is built on first read, then kept.
+Distances are exact hop counts from one source at a time; the all-pairs
+table is kept in `oracle`, so no production path holds O(n^2) state.
 `_int_pairs` is the one line reader of all three text input formats.
 
 `_bfs_tree` is the one BFS spanning tree of the package: the Theta* pass
@@ -37,10 +42,12 @@ from .errors import (
 class Graph:
     """Simple undirected graph, immutable after construction.
 
-    Construction copies the edges and checks them with whole-list passes;
-    only a failed check walks the edges in order, to name the first bad
-    one. The adjacency is built from `edges` on its first read and kept,
-    so a graph that is only written out never builds it.
+    `Graph(n, edges)` copies a caller's edges and checks them with
+    whole-list passes; only a failed check walks the edges in order, to
+    name the first bad one. `Graph._wrap(n, edges)` keeps an edge tuple
+    the package built simple itself, uncopied and unchecked. The adjacency
+    is built from `edges` on its first read and kept, so a graph that is
+    only written out never builds it.
 
     Attributes:
         n: number of vertices (ids 0..n-1).
@@ -60,6 +67,16 @@ class Graph:
         self.n = n
         self.edges: tuple[tuple[int, int], ...] = edges
         self._adj: tuple[tuple[tuple[int, int], ...], ...] | None = None
+
+    @classmethod
+    def _wrap(cls, n: int, edges: tuple[tuple[int, int], ...]) -> "Graph":
+        # the graph of an edge tuple the package made and knows to be
+        # simple, n >= 1: the tuple is kept as given and nothing is checked
+        g = cls.__new__(cls)
+        g.n = n
+        g.edges = edges
+        g._adj = None
+        return g
 
     @property
     def adj(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -260,15 +277,17 @@ def parse_edge_list(text: str) -> Graph:
     n, m = pairs[0]
     if n < 1:
         raise ParseError(f"header declares {n} vertices, need at least one")
-    edges = pairs[1:]
+    edges = tuple(pairs[1:])
     if len(edges) != m:
         raise ParseError(f"header declares {m} edges, found {len(edges)}")
     if n > m + 1:
         raise DisconnectedError(f"{n} vertices need at least {n - 1} edges, got {m}")
-    try:
-        return Graph(n, edges)
-    except (LoopEdgeError, DuplicateEdgeError, VertexOutOfRangeError) as exc:
-        raise ParseError(f"invalid edge list: {exc}") from exc
+    if not _is_simple(n, edges):
+        try:  # parsed ids are ints, so this raises
+            _raise_first_bad_edge(n, edges)
+        except (LoopEdgeError, DuplicateEdgeError, VertexOutOfRangeError) as exc:
+            raise ParseError(f"invalid edge list: {exc}") from exc
+    return Graph._wrap(n, edges)
 
 
 def format_edge_list(g: Graph, comments: Sequence[str] = ()) -> str:

@@ -191,7 +191,7 @@ def build_benzenoid(spec: HexSpec) -> DirectionLabeledGraph:
                 direction.append(label)
 
     return DirectionLabeledGraph(
-        graph=Graph(max(corner) + 1, edges),
+        graph=Graph._wrap(max(corner) + 1, tuple(edges)),
         direction_of=tuple(direction),
         cells=cells,
         kind="benzenoid",
@@ -225,7 +225,7 @@ def build_phenylene(spec: HexSpec) -> DirectionLabeledGraph:
             direction.append(4)
 
     return DirectionLabeledGraph(
-        graph=Graph(6 * len(cells), edges),
+        graph=Graph._wrap(6 * len(cells), tuple(edges)),
         direction_of=tuple(direction),
         cells=cells,
         kind="phenylene",

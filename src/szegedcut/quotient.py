@@ -12,8 +12,11 @@ components make one quotient edge, and four weights are induced:
 
 The F-edges themselves are not kept: F-edge uv lies in quotient edge
 {component_map[u], component_map[v]}. One build is O(n+m) time and
-memory. The all-pairs self-test of the distance decomposition over these
-quotients lives in `oracle`.
+memory: one scan numbers the components and sums their w, one pass
+over the edges sums the rest, and the sorted component pairs, distinct
+with cu < cv, are wrapped as the quotient's edges with no second copy
+or check (`Graph._wrap`). The all-pairs self-test of the distance
+decomposition over these quotients lives in `oracle`.
 """
 
 from __future__ import annotations
@@ -113,26 +116,28 @@ def quotient_graph(g: Graph, wa: WeightAssignment, f: Iterable[int]) -> Quotient
             raise PartitionNotCoveringError(f"edge id {e} outside 0..{m - 1}")
         removed[e] = 1
 
-    # scanning starts in vertex order numbers components by smallest vertex
+    # scanning starts in vertex order numbers components by smallest vertex;
+    # each scan sums the w of the component it numbers
     comp = [-1] * g.n
     adj = g.adj
+    w = wa.w
+    w_q: list[Weight] = []
     nc = 0
     for start in range(g.n):
         if comp[start] >= 0:
             continue
         comp[start] = nc
+        total = w[start]
         stack = [start]
         while stack:
             x = stack.pop()
             for y, eid in adj[x]:
                 if comp[y] < 0 and not removed[eid]:
                     comp[y] = nc
+                    total += w[y]
                     stack.append(y)
+        w_q.append(total)
         nc += 1
-
-    w_q: list[Weight] = [0] * nc
-    for c, wv in zip(comp, wa.w):
-        w_q[c] += wv
 
     lam_q: list[Weight] = [0] * nc
     # per component pair, the w' and lambda' sums of the F-edges joining it
@@ -149,9 +154,10 @@ def quotient_graph(g: Graph, wa: WeightAssignment, f: Iterable[int]) -> Quotient
             wp_q[key] = wp_q.get(key, 0) + wa.w_prime[eid]
             lp_q[key] = lp_q.get(key, 0) + wa.lambda_prime[eid]
 
-    pairs = sorted(wp_q)
+    # distinct pairs cu < cv of components 0..nc-1: a simple graph
+    pairs = tuple(sorted(wp_q))
     return QuotientGraph(
-        graph=Graph(nc, pairs),
+        graph=Graph._wrap(nc, pairs),
         component_map=tuple(comp),
         w=tuple(w_q),
         lam=tuple(lam_q),

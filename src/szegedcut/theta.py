@@ -61,7 +61,7 @@ the one record of which Theta*-classes are clean cuts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import chain, compress, repeat
 from typing import Hashable, Iterable, Iterator
 
 from .errors import InvalidCPartitionError, MalformedPartitionError, PartitionNotCoveringError
@@ -112,6 +112,11 @@ class EdgePartition:
     _certified_on: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        try:
+            if _is_partition(self.classes, self.class_of):
+                return
+        except TypeError:  # an id that cannot compare or index: the walk names its class
+            pass
         m = len(self.class_of)
         for idx, members in enumerate(self.classes):
             if not members:
@@ -120,8 +125,7 @@ class EdgePartition:
                 raise PartitionNotCoveringError(f"edge id outside 0..{m - 1}")
             if set(map(self.class_of.__getitem__, members)) != {idx}:
                 raise MalformedPartitionError(f"class_of disagrees with class {idx}")
-        if sum(map(len, self.classes)) != m:
-            raise PartitionNotCoveringError(f"classes do not cover all {m} edges")
+        raise PartitionNotCoveringError(f"classes do not cover all {m} edges")
 
     @classmethod
     def from_classes(cls, classes: Iterable[Iterable[int]], m: int) -> "EdgePartition":
@@ -153,6 +157,23 @@ class EdgePartition:
 
     def __len__(self) -> int:
         return len(self.classes)
+
+
+def _is_partition(classes: tuple[frozenset[int], ...], class_of: tuple[int, ...]) -> bool:
+    """True if the class sizes sum to m = len(class_of), no class is empty,
+    every id is in 0..m-1, and `class_of[e]` is the index of the class that
+    holds e, by whole-list passes; then the classes partition 0..m-1.
+    `EdgePartition` walks the classes in order only when this fails, to
+    name the first bad one."""
+    m = len(class_of)
+    flat = [*chain.from_iterable(classes)]
+    tags = chain.from_iterable(map(repeat, range(len(classes)), map(len, classes)))
+    return (
+        len(flat) == m
+        and all(classes)
+        and (not flat or (0 <= min(flat) and max(flat) < m))
+        and [class_of[e] for e in flat] == [*tags]
+    )
 
 
 def _trust(p: EdgePartition, edges: tuple, two_sided: tuple[bool, ...] = ()) -> EdgePartition:

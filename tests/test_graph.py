@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -15,15 +16,19 @@ from szegedcut import (
     ParseError,
     SzegedCutError,
     VertexOutOfRangeError,
+    WeightAssignment,
     all_pairs_distances,
     bfs_distances,
+    build_benzenoid,
     build_graph,
     build_phenylene,
     format_edge_list,
     is_connected,
     parse_edge_list,
     parse_hex_spec,
+    quotient_graph,
 )
+from szegedcut import graph
 from szegedcut.cli import _parse_partition
 
 from conftest import cycle_graph, path_graph, random_connected_graph, random_tree
@@ -144,6 +149,29 @@ def test_graph_checks_and_keeps_the_adjacency():
     assert g.adj is g.adj
     with pytest.raises(AttributeError):
         g.adj = ()
+
+
+def _refuse_is_simple(*_):
+    raise AssertionError("_is_simple called")
+
+
+def test_only_caller_and_parsed_edges_are_checked():
+    # the builders and quotient_graph make simple edge tuples and wrap
+    # them unchecked; Graph(...) and parse_edge_list check every list
+    with mock.patch.object(graph, "_is_simple", _refuse_is_simple):
+        bz = build_benzenoid(parse_hex_spec("0 0\n1 0\n0 1\n"))
+        ph = build_phenylene(HexSpec.linear_chain(3))
+        wa = WeightAssignment.unit(ph.graph)
+        quotients = [quotient_graph(ph.graph, wa, f) for f in ph.direction_partition().classes]
+        with pytest.raises(AssertionError, match="_is_simple called"):
+            Graph(3, [(0, 1), (1, 2)])
+        with pytest.raises(AssertionError, match="_is_simple called"):
+            parse_edge_list("3 2\n0 1\n1 2\n")
+    assert (bz.graph.n, bz.graph.m, ph.graph.n, ph.graph.m) == (13, 15, 18, 22)
+    # the wrapped tuples pass the checked constructor unchanged
+    for g in (bz.graph, ph.graph, *(q.graph for q in quotients)):
+        assert Graph(g.n, g.edges).edges == g.edges
+    assert len(quotients) == 4 and all(q.graph.m == q.graph.n - 1 for q in quotients)  # trees
 
 
 def test_bfs_cycle6():
@@ -307,16 +335,17 @@ def _traced_peak(step):
 
 def test_generate_and_write_memory_builds_no_adjacency():
     # 9.0 MB when the generator's graph built its adjacency and a tuple
-    # key per edge, 4.5 MB without them
+    # key per edge, 4.5 MB when it copied and checked its edges, 3.4 MB
+    # when it keeps them as built
     text, peak = _traced_peak(lambda: format_edge_list(build_phenylene(_CHAIN).graph))
     assert text.startswith("12000 15998\n")
-    assert peak < 6_000_000, f"peak {peak} bytes"
+    assert peak < 4_000_000, f"peak {peak} bytes"
 
 
 def test_parse_memory_builds_no_adjacency():
     # 8.7 MB when parsing built the adjacency and a tuple key per edge,
-    # 4.2 MB without them
+    # 4.2 MB when it copied its parsed pairs, 3.2 MB when it keeps them
     text = format_edge_list(build_phenylene(_CHAIN).graph)
     g, peak = _traced_peak(lambda: parse_edge_list(text))
     assert g.m == 15998
-    assert peak < 6_000_000, f"peak {peak} bytes"
+    assert peak < 4_000_000, f"peak {peak} bytes"
