@@ -3,9 +3,9 @@ molecule generation, and a cut-versus-direct benchmark.
 
 A `--partition-file` is read as one label per edge id and validated as
 `weighted_suite_cut` validates any partition the library did not write.
-The gate returns the Theta*-partition it computed, and `quotient` prints
-a class as K2 exactly when it is one two-sided Theta*-class.
-`index --method direct` reads no partition and refuses the option.
+`quotient` reads the classes as the cut route does, through
+`indices._read_classes`, and prints a class as K2 exactly when it is one
+clean cut. `index --method direct` reads no partition and refuses it.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ from .errors import (
     SzegedCutError,
 )
 from .graph import Graph, _int_pairs, format_edge_list, parse_edge_list
-from .indices import IndexReport, _cut_sides
-from .indices import weighted_suite_cut, weighted_suite_direct
+from .indices import IndexReport, _read_classes, weighted_suite_cut, weighted_suite_direct
 from .molgen import (
     HexSpec,
     build_benzenoid,
@@ -37,7 +36,7 @@ from .molgen import (
 )
 from .oracle import oracle_suite
 from .quotient import quotient_graph, WeightAssignment
-from .theta import EdgePartition, _require_c_partition, theta_star_partition
+from .theta import EdgePartition, theta_star_partition
 
 _EXIT_OK = 0
 _EXIT_MISMATCH = 1
@@ -134,19 +133,11 @@ def _cmd_theta(args) -> int:
 def _cmd_quotient(args) -> int:
     g = _read_graph(args.input)
     p = _load_partition(g, args.partition_file)
-    star = _require_c_partition(g, p)
     wa = WeightAssignment.degree_weighted(g, starred=args.starred)
-    cuts = {}  # class of p -> the sides of the two-sided Theta*-class that is all of it
-    if star is not None:  # clean cuts, read from one pass over G with lam = 0
-        sides = zip(*_cut_sides(g, wa.w, (0,) * g.n, wa.lambda_prime, wa.w_prime, star.class_of, len(star)))
-        for members, sided, cut in zip(star.classes, star.two_sided, sides):
-            c = p.class_of[next(iter(members))]
-            if sided and len(members) == len(p.classes[c]):
-                cuts[c] = cut
-    for idx, members in enumerate(p.classes):
-        if idx in cuts:  # G/F is K2, and component 0 is the side B of the root, vertex 0
-            lp, wp, w_a, w_b, t_a, t_b = cuts[idx]
-            vertices, edges = [(w_b, t_b), (w_a, t_a)], [(0, 1, lp, wp)]
+    for idx, (members, cuts, rest) in enumerate(zip(p.classes, *_read_classes(g, wa, p))):
+        if len(cuts) == 1 and not rest:  # the class is one clean cut: G/F is K2
+            w0, t0, w1, t1, lp, wp = cuts[0]
+            vertices, edges = [(w0, t0), (w1, t1)], [(0, 1, lp, wp)]
         else:
             q = quotient_graph(g, wa, members)
             vertices = list(zip(q.w, q.lam))

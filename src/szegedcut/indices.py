@@ -42,11 +42,11 @@ Theta*-classes plus one quotient of the rest: splitting a class so
 gives another c-partition with the same totals for any weights
 (Klavzar, MATCH 60 (2008) 255-274). A two-sided class, such as a bridge
 or any class of a partial cube, is one cut with two convex sides, so its
-quotient is K2, fixed by the weights of the sides. The subtree
-aggregation that takes trees, run once over the BFS tree of G with the
-Theta*-classes that the gate `theta._require_c_partition` returns, gives
-all their rows in O(n+m). A partition trusted without flags builds one
-quotient per class.
+quotient is K2, fixed by the weights of the sides. `_read_classes`,
+which the cut routes and `szegedcut quotient` share, splits each class
+so from the Theta*-classes of the gate `theta._require_c_partition`: the
+subtree aggregation that takes trees, run once over G, gives all the K2s
+in O(n+m). A partition trusted without flags builds one quotient per class.
 
 All arithmetic is exact: the engine adds Python ints, and Fraction
 weights are scaled to ints first and divided back at the end.
@@ -66,7 +66,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from math import lcm
 from operator import add, and_, is_, lshift, mul
 from typing import Iterator, Sequence
@@ -338,29 +338,38 @@ def weighted_suite_direct(g: Graph, starred: bool = False) -> IndexReport:
 # cut method
 # ---------------------------------------------------------------------------
 
-def _class_contributions(
-    g: Graph, wa: WeightAssignment, p: EdgePartition, star: EdgePartition | None
-) -> list[Sums]:
-    """The four quotient sums of every class of p, in class order; the
-    weights must be ints. `star` is the gate's Theta*-partition of g, or
-    None. One `_cut_sides` pass over G, whose lam is 0, gives the row of
-    each two-sided Theta*-class, added to the class of p that holds it;
-    the rest of each class builds one quotient, and a class with no rest
-    builds none. With no `star`, every class builds its quotient."""
-    contribs: list = [None] * len(p)
-    rest = dict(enumerate(p.classes)) if star is None else {}  # class -> edges left
-    if star is not None:
-        sides = _cut_sides(g, wa.w, (0,) * g.n, wa.lambda_prime, wa.w_prime, star.class_of, len(star))
-        for members, sided, row in zip(star.classes, star.two_sided, zip(*_terms(*sides[1:]))):
-            c = p.class_of[next(iter(members))]
-            if sided:
-                contribs[c] = row if contribs[c] is None else tuple(map(add, contribs[c], row))
-            else:
-                rest.setdefault(c, set()).update(members)
-    for c in sorted(rest):
-        q = quotient_graph(g, wa, rest[c])
-        row = _sums(q.graph, q.w, q.lam, q.lambda_prime, q.w_prime)
-        contribs[c] = row if contribs[c] is None else tuple(map(add, contribs[c], row))
+def _read_classes(g: Graph, wa: WeightAssignment, p: EdgePartition) -> tuple[Sequence, Sequence]:
+    """Two sequences by class of p, if p is a c-partition: the clean cuts of
+    each, as the weights (w0, t0, w1, t1, lambda', w') of their K2s, whose
+    vertex 0 is the side holding G's vertex 0; and the set of its other edges."""
+    star = _require_c_partition(g, p)
+    if star is None:
+        return [()] * len(p), p.classes
+    cuts = [[] for _ in p.classes]
+    rest = {}
+    lp, wp, w_a, w_b, t_a, t_b = _cut_sides(g, wa.w, (0,) * g.n, wa.lambda_prime, wa.w_prime, star.class_of, len(star))
+    for members, sided, cut in zip(star.classes, star.two_sided, zip(w_b, t_b, w_a, t_a, lp, wp)):
+        c = p.class_of[next(iter(members))]
+        if sided:
+            cuts[c].append(cut)
+        else:
+            rest.setdefault(c, set()).update(members)
+    return cuts, [rest.get(c, ()) for c in range(len(p))]
+
+
+def _class_contributions(g: Graph, wa: WeightAssignment, p: EdgePartition) -> list[Sums]:
+    """The four quotient sums of every class of p, in class order, on int
+    weights: the rows of its clean cuts, from one `_terms` pass, plus the sums
+    of one quotient of its rest; a lone row, the common case, skips the sum."""
+    cuts, rests = _read_classes(g, wa, p)
+    w0, t0, w1, t1, _, wp = list(zip(*chain.from_iterable(cuts))) or [()] * 6
+    rows = zip(*_terms(wp, w0, w1, t0, t1))
+    contribs = [next(rows) if len(k2s) == 1 else tuple(map(sum, zip((0,) * 4, *islice(rows, len(k2s)))))
+                for k2s in cuts]
+    for c, rest in enumerate(rests):
+        if rest:
+            q = quotient_graph(g, wa, rest)
+            contribs[c] = tuple(map(add, contribs[c], _sums(q.graph, q.w, q.lam, q.lambda_prime, q.w_prime)))
     return contribs
 
 
@@ -407,11 +416,9 @@ def _evaluate(
     shape of wa, then p."""
     require_connected(g)
     wa.check_shape(g)
-    if p is not None:
-        star = _require_c_partition(g, p)
     scaled, d = _integral(wa)
     if p is not None:
-        return _class_contributions(g, scaled, p, star), d
+        return _class_contributions(g, scaled, p), d
     lam = scaled.w if lam_is_w else (0,) * g.n
     return [_sums(g, scaled.w, lam, scaled.lambda_prime, scaled.w_prime)], d
 

@@ -55,7 +55,8 @@ to no edges. One gate, `_require_c_partition`, reads them: it trusts a
 partition certified on g, validates any other (p is a c-partition iff
 every Theta*-class meets exactly one class of p), and returns g's
 Theta*-partition where one was computed, whose `two_sided` flags are
-the one record of which Theta*-classes are clean cuts.
+the one record of which Theta*-classes are clean cuts. Its one caller,
+`indices._read_classes`, serves the index routes and `szegedcut quotient`.
 """
 
 from __future__ import annotations

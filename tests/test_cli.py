@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import struct
 import subprocess
 import sys
@@ -10,12 +11,13 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import szegedcut
 from szegedcut import (
     DisconnectedError,
+    EdgePartition,
     WeightAssignment,
     build_graph,
     format_edge_list,
@@ -27,7 +29,15 @@ from szegedcut import (
 )
 from szegedcut.cli import _build_parser, main
 
-from conftest import RING_CELLS, WIDE_RING_CELLS, cycle_graph, fullerene_patch, path_graph
+from conftest import (
+    RING_CELLS,
+    WIDE_RING_CELLS,
+    cycle_graph,
+    cyclic_weighted_graphs,
+    fullerene_patch,
+    path_graph,
+    pendant_weighted_graphs,
+)
 
 
 def run_cli(capsys, *argv):
@@ -483,6 +493,35 @@ def test_quotient_prints_two_sided_classes_as_their_quotient_graphs(capsys, tmp_
     code, out, _ = run_cli(capsys, "quotient", gpath, *["--starred"] * starred)
     assert code == 0
     assert out.splitlines() == _quotient_blocks(g, star, starred)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(st.booleans().flatmap(cyclic_weighted_graphs), pendant_weighted_graphs()),
+    st.integers(0, 2**32),
+)
+@example((QUOTIENT_GRAPHS["triangle with a tail"](), None), 7)  # the far bridge joins the triangle
+def test_quotient_prints_coarsened_classes_as_their_quotient_graphs(tmp_path_factory, graph_and_weights, seed):
+    # a file that deals the Theta*-classes into random groups makes classes
+    # that hold clean cuts and a rest: only a class that is one clean cut is
+    # printed from the pass over G, any other from its whole quotient
+    g, _ = graph_and_weights
+    star = theta_star_partition(g)
+    rng = random.Random(seed)
+    k = rng.randint(1, len(star))
+    group = [rng.randrange(k) for _ in star.classes]
+    p = EdgePartition.from_labels(group[c] for c in star.class_of)
+    tmp = tmp_path_factory.getbasetemp() / "cli-coarsening"
+    tmp.mkdir(exist_ok=True)
+    gpath, ppath = tmp / "g.edges", tmp / "p.part"
+    gpath.write_text(format_edge_list(g))
+    ppath.write_text("".join(f"{e} {c}\n" for e, c in enumerate(p.class_of)))
+    for starred in (False, True):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = main(["quotient", str(gpath), "--partition-file", str(ppath), *["--starred"] * starred])
+        assert code == 0
+        assert out.getvalue().splitlines() == _quotient_blocks(g, p, starred)
 
 
 def test_quotient_on_a_path_builds_no_quotient(capsys, monkeypatch, tmp_path):

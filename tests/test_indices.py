@@ -1,7 +1,7 @@
 import random
 import sys
 import threading
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from fractions import Fraction
 from unittest import mock
 
@@ -439,6 +439,32 @@ def test_a_certificate_holds_only_for_its_own_edge_list():
     k14 = _star_k14()
     report = weighted_suite_cut(k14, theta_star_partition(cycle_graph(4)))
     assert report.as_tuple() == oracle_suite(k14).as_tuple() == (80, 100, 0, 60)
+
+
+# Two writers of the trust flag are still bound to no edge list: the raw
+# constructor keyword and replace(). Each gives wrong C6 values with no
+# error; the fix makes `refined_by_theta_star` an init=False field, which
+# waits on the benchmark's own keyword call, and then drops these markers.
+_C6_SUITE = (216, 144, 96, 96)
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="the raw keyword trusts a split: (112, 96, 112, 96)"
+)
+def test_the_raw_trust_keyword_cannot_pass_a_split_of_c6():
+    c6 = cycle_graph(6)
+    split = EdgePartition.from_labels([0, 1, 1, 1, 1, 1])
+    forged = EdgePartition(split.classes, split.class_of, True)
+    assert weighted_suite_cut(c6, forged).as_tuple() == _C6_SUITE
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="replace() drops the edge list: (0, 0, 0, 0)"
+)
+def test_a_replaced_certificate_of_p7_cannot_pass_on_c6():
+    c6 = cycle_graph(6)
+    copied = replace(theta_star_partition(path_graph(7)))
+    assert weighted_suite_cut(c6, copied).as_tuple() == _C6_SUITE
 
 
 def _validations():

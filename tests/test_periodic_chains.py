@@ -1,0 +1,79 @@
+"""Exact references at any scale for chains of a periodic word of cells.
+
+Along a chain whose cells repeat with period k, each cut's sides grow
+linearly in the number of cells h and the weights repeat, so each of the
+four degree-weighted indices is a cubic in h on each residue class of h
+modulo k, once h is past the end effects. Four oracle values fix that
+cubic, two more oracle points test it, and then it is the reference for
+the routes at sizes that no oracle reaches.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from szegedcut import (
+    HexSpec,
+    build_benzenoid,
+    build_phenylene,
+    format_edge_list,
+    oracle_suite,
+    parse_edge_list,
+    theta_star_partition,
+    weighted_suite_cut,
+    weighted_suite_direct,
+)
+
+
+def _zigzag(h: int) -> HexSpec:
+    # cells step alternately along q and along r: period 2
+    return HexSpec(frozenset(((i + 1) // 2, i // 2) for i in range(h)))
+
+
+def _cubic(points):
+    """The polynomial through the (h, value) points, by exact Lagrange
+    interpolation, as a function that returns ints."""
+
+    def at(h):
+        total = Fraction(0)
+        for i, (x, y) in enumerate(points):
+            term = Fraction(y)
+            for j, (xj, _) in enumerate(points):
+                if j != i:
+                    term *= Fraction(h - xj, x - xj)
+            total += term
+        assert total.denominator == 1, (h, total)
+        return int(total)
+
+    return at
+
+
+def _fit(build, fit_hs, check_hs):
+    """The four values as functions of h, fitted on `fit_hs` from the oracle
+    and checked against it on `check_hs`."""
+    suite = {h: oracle_suite(build(_zigzag(h)).graph).as_tuple() for h in fit_hs + check_hs}
+    cubics = [_cubic([(h, suite[h][i]) for h in fit_hs]) for i in range(4)]
+    for h in check_hs:
+        assert tuple(f(h) for f in cubics) == suite[h], h
+    return lambda h: tuple(f(h) for f in cubics)
+
+
+@pytest.mark.parametrize("build", [build_benzenoid, build_phenylene], ids=["benzenoid", "phenylene"])
+@pytest.mark.parametrize(
+    "fit_hs, check_hs, cut_h, text_h, direct_h",
+    [
+        ((4, 6, 8, 10), (12, 14), 10_000, 1000, 100),
+        ((5, 7, 9, 11), (13, 15), 10_001, 1001, 101),
+    ],
+    ids=["even", "odd"],
+)
+def test_zigzag_chains_follow_one_cubic_per_parity(build, fit_hs, check_hs, cut_h, text_h, direct_h):
+    expected = _fit(build, fit_hs, check_hs)
+    # the quotient route, on the generator's direction classes
+    dlg = build(_zigzag(cut_h))
+    assert weighted_suite_cut(dlg.graph, dlg.direction_partition()).as_tuple() == expected(cut_h)
+    # the clean-cut route, on the Theta*-classes of the re-parsed text
+    g = parse_edge_list(format_edge_list(build(_zigzag(text_h)).graph))
+    assert weighted_suite_cut(g, theta_star_partition(g)).as_tuple() == expected(text_h)
+    # the direct route
+    assert weighted_suite_direct(build(_zigzag(direct_h)).graph).as_tuple() == expected(direct_h)
