@@ -22,10 +22,25 @@ is the one distance BFS, behind `bfs_distances`, `is_connected` and
 oracle shares no BFS-tree code with the routes it checks. Every
 single-source BFS of the package reads its queue from a list that grows
 while it is read.
+
+`_collector_paused` switches the cyclic garbage collector off over the
+package's bulk builds: `parse_edge_list` with its line reader `_int_pairs`
+(so partition files and hex specs too), the first build of `Graph.adj`,
+and the checked evaluation `indices._evaluate`, which holds every quotient
+build and side sum. Each makes a few small tuples or lists per edge,
+whose allocations would set off young collections and, as they survive,
+full ones that scan the whole heap. The builds hold only ints and acyclic
+containers of ints and keep nothing past the call, so no cycle waits for
+the collector, and reference counting still frees every temporary at once:
+pausing moves no memory peak. The collector's flag is shared by every
+thread, so other threads run without the collector while a pause lasts,
+and a pause undoes a `gc.disable()` made by another thread while it ran.
 """
 
 from __future__ import annotations
 
+import gc
+import threading
 from operator import eq, index
 from typing import Iterable, Sequence
 
@@ -37,6 +52,34 @@ from .errors import (
     ParseError,
     VertexOutOfRangeError,
 )
+
+
+# taken by `_collector_paused` around its check-then-set of the collector's
+# flag, which every thread shares
+_collector_lock = threading.Lock()
+
+
+class _collector_paused:
+    """Context manager that switches the cyclic garbage collector off for a
+    bulk build of acyclic tuples and lists of ints, and back on when the
+    build ends, raised or not. If the collector is already off, by a
+    caller or an enclosing pause, it stays off. The flag is shared by every
+    thread: a pause that found it on turns it back on at its exit, even
+    while another thread's pause runs, and undoes a `gc.disable()` that
+    another thread made in between."""
+
+    __slots__ = ("_resume",)
+
+    def __enter__(self) -> None:
+        # a pause that ended between the check and the set would leave it off
+        with _collector_lock:
+            self._resume = gc.isenabled()
+            gc.disable()
+
+    def __exit__(self, *exc_info) -> None:
+        if self._resume:
+            with _collector_lock:
+                gc.enable()
 
 
 class Graph:
@@ -81,11 +124,12 @@ class Graph:
     @property
     def adj(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         if self._adj is None:
-            adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-            for eid, (u, v) in enumerate(self.edges):
-                adj[u].append((v, eid))
-                adj[v].append((u, eid))
-            self._adj = tuple(map(tuple, adj))
+            with _collector_paused():
+                adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+                for eid, (u, v) in enumerate(self.edges):
+                    adj[u].append((v, eid))
+                    adj[v].append((u, eid))
+                self._adj = tuple(map(tuple, adj))
         return self._adj
 
     @property
@@ -252,13 +296,14 @@ def _int_pairs(text: str) -> list[tuple[int, int]]:
     with `#`: the one line grammar of the edge-list, partition and hex-spec
     formats. Any other line raises `ParseError`."""
     pairs = []
-    for row in map(str.split, text.splitlines()):
-        if row and row[0][0] != "#":
-            try:
-                a, b = row
-                pairs.append((int(a), int(b)))
-            except ValueError:
-                raise ParseError(f"expected two integers, got {' '.join(row)!r}") from None
+    with _collector_paused():
+        for row in map(str.split, text.splitlines()):
+            if row and row[0][0] != "#":
+                try:
+                    a, b = row
+                    pairs.append((int(a), int(b)))
+                except ValueError:
+                    raise ParseError(f"expected two integers, got {' '.join(row)!r}") from None
     return pairs
 
 
@@ -271,23 +316,24 @@ def parse_edge_list(text: str) -> Graph:
     the lines are read and before anything of size n is allocated: a
     connected graph has at least n - 1 edges.
     """
-    pairs = _int_pairs(text)
-    if not pairs:
-        raise ParseError("empty edge-list input")
-    n, m = pairs[0]
-    if n < 1:
-        raise ParseError(f"header declares {n} vertices, need at least one")
-    edges = tuple(pairs[1:])
-    if len(edges) != m:
-        raise ParseError(f"header declares {m} edges, found {len(edges)}")
-    if n > m + 1:
-        raise DisconnectedError(f"{n} vertices need at least {n - 1} edges, got {m}")
-    if not _is_simple(n, edges):
-        try:  # parsed ids are ints, so this raises
-            _raise_first_bad_edge(n, edges)
-        except (LoopEdgeError, DuplicateEdgeError, VertexOutOfRangeError) as exc:
-            raise ParseError(f"invalid edge list: {exc}") from exc
-    return Graph._wrap(n, edges)
+    with _collector_paused():  # `_is_simple` makes a tuple iterator per edge
+        pairs = _int_pairs(text)
+        if not pairs:
+            raise ParseError("empty edge-list input")
+        n, m = pairs[0]
+        if n < 1:
+            raise ParseError(f"header declares {n} vertices, need at least one")
+        edges = tuple(pairs[1:])
+        if len(edges) != m:
+            raise ParseError(f"header declares {m} edges, found {len(edges)}")
+        if n > m + 1:
+            raise DisconnectedError(f"{n} vertices need at least {n - 1} edges, got {m}")
+        if not _is_simple(n, edges):
+            try:  # parsed ids are ints, so this raises
+                _raise_first_bad_edge(n, edges)
+            except (LoopEdgeError, DuplicateEdgeError, VertexOutOfRangeError) as exc:
+                raise ParseError(f"invalid edge list: {exc}") from exc
+        return Graph._wrap(n, edges)
 
 
 def format_edge_list(g: Graph, comments: Sequence[str] = ()) -> str:

@@ -52,13 +52,16 @@ All arithmetic is exact: the engine adds Python ints, and Fraction
 weights are scaled to ints first and divided back at the end.
 
 All four routes, the two suites and the per-kind calls, share one checked
-evaluation, `_evaluate`, which yields all four totals. Only the per-kind
-calls `weighted_index` and `general_cut_index` enter a memo of the last
-inputs, held by reference, with their totals: a call on those very
-objects (compared with `is`, not by value) reads its kind from them, with
-Sz_t (lam = w) kept apart from the other kinds (lam = 0). So a loop over
-the four cut kinds builds every quotient once. The memo keeps its last
-inputs alive until the next evaluation; the suites keep nothing alive.
+evaluation, `_evaluate`, which yields all four totals. It runs with the
+cyclic garbage collector paused (`graph._collector_paused`), and on the
+cut route its connectivity check is the BFS tree that `_cut_sides` folds
+over, so G is walked once. Only the per-kind calls `weighted_index` and
+`general_cut_index` enter a memo of the last inputs, held by reference,
+with their totals: a call on those very objects (compared with `is`, not
+by value) reads its kind from them, with Sz_t (lam = w) kept apart from
+the other kinds (lam = 0). So a loop over the four cut kinds builds every
+quotient once. The memo keeps its last inputs alive until the next
+evaluation; the suites keep nothing alive.
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ from operator import add, and_, is_, lshift, mul
 from typing import Iterator, Sequence
 
 from .errors import UnsupportedKindError
-from .graph import Graph, _bfs_tree, _sweep, _sweep_ranges, require_connected
+from .graph import Graph, _bfs_tree, _collector_paused, _sweep, _sweep_ranges, require_connected
 from .quotient import Weight, WeightAssignment, quotient_graph
 from .theta import EdgePartition, _require_c_partition
 
@@ -167,7 +170,7 @@ def _sums(
     orientation.
     """
     if g.m == g.n - 1:
-        columns = _terms(*_cut_sides(g, w, lam, lambda_prime, w_prime, range(g.m), g.m)[1:])
+        columns = _terms(*_cut_sides(g, _bfs_tree(g), w, lam, lambda_prime, w_prime, range(g.m), g.m)[1:])
     else:
         columns = _generic_sums(g, w, lam, lambda_prime, w_prime)
     return tuple(map(sum, columns))
@@ -184,19 +187,20 @@ def _terms(w_prime, n_u, n_v, t_u, t_v) -> Columns:
     )
 
 
-def _cut_sides(g, w, lam, lambda_prime, w_prime, class_of, k):
+def _cut_sides(g, tree, w, lam, lambda_prime, w_prime, class_of, k):
     """The weights of G/F for each of the k classes F of `class_of`, read
     as clean cuts, in O(n + m + k): the lists lambda'(F), w'(F), w(A), w(B),
     t(A) and t(B), of which the last five are the `_terms` arguments.
 
     A clean cut F has two convex sides A and B, so a geodesic crosses F at
-    most once, and the side A away from the root of `graph._bfs_tree` is
-    the disjoint union of the subtrees below F's tree edges. G/F is K2 with
-    vertex weights w(A), w(B) and t(A), t(B), where t sums lam over the
-    vertices and lambda' over the edges inside a side. With s(x) = 2 lam(x)
-    plus lambda' over the edges at x, s(A) counts the edges of F once and
-    the rest twice, so t(A) = (s(A) - lambda'(F)) / 2. B holds the root,
-    vertex 0. The weights of a class that is not a clean cut mean nothing.
+    most once, and the side A away from the root of `tree`, G's
+    `graph._bfs_tree`, is the disjoint union of the subtrees below F's
+    tree edges. G/F is K2 with vertex weights w(A), w(B) and t(A), t(B),
+    where t sums lam over the vertices and lambda' over the edges inside a
+    side. With s(x) = 2 lam(x) plus lambda' over the edges at x, s(A)
+    counts the edges of F once and the rest twice, so t(A) = (s(A) -
+    lambda'(F)) / 2. B holds the root, vertex 0. The weights of a class
+    that is not a clean cut mean nothing.
     """
     sub_s = list(map(add, lam, lam))  # s(x), then summed over the subtree below x
     lp_f = [0] * k
@@ -208,7 +212,7 @@ def _cut_sides(g, w, lam, lambda_prime, w_prime, class_of, k):
         wp_f[c] += wp
     total_w = sum(w)
     total_s = sum(sub_s)
-    order, parent, parent_edge = _bfs_tree(g)
+    order, parent, parent_edge = tree
     sub_w = list(w)
     w_a = [0] * k
     s_a = [0] * k
@@ -338,16 +342,17 @@ def weighted_suite_direct(g: Graph, starred: bool = False) -> IndexReport:
 # cut method
 # ---------------------------------------------------------------------------
 
-def _read_classes(g: Graph, wa: WeightAssignment, p: EdgePartition) -> tuple[Sequence, Sequence]:
+def _read_classes(g: Graph, wa: WeightAssignment, p: EdgePartition, tree) -> tuple[Sequence, Sequence]:
     """Two sequences by class of p, if p is a c-partition: the clean cuts of
     each, as the weights (w0, t0, w1, t1, lambda', w') of their K2s, whose
-    vertex 0 is the side holding G's vertex 0; and the set of its other edges."""
+    vertex 0 is the side holding G's vertex 0; and the set of its other edges.
+    `tree` is G's `graph._bfs_tree`."""
     star = _require_c_partition(g, p)
     if star is None:
         return [()] * len(p), p.classes
     cuts = [[] for _ in p.classes]
     rest = {}
-    lp, wp, w_a, w_b, t_a, t_b = _cut_sides(g, wa.w, (0,) * g.n, wa.lambda_prime, wa.w_prime, star.class_of, len(star))
+    lp, wp, w_a, w_b, t_a, t_b = _cut_sides(g, tree, wa.w, (0,) * g.n, wa.lambda_prime, wa.w_prime, star.class_of, len(star))
     for members, sided, cut in zip(star.classes, star.two_sided, zip(w_b, t_b, w_a, t_a, lp, wp)):
         c = p.class_of[next(iter(members))]
         if sided:
@@ -357,11 +362,11 @@ def _read_classes(g: Graph, wa: WeightAssignment, p: EdgePartition) -> tuple[Seq
     return cuts, [rest.get(c, ()) for c in range(len(p))]
 
 
-def _class_contributions(g: Graph, wa: WeightAssignment, p: EdgePartition) -> list[Sums]:
+def _class_contributions(g: Graph, wa: WeightAssignment, p: EdgePartition, tree) -> list[Sums]:
     """The four quotient sums of every class of p, in class order, on int
     weights: the rows of its clean cuts, from one `_terms` pass, plus the sums
     of one quotient of its rest; a lone row, the common case, skips the sum."""
-    cuts, rests = _read_classes(g, wa, p)
+    cuts, rests = _read_classes(g, wa, p, tree)
     w0, t0, w1, t1, _, wp = list(zip(*chain.from_iterable(cuts))) or [()] * 6
     rows = zip(*_terms(wp, w0, w1, t0, t1))
     contribs = [next(rows) if len(k2s) == 1 else tuple(map(sum, zip((0,) * 4, *islice(rows, len(k2s)))))
@@ -413,14 +418,19 @@ def _evaluate(
 ) -> tuple[list[Sums], int]:
     """The four sums of each class of p, or when p is None the one row of
     the direct route, on weights scaled by d; and d. Checks g, then the
-    shape of wa, then p."""
-    require_connected(g)
-    wa.check_shape(g)
-    scaled, d = _integral(wa)
-    if p is not None:
-        return _class_contributions(g, scaled, p), d
-    lam = scaled.w if lam_is_w else (0,) * g.n
-    return [_sums(g, scaled.w, lam, scaled.lambda_prime, scaled.w_prime)], d
+    shape of wa, then p. The sums build only ints and acyclic containers
+    of them, so the cyclic collector is paused."""
+    with _collector_paused():
+        if p is None:
+            require_connected(g)
+            wa.check_shape(g)
+            scaled, d = _integral(wa)
+            lam = scaled.w if lam_is_w else (0,) * g.n
+            return [_sums(g, scaled.w, lam, scaled.lambda_prime, scaled.w_prime)], d
+        tree = _bfs_tree(g)  # the connectivity check, and the tree `_cut_sides` folds over
+        wa.check_shape(g)
+        scaled, d = _integral(wa)
+        return _class_contributions(g, scaled, p, tree), d
 
 
 # ((g, g.edges, wa, p, lam_is_w), totals) of the last evaluation, or None.
