@@ -14,9 +14,13 @@ table is kept in `oracle`, so no production path holds O(n^2) state.
 `_int_pairs` is the one line reader of all three text input formats.
 
 `_bfs_tree` is the one BFS spanning tree of the package: the Theta* pass
-cuts its edges, and the subtree aggregation of the side sums folds over
-it. `_sweep` is the one bit-parallel multi-source BFS: the generic side
-sums and the Theta* pass of every graph with a cycle both run it. `_bfs`
+cuts its edges, the subtree aggregation of the side sums folds over it,
+and `_bridges` reads every bridge off it with XOR folds, with no
+recursion. `_pieces` cuts the tree at the bridges into the bridgeless
+pieces, each wrapped as a graph of its own: Theta* and the generic side
+sums take each piece alone, and read the bridges as clean cuts.
+`_sweep` is the one bit-parallel multi-source BFS: the generic side
+sums and the Theta* pass of every bridgeless piece both run it. `_bfs`
 is the one distance BFS, behind `bfs_distances`, `is_connected` and
 `theta.is_bipartite`; it stays apart from `_bfs_tree`, so the all-pairs
 oracle shares no BFS-tree code with the routes it checks. Every
@@ -25,8 +29,9 @@ while it is read.
 
 `_collector_paused` switches the cyclic garbage collector off over the
 package's bulk builds: `parse_edge_list` with its line reader `_int_pairs`
-(so partition files and hex specs too), the first build of `Graph.adj`,
-and the checked evaluation `indices._evaluate`, which holds every quotient
+(so partition files and hex specs too), the copy and check of a caller's
+edges in `Graph(n, edges)`, the first build of `Graph.adj`, and the
+checked evaluation `indices._evaluate`, which holds every quotient
 build and side sum. Each makes a few small tuples or lists per edge,
 whose allocations would set off young collections and, as they survive,
 full ones that scan the whole heap. The builds hold only ints and acyclic
@@ -104,8 +109,10 @@ class Graph:
         if n < 1:
             raise NTooSmallError(f"graph needs at least one vertex, got n={n}")
         index(n)  # n sizes the adjacency lists, so it must be an int
-        edges = tuple([(u, v) for u, v in edge_list])
-        if not _is_simple(n, edges):
+        with _collector_paused():  # the copy and `_is_simple` make tuples per edge
+            edges = tuple([(u, v) for u, v in edge_list])
+            simple = _is_simple(n, edges)
+        if not simple:
             _raise_first_bad_edge(n, edges)
         self.n = n
         self.edges: tuple[tuple[int, int], ...] = edges
@@ -195,7 +202,11 @@ def _bfs(g: Graph, source: int, dist: list[int]) -> list[int]:
     return dist
 
 
-def _bfs_tree(g: Graph) -> tuple[list[int], list[int], list[int]]:
+# (BFS order, parent, parent edge) of every vertex; see `_bfs_tree`
+Tree = tuple[list[int], list[int], list[int]]
+
+
+def _bfs_tree(g: Graph) -> Tree:
     """BFS order from vertex 0, and each vertex's parent and parent edge
     in that BFS tree (the root is its own parent, with parent edge -1).
 
@@ -224,9 +235,11 @@ _SOURCE_BITS = 4096
 
 
 def _sweep_ranges(count: int, bits: int = 1) -> list[range]:
-    """range(count), count >= 1, cut into the fewest runs of equal size
-    (the last may be shorter) that fit _SOURCE_BITS at `bits` bits per
-    item."""
+    """range(count) cut into the fewest runs of equal size (the last may
+    be shorter) that fit _SOURCE_BITS at `bits` bits per item; no run if
+    count is 0, as for the pass of a one-vertex graph."""
+    if not count:
+        return []
     sweeps = -(-count // max(1, _SOURCE_BITS // bits))
     size = -(-count // sweeps)
     return [range(lo, min(lo + size, count)) for lo in range(0, count, size)]
@@ -266,6 +279,71 @@ def _sweep(g: Graph, reach: list[int]) -> tuple[list[int], list[int]]:
         reach = wider
         live = [x for x in live if reach[x[1]] != full or reach[x[2]] != full]
     return near_u, near_v
+
+
+def _bridges(g: Graph, tree: Tree) -> list[int]:
+    """The bridges of connected g, each as the vertex x below it in `tree`,
+    g's `_bfs_tree`: the bridge is x's parent edge. Every bridge is a tree
+    edge, as it is the only edge between its two sides.
+
+    Each edge outside the tree owns one bit, set at both of its ends. The
+    XOR over the subtree below x keeps the bits of exactly those edges with
+    one end inside it, so it is 0 iff x's parent edge is the only edge that
+    leaves the subtree. A fold in reversed BFS order, with no recursion,
+    finishes each subtree before its root reads it; it is exact, as no two
+    edges share a bit. The bits run in the sweeps of `_sweep_ranges`, one
+    fold each, so every mask holds at most `_SOURCE_BITS` bits and memory
+    stays linear in n + m.
+    """
+    order, parent, parent_edge = tree
+    in_tree = bytearray(g.m)
+    for e in parent_edge[1:]:  # vertex 0 is the root, with no parent edge
+        in_tree[e] = 1
+    chords = [uv for uv, t in zip(g.edges, in_tree) if not t]
+    crossed = bytearray(g.n)  # 1 at x once an edge outside the tree leaves its subtree
+    for run in _sweep_ranges(len(chords)):
+        fold = [0] * g.n
+        bit = 1
+        for u, v in chords[run.start : run.stop]:
+            fold[u] ^= bit
+            fold[v] ^= bit
+            bit <<= 1
+        for x in order[:0:-1]:  # the root, order[0], has no parent edge
+            if fold[x]:
+                fold[parent[x]] ^= fold[x]
+                crossed[x] = 1
+    return [x for x in order[:0:-1] if not crossed[x]]
+
+
+def _pieces(g: Graph, tree: Tree, below: list[int]) -> list[tuple[list[int], list[int], Graph]]:
+    """The bridgeless pieces of g that hold an edge: the components of
+    `tree` cut at the bridges `below` (see `_bridges`). Each comes as its
+    vertices in BFS order, its edge ids in order, and its graph, in which
+    vertex i is the i-th of those vertices and edge j the j-th of those edges.
+    Every other edge is a bridge, and every other piece one vertex."""
+    order, parent, _ = tree
+    top = bytearray(g.n)
+    for x in below:
+        top[x] = 1
+    piece = [0] * g.n
+    local = [0] * g.n  # a vertex's id in its piece
+    members = [[0]]
+    for x in order[1:]:  # a parent before its children
+        if top[x]:
+            piece[x] = len(members)
+            members.append([x])
+        else:
+            p = piece[x] = piece[parent[x]]
+            local[x] = len(members[p])
+            members[p].append(x)
+    ids: list[list[int]] = [[] for _ in members]
+    pairs: list[list[tuple[int, int]]] = [[] for _ in members]
+    for e, (u, v) in enumerate(g.edges):
+        if piece[u] == piece[v]:
+            ids[piece[u]].append(e)
+            pairs[piece[u]].append((local[u], local[v]))
+    # a piece is simple, as g is, and its ids are dense: it needs no check
+    return [(vs, es, Graph._wrap(len(vs), tuple(ps))) for vs, es, ps in zip(members, ids, pairs) if es]
 
 
 def bfs_distances(g: Graph, source: int) -> tuple[int, ...]:

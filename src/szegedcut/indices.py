@@ -26,16 +26,18 @@ paths. The direct route uses it too: G is its own quotient by E, with
 lam = 0, so Sz_t(G, 0, lambda', w') = Sz_e and PI_v(G, 0, w') + PI(G,
 lambda', w') = PI. Passing lam = w instead gives the total-Szeged index.
 
-The engine takes a tree in linear time as one subtree aggregation over
-its BFS tree, with every edge as its own class: removing a tree edge is a
-clean cut. Any other graph takes one multi-source BFS over bitmasks, the
-sweep `graph._sweep` that the Theta* pass shares: every vertex and every
-edge is a source with its own bit, the balls around all vertices grow
-one hop per round, and an edge uv collects at each radius the sources
-that reached u but not v.
-Sources run in equal sweeps of at most `graph._SOURCE_BITS`, so memory
-stays linear in n + m. A sweep takes about one round per unit of
-diameter, so long thin graphs cost the most per edge.
+The engine reads every bridge as a clean cut, from one subtree
+aggregation over its BFS tree: a tree, all bridges, takes that alone, in
+linear time. Any other graph folds the far side of each bridge onto the
+bridge's near end, and each bridgeless piece takes one multi-source BFS
+over bitmasks, the sweep `graph._sweep` that the Theta* pass shares:
+every vertex and every edge is a source with its own bit, the balls
+around all vertices grow one hop per round, and an edge uv collects at
+each radius the sources that reached u but not v. The `theta` module
+docstring says why the fold keeps the sums. Sources run in equal sweeps
+of at most `graph._SOURCE_BITS`, so memory stays linear in n + m. A
+sweep takes about one round per unit of diameter, so long thin pieces
+cost the most per edge.
 
 The cut route reads each class of a c-partition as its two-sided
 Theta*-classes plus one quotient of the rest: splitting a class so
@@ -53,15 +55,16 @@ weights are scaled to ints first and divided back at the end.
 
 All four routes, the two suites and the per-kind calls, share one checked
 evaluation, `_evaluate`, which yields all four totals. It runs with the
-cyclic garbage collector paused (`graph._collector_paused`), and on the
-cut route its connectivity check is the BFS tree that `_cut_sides` folds
-over, so G is walked once. Only the per-kind calls `weighted_index` and
-`general_cut_index` enter a memo of the last inputs, held by reference,
-with their totals: a call on those very objects (compared with `is`, not
-by value) reads its kind from them, with Sz_t (lam = w) kept apart from
-the other kinds (lam = 0). So a loop over the four cut kinds builds every
-quotient once. The memo keeps its last inputs alive until the next
-evaluation; the suites keep nothing alive.
+cyclic garbage collector paused (`graph._collector_paused`), and its
+connectivity check is the BFS tree that `_cut_sides` folds over and the
+direct route reads its bridges from, so G is walked once. Only the
+per-kind calls `weighted_index` and `general_cut_index` enter a memo of
+the last inputs, held by reference, with their totals: a call on those
+very objects (compared with `is`, not by value) reads its kind from
+them, with Sz_t (lam = w) kept apart from the other kinds (lam = 0). So a
+loop over the four cut kinds builds every quotient once. The memo keeps
+its last inputs alive until the next evaluation; the suites keep nothing
+alive.
 """
 
 from __future__ import annotations
@@ -75,7 +78,7 @@ from operator import add, and_, is_, lshift, mul
 from typing import Iterator, Sequence
 
 from .errors import UnsupportedKindError
-from .graph import Graph, _bfs_tree, _collector_paused, _sweep, _sweep_ranges, require_connected
+from .graph import Graph, Tree, _bfs_tree, _bridges, _collector_paused, _pieces, _sweep, _sweep_ranges
 from .quotient import Weight, WeightAssignment, quotient_graph
 from .theta import EdgePartition, _require_c_partition
 
@@ -158,21 +161,62 @@ def _sums(
     lam: Sequence[Weight],
     lambda_prime: Sequence[Weight],
     w_prime: Sequence[Weight],
+    tree: Tree | None = None,
 ) -> Sums:
     """Sz(w, w'), PI_v(w, w'), Sz_t(lam, lambda', w') and PI_v(lam, w') +
     PI(lambda', w') of a connected graph with nonnegative int weights.
+    `tree` is g's `graph._bfs_tree`, built here if not given.
 
-    Removing a tree edge splits the vertex and edge sets cleanly in two,
-    so a tree is the subtree aggregation `_cut_sides` with every edge as
-    its own class. Every other graph takes one bit-parallel multi-source
-    BFS that finds both sides of every edge at once. Each term is
-    symmetric in the two sides of its edge, so neither path tracks
-    orientation.
+    A bridge splits the vertex and edge sets cleanly in two, so its sides
+    come from the subtree aggregation `_cut_sides`. A tree is all bridges,
+    which m = n - 1 tells in O(1), so it takes that pass alone and skips
+    the fold. Any other graph reads its bridges (`graph._bridges`) as
+    clean cuts from one `_cut_sides` pass, then folds the far side of each
+    onto its near end, once from each end: w, and t with the bridge's
+    lambda'. Each bridgeless piece then takes one bit-parallel multi-source
+    BFS that finds both sides of each of its edges at once; the `theta`
+    module docstring says why the sums stay those of g. Each term is
+    symmetric in the two sides of its edge, so no path tracks orientation.
     """
+    if tree is None:
+        tree = _bfs_tree(g)
     if g.m == g.n - 1:
-        columns = _terms(*_cut_sides(g, _bfs_tree(g), w, lam, lambda_prime, w_prime, range(g.m), g.m)[1:])
-    else:
-        columns = _generic_sums(g, w, lam, lambda_prime, w_prime)
+        return _column_sums(_terms(*_cut_sides(g, tree, w, lam, lambda_prime, w_prime, range(g.m), g.m)[1:]))
+    below = _bridges(g, tree)
+    if not below:
+        return _column_sums(_generic_sums(g, w, lam, lambda_prime, w_prime))
+    _, parent, parent_edge = tree
+    k = len(below)
+    class_of = [k] * g.m  # bridge c is class c; the other edges share class k
+    for c, x in enumerate(below):
+        class_of[parent_edge[x]] = c
+    lp_f, wp_f, w_a, w_b, t_a, t_b = (
+        col[:k] for col in _cut_sides(g, tree, w, lam, lambda_prime, w_prime, class_of, k + 1)
+    )
+    # the weight of each vertex plus all that hangs on it through bridges
+    # away from its piece: the side below bridge c hangs on its parent end,
+    # the side above on the vertex below it
+    w_in = list(w)
+    t_in = list(lam)
+    for x, lp, wa, wb, ta, tb in zip(below, lp_f, w_a, w_b, t_a, t_b):
+        px = parent[x]
+        w_in[px] += wa
+        t_in[px] += ta + lp
+        w_in[x] += wb
+        t_in[x] += tb + lp
+    parts = [_column_sums(_terms(wp_f, w_a, w_b, t_a, t_b))]
+    for vs, es, piece in _pieces(g, tree, below):
+        piece_weights = (
+            [w_in[x] for x in vs],
+            [t_in[x] for x in vs],
+            [lambda_prime[e] for e in es],
+            [w_prime[e] for e in es],
+        )
+        parts.append(_column_sums(_generic_sums(piece, *piece_weights)))
+    return tuple(map(sum, zip(*parts)))
+
+
+def _column_sums(columns: Columns) -> Sums:
     return tuple(map(sum, columns))
 
 
@@ -421,15 +465,12 @@ def _evaluate(
     shape of wa, then p. The sums build only ints and acyclic containers
     of them, so the cyclic collector is paused."""
     with _collector_paused():
-        if p is None:
-            require_connected(g)
-            wa.check_shape(g)
-            scaled, d = _integral(wa)
-            lam = scaled.w if lam_is_w else (0,) * g.n
-            return [_sums(g, scaled.w, lam, scaled.lambda_prime, scaled.w_prime)], d
-        tree = _bfs_tree(g)  # the connectivity check, and the tree `_cut_sides` folds over
+        tree = _bfs_tree(g)  # the connectivity check, and the tree `_sums` and `_cut_sides` fold over
         wa.check_shape(g)
         scaled, d = _integral(wa)
+        if p is None:
+            lam = scaled.w if lam_is_w else (0,) * g.n
+            return [_sums(g, scaled.w, lam, scaled.lambda_prime, scaled.w_prime, tree)], d
         return _class_contributions(g, scaled, p, tree), d
 
 

@@ -14,38 +14,60 @@ counting, without building the molecule, and reads its Theta*-classes,
 all two-sided, as the chains of opposite sides of its faces; its
 docstring holds the proof. A degree above 3 rejects a graph at once, and
 every graph the recognizer rejects, one with an odd cycle or a hole
-wider than one cell among them, falls back to the pass.
+wider than one cell among them, falls back to the bridges and the pass.
 
-Otherwise Theta* comes from one pass over the edges of the package's BFS
-spanning tree (`graph._bfs_tree`, the tree that the subtree aggregation
-of the side sums folds over), in O(n*m) time and O(n+m) memory. Every
-edge of a tree is a bridge and a Theta*-class of its own, read in O(m).
-Any other graph runs sweeps of the bit-parallel multi-source BFS that
-the generic side sums share (`graph._sweep`; Then et al., PVLDB 8(4),
-2014): each tree edge owns one source bit at each end, one sweep cuts up
-to 2048 tree edges, and whether some vertex is equidistant from the ends
-of a tree edge is read from the edges alone. A sweep takes about one
-round per unit of diameter, so long thin graphs that are not trees, such
-as long cycles and ladders, pay the most per edge. `theta_star_partition`
-is the one reader of that pass. It closes the cuts row by row: per batch
-it notes which of the batch's tree edges each class already holds, so an
-edge's row costs two union-find lookups plus one per tree edge new to its
-class, not one union per Theta-pair.
+A rejected graph is first cut at its bridges, which `graph._bridges`
+reads off the package's BFS spanning tree (`graph._bfs_tree`, the tree
+that the subtree aggregation of the side sums folds over) with XOR folds
+of masks of at most `graph._SOURCE_BITS` bits, one pass over the tree
+per fold. A bridge is the simplest clean cut: a Theta*-class of its
+own, with one convex side at each end (Klavzar, MATCH 60 (2008) 255-274;
+Hammack, Imrich and Klavzar, Handbook of Product Graphs, 2nd ed., 2011).
+Each bridgeless piece with an edge gets `theta_star_partition` of its own,
+so a pendant or bridged molecule takes the lattice route piece by piece,
+a tree needs no pass at all, and only a bridgeless piece that the
+recognizer rejects reaches the pass. The values stay those of G: a piece
+P is isometric in G, as a path that leaves P through a bridge must come
+back through it. Every vertex and edge outside P hangs on one vertex c
+of P, the near end of the first bridge on its way to P, and its distance
+to any vertex of P is its distance to c plus that vertex's distance from
+c. So it is nearer to one end of an edge of P exactly when c is, or tied
+when c is. Hence no edge of P is Theta-related to an edge outside P, as
+both sums of the Theta test add the same two distances to c; a class of
+P is a class of G, and a clean cut of G iff of P, each hanging part
+joining the side of its c; and the side sums of an edge of P in G are
+those in P once each c carries the weights of all that hangs on it: w,
+and t with the lambda' of the bridges on the way, which is how
+`indices._sums` folds them.
+
+A bridgeless piece that the recognizer rejects takes one pass over the
+edges of its BFS spanning tree, the one its bridges were read from, in
+O(n*m) time and O(n+m) memory. It runs sweeps of the bit-parallel
+multi-source BFS that the generic side sums share (`graph._sweep`; Then
+et al., PVLDB 8(4), 2014): each tree edge owns one source bit at each
+end, one sweep cuts up to 2048 tree edges, and whether some vertex is
+equidistant from the ends of a tree edge is read from the edges alone. A
+sweep takes about one round per unit of diameter, so long thin pieces,
+such as long cycles and ladders, pay the most per edge.
+`theta_star_partition` is the one reader of that pass. It closes the
+cuts row by row: per batch it notes which of the batch's tree edges each
+class already holds, so an edge's row costs two union-find lookups plus
+one per tree edge new to its class, not one union per Theta-pair.
 
 The same pass finds the classes that are one clean cut: a class F is
 two-sided when some tree edge ab in F has all of F as its Theta-cut and
 no vertex is equidistant from a and b. Then G - F has exactly two
 components, both convex, so the cut method reads F from a subtree
-aggregation instead of a quotient. Bridges are the common case in graphs
-with odd cycles. A graph is a partial cube iff every class is two-sided,
-so `is_partial_cube` reads `all(two_sided)` of the Theta*-partition and
-costs at most one Theta* pass. The pairwise definition over an all-pairs
-distance table is kept in `oracle` as the reference. `is_bipartite` runs
-no BFS of its own: it reads the depths that `graph._bfs` gives each
-component.
+aggregation instead of a quotient. A graph is a partial cube iff every
+class is two-sided, so `is_partial_cube` reads `all(two_sided)` of the
+Theta*-partition and costs at most one Theta* pass per piece. The
+pairwise definition over an all-pairs distance table is kept in `oracle`
+as the reference. `is_bipartite` runs no BFS of its own: it reads the
+depths that `graph._bfs` gives each component.
 
 The library certifies a partition only where it computed it on a graph's
-edge list: the lattice route, `_theta_star_pass`,
+edge list: the lattice route, the bridge split of
+`theta_star_partition`, `_theta_star_pass`,
 `oracle.oracle_theta_star_partition` and `molgen`'s
 `direction_partition`. Each sets both flags, `refined_by_theta_star` and
 `two_sided`, through one private writer, `_trust`, which also keeps that
@@ -66,7 +88,7 @@ from itertools import chain, compress, repeat
 from typing import Hashable, Iterable, Iterator
 
 from .errors import InvalidCPartitionError, MalformedPartitionError, PartitionNotCoveringError
-from .graph import Graph, _bfs, _bfs_tree, _sweep, _sweep_ranges, require_connected
+from .graph import Graph, Tree, _bfs, _bfs_tree, _bridges, _pieces, _sweep, _sweep_ranges, require_connected
 
 
 class _UnionFind:
@@ -190,7 +212,7 @@ def _trust(p: EdgePartition, edges: tuple, two_sided: tuple[bool, ...] = ()) -> 
 Batch = tuple[list[int], Iterable[tuple[int, int]], int]
 
 
-def _theta_cuts(g: Graph) -> Iterator[Batch]:
+def _theta_cuts(g: Graph, tree: Tree | None = None) -> Iterator[Batch]:
     """The Theta-cuts of the edges of a BFS tree, in batches.
 
     Theta* is the transitive closure of Theta restricted to pairs (tree
@@ -203,22 +225,16 @@ def _theta_cuts(g: Graph) -> Iterator[Batch]:
     (f, row) of the edges f related to some tree edge of the batch: bit i
     of row means that f is Theta-related to tree_edges[i]. Bit i of ties
     means that some vertex is equidistant from the ends of tree_edges[i].
-    `theta_star_partition` closes each row in one step. A tree yields
-    ([e], [(e, 1)], 0) for each edge e in O(m): every edge is a bridge, so
-    it is related to itself alone and no vertex is equidistant from its
-    ends. Any other graph yields one batch per sweep of `graph._sweep`
-    over up to `graph._SOURCE_BITS` // 2 tree edges, which takes about one
-    round per unit of diameter. Time is O(n*m), memory O(n+m): a sweep
-    holds 2n + 2m masks.
+    `theta_star_partition` closes each row in one step. One batch comes
+    per sweep of `graph._sweep` over up to `graph._SOURCE_BITS` // 2 tree
+    edges, which takes about one round per unit of diameter. Time is
+    O(n*m), memory O(n+m): a sweep holds 2n + 2m masks. `tree` is g's
+    `graph._bfs_tree`, built here if not given.
 
     Raises:
         DisconnectedError: if g is not connected.
     """
-    order, _, parent_edge = _bfs_tree(g)
-    if g.m == g.n - 1:
-        for e in range(g.m):
-            yield [e], [(e, 1)], 0
-        return
+    order, _, parent_edge = _bfs_tree(g) if tree is None else tree
 
     # A sweep takes k tree edges: tree edge i = pc owns source bit i,
     # seeded at p, and bit i + k, seeded at c. Edge f is Theta-related to
@@ -257,8 +273,12 @@ def theta_star_partition(g: Graph) -> EdgePartition:
     A hole-free benzenoid or a phenylene, given as any edge list, is
     recognized by `molgen._lattice_labels`, which reads its Theta*-classes,
     all two-sided, as the chains of opposite sides of its hexagons and
-    squares; its docstring holds the proof. Any graph the recognizer
-    rejects gets the Theta* pass, `_theta_star_pass`.
+    squares; its docstring holds the proof. A graph the recognizer rejects
+    is cut at its bridges (`graph._bridges`), each a two-sided class of its
+    own, and every bridgeless piece with an edge gets its own partition,
+    so only a bridgeless graph that the recognizer rejects gets the Theta*
+    pass, `_theta_star_pass`. The module docstring says why the pieces'
+    classes and flags are those of g.
 
     Raises:
         DisconnectedError: if g is not connected.
@@ -266,16 +286,33 @@ def theta_star_partition(g: Graph) -> EdgePartition:
     from .molgen import _lattice_labels  # deferred: molgen imports this module
 
     labels = _lattice_labels(g)
-    if labels is None:
-        return _theta_star_pass(g)
+    if labels is not None:
+        p = EdgePartition.from_labels(labels)
+        return _trust(p, g.edges, (True,) * len(p.classes))
+    tree = _bfs_tree(g)
+    below = _bridges(g, tree)
+    if not below and g.m:
+        return _theta_star_pass(g, tree)
+    # bridge e keeps label e; class c of a piece's partition takes label
+    # `base` + c, past every label used before it
+    labels = list(range(g.m))
+    sided = [True] * g.m
+    for _, ids, piece in _pieces(g, tree, below):
+        star = theta_star_partition(piece)
+        base = len(sided)
+        for e, c in zip(ids, star.class_of):
+            labels[e] = base + c
+        sided += star.two_sided
     p = EdgePartition.from_labels(labels)
-    return _trust(p, g.edges, (True,) * len(p.classes))
+    # `from_labels` numbers the classes by first appearance of their label
+    return _trust(p, g.edges, tuple(map(sided.__getitem__, dict.fromkeys(labels))))
 
 
-def _theta_star_pass(g: Graph) -> EdgePartition:
+def _theta_star_pass(g: Graph, tree: Tree | None = None) -> EdgePartition:
     """Theta*-classes in O(n*m) time and O(n+m) memory, with the
     `two_sided` flag of every class, from the BFS-tree cuts of any
-    connected graph.
+    connected graph with an edge; `tree` is g's `graph._bfs_tree`, built
+    by `_theta_cuts` if not given.
 
     The Theta-cut of a tree edge lies inside its Theta*-class, and every
     class holds a tree edge (removing a class disconnects g, so it meets
@@ -311,7 +348,7 @@ def _theta_star_pass(g: Graph) -> EdgePartition:
     parent = uf.parent
     find = uf.find
     clean_cut: dict[int, int] = {}  # tie-free tree edge -> its cut size
-    for tree_edges, related, ties in _theta_cuts(g):
+    for tree_edges, related, ties in _theta_cuts(g, tree):
         sizes = [0] * len(tree_edges)
         merged: dict[int, int] = {}  # root -> this batch's bits in its class
         for f, mask in related:

@@ -152,6 +152,27 @@ def pendant_weighted_graphs(draw, weights=WEIGHTS):
     n = g.n + draw(st.integers(0, 6))
     edges = list(g.edges)
     edges += [(draw(st.integers(0, v - 1)), v) for v in range(g.n, n)]
+    return _shuffled(draw, n, edges, weights)
+
+
+@st.composite
+def bridged_weighted_graphs(draw, weights=WEIGHTS):
+    """Two graphs of `cyclic_weighted_graphs` (either kind) joined by a
+    path of one to three bridges, so a bridge may have cycles on both of
+    its sides, with shuffled ids and orientations as in
+    `pendant_weighted_graphs`."""
+    a, _ = draw(cyclic_weighted_graphs(draw(st.booleans()), weights))
+    b, _ = draw(cyclic_weighted_graphs(draw(st.booleans()), weights))
+    inner = draw(st.integers(0, 2))  # the vertices inside the path
+    shift = a.n + inner
+    path = [draw(st.integers(0, a.n - 1)), *range(a.n, shift), shift + draw(st.integers(0, b.n - 1))]
+    edges = [*a.edges, *((shift + u, shift + v) for u, v in b.edges), *zip(path, path[1:])]
+    return _shuffled(draw, shift + b.n, edges, weights)
+
+
+def _shuffled(draw, n: int, edges, weights):
+    # the graph on its edges with drawn vertex ids, edge order and
+    # orientations, and exact weights on it
     ids = draw(st.permutations(range(n)))
     edges = [(ids[u], ids[v]) for u, v in draw(st.permutations(edges))]
     g = build_graph(n, [e[::-1] if draw(st.booleans()) else e for e in edges])

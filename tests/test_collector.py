@@ -1,6 +1,7 @@
 """The cyclic garbage collector is paused over the package's bulk builds of
 acyclic int tuples and lists, `graph._collector_paused`: the edge-list
-parse and its line reader, the first build of `Graph.adj`, and the checked
+parse and its line reader, the copy and check of a caller's edges in
+`Graph(n, edges)`, the first build of `Graph.adj`, and the checked
 evaluation `indices._evaluate`. No collection runs inside them, and the
 collector's on/off flag is as the caller left it afterwards, whether the
 build returned or raised, and across threads."""
@@ -16,8 +17,10 @@ from szegedcut import (
     EdgePartition,
     Graph,
     InvalidCPartitionError,
+    LoopEdgeError,
     ParseError,
     WeightAssignment,
+    build_graph,
     format_edge_list,
     parse_edge_list,
     weighted_suite_cut,
@@ -62,6 +65,7 @@ SITE_CALLS = {
     "parse a bad line": (lambda: parse_edge_list("3 2\n0 1\n1 x\n"), ParseError),
     "line reader, bad line": (lambda: graph._int_pairs("0 1\n0 1 2\n"), ParseError),
     "first adj read": (lambda: Graph(3, [(0, 1), (1, 2)]).adj, None),
+    "graph from a bad list": (lambda: Graph(3, [(0, 1), (1, 1)]), LoopEdgeError),
     "cut suite": (lambda: weighted_suite_cut(cycle_graph(6), EdgePartition.from_labels([0, 1, 2] * 2)), None),
     "direct suite": (lambda: weighted_suite_direct(cycle_graph(5)), None),
     "cut suite, disconnected": (
@@ -137,6 +141,7 @@ def test_collector_runs_no_collection_inside_the_paused_builds(collector_on):
     gc.callbacks.append(record)
     try:
         g = window("parse", lambda: parse_edge_list(text))
+        window("build", lambda: build_graph(g.n, g.edges))
         window("adj", lambda: g.adj)
         wa, p = WeightAssignment.degree_weighted(g), ph.direction_partition()
         # the cut evaluation of weighted_suite_cut(g, p): four quotient builds

@@ -43,6 +43,7 @@ from conftest import (
     CORONENE,
     FULLERENE_TOTALS,
     ZIGZAG4,
+    bridged_weighted_graphs,
     cube_subgraph,
     cycle_graph,
     cyclic_weighted_graphs,
@@ -294,16 +295,19 @@ def _int_weighted_trees(draw):
     )
 
 
-@pytest.mark.parametrize("family", ["tree", "cyclic"])
+@pytest.mark.parametrize("family", ["tree", "cyclic", "bridged"])
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_engine_contract_with_independent_lam(family, data):
     # the routes only ever pass lam = 0, lam = w or a quotient's lam; the
-    # engine must keep w and lam apart on both of its paths
+    # engine must keep w and lam apart on its tree path, its sweep and its
+    # fold of the bridges
     if family == "tree":
         g, wa = data.draw(_int_weighted_trees())
-    else:
+    elif family == "cyclic":
         g, wa = data.draw(cyclic_weighted_graphs(data.draw(st.booleans()), _INT_WEIGHTS))
+    else:
+        g, wa = data.draw(bridged_weighted_graphs(_INT_WEIGHTS))
     lam = tuple(data.draw(st.lists(_INT_WEIGHTS, min_size=g.n, max_size=g.n)))
     on_lam = WeightAssignment(lam, wa.w_prime, wa.lambda_prime)
     sz, pi_v, sz_t, pi = indices._sums(g, wa.w, lam, wa.lambda_prime, wa.w_prime)
@@ -329,6 +333,48 @@ def test_weighted_index_matches_oracle_on_cyclic_graphs(bipartite, data):
     p = theta_star_partition(g)
     for kind in (IndexKind.SZ, IndexKind.PI_V, IndexKind.SZ_E, IndexKind.PI):
         assert general_cut_index(g, wa, p, kind) == oracle_general(g, wa, kind)
+
+
+_BRIDGED_WEIGHTS = {
+    "int": st.integers(0, 50),
+    "Fraction": st.fractions(min_value=0, max_value=50, max_denominator=12),
+}
+
+
+@pytest.mark.parametrize("weights", _BRIDGED_WEIGHTS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_weighted_index_matches_oracle_across_bridges(weights, data):
+    # bridges with cycles on both sides: the direct route folds the far
+    # side of each bridge onto its near end and sweeps each piece alone
+    g, wa = data.draw(bridged_weighted_graphs(_BRIDGED_WEIGHTS[weights]))
+    for kind in IndexKind:
+        assert weighted_index(g, wa, kind) == oracle_general(g, wa, kind)
+
+
+def _triangle_with_a_tail():
+    return build_graph(6, [(1, 0), (2, 1), (3, 4), (4, 5), (5, 0), (0, 2)])
+
+
+def test_generic_sums_sweep_no_bridge():
+    # a C5 with a pendant path of three bridges: every sweep runs on the
+    # C5 alone, with the path folded onto its end
+    g = build_graph(8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (2, 5), (5, 6), (6, 7)])
+    with _spy("_sweep") as spy:
+        report = weighted_suite_direct(g)
+    assert spy.call_count >= 1
+    assert [call.args[0].n for call in spy.call_args_list] == [5] * spy.call_count
+    assert report.as_tuple() == oracle_suite(g).as_tuple()
+
+
+@pytest.mark.parametrize("g", [path_graph(5), _triangle_with_a_tail()], ids=["P5", "triangle with a tail"])
+def test_direct_evaluation_walks_g_once(g):
+    # one BFS tree is the connectivity check, the tree the bridges are
+    # read from and the tree their sides fold over; no distance BFS runs
+    with _spy("_bfs_tree") as tree, mock.patch.object(graph, "_bfs", wraps=graph._bfs) as bfs:
+        report = weighted_suite_direct(g)
+    assert (tree.call_count, bfs.call_count) == (1, 0)
+    assert report.as_tuple() == oracle_suite(g).as_tuple()
 
 
 _CUT_KINDS = (IndexKind.SZ, IndexKind.PI_V, IndexKind.SZ_E, IndexKind.PI)

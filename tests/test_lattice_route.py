@@ -270,13 +270,40 @@ def test_graphs_that_are_no_hole_free_molecule_fall_back(name):
 
 @pytest.mark.parametrize("name", ODD_FALLBACKS)
 def test_odd_graphs_of_degree_at_most_3_fail_the_walk_or_the_rebuild(name):
-    # no 2-colouring rejects them first: the walk runs on each
+    # no 2-colouring rejects them first: the walk runs on each, and once
+    # more on the one bridgeless piece with an edge, the triangle, of the
+    # one graph with bridges
     g = ODD_FALLBACKS[name]()
     assert max(g.degrees()) <= 3 and not is_bipartite(g)
     with mock.patch.object(molgen, "_faces", wraps=molgen._faces) as walk:
         star = theta_star_partition(g)
-    assert walk.call_count == 1
+    assert walk.call_count == (2 if name == "triangle with a tail" else 1)
     assert star == oracle_theta_star_partition(g)
+
+
+def _two_joined_by_a_bridge(g):
+    # two copies of g, a bridge between a degree-2 vertex of each
+    v = g.degrees().index(2)
+    edges = g.edges + tuple((g.n + a, g.n + b) for a, b in g.edges)
+    return build_graph(2 * g.n, edges + ((v, g.n + v),))
+
+
+@pytest.mark.parametrize(
+    "join, h, classes",
+    [(_with_pendant, 300, 901), (_two_joined_by_a_bridge, 100, 601)],
+    ids=["PH300 plus a pendant", "two PH100 joined by a bridge"],
+)
+def test_bridged_molecules_take_the_lattice_route_piece_by_piece(join, h, classes):
+    # cut at its bridges, each piece is a phenylene that the recognizer
+    # takes: every class is two-sided and the pass never runs
+    small = join(linear_phenylene(20).graph)
+    assert _lattice_labels(small) is None
+    with mock.patch.object(theta, "_theta_star_pass", side_effect=AssertionError("the Theta* pass ran")):
+        small_star = theta_star_partition(small)
+        star = theta_star_partition(join(linear_phenylene(h).graph))
+    assert small_star == oracle_theta_star_partition(small)
+    assert len(star) == classes
+    assert all(small_star.two_sided) and all(star.two_sided)
 
 
 def test_cells_that_meet_three_at_a_corner_are_rejected():

@@ -35,6 +35,7 @@ from szegedcut import graph, theta
 
 from conftest import (
     FULLERENE_BIG_CLASS,
+    bridged_weighted_graphs,
     cube_subgraph,
     cycle_graph,
     cyclic_weighted_graphs,
@@ -415,8 +416,8 @@ def _refuse(name: str):
     st.integers(0, 10**9),
 )
 def test_batches_hold_exactly_the_related_edges(family, source_bits, seed):
-    # every batch, a sweep or a tree's edge, hands on only the edges
-    # related to one of its tree edges, each with its full row
+    # every batch, one sweep, hands on only the edges related to one of
+    # its tree edges, each with its full row
     rng = random.Random(seed)
     g = hypercube_subgraph(rng, 4) if family == "Q4" else family_graph(family, rng)
     dm = all_pairs_distances(g)
@@ -431,16 +432,31 @@ def test_batches_hold_exactly_the_related_edges(family, source_bits, seed):
 
 def test_trees_take_no_sweep():
     # a tree's edges are bridges, each a two-sided class of its own, so
-    # its pass needs no sweep, however shallow or long the tree
+    # Theta* needs no sweep and no pass, however shallow or long the tree
     g = random_tree(random.Random(7), min_n=500, max_n=500)
     with mock.patch.object(theta, "_sweep", _refuse("_sweep")):
         star = theta_star_partition(g)
     assert star.classes == tuple(frozenset({e}) for e in range(g.m))
     assert star.two_sided == (True,) * g.m
     assert star == oracle_theta_star_partition(g)
-    batches = list(theta._theta_cuts(path_graph(20000)))
-    assert len(batches) == 19999
-    assert all(len(t) == 1 and ties == 0 for t, _, ties in batches)
+    with mock.patch.object(theta, "_theta_star_pass", _refuse("_theta_star_pass")):
+        path = theta_star_partition(path_graph(20000))
+    assert path.classes == tuple(frozenset({e}) for e in range(19999))
+    assert path.two_sided == (True,) * 19999
+
+
+@settings(max_examples=60, deadline=None)
+@given(bridged_weighted_graphs(), st.sampled_from((2, 3, 4096)))
+def test_bridged_graphs_match_the_oracle_and_the_pass(graph_and_weights, source_bits):
+    # bridges with cycles on both sides: each bridge is a two-sided class
+    # of its own, and the classes and flags of each bridgeless piece are
+    # those that the whole graph's pass finds; at 2 or 3 source bits the
+    # bridges are read in several folds
+    g, _ = graph_and_weights
+    with mock.patch.object(graph, "_SOURCE_BITS", source_bits):
+        star = theta_star_partition(g)
+    assert star == oracle_theta_star_partition(g)
+    assert star.two_sided == theta._theta_star_pass(g).two_sided
 
 
 def _sparse_graph(rng: random.Random, n: int):
