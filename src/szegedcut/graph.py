@@ -3,12 +3,13 @@
 Vertices are 0..n-1 and edges carry stable ids 0..m-1 in input order, so
 edge partitions and edge sets can be stored as plain id sets. A `Graph`
 has two entry points. `Graph(n, edges)` (and `build_graph`) copies a
-caller's edges and checks them for loops, bad ids and repeats by
-whole-list passes. `Graph._wrap(n, edges)` keeps an edge tuple the
-package made itself as given, with no copy and no check: the molecule
-builders and `quotient_graph` make simple graphs by construction, and
-`parse_edge_list` runs the same checks on its parsed pairs before it
-wraps them. Either way the adjacency is built on first read, then kept.
+caller's edges and checks them with `_check_edges`, one walk in input
+order that raises for the first loop, bad id or repeat.
+`Graph._wrap(n, edges)` keeps an edge tuple the package made itself as
+given, with no copy and no check: the molecule builders and
+`quotient_graph` make simple graphs by construction, and
+`parse_edge_list` runs the same walk on its parsed pairs before it wraps
+them. Either way the adjacency is built on first read, then kept.
 Distances are exact hop counts from one source at a time; the all-pairs
 table is kept in `oracle`, so no production path holds O(n^2) state.
 `_int_pairs` is the one line reader of all three text input formats.
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 import gc
 import threading
-from operator import eq, index
+from operator import index
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -90,12 +91,11 @@ class _collector_paused:
 class Graph:
     """Simple undirected graph, immutable after construction.
 
-    `Graph(n, edges)` copies a caller's edges and checks them with
-    whole-list passes; only a failed check walks the edges in order, to
-    name the first bad one. `Graph._wrap(n, edges)` keeps an edge tuple
-    the package built simple itself, uncopied and unchecked. The adjacency
-    is built from `edges` on its first read and kept, so a graph that is
-    only written out never builds it.
+    `Graph(n, edges)` copies a caller's edges and checks them in one walk
+    in input order, which names the first bad one. `Graph._wrap(n, edges)`
+    keeps an edge tuple the package built simple itself, uncopied and
+    unchecked. The adjacency is built from `edges` on its first read and
+    kept, so a graph that is only written out never builds it.
 
     Attributes:
         n: number of vertices (ids 0..n-1).
@@ -109,11 +109,9 @@ class Graph:
         if n < 1:
             raise NTooSmallError(f"graph needs at least one vertex, got n={n}")
         index(n)  # n sizes the adjacency lists, so it must be an int
-        with _collector_paused():  # the copy and `_is_simple` make tuples per edge
+        with _collector_paused():  # the copy makes a tuple per edge, `_check_edges` a key
             edges = tuple([(u, v) for u, v in edge_list])
-            simple = _is_simple(n, edges)
-        if not simple:
-            _raise_first_bad_edge(n, edges)
+            _check_edges(n, edges)
         self.n = n
         self.edges: tuple[tuple[int, int], ...] = edges
         self._adj: tuple[tuple[tuple[int, int], ...], ...] | None = None
@@ -150,31 +148,18 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def _is_simple(n: int, edges: tuple[tuple[int, int], ...]) -> bool:
-    """True if no edge is a loop, every id is an int in 0..n-1, and no
-    edge repeats another in either order, by whole-list passes."""
-    if not edges:
-        return True
-    us, vs = zip(*edges)
-    return (
-        not any(map(eq, us, vs))
-        and {*map(type, us), *map(type, vs)} == {int}
-        and 0 <= min(us) and 0 <= min(vs) and max(us) < n and max(vs) < n
-        and len({u * n + v if u < v else v * n + u for u, v in edges}) == len(edges)
-    )
-
-
-def _raise_first_bad_edge(n: int, edges: tuple[tuple[int, int], ...]) -> None:
+def _check_edges(n: int, edges: tuple[tuple[int, int], ...]) -> None:
     """Raise for the first edge, in input order, that is a loop, has an id
     outside 0..n-1, repeats an earlier edge, or has an id that cannot
     index a list; return if there is none (ids such as `True` pass)."""
     seen: set[tuple[int, int]] = set()
-    for u, v in edges:
+    for e in edges:
+        u, v = e
         if u == v:
             raise LoopEdgeError(f"loop edge at vertex {u}")
         if not (0 <= u < n and 0 <= v < n):
             raise VertexOutOfRangeError(f"edge ({u}, {v}) outside 0..{n - 1}")
-        key = (u, v) if u < v else (v, u)
+        key = e if u < v else (v, u)  # an ordered edge is its own key
         if key in seen:
             raise DuplicateEdgeError(f"duplicate edge ({u}, {v})")
         seen.add(key)
@@ -394,7 +379,7 @@ def parse_edge_list(text: str) -> Graph:
     the lines are read and before anything of size n is allocated: a
     connected graph has at least n - 1 edges.
     """
-    with _collector_paused():  # `_is_simple` makes a tuple iterator per edge
+    with _collector_paused():  # `_check_edges` keeps a key per edge
         pairs = _int_pairs(text)
         if not pairs:
             raise ParseError("empty edge-list input")
@@ -406,11 +391,10 @@ def parse_edge_list(text: str) -> Graph:
             raise ParseError(f"header declares {m} edges, found {len(edges)}")
         if n > m + 1:
             raise DisconnectedError(f"{n} vertices need at least {n - 1} edges, got {m}")
-        if not _is_simple(n, edges):
-            try:  # parsed ids are ints, so this raises
-                _raise_first_bad_edge(n, edges)
-            except (LoopEdgeError, DuplicateEdgeError, VertexOutOfRangeError) as exc:
-                raise ParseError(f"invalid edge list: {exc}") from exc
+        try:  # parsed ids are ints, so no other error can come
+            _check_edges(n, edges)
+        except (LoopEdgeError, DuplicateEdgeError, VertexOutOfRangeError) as exc:
+            raise ParseError(f"invalid edge list: {exc}") from exc
         return Graph._wrap(n, edges)
 
 

@@ -1,0 +1,155 @@
+"""Mutant gate: every mutant of the package must fail the tests named for it.
+
+Run from anywhere, with pytest and hypothesis installed:
+
+    python tests/mutants.py
+
+The script copies `src/` to a temporary directory. It first runs the union
+of the named test files on the unmutated copy, which must pass, so that a
+test already failing cannot count as a kill. It then applies each mutant
+by exact string replacement and requires `pytest -x -q` on the mutant's
+named files to fail. An anchor that is missing, or found more than once,
+fails the script: a refactor that moves the code restates its mutant and
+never drops it. The exit status is 0 only if every mutant is killed.
+
+pytest is not pointed at this file: its name does not match `test_*.py`.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+
+# no run may hang the gate: a mutant that makes a test loop is a survivor
+TIMEOUT_S = 120
+
+# (name, module under src/szegedcut, anchor, replacement, test files)
+MUTANTS = [
+    (
+        "t(A) off by lambda'(F) in _cut_sides",
+        "indices.py",
+        "t_a = [(sa - lp) // 2 for sa, lp in zip(s_a, lp_f)]",
+        "t_a = [(sa - lp) // 2 + lp for sa, lp in zip(s_a, lp_f)]",
+        ["tests/test_acceptance.py", "tests/test_indices.py"],
+    ),
+    (
+        "w' off by one on the first quotient edge of class 0",
+        "indices.py",
+        "_sums(q.graph, q.w, q.lam, q.lambda_prime, q.w_prime)",
+        "_sums(q.graph, q.w, q.lam, q.lambda_prime, tuple(x + (c == 0) for x in q.w_prime[:1]) + q.w_prime[1:])",
+        ["tests/test_acceptance.py", "tests/test_indices.py"],
+    ),
+    (
+        "quotient_graph emits its first edge twice",
+        "quotient.py",
+        "pairs = tuple(sorted(wp_q))",
+        "pairs = tuple(sorted(wp_q))[:1] + tuple(sorted(wp_q))",
+        ["tests/test_quotient.py", "tests/test_graph.py"],
+    ),
+    (
+        "bridge fold with no lambda' at the parent end",
+        "indices.py",
+        "t_in[px] += ta + lp",
+        "t_in[px] += ta",
+        ["tests/test_indices.py"],
+    ),
+    (
+        "bridge fold of the wrong side onto the parent end",
+        "indices.py",
+        "w_in[px] += wa",
+        "w_in[px] += wb",
+        ["tests/test_indices.py"],
+    ),
+    (
+        "bridge finder reads a fold of bit 0 alone as uncrossed",
+        "graph.py",
+        "            if fold[x]:\n",
+        "            if fold[x] > 1:\n",
+        ["tests/test_acceptance.py", "tests/test_indices.py"],
+    ),
+    (
+        "bridges not flagged two-sided",
+        "theta.py",
+        "sided = [True] * g.m",
+        "sided = [False] * g.m",
+        ["tests/test_theta.py"],
+    ),
+    (
+        "edge walk without its repeat test",
+        "graph.py",
+        "        if key in seen:\n"
+        '            raise DuplicateEdgeError(f"duplicate edge ({u}, {v})")\n',
+        "",
+        ["tests/test_graph.py"],
+    ),
+]
+
+
+def _pytest(src: Path, work: Path, files: list[str], *flags: str) -> tuple[int | None, float]:
+    """Return code (None on timeout) and wall time of pytest on `files`,
+    importing the package from `src`. The run starts in `work`, so that
+    hypothesis keeps the examples it finds there, not in the repository."""
+    cmd = [
+        sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+        "-c", str(REPO / "pyproject.toml"), "--rootdir", str(REPO),
+        # the ini's `pythonpath = src` would put the repository's own package first
+        "-o", f"pythonpath={src}",
+        *flags, *(str(REPO / f) for f in files),
+    ]
+    # no bytecode: a mutant of the same size written within the same second
+    # as the original would otherwise load the original's cached code
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    start = time.perf_counter()
+    try:
+        done = subprocess.run(cmd, cwd=work, env=env, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return None, time.perf_counter() - start
+    return done.returncode, time.perf_counter() - start
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="szegedcut-mutants-") as tmp:
+        work = Path(tmp)
+        src = work / "src"
+        shutil.copytree(REPO / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+        package = src / "szegedcut"
+        originals = {module: (package / module).read_text() for _, module, *_ in MUTANTS}
+        for name, module, anchor, _, _ in MUTANTS:
+            found = originals[module].count(anchor)
+            if found != 1:
+                print(f"anchor of mutant {name!r} found {found} times in {module}: restate the mutant")
+                return 1
+        union = sorted({f for *_, files in MUTANTS for f in files})
+        code, took = _pytest(src, work, union)
+        print(f"unmutated copy: exit {code} in {took:.1f} s on {' '.join(union)}")
+        if code != 0:
+            print("the named tests must pass on the unmutated copy")
+            return 1
+        survivors = []
+        for name, module, anchor, replacement, files in MUTANTS:
+            (package / module).write_text(originals[module].replace(anchor, replacement))
+            try:
+                code, took = _pytest(src, work, files, "-x")
+            finally:
+                (package / module).write_text(originals[module])
+            killed = code == 1  # 1: some test failed; a timeout or usage error kills nothing
+            print(f"{'killed' if killed else 'SURVIVED'}: {name} (exit {code} in {took:.1f} s)")
+            if not killed:
+                survivors.append(name)
+        if survivors:
+            print(f"{len(survivors)} of {len(MUTANTS)} mutants survived")
+            return 1
+        print(f"all {len(MUTANTS)} mutants killed")
+        return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

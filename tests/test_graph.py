@@ -140,6 +140,47 @@ def test_graph_matches_the_per_edge_constructor(case):
     assert g.degrees() == tuple(len(a) for a in adj)
 
 
+@st.composite
+def _parsed_edge_inputs(draw):
+    """(n, pairs) for an edge-list text with a consistent header and n <=
+    m + 1: int pairs drawn in range, so loops and repeats come often, and
+    often cleaned into a simple graph when enough pairs stay; then up to two
+    faults, each an id swapped for -1, n or n + 1 or a pair repeated, in
+    either order."""
+    n = draw(st.integers(1, 6))
+    in_range = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(in_range, in_range), min_size=n - 1, max_size=10))
+    simple = list({frozenset(p): p for p in pairs if p[0] != p[1]}.values())
+    if len(simple) >= n - 1 and draw(st.booleans()):
+        pairs = simple
+    for _ in range(draw(st.integers(0, 2)) if pairs else 0):
+        i = draw(st.integers(0, len(pairs) - 1))
+        u, v = pairs[i]
+        if draw(st.booleans()):
+            bad = draw(st.sampled_from([-1, n, n + 1]))
+            pairs[i] = (bad, v) if draw(st.booleans()) else (u, bad)
+        else:
+            pairs.insert(draw(st.integers(0, len(pairs))), draw(st.sampled_from([(u, v), (v, u)])))
+    return n, pairs
+
+
+@settings(max_examples=400, deadline=None)
+@given(_parsed_edge_inputs())
+def test_parse_matches_the_per_edge_constructor(case):
+    n, pairs = case
+    text = "".join(f"{u} {v}\n" for u, v in [(n, len(pairs)), *pairs])
+    try:
+        edges, _ = _reference_graph(n, pairs)
+    except SzegedCutError as exc:
+        with pytest.raises(ParseError) as raised:
+            parse_edge_list(text)
+        assert str(raised.value) == f"invalid edge list: {exc}"
+        assert type(raised.value.__cause__) is type(exc)
+        return
+    g = parse_edge_list(text)
+    assert (g.n, g.edges) == (n, edges)
+
+
 def test_graph_checks_and_keeps_the_adjacency():
     with pytest.raises(TypeError):  # fails in the constructor, not on an adj read
         build_graph(3, [(0, 1.0)])
@@ -151,21 +192,21 @@ def test_graph_checks_and_keeps_the_adjacency():
         g.adj = ()
 
 
-def _refuse_is_simple(*_):
-    raise AssertionError("_is_simple called")
+def _refuse_check_edges(*_):
+    raise AssertionError("_check_edges called")
 
 
 def test_only_caller_and_parsed_edges_are_checked():
     # the builders and quotient_graph make simple edge tuples and wrap
     # them unchecked; Graph(...) and parse_edge_list check every list
-    with mock.patch.object(graph, "_is_simple", _refuse_is_simple):
+    with mock.patch.object(graph, "_check_edges", _refuse_check_edges):
         bz = build_benzenoid(parse_hex_spec("0 0\n1 0\n0 1\n"))
         ph = build_phenylene(HexSpec.linear_chain(3))
         wa = WeightAssignment.unit(ph.graph)
         quotients = [quotient_graph(ph.graph, wa, f) for f in ph.direction_partition().classes]
-        with pytest.raises(AssertionError, match="_is_simple called"):
+        with pytest.raises(AssertionError, match="_check_edges called"):
             Graph(3, [(0, 1), (1, 2)])
-        with pytest.raises(AssertionError, match="_is_simple called"):
+        with pytest.raises(AssertionError, match="_check_edges called"):
             parse_edge_list("3 2\n0 1\n1 2\n")
     assert (bz.graph.n, bz.graph.m, ph.graph.n, ph.graph.m) == (13, 15, 18, 22)
     # the wrapped tuples pass the checked constructor unchanged

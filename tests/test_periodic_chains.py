@@ -19,6 +19,7 @@ from szegedcut import (
     format_edge_list,
     oracle_suite,
     parse_edge_list,
+    ph_closed_formulas,
     theta_star_partition,
     weighted_suite_cut,
     weighted_suite_direct,
@@ -48,14 +49,25 @@ def _cubic(points):
     return at
 
 
-def _fit(build, fit_hs, check_hs):
-    """The four values as functions of h, fitted on `fit_hs` from the oracle
-    and checked against it on `check_hs`."""
-    suite = {h: oracle_suite(build(_zigzag(h)).graph).as_tuple() for h in fit_hs + check_hs}
+def _fit(build, word, fit_hs, check_hs):
+    """The four values of the chain `build(word(h))` as functions of h,
+    fitted on `fit_hs` from the oracle and checked against it on `check_hs`."""
+    suite = {h: oracle_suite(build(word(h)).graph).as_tuple() for h in fit_hs + check_hs}
     cubics = [_cubic([(h, suite[h][i]) for h in fit_hs]) for i in range(4)]
     for h in check_hs:
         assert tuple(f(h) for f in cubics) == suite[h], h
     return lambda h: tuple(f(h) for f in cubics)
+
+
+def _check_routes(build, word, expected, cut_h, text_h, direct_h):
+    # the quotient route, on the generator's direction classes
+    dlg = build(word(cut_h))
+    assert weighted_suite_cut(dlg.graph, dlg.direction_partition()).as_tuple() == expected(cut_h)
+    # the clean-cut route, on the Theta*-classes of the re-parsed text
+    g = parse_edge_list(format_edge_list(build(word(text_h)).graph))
+    assert weighted_suite_cut(g, theta_star_partition(g)).as_tuple() == expected(text_h)
+    # the direct route
+    assert weighted_suite_direct(build(word(direct_h)).graph).as_tuple() == expected(direct_h)
 
 
 @pytest.mark.parametrize("build", [build_benzenoid, build_phenylene], ids=["benzenoid", "phenylene"])
@@ -68,12 +80,14 @@ def _fit(build, fit_hs, check_hs):
     ids=["even", "odd"],
 )
 def test_zigzag_chains_follow_one_cubic_per_parity(build, fit_hs, check_hs, cut_h, text_h, direct_h):
-    expected = _fit(build, fit_hs, check_hs)
-    # the quotient route, on the generator's direction classes
-    dlg = build(_zigzag(cut_h))
-    assert weighted_suite_cut(dlg.graph, dlg.direction_partition()).as_tuple() == expected(cut_h)
-    # the clean-cut route, on the Theta*-classes of the re-parsed text
-    g = parse_edge_list(format_edge_list(build(_zigzag(text_h)).graph))
-    assert weighted_suite_cut(g, theta_star_partition(g)).as_tuple() == expected(text_h)
-    # the direct route
-    assert weighted_suite_direct(build(_zigzag(direct_h)).graph).as_tuple() == expected(direct_h)
+    _check_routes(build, _zigzag, _fit(build, _zigzag, fit_hs, check_hs), cut_h, text_h, direct_h)
+
+
+@pytest.mark.parametrize("build", [build_benzenoid, build_phenylene], ids=["acene", "phenylene"])
+def test_linear_chains_follow_one_cubic(build):
+    # period 1: one cubic for every h >= 2
+    expected = _fit(build, HexSpec.linear_chain, (2, 3, 4, 5), (6, 7))
+    _check_routes(build, HexSpec.linear_chain, expected, 10_000, 1000, 100)
+    if build is build_phenylene:
+        for h in (2, 3, 50, 10_000):
+            assert expected(h) == ph_closed_formulas(h).as_tuple(), h
