@@ -18,7 +18,7 @@ runs of consecutive cells in its rows, in O(h log h).
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from .errors import (
     CellsNotTreeError,
     DisconnectedCellsError,
@@ -144,18 +144,21 @@ class DirectionLabeledGraph:
     cells: tuple[Cell, ...]
     kind: str  # "benzenoid" | "phenylene"
     nonstandard_region: bool = False
+    # set by the builders alone, on a region without holes: never by the
+    # constructor or `replace()`
+    _hole_free: bool = field(default=False, init=False, repr=False, compare=False)
 
     def direction_partition(self) -> EdgePartition:
         """Edge classes by direction label.
 
         Without holes every Theta*-class of a benzenoid or phenylene stays
-        inside one direction class, so the partition is flagged as
-        Theta*-refined on the edges of `graph`. A `nonstandard_region` (a
-        cell set with holes) can split a Theta*-class across labels, so its
-        partition is left unflagged and the cut method validates it first.
+        inside one direction class, so a builder's hole-free output flags
+        its partition as Theta*-refined on the edges of `graph`. Any other
+        partition, of a cell set with holes or of labels no builder wrote,
+        is left unflagged, and the cut method validates it first.
         """
         p = EdgePartition.from_labels(self.direction_of)
-        return p if self.nonstandard_region else _trust(p, self.graph.edges)
+        return _trust(p, self.graph.edges) if self._hole_free else p
 
 
 def _point_ids(cells) -> list[int]:
@@ -190,13 +193,16 @@ def build_benzenoid(spec: HexSpec) -> DirectionLabeledGraph:
                 edges.append((ids[a], ids[b]))
                 direction.append(label)
 
-    return DirectionLabeledGraph(
+    dlg = DirectionLabeledGraph(
         graph=Graph._wrap(max(corner) + 1, tuple(edges)),
         direction_of=tuple(direction),
         cells=cells,
         kind="benzenoid",
         nonstandard_region=holes > 0,
     )
+    if not holes:
+        object.__setattr__(dlg, "_hole_free", True)
+    return dlg
 
 
 def build_phenylene(spec: HexSpec) -> DirectionLabeledGraph:
@@ -224,12 +230,14 @@ def build_phenylene(spec: HexSpec) -> DirectionLabeledGraph:
             edges.append((6 * i + a, 6 * j + b))
             direction.append(4)
 
-    return DirectionLabeledGraph(
+    dlg = DirectionLabeledGraph(
         graph=Graph._wrap(6 * len(cells), tuple(edges)),
         direction_of=tuple(direction),
         cells=cells,
         kind="phenylene",
     )
+    object.__setattr__(dlg, "_hole_free", True)
+    return dlg
 
 
 def linear_phenylene(n: int) -> DirectionLabeledGraph:

@@ -68,9 +68,10 @@ depths that `graph._bfs` gives each component.
 The library certifies a partition only where it computed it on a graph's
 edge list: the lattice route, the bridge split of
 `theta_star_partition`, `_theta_star_pass`,
-`oracle.oracle_theta_star_partition` and `molgen`'s
-`direction_partition`. Each sets both flags, `refined_by_theta_star` and
-`two_sided`, through one private writer, `_trust`, which also keeps that
+`oracle.oracle_theta_star_partition`, and `molgen`'s
+`direction_partition` on builder output alone, which the builders mark
+when its region has no hole. Each sets both flags, `refined_by_theta_star`
+and `two_sided`, through one private writer, `_trust`, which also keeps that
 edge tuple; the constructor's `refined_by_theta_star` keyword, which
 `replace()` also passes, is the last writer outside the library, bound
 to no edges. One gate, `_require_c_partition`, reads them: it trusts a
@@ -84,7 +85,7 @@ the one record of which Theta*-classes are clean cuts. Its one caller,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, compress, repeat
+from itertools import compress
 from typing import Hashable, Iterable, Iterator
 
 from .errors import InvalidCPartitionError, MalformedPartitionError, PartitionNotCoveringError
@@ -117,8 +118,11 @@ class EdgePartition:
     """A partition of the edge ids 0..m-1 into disjoint nonempty classes.
 
     Classes are canonically ordered by their smallest edge id, and
-    `class_of[e]` is the class of edge e; construction checks in O(m) that
-    the two agree. The `refined_by_theta_star` flag asserts that every
+    `class_of[e]` is the class of edge e. The constructor, and so
+    `from_classes` and `replace()`, walks the classes in O(m) and names the
+    first that is empty, leaves 0..m-1 or disagrees with `class_of`;
+    `from_labels` checks nothing, as it derives both views from one
+    numbering. The `refined_by_theta_star` flag asserts that every
     class is a union of Theta*-classes, so index pipelines can skip the
     O(n*m) validation. `two_sided` flags each class that is a Theta*-class
     F whose removal leaves two convex components, which the cut method
@@ -135,11 +139,8 @@ class EdgePartition:
     _certified_on: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        try:
-            if _is_partition(self.classes, self.class_of):
-                return
-        except TypeError:  # an id that cannot compare or index: the walk names its class
-            pass
+        # the first bad class is named; frozensets in range that agree with
+        # class_of are disjoint, so they cover 0..m-1 iff their sizes sum to m
         m = len(self.class_of)
         for idx, members in enumerate(self.classes):
             if not members:
@@ -148,7 +149,8 @@ class EdgePartition:
                 raise PartitionNotCoveringError(f"edge id outside 0..{m - 1}")
             if set(map(self.class_of.__getitem__, members)) != {idx}:
                 raise MalformedPartitionError(f"class_of disagrees with class {idx}")
-        raise PartitionNotCoveringError(f"classes do not cover all {m} edges")
+        if sum(map(len, self.classes)) != m:
+            raise PartitionNotCoveringError(f"classes do not cover all {m} edges")
 
     @classmethod
     def from_classes(cls, classes: Iterable[Iterable[int]], m: int) -> "EdgePartition":
@@ -166,13 +168,17 @@ class EdgePartition:
     def from_labels(cls, labels: Iterable[Hashable]) -> "EdgePartition":
         """One class per distinct label, where `labels` holds the label of
         each edge id in order. One O(m) pass numbers the classes by first
-        appearance, which is by smallest edge id: the canonical order."""
+        appearance, which is by smallest edge id: the canonical order. Both
+        views come from it, so they are wrapped unchecked, flags unset."""
         number: dict[Hashable, int] = {}
         class_of = [number.setdefault(label, len(number)) for label in labels]
         members: list[list[int]] = [[] for _ in number]
         for e, c in enumerate(class_of):
             members[c].append(e)
-        return cls(tuple(map(frozenset, members)), tuple(class_of))
+        p = cls.__new__(cls)
+        object.__setattr__(p, "classes", tuple(map(frozenset, members)))
+        object.__setattr__(p, "class_of", tuple(class_of))
+        return p
 
     @property
     def num_edges(self) -> int:
@@ -180,23 +186,6 @@ class EdgePartition:
 
     def __len__(self) -> int:
         return len(self.classes)
-
-
-def _is_partition(classes: tuple[frozenset[int], ...], class_of: tuple[int, ...]) -> bool:
-    """True if the class sizes sum to m = len(class_of), no class is empty,
-    every id is in 0..m-1, and `class_of[e]` is the index of the class that
-    holds e, by whole-list passes; then the classes partition 0..m-1.
-    `EdgePartition` walks the classes in order only when this fails, to
-    name the first bad one."""
-    m = len(class_of)
-    flat = [*chain.from_iterable(classes)]
-    tags = chain.from_iterable(map(repeat, range(len(classes)), map(len, classes)))
-    return (
-        len(flat) == m
-        and all(classes)
-        and (not flat or (0 <= min(flat) and max(flat) < m))
-        and [class_of[e] for e in flat] == [*tags]
-    )
 
 
 def _trust(p: EdgePartition, edges: tuple, two_sided: tuple[bool, ...] = ()) -> EdgePartition:

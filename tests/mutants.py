@@ -89,6 +89,55 @@ MUTANTS = [
         "",
         ["tests/test_graph.py"],
     ),
+    (
+        "recognizer joins only two of a hexagon's three pairs of opposite sides",
+        "molgen.py",
+        "        for k in range(3):\n",
+        "        for k in range(2):\n",
+        ["tests/test_theta.py"],
+    ),
+    (
+        "Theta* pass leaves a row's other tree edges unlinked",
+        "theta.py",
+        "                    parent[r] = root\n",
+        "",
+        ["tests/test_theta.py"],
+    ),
+    (
+        "_clean_cuts accepts a partition that splits a Theta*-class",
+        "theta.py",
+        "== len(star) else None",
+        ">= len(star) else None",
+        ["tests/test_theta.py"],
+    ),
+    (
+        "_bit_planes reads the masses in reverse",
+        "indices.py",
+        "rows = map(format, masses[::-1], ",
+        "rows = map(format, masses, ",
+        ["tests/test_indices.py"],
+    ),
+    (
+        "edge-Szeged unscaled by d^2, not d^3, after _integral's scaling",
+        "indices.py",
+        "zip(totals, (3, 2, 3, 2))",
+        "zip(totals, (3, 2, 2, 2))",
+        ["tests/test_indices.py"],
+    ),
+    (
+        "from_labels files edge 1 under the last class",
+        "theta.py",
+        "            members[c].append(e)\n",
+        "            members[-1 if e == 1 else c].append(e)\n",
+        ["tests/test_theta.py"],
+    ),
+    (
+        "direction_partition trusts without the builders' mark",
+        "molgen.py",
+        "if self._hole_free else p",
+        "if not self.nonstandard_region else p",
+        ["tests/test_molgen.py"],
+    ),
 ]
 
 

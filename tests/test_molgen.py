@@ -1,6 +1,7 @@
 import random
 import time
 from collections import deque
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -301,6 +302,38 @@ def test_wide_hole_labels_are_rejected_not_miscounted():
     one_hole = build_benzenoid(HexSpec(RING_CELLS))
     cut = weighted_suite_cut(one_hole.graph, one_hole.direction_partition())
     assert cut.as_tuple() == oracle_suite(one_hole.graph).as_tuple()
+
+
+def _forged_ring():
+    # the wide ring with its hole flag cleared: trusted, its labels gave
+    # (41940, 6656, 48768, 7552); the oracle gives (41900, 6656, 48728, 7552)
+    return replace(build_benzenoid(HexSpec(WIDE_RING_CELLS)), nonstandard_region=False)
+
+
+def _forged_c6():
+    # a split of C6 declared a benzenoid: trusted, it gave (112, 96, 112, 96);
+    # the true values are (216, 144, 96, 96)
+    c6 = Graph(6, [(i, (i + 1) % 6) for i in range(6)])
+    return DirectionLabeledGraph(c6, (0, 1, 1, 1, 1, 1), ((0, 0),), "benzenoid")
+
+
+@pytest.mark.parametrize("forge", [_forged_ring, _forged_c6], ids=["replaced ring", "built c6"])
+def test_only_the_builders_certify_direction_labels(forge):
+    dlg = forge()
+    p = dlg.direction_partition()
+    assert not p.refined_by_theta_star
+    with pytest.raises(InvalidCPartitionError):
+        weighted_suite_cut(dlg.graph, p)
+
+
+def test_a_copy_of_builder_output_is_validated():
+    # unmarked, as the constructor and replace() leave every copy: its
+    # labels are validated, and cut as the builder's own
+    coronene = build_benzenoid(CORONENE)
+    copied = replace(coronene)
+    assert not copied.direction_partition().refined_by_theta_star
+    assert (weighted_suite_cut(copied.graph, copied.direction_partition()).as_tuple()
+            == weighted_suite_cut(coronene.graph, coronene.direction_partition()).as_tuple())
 
 
 _AXIAL = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))

@@ -91,3 +91,15 @@ def test_linear_chains_follow_one_cubic(build):
     if build is build_phenylene:
         for h in (2, 3, 50, 10_000):
             assert expected(h) == ph_closed_formulas(h).as_tuple(), h
+
+
+def _kinked(h: int) -> HexSpec:
+    # two steps along q, then one along r: period 3
+    return HexSpec(frozenset((i - i // 3, i // 3) for i in range(h)))
+
+
+@pytest.mark.parametrize("build", [build_benzenoid, build_phenylene], ids=["benzenoid", "phenylene"])
+def test_period_three_chains_follow_one_cubic_per_residue(build):
+    fits = [_fit(build, _kinked, tuple(h + r for h in (3, 6, 9, 12)), (15 + r, 18 + r)) for r in range(3)]
+    # 10 000, 1001 and 102 leave the residues 1, 2 and 0: each route reads one at scale
+    _check_routes(build, _kinked, lambda h: fits[h % 3](h), 10_000, 1001, 102)

@@ -32,6 +32,7 @@ from szegedcut import (
     validate_c_partition,
 )
 from szegedcut import graph, theta
+from szegedcut.cli import _parse_partition
 
 from conftest import (
     FULLERENE_BIG_CLASS,
@@ -227,8 +228,83 @@ def test_from_labels_matches_from_classes(labels):
     assert p.classes == q.classes and p.class_of == q.class_of
     smallest = [min(c) for c in p.classes]   # numbered by smallest edge id
     assert smallest == sorted(smallest)
+    # wrapped unchecked, yet the checked constructor accepts the same views
+    assert EdgePartition(p.classes, p.class_of) == p
     assert p.refined_by_theta_star is False
     assert p.two_sided == ()
+    assert p._certified_on is None
+
+
+def test_partitions_the_library_builds_skip_the_constructor_check():
+    # every partition in the library comes from `from_labels`, whose two
+    # views agree by construction, so none runs the constructor's walk
+    refuse = AssertionError("EdgePartition.__post_init__ ran")
+    with mock.patch.object(EdgePartition, "__post_init__", side_effect=refuse):
+        with pytest.raises(AssertionError):   # the patch holds for the raw constructor
+            EdgePartition((frozenset({0}),), (0,))
+        assert EdgePartition.from_labels([0, 1, 0]).class_of == (0, 1, 0)
+        molecule = build_benzenoid(HexSpec.linear_chain(3)).graph   # the lattice route
+        bridged = build_graph(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3)])
+        for g, classes in ((molecule, 7), (bridged, 3), (cycle_graph(5), 1)):   # C5 takes the pass
+            assert len(theta_star_partition(g)) == classes
+        assert len(linear_phenylene(3).direction_partition()) == 4
+        assert _parse_partition("0 5\n1 7\n2 5\n", 3).class_of == (0, 1, 0)
+
+
+def _named_fault(classes, class_of):
+    """(error class, message) that the rules name for the pair, or None:
+    classes are read in order and the first bad one is named, by the first
+    of these it breaks: nonempty, ids in 0..m-1, class_of agreeing on each
+    of its ids; then the classes must cover 0..m-1."""
+    m = len(class_of)
+    for idx, members in enumerate(classes):
+        if not members:
+            return MalformedPartitionError, "empty partition class"
+        if any(not 0 <= e < m for e in members):
+            return PartitionNotCoveringError, f"edge id outside 0..{m - 1}"
+        if any(class_of[e] != idx for e in members):
+            return MalformedPartitionError, f"class_of disagrees with class {idx}"
+    if set().union(*classes) != set(range(m)):
+        return PartitionNotCoveringError, f"classes do not cover all {m} edges"
+    return None
+
+
+@st.composite
+def _class_pairs(draw):
+    # a partition of 0..m-1 into classes in some order, then, each now and
+    # then, an id moved, added or put out of range, an empty class, and
+    # class_of entries redrawn
+    m = draw(st.integers(0, 6))
+    labels = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
+    classes = [{e for e in range(m) if labels[e] == c} for c in dict.fromkeys(labels)]
+    classes = draw(st.permutations(classes))
+    ids = st.integers(-1, m)
+    for _ in range(draw(st.integers(0, 2))):
+        if classes:
+            members = draw(st.sampled_from(classes))
+            if members and draw(st.booleans()):
+                members.discard(draw(st.sampled_from(sorted(members))))
+            else:
+                members.add(draw(ids))
+    if draw(st.integers(0, 4)) == 0:
+        classes.insert(draw(st.integers(0, len(classes))), set())
+    class_of = [next((i for i, c in enumerate(classes) if e in c), 0) for e in range(m)]
+    for e in draw(st.lists(st.integers(0, m - 1), max_size=2)) if m else ():
+        class_of[e] = draw(st.integers(-1, len(classes)))
+    return tuple(map(frozenset, classes)), tuple(class_of)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_class_pairs())
+def test_the_constructor_names_the_first_bad_class(pair):
+    classes, class_of = pair
+    fault = _named_fault(classes, class_of)
+    if fault is None:
+        assert EdgePartition(classes, class_of).classes == classes
+        return
+    with pytest.raises(SzegedCutError) as info:
+        EdgePartition(classes, class_of)
+    assert (type(info.value), str(info.value)) == fault
 
 
 # ---------------------------------------------------------------------------
