@@ -25,7 +25,7 @@ from .errors import (
     PartitionNotCoveringError,
     SzegedCutError,
 )
-from .graph import Graph, _bfs_tree, _int_pairs, format_edge_list, parse_edge_list
+from .graph import Graph, _int_pairs, format_edge_list, parse_edge_list
 from .indices import IndexReport, _read_classes, weighted_suite_cut, weighted_suite_direct
 from .molgen import (
     HexSpec,
@@ -134,7 +134,7 @@ def _cmd_quotient(args) -> int:
     g = _read_graph(args.input)
     p = _load_partition(g, args.partition_file)
     wa = WeightAssignment.degree_weighted(g, starred=args.starred)
-    for idx, (members, cuts, rest) in enumerate(zip(p.classes, *_read_classes(g, wa, p, _bfs_tree(g)))):
+    for idx, (members, cuts, rest) in enumerate(zip(p.classes, *_read_classes(g, wa, p))):
         if len(cuts) == 1 and not rest:  # the class is one clean cut: G/F is K2
             w0, t0, w1, t1, lp, wp = cuts[0]
             vertices, edges = [(w0, t0), (w1, t1)], [(0, 1, lp, wp)]

@@ -14,12 +14,12 @@ Distances are exact hop counts from one source at a time; the all-pairs
 table is kept in `oracle`, so no production path holds O(n^2) state.
 `_int_pairs` is the one line reader of all three text input formats.
 
-`_bfs_tree` is the one BFS spanning tree of the package: the Theta* pass
-cuts its edges, the subtree aggregation of the side sums folds over it,
-and `_bridges` reads every bridge off it with XOR folds, with no
-recursion. `_pieces` cuts the tree at the bridges into the bridgeless
-pieces, each wrapped as a graph of its own: Theta* and the generic side
-sums take each piece alone, and read the bridges as clean cuts.
+`_bfs_tree` is the one BFS spanning tree of the package, kept with its
+graph like the adjacency: the Theta* pass cuts its edges, the subtree
+aggregation of the side sums folds over it, and `_bridges` reads every
+bridge off it with XOR folds. `_pieces` cuts the tree at the bridges into
+the bridgeless pieces, each a graph of its own: Theta* and the generic
+side sums take each piece alone, and read the bridges as clean cuts.
 `_sweep` is the one bit-parallel multi-source BFS: the generic side
 sums and the Theta* pass of every bridgeless piece both run it. `_bfs`
 is the one distance BFS, behind `bfs_distances`, `is_connected` and
@@ -94,8 +94,8 @@ class Graph:
     `Graph(n, edges)` copies a caller's edges and checks them in one walk
     in input order, which names the first bad one. `Graph._wrap(n, edges)`
     keeps an edge tuple the package built simple itself, uncopied and
-    unchecked. The adjacency is built from `edges` on its first read and
-    kept, so a graph that is only written out never builds it.
+    unchecked. The adjacency and the `_bfs_tree` are built on first use
+    and kept, so a graph that is only written out builds neither.
 
     Attributes:
         n: number of vertices (ids 0..n-1).
@@ -103,7 +103,7 @@ class Graph:
         adj: per-vertex tuple of (neighbor, edge_id) pairs, read-only.
     """
 
-    __slots__ = ("n", "edges", "_adj")
+    __slots__ = ("n", "edges", "_adj", "_tree")
 
     def __init__(self, n: int, edge_list: Iterable[tuple[int, int]]):
         if n < 1:
@@ -115,6 +115,7 @@ class Graph:
         self.n = n
         self.edges: tuple[tuple[int, int], ...] = edges
         self._adj: tuple[tuple[tuple[int, int], ...], ...] | None = None
+        self._tree: Tree | None = None
 
     @classmethod
     def _wrap(cls, n: int, edges: tuple[tuple[int, int], ...]) -> "Graph":
@@ -124,6 +125,7 @@ class Graph:
         g.n = n
         g.edges = edges
         g._adj = None
+        g._tree = None
         return g
 
     @property
@@ -193,26 +195,29 @@ Tree = tuple[list[int], list[int], list[int]]
 
 def _bfs_tree(g: Graph) -> Tree:
     """BFS order from vertex 0, and each vertex's parent and parent edge
-    in that BFS tree (the root is its own parent, with parent edge -1).
+    in that BFS tree (the root is its own parent, with parent edge -1),
+    built on the first call and kept in `g._tree` for every later one;
+    threads that race to the first call each build and keep an equal tree.
 
     Raises:
-        DisconnectedError: if g is not connected.
+        DisconnectedError: if g is not connected, on every call.
     """
-    n = g.n
-    parent = [-1] * n
-    parent_edge = [-1] * n
-    parent[0] = 0
-    order = [0]
-    adj = g.adj
-    for x in order:  # the list grows while it is read: a BFS queue
-        for y, eid in adj[x]:
-            if parent[y] < 0:
-                parent[y] = x
-                parent_edge[y] = eid
-                order.append(y)
-    if len(order) < n:
-        raise DisconnectedError("graph is not connected")
-    return order, parent, parent_edge
+    if g._tree is None:
+        parent = [-1] * g.n
+        parent_edge = [-1] * g.n
+        parent[0] = 0
+        order = [0]
+        adj = g.adj
+        for x in order:  # the list grows while it is read: a BFS queue
+            for y, eid in adj[x]:
+                if parent[y] < 0:
+                    parent[y] = x
+                    parent_edge[y] = eid
+                    order.append(y)
+        if len(order) < g.n:
+            raise DisconnectedError("graph is not connected")
+        g._tree = order, parent, parent_edge
+    return g._tree
 
 
 # source bits per sweep of `_sweep`: every mask holds at most this many
@@ -266,9 +271,9 @@ def _sweep(g: Graph, reach: list[int]) -> tuple[list[int], list[int]]:
     return near_u, near_v
 
 
-def _bridges(g: Graph, tree: Tree) -> list[int]:
-    """The bridges of connected g, each as the vertex x below it in `tree`,
-    g's `_bfs_tree`: the bridge is x's parent edge. Every bridge is a tree
+def _bridges(g: Graph) -> list[int]:
+    """The bridges of connected g, each as the vertex x below it in g's
+    `_bfs_tree`: the bridge is x's parent edge. Every bridge is a tree
     edge, as it is the only edge between its two sides.
 
     Each edge outside the tree owns one bit, set at both of its ends. The
@@ -280,7 +285,7 @@ def _bridges(g: Graph, tree: Tree) -> list[int]:
     fold each, so every mask holds at most `_SOURCE_BITS` bits and memory
     stays linear in n + m.
     """
-    order, parent, parent_edge = tree
+    order, parent, parent_edge = _bfs_tree(g)
     in_tree = bytearray(g.m)
     for e in parent_edge[1:]:  # vertex 0 is the root, with no parent edge
         in_tree[e] = 1
@@ -300,13 +305,13 @@ def _bridges(g: Graph, tree: Tree) -> list[int]:
     return [x for x in order[:0:-1] if not crossed[x]]
 
 
-def _pieces(g: Graph, tree: Tree, below: list[int]) -> list[tuple[list[int], list[int], Graph]]:
-    """The bridgeless pieces of g that hold an edge: the components of
-    `tree` cut at the bridges `below` (see `_bridges`). Each comes as its
+def _pieces(g: Graph, below: list[int]) -> list[tuple[list[int], list[int], Graph]]:
+    """The bridgeless pieces of g that hold an edge: the components of its
+    `_bfs_tree` cut at the bridges `below` (see `_bridges`). Each comes as its
     vertices in BFS order, its edge ids in order, and its graph, in which
     vertex i is the i-th of those vertices and edge j the j-th of those edges.
     Every other edge is a bridge, and every other piece one vertex."""
-    order, parent, _ = tree
+    order, parent, _ = _bfs_tree(g)
     top = bytearray(g.n)
     for x in below:
         top[x] = 1

@@ -55,10 +55,10 @@ weights are scaled to ints first and divided back at the end.
 
 All four routes, the two suites and the per-kind calls, share one checked
 evaluation, `_evaluate`, which yields all four totals. It runs with the
-cyclic garbage collector paused (`graph._collector_paused`), and its
-connectivity check is the BFS tree that `_cut_sides` folds over and the
-direct route reads its bridges from, so G is walked once. Only the
-per-kind calls `weighted_index` and `general_cut_index` enter a memo of
+cyclic garbage collector paused (`graph._collector_paused`). Its
+connectivity check builds G's BFS tree, kept with G for `_cut_sides`, the
+bridges and Theta* to read, so G's tree is built once. Only the per-kind
+calls `weighted_index` and `general_cut_index` enter a memo of
 the last inputs, held by reference, with their totals: a call on those
 very objects (compared with `is`, not by value) reads its kind from
 them, with Sz_t (lam = w) kept apart from the other kinds (lam = 0). So a
@@ -78,7 +78,7 @@ from operator import add, and_, is_, lshift, mul
 from typing import Iterator, Sequence
 
 from .errors import UnsupportedKindError
-from .graph import Graph, Tree, _bfs_tree, _bridges, _collector_paused, _pieces, _sweep, _sweep_ranges
+from .graph import Graph, _bfs_tree, _bridges, _collector_paused, _pieces, _sweep, _sweep_ranges
 from .quotient import Weight, WeightAssignment, quotient_graph
 from .theta import EdgePartition, _require_c_partition
 
@@ -161,11 +161,9 @@ def _sums(
     lam: Sequence[Weight],
     lambda_prime: Sequence[Weight],
     w_prime: Sequence[Weight],
-    tree: Tree | None = None,
 ) -> Sums:
     """Sz(w, w'), PI_v(w, w'), Sz_t(lam, lambda', w') and PI_v(lam, w') +
     PI(lambda', w') of a connected graph with nonnegative int weights.
-    `tree` is g's `graph._bfs_tree`, built here if not given.
 
     A bridge splits the vertex and edge sets cleanly in two, so its sides
     come from the subtree aggregation `_cut_sides`. A tree is all bridges,
@@ -178,20 +176,18 @@ def _sums(
     module docstring says why the sums stay those of g. Each term is
     symmetric in the two sides of its edge, so no path tracks orientation.
     """
-    if tree is None:
-        tree = _bfs_tree(g)
     if g.m == g.n - 1:
-        return _column_sums(_terms(*_cut_sides(g, tree, w, lam, lambda_prime, w_prime, range(g.m), g.m)[1:]))
-    below = _bridges(g, tree)
+        return _column_sums(_terms(*_cut_sides(g, w, lam, lambda_prime, w_prime, range(g.m), g.m)[1:]))
+    below = _bridges(g)
     if not below:
         return _column_sums(_generic_sums(g, w, lam, lambda_prime, w_prime))
-    _, parent, parent_edge = tree
+    _, parent, parent_edge = _bfs_tree(g)
     k = len(below)
     class_of = [k] * g.m  # bridge c is class c; the other edges share class k
     for c, x in enumerate(below):
         class_of[parent_edge[x]] = c
     lp_f, wp_f, w_a, w_b, t_a, t_b = (
-        col[:k] for col in _cut_sides(g, tree, w, lam, lambda_prime, w_prime, class_of, k + 1)
+        col[:k] for col in _cut_sides(g, w, lam, lambda_prime, w_prime, class_of, k + 1)
     )
     # the weight of each vertex plus all that hangs on it through bridges
     # away from its piece: the side below bridge c hangs on its parent end,
@@ -205,7 +201,7 @@ def _sums(
         w_in[x] += wb
         t_in[x] += tb + lp
     parts = [_column_sums(_terms(wp_f, w_a, w_b, t_a, t_b))]
-    for vs, es, piece in _pieces(g, tree, below):
+    for vs, es, piece in _pieces(g, below):
         piece_weights = (
             [w_in[x] for x in vs],
             [t_in[x] for x in vs],
@@ -231,19 +227,18 @@ def _terms(w_prime, n_u, n_v, t_u, t_v) -> Columns:
     )
 
 
-def _cut_sides(g, tree, w, lam, lambda_prime, w_prime, class_of, k):
+def _cut_sides(g, w, lam, lambda_prime, w_prime, class_of, k):
     """The weights of G/F for each of the k classes F of `class_of`, read
     as clean cuts, in O(n + m + k): the lists lambda'(F), w'(F), w(A), w(B),
     t(A) and t(B), of which the last five are the `_terms` arguments.
 
     A clean cut F has two convex sides A and B, so a geodesic crosses F at
-    most once, and the side A away from the root of `tree`, G's
-    `graph._bfs_tree`, is the disjoint union of the subtrees below F's
-    tree edges. G/F is K2 with vertex weights w(A), w(B) and t(A), t(B),
-    where t sums lam over the vertices and lambda' over the edges inside a
-    side. With s(x) = 2 lam(x) plus lambda' over the edges at x, s(A)
-    counts the edges of F once and the rest twice, so t(A) = (s(A) -
-    lambda'(F)) / 2. B holds the root, vertex 0. The weights of a class
+    most once, and the side A away from the root of G's `graph._bfs_tree`
+    is the disjoint union of the subtrees below F's tree edges. G/F is K2
+    with vertex weights w(A), w(B) and t(A), t(B), where t sums lam over
+    the vertices and lambda' over the edges inside a side. With s(x) = 2
+    lam(x) plus lambda' over the edges at x, s(A) counts the edges of F
+    once and the rest twice, so t(A) = (s(A) - lambda'(F)) / 2. B holds the root, vertex 0. The weights of a class
     that is not a clean cut mean nothing.
     """
     sub_s = list(map(add, lam, lam))  # s(x), then summed over the subtree below x
@@ -256,7 +251,7 @@ def _cut_sides(g, tree, w, lam, lambda_prime, w_prime, class_of, k):
         wp_f[c] += wp
     total_w = sum(w)
     total_s = sum(sub_s)
-    order, parent, parent_edge = tree
+    order, parent, parent_edge = _bfs_tree(g)
     sub_w = list(w)
     w_a = [0] * k
     s_a = [0] * k
@@ -386,17 +381,16 @@ def weighted_suite_direct(g: Graph, starred: bool = False) -> IndexReport:
 # cut method
 # ---------------------------------------------------------------------------
 
-def _read_classes(g: Graph, wa: WeightAssignment, p: EdgePartition, tree) -> tuple[Sequence, Sequence]:
+def _read_classes(g: Graph, wa: WeightAssignment, p: EdgePartition) -> tuple[Sequence, Sequence]:
     """Two sequences by class of p, if p is a c-partition: the clean cuts of
     each, as the weights (w0, t0, w1, t1, lambda', w') of their K2s, whose
-    vertex 0 is the side holding G's vertex 0; and the set of its other edges.
-    `tree` is G's `graph._bfs_tree`."""
+    vertex 0 is the side holding G's vertex 0; and the set of its other edges."""
     star = _require_c_partition(g, p)
     if star is None:
         return [()] * len(p), p.classes
     cuts = [[] for _ in p.classes]
     rest = {}
-    lp, wp, w_a, w_b, t_a, t_b = _cut_sides(g, tree, wa.w, (0,) * g.n, wa.lambda_prime, wa.w_prime, star.class_of, len(star))
+    lp, wp, w_a, w_b, t_a, t_b = _cut_sides(g, wa.w, (0,) * g.n, wa.lambda_prime, wa.w_prime, star.class_of, len(star))
     for members, sided, cut in zip(star.classes, star.two_sided, zip(w_b, t_b, w_a, t_a, lp, wp)):
         c = p.class_of[next(iter(members))]
         if sided:
@@ -406,11 +400,11 @@ def _read_classes(g: Graph, wa: WeightAssignment, p: EdgePartition, tree) -> tup
     return cuts, [rest.get(c, ()) for c in range(len(p))]
 
 
-def _class_contributions(g: Graph, wa: WeightAssignment, p: EdgePartition, tree) -> list[Sums]:
+def _class_contributions(g: Graph, wa: WeightAssignment, p: EdgePartition) -> list[Sums]:
     """The four quotient sums of every class of p, in class order, on int
     weights: the rows of its clean cuts, from one `_terms` pass, plus the sums
     of one quotient of its rest; a lone row, the common case, skips the sum."""
-    cuts, rests = _read_classes(g, wa, p, tree)
+    cuts, rests = _read_classes(g, wa, p)
     w0, t0, w1, t1, _, wp = list(zip(*chain.from_iterable(cuts))) or [()] * 6
     rows = zip(*_terms(wp, w0, w1, t0, t1))
     contribs = [next(rows) if len(k2s) == 1 else tuple(map(sum, zip((0,) * 4, *islice(rows, len(k2s)))))
@@ -465,13 +459,13 @@ def _evaluate(
     shape of wa, then p. The sums build only ints and acyclic containers
     of them, so the cyclic collector is paused."""
     with _collector_paused():
-        tree = _bfs_tree(g)  # the connectivity check, and the tree `_sums` and `_cut_sides` fold over
+        _bfs_tree(g)  # the connectivity check, which keeps g's tree for `_sums` and `_cut_sides`
         wa.check_shape(g)
         scaled, d = _integral(wa)
         if p is None:
             lam = scaled.w if lam_is_w else (0,) * g.n
-            return [_sums(g, scaled.w, lam, scaled.lambda_prime, scaled.w_prime, tree)], d
-        return _class_contributions(g, scaled, p, tree), d
+            return [_sums(g, scaled.w, lam, scaled.lambda_prime, scaled.w_prime)], d
+        return _class_contributions(g, scaled, p), d
 
 
 # ((g, g.edges, wa, p, lam_is_w), totals) of the last evaluation, or None.

@@ -89,7 +89,7 @@ from itertools import compress
 from typing import Hashable, Iterable, Iterator
 
 from .errors import InvalidCPartitionError, MalformedPartitionError, PartitionNotCoveringError
-from .graph import Graph, Tree, _bfs, _bfs_tree, _bridges, _pieces, _sweep, _sweep_ranges, require_connected
+from .graph import Graph, _bfs, _bfs_tree, _bridges, _pieces, _sweep, _sweep_ranges, require_connected
 
 
 class _UnionFind:
@@ -118,8 +118,8 @@ class EdgePartition:
     """A partition of the edge ids 0..m-1 into disjoint nonempty classes.
 
     Classes are canonically ordered by their smallest edge id, and
-    `class_of[e]` is the class of edge e. The constructor, and so
-    `from_classes` and `replace()`, walks the classes in O(m) and names the
+    `class_of[e]` is the class of edge e. The constructor (so `from_classes`
+    and `replace()`) freezes both, walks the classes in O(m) and names the
     first that is empty, leaves 0..m-1 or disagrees with `class_of`;
     `from_labels` checks nothing, as it derives both views from one
     numbering. The `refined_by_theta_star` flag asserts that every
@@ -139,8 +139,11 @@ class EdgePartition:
     _certified_on: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        # the first bad class is named; frozensets in range that agree with
-        # class_of are disjoint, so they cover 0..m-1 iff their sizes sum to m
+        # frozen copies first, so the walk checks what p keeps. It names the
+        # first bad class; frozensets in range that agree with class_of are
+        # disjoint, so they cover 0..m-1 iff their sizes sum to m
+        object.__setattr__(self, "classes", tuple(map(frozenset, self.classes)))
+        object.__setattr__(self, "class_of", tuple(self.class_of))
         m = len(self.class_of)
         for idx, members in enumerate(self.classes):
             if not members:
@@ -201,7 +204,7 @@ def _trust(p: EdgePartition, edges: tuple, two_sided: tuple[bool, ...] = ()) -> 
 Batch = tuple[list[int], Iterable[tuple[int, int]], int]
 
 
-def _theta_cuts(g: Graph, tree: Tree | None = None) -> Iterator[Batch]:
+def _theta_cuts(g: Graph) -> Iterator[Batch]:
     """The Theta-cuts of the edges of a BFS tree, in batches.
 
     Theta* is the transitive closure of Theta restricted to pairs (tree
@@ -217,13 +220,12 @@ def _theta_cuts(g: Graph, tree: Tree | None = None) -> Iterator[Batch]:
     `theta_star_partition` closes each row in one step. One batch comes
     per sweep of `graph._sweep` over up to `graph._SOURCE_BITS` // 2 tree
     edges, which takes about one round per unit of diameter. Time is
-    O(n*m), memory O(n+m): a sweep holds 2n + 2m masks. `tree` is g's
-    `graph._bfs_tree`, built here if not given.
+    O(n*m), memory O(n+m): a sweep holds 2n + 2m masks.
 
     Raises:
         DisconnectedError: if g is not connected.
     """
-    order, _, parent_edge = _bfs_tree(g) if tree is None else tree
+    order, _, parent_edge = _bfs_tree(g)
 
     # A sweep takes k tree edges: tree edge i = pc owns source bit i,
     # seeded at p, and bit i + k, seeded at c. Edge f is Theta-related to
@@ -278,15 +280,14 @@ def theta_star_partition(g: Graph) -> EdgePartition:
     if labels is not None:
         p = EdgePartition.from_labels(labels)
         return _trust(p, g.edges, (True,) * len(p.classes))
-    tree = _bfs_tree(g)
-    below = _bridges(g, tree)
+    below = _bridges(g)
     if not below and g.m:
-        return _theta_star_pass(g, tree)
+        return _theta_star_pass(g)
     # bridge e keeps label e; class c of a piece's partition takes label
     # `base` + c, past every label used before it
     labels = list(range(g.m))
     sided = [True] * g.m
-    for _, ids, piece in _pieces(g, tree, below):
+    for _, ids, piece in _pieces(g, below):
         star = theta_star_partition(piece)
         base = len(sided)
         for e, c in zip(ids, star.class_of):
@@ -297,11 +298,10 @@ def theta_star_partition(g: Graph) -> EdgePartition:
     return _trust(p, g.edges, tuple(map(sided.__getitem__, dict.fromkeys(labels))))
 
 
-def _theta_star_pass(g: Graph, tree: Tree | None = None) -> EdgePartition:
+def _theta_star_pass(g: Graph) -> EdgePartition:
     """Theta*-classes in O(n*m) time and O(n+m) memory, with the
     `two_sided` flag of every class, from the BFS-tree cuts of any
-    connected graph with an edge; `tree` is g's `graph._bfs_tree`, built
-    by `_theta_cuts` if not given.
+    connected graph with an edge.
 
     The Theta-cut of a tree edge lies inside its Theta*-class, and every
     class holds a tree edge (removing a class disconnects g, so it meets
@@ -337,7 +337,7 @@ def _theta_star_pass(g: Graph, tree: Tree | None = None) -> EdgePartition:
     parent = uf.parent
     find = uf.find
     clean_cut: dict[int, int] = {}  # tie-free tree edge -> its cut size
-    for tree_edges, related, ties in _theta_cuts(g, tree):
+    for tree_edges, related, ties in _theta_cuts(g):
         sizes = [0] * len(tree_edges)
         merged: dict[int, int] = {}  # root -> this batch's bits in its class
         for f, mask in related:

@@ -132,6 +132,17 @@ MUTANTS = [
         ["tests/test_theta.py"],
     ),
     (
+        "_bfs_tree keeps the tree of a disconnected graph",
+        "graph.py",
+        "        if len(order) < g.n:\n"
+        '            raise DisconnectedError("graph is not connected")\n'
+        "        g._tree = order, parent, parent_edge\n",
+        "        g._tree = order, parent, parent_edge\n"
+        "        if len(order) < g.n:\n"
+        '            raise DisconnectedError("graph is not connected")\n',
+        ["tests/test_graph.py"],
+    ),
+    (
         "direction_partition trusts without the builders' mark",
         "molgen.py",
         "if self._hole_free else p",

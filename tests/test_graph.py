@@ -17,6 +17,7 @@ from szegedcut import (
     SzegedCutError,
     VertexOutOfRangeError,
     WeightAssignment,
+    EdgePartition,
     all_pairs_distances,
     bfs_distances,
     build_benzenoid,
@@ -27,6 +28,9 @@ from szegedcut import (
     parse_edge_list,
     parse_hex_spec,
     quotient_graph,
+    theta_star_partition,
+    weighted_suite_cut,
+    weighted_suite_direct,
 )
 from szegedcut import graph
 from szegedcut.cli import _parse_partition
@@ -213,6 +217,33 @@ def test_only_caller_and_parsed_edges_are_checked():
     for g in (bz.graph, ph.graph, *(q.graph for q in quotients)):
         assert Graph(g.n, g.edges).edges == g.edges
     assert len(quotients) == 4 and all(q.graph.m == q.graph.n - 1 for q in quotients)  # trees
+
+
+def test_new_graphs_start_without_a_tree():
+    # the BFS tree is built on first use and kept with its graph; a graph
+    # made from another starts with none of its own
+    g = build_graph(7, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 6), (6, 3)])
+    assert g._tree is None
+    tree = graph._bfs_tree(g)
+    assert graph._bfs_tree(g) is tree is g._tree
+    pieces = [piece for _, _, piece in graph._pieces(g, graph._bridges(g))]
+    quotient = quotient_graph(g, WeightAssignment.unit(g), [3, 4]).graph
+    parsed = parse_edge_list(format_edge_list(g))
+    assert [piece.n for piece in pieces] == [3, 4]
+    assert all(h._tree is None for h in (*pieces, quotient, parsed))
+    assert graph._bfs_tree(parsed) == tree
+
+
+def test_a_disconnected_graph_raises_on_every_call():
+    # the tree is kept only once the connectivity check passes, so no later
+    # call can skip the check
+    p = EdgePartition.from_labels([0, 1])
+    for route in (weighted_suite_direct, lambda g: weighted_suite_cut(g, p), theta_star_partition):
+        g = build_graph(4, [(0, 1), (2, 3)])
+        for _ in range(3):
+            with pytest.raises(DisconnectedError):
+                route(g)
+        assert g._tree is None
 
 
 def test_bfs_cycle6():

@@ -1,6 +1,7 @@
 import random
 import sys
 import threading
+from contextlib import ExitStack, contextmanager
 from dataclasses import astuple, replace
 from fractions import Fraction
 from unittest import mock
@@ -367,14 +368,87 @@ def test_generic_sums_sweep_no_bridge():
     assert report.as_tuple() == oracle_suite(g).as_tuple()
 
 
+@contextmanager
+def _tree_builds():
+    """The graphs whose BFS tree is built in the block, one entry a build:
+    the calls of `graph._bfs_tree`, from any module, that find no kept tree."""
+    built = []
+    build = graph._bfs_tree
+
+    def spy(g):
+        if g._tree is None:
+            built.append(g)
+        return build(g)
+
+    with ExitStack() as stack:
+        for module in (graph, indices, theta):
+            stack.enter_context(mock.patch.object(module, "_bfs_tree", spy))
+        yield built
+
+
 @pytest.mark.parametrize("g", [path_graph(5), _triangle_with_a_tail()], ids=["P5", "triangle with a tail"])
 def test_direct_evaluation_walks_g_once(g):
     # one BFS tree is the connectivity check, the tree the bridges are
     # read from and the tree their sides fold over; no distance BFS runs
-    with _spy("_bfs_tree") as tree, mock.patch.object(graph, "_bfs", wraps=graph._bfs) as bfs:
+    g = build_graph(g.n, g.edges)  # a fresh graph, whose tree is not yet built
+    with _tree_builds() as built, mock.patch.object(graph, "_bfs", wraps=graph._bfs) as bfs:
         report = weighted_suite_direct(g)
-    assert (tree.call_count, bfs.call_count) == (1, 0)
+    assert (len(built), bfs.call_count) == (1, 0)
     assert report.as_tuple() == oracle_suite(g).as_tuple()
+
+
+def _bridged_odd_graph():
+    # a triangle and a C5 joined by a bridge, and a two-bridge tail on the
+    # C5, with weights: Theta* and the direct route both cut at the bridges
+    g = build_graph(10, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 3), (5, 8), (8, 9)])
+    return g, random_weight_assignment(random.Random(38), g, hi=9)
+
+
+def test_one_tree_build_per_graph_across_theta_star_and_both_routes():
+    # a job of Theta*, the four cut kinds and Sz_t on one graph, as in the
+    # benchmark's weighted-generic workload, builds the graph's tree once
+    g, wa = _bridged_odd_graph()
+    with _tree_builds() as built:
+        p = theta_star_partition(g)
+        got = {kind: general_cut_index(g, wa, p, kind) for kind in _CUT_KINDS}
+        got[IndexKind.SZ_T] = weighted_index(g, wa, IndexKind.SZ_T)
+    assert sum(h is g for h in built) == 1
+    assert got == {kind: oracle_general(g, wa, kind) for kind in IndexKind}
+
+
+def test_threads_on_a_fresh_graph_share_its_first_tree():
+    # four threads start on one graph with no tree at once: each may build
+    # and keep one, and every one must read a whole tree
+    g, _ = _bridged_odd_graph()
+    expected = {s: oracle_suite(g, s).as_tuple() for s in (False, True)}
+    wrong, finished = [], []
+    rounds = 100
+    start = threading.Barrier(4)
+
+    def work(i, fresh):
+        start.wait()
+        s = i % 2 == 1
+        direct = weighted_suite_direct(fresh, s).as_tuple()
+        cut = weighted_suite_cut(fresh, theta_star_partition(fresh), s).as_tuple()
+        if direct != expected[s] or cut != expected[s]:
+            wrong.append(i)
+        finished.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(rounds):
+            fresh = build_graph(g.n, g.edges)
+            threads = [threading.Thread(target=work, args=(i, fresh)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(finished) == 4 * rounds
+    assert wrong == []
 
 
 _CUT_KINDS = (IndexKind.SZ, IndexKind.PI_V, IndexKind.SZ_E, IndexKind.PI)

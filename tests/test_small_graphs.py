@@ -1,4 +1,4 @@
-"""A certificate over every connected graph on 2 to 6 vertices.
+"""A certificate over every connected graph on 2 to 7 vertices.
 
 The graphs on 2 to 5 vertices are enumerated here, one canonical edge list
 per isomorphism class. The 112 on 6 vertices, whose brute-force
@@ -9,6 +9,13 @@ Theta*-partition, its partial-cube test and two-sided flags, every
 coarsening of its Theta*-partition on the cut route with the quotients
 its classes build, over their Theta*-classes that are no clean cut, and
 splits of its Theta*-classes, which must be refused.
+
+The 853 on 7 vertices are read from `data/connected7.txt`. Trying all
+5040 relabellings of each is too slow, so distinct invariants prove them
+pairwise non-isomorphic, and only graphs whose invariants tie take a
+search for an isomorphism. Each gets the oracle checks of its
+Theta*-partition, flags and index values; coarsenings and splits stay
+at 6 vertices.
 """
 
 from functools import lru_cache
@@ -36,9 +43,10 @@ from szegedcut import (
 )
 from szegedcut import indices, theta
 
-# connected graphs up to isomorphism on n = 2..6 vertices (OEIS A001349)
+# connected graphs up to isomorphism on n = 2..7 vertices (OEIS A001349)
 COUNTS = {2: 1, 3: 2, 4: 6, 5: 21}
 SIX = 112
+SEVEN = 853
 
 
 def _canonical(n, edges):
@@ -62,9 +70,9 @@ def connected_graphs(n):
 
 
 @lru_cache(maxsize=None)
-def six_vertex_graphs():
-    """The canonical edge lists of `data/connected6.txt`, one graph a line."""
-    text = (Path(__file__).parent / "data" / "connected6.txt").read_text()
+def listed_graphs(name):
+    """The edge lists of `data/<name>`, one graph a line."""
+    text = (Path(__file__).parent / "data" / name).read_text()
     return [
         tuple(tuple(map(int, pair.split("-"))) for pair in line.split())
         for line in text.splitlines()
@@ -74,7 +82,7 @@ def six_vertex_graphs():
 
 def _all_graphs():
     graphs = [build_graph(n, edges) for n in COUNTS for edges in connected_graphs(n)]
-    return graphs + [build_graph(6, edges) for edges in six_vertex_graphs()]
+    return graphs + [build_graph(6, edges) for edges in listed_graphs("connected6.txt")]
 
 
 def _set_partitions(items):
@@ -129,25 +137,108 @@ def test_the_enumeration_is_complete_and_canonical():
 def test_the_six_vertex_list_is_complete_and_canonical():
     # 112 pairwise distinct canonical forms of connected graphs are 112
     # isomorphism classes, which is all of them
-    graphs = six_vertex_graphs()
+    graphs = listed_graphs("connected6.txt")
     assert len(graphs) == len(set(graphs)) == SIX
     for edges in graphs:
         assert is_connected(build_graph(6, edges)), edges
         assert _canonical(6, edges) == edges
 
 
+def _check_theta_star(g):
+    """Check Theta* of g against the oracle and return both partitions."""
+    p = theta_star_partition(g)
+    star = oracle_theta_star_partition(g)
+    # equality and hashing ignore the two-sided flags only Theta* writes
+    assert p == star and hash(p) == hash(star), g.edges
+    assert all(p.two_sided) == is_partial_cube(g) == oracle_is_partial_cube(g), g.edges
+    rows = all_pairs_distances(g).rows
+    for members, flag in zip(p.classes, p.two_sided, strict=True):
+        sides = _components(g, members)
+        clean = len(sides) == 2 and all(_convex(rows, side) for side in sides)
+        assert flag == clean, (g.edges, sorted(members))
+    return p, star
+
+
 def test_theta_star_flags_match_the_oracle():
     for g in _all_graphs():
-        p = theta_star_partition(g)
-        star = oracle_theta_star_partition(g)
-        # equality and hashing ignore the two-sided flags only Theta* writes
-        assert p == star and hash(p) == hash(star), g.edges
-        assert all(p.two_sided) == is_partial_cube(g) == oracle_is_partial_cube(g), g.edges
-        rows = all_pairs_distances(g).rows
-        for members, flag in zip(p.classes, p.two_sided, strict=True):
-            sides = _components(g, members)
-            clean = len(sides) == 2 and all(_convex(rows, side) for side in sides)
-            assert flag == clean, (g.edges, sorted(members))
+        _check_theta_star(g)
+
+
+def _vertex_invariants(n, edges):
+    """Per vertex, an invariant of its place in the graph: its sorted
+    distance row (degree included), refined twice by the sorted invariants
+    of its neighbours."""
+    rows = all_pairs_distances(build_graph(n, edges)).rows
+    nbrs = [[] for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    inv = [tuple(sorted(row)) for row in rows]
+    for _ in range(2):
+        inv = [(inv[x], tuple(sorted(inv[y] for y in nbrs[x]))) for x in range(n)]
+    return inv
+
+
+def _isomorphic(n, a, inv_a, b, inv_b):
+    """Whether some bijection that keeps the vertex invariants maps edge
+    list a onto edge list b, by a backtracking search."""
+    ea = set(map(frozenset, a))
+    eb = set(map(frozenset, b))
+    image = []
+    used = set()
+
+    def extend(x):
+        if x == n:
+            return True
+        for y in range(n):
+            if y not in used and inv_b[y] == inv_a[x] and all(
+                (frozenset((x, z)) in ea) == (frozenset((y, image[z])) in eb) for z in range(x)
+            ):
+                image.append(y)
+                used.add(y)
+                if extend(x + 1):
+                    return True
+                image.pop()
+                used.discard(y)
+        return False
+
+    return len(a) == len(b) and extend(0)
+
+
+def test_the_seven_vertex_list_is_complete():
+    # 853 pairwise non-isomorphic connected graphs are all of them
+    graphs = listed_graphs("connected7.txt")
+    assert len(graphs) == len(set(graphs)) == SEVEN
+    invariants = [_vertex_invariants(7, edges) for edges in graphs]
+    for edges in graphs:
+        assert all(u < v for u, v in edges) and list(edges) == sorted(edges), edges
+        assert is_connected(build_graph(7, edges)), edges
+    ties = {}
+    for i, inv in enumerate(invariants):
+        ties.setdefault(tuple(sorted(inv)), []).append(i)
+    tied = [group for group in ties.values() if len(group) > 1]
+    assert len(ties) == 839 and sum(map(len, tied)) == 28
+    shift = [3, 5, 0, 6, 1, 4, 2]
+    for group in tied:
+        for k, i in enumerate(group):
+            for j in group[:k]:
+                assert not _isomorphic(7, graphs[i], invariants[i], graphs[j], invariants[j])
+            # the search finds a relabelled copy, so its refusals mean something
+            moved = [(shift[u], shift[v]) for u, v in graphs[i]]
+            assert _isomorphic(7, graphs[i], invariants[i], moved, _vertex_invariants(7, moved))
+
+
+def test_every_seven_vertex_graph_matches_the_oracle():
+    for edges in listed_graphs("connected7.txt"):
+        g = build_graph(7, edges)
+        p, star = _check_theta_star(g)
+        for s in (False, True):
+            expected = oracle_suite(g, s).as_tuple()
+            assert weighted_suite_direct(g, s).as_tuple() == expected, edges
+            # the flagged partition reads its clean cuts; the oracle's, with
+            # no flags, builds one quotient per class
+            assert weighted_suite_cut(g, p, s).as_tuple() == expected, edges
+            assert weighted_suite_cut(g, star, s).as_tuple() == expected, edges
 
 
 def test_every_coarsening_gives_cut_equal_direct_equal_oracle():

@@ -1,7 +1,7 @@
 import random
 import tracemalloc
 from dataclasses import replace
-from operator import eq
+from operator import eq, is_
 from unittest import mock
 
 import pytest
@@ -23,6 +23,7 @@ from szegedcut import (
     HexSpec,
     MalformedPartitionError,
     oracle_is_partial_cube,
+    oracle_suite,
     oracle_theta_star_partition,
     quotient_graph,
     theta_related,
@@ -30,6 +31,7 @@ from szegedcut import (
     bfs_distances,
     theta_star_partition,
     validate_c_partition,
+    weighted_suite_cut,
 )
 from szegedcut import graph, theta
 from szegedcut.cli import _parse_partition
@@ -207,6 +209,26 @@ def test_partition_rejects_class_of_that_disagrees_with_classes():
         EdgePartition((frozenset({0}),), (0, 0))                     # edge 1 left out
     star = theta_star_partition(cycle_graph(6))
     assert EdgePartition(star.classes, star.class_of, True).classes == star.classes
+
+
+def test_the_constructor_keeps_frozen_copies():
+    # a list class could repeat an id, and so hide an uncovered edge, or
+    # change after the walk checked it: the constructor checks and keeps
+    # frozen copies
+    g = path_graph(3)
+    with pytest.raises(PartitionNotCoveringError):
+        EdgePartition(([0, 0],), (0, 0), True)
+    members = [0, 1]
+    p = EdgePartition((members,), [0, 0], True)
+    members.remove(1)
+    assert p.classes == (frozenset({0, 1}),) and p.class_of == (0, 0)
+    assert weighted_suite_cut(g, p).as_tuple() == oracle_suite(g).as_tuple() == (12, 18, 0, 6)
+    q = EdgePartition((frozenset({0, 1}),), (0, 0), True)
+    assert p == q and hash(p) == hash(q)
+    # frozensets and tuples are their own copies: no class is copied again
+    star = theta_star_partition(cycle_graph(6))
+    kept = replace(EdgePartition(star.classes, star.class_of, True))
+    assert all(map(is_, kept.classes, star.classes)) and kept.class_of is star.class_of
 
 
 def test_partition_factory_errors_are_library_errors():
