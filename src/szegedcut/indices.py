@@ -24,7 +24,9 @@ One engine, `_sums`, evaluates these four quotient sums for any weighted
 graph, and `_terms` states their per-edge terms once for both of its
 paths. The direct route uses it too: G is its own quotient by E, with
 lam = 0, so Sz_t(G, 0, lambda', w') = Sz_e and PI_v(G, 0, w') + PI(G,
-lambda', w') = PI. Passing lam = w instead gives the total-Szeged index.
+lambda', w') = PI. The total-Szeged index is the third sum with lam = w;
+its row passes w = 0 besides, since it reads that sum alone, so the
+engine weighs no vertex masses on the sides n_u, n_v.
 
 The engine reads every bridge as a clean cut, from one subtree
 aggregation over its BFS tree: a tree, all bridges, takes that alone, in
@@ -61,10 +63,11 @@ bridges and Theta* to read, so G's tree is built once. Only the per-kind
 calls `weighted_index` and `general_cut_index` enter a memo of
 the last inputs, held by reference, with their totals: a call on those
 very objects (compared with `is`, not by value) reads its kind from
-them, with Sz_t (lam = w) kept apart from the other kinds (lam = 0). So a
-loop over the four cut kinds builds every quotient once. The memo keeps
-its last inputs alive until the next evaluation; the suites keep nothing
-alive.
+them. The Sz_t row (w = 0, lam = w) is kept apart from the row of the
+other kinds (lam = 0), and serves Sz_t alone: its other slots are no
+indices. So a loop over the four cut kinds builds every quotient once.
+The memo keeps its last inputs alive until the next evaluation; the
+suites keep nothing alive.
 """
 
 from __future__ import annotations
@@ -297,14 +300,18 @@ def _generic_sums(g, w, lam, lambda_prime, w_prime) -> Columns:
 
 def _bit_planes(masses: list[int]) -> list[tuple[int, int]]:
     """(b, plane) pairs: bit i of `plane` is bit b of masses[i]; zero planes
-    are left out."""
+    are left out, so all-zero masses give none.
+
+    The masses, highest index first, are written as one string of
+    fixed-width binary rows; the digits of plane width - 1 - j are its
+    characters j, j + width, ..., one strided slice."""
     width = max(masses).bit_length()
-    # column j of the fixed-width binary strings, highest mass first, holds
-    # the digits of plane width - 1 - j
-    rows = map(format, masses[::-1], repeat(f"0{width}b"))
+    if not width:
+        return []
+    rows = "".join(map(format, masses[::-1], repeat(f"0{width}b")))
     planes = []
-    for j, digits in enumerate(zip(*rows)):
-        plane = int("".join(digits), 2)
+    for j in range(width):
+        plane = int(rows[j::width], 2)
         if plane:
             planes.append((width - 1 - j, plane))
     return planes
@@ -331,7 +338,7 @@ def _integral(wa: WeightAssignment) -> tuple[WeightAssignment, int]:
     if {int}.issuperset(map(type, chain(*vectors))):
         return wa, 1
     d = lcm(*(x.denominator for vec in vectors for x in vec))
-    return WeightAssignment(
+    return WeightAssignment._wrap(
         *(tuple(x.numerator * (d // x.denominator) for x in vec) for vec in vectors)
     ), d
 
@@ -364,7 +371,8 @@ def _slot(kind: IndexKind) -> int:
 def weighted_index(g: Graph, wa: WeightAssignment, kind: IndexKind) -> Weight:
     """Evaluate one index of the weighted graph from its definition.
 
-    Calls on the same g and wa share one evaluation, save Sz_t.
+    Calls on the same g and wa share one evaluation, save Sz_t: its row
+    holds Sz_t in its third slot, and its other slots are not indices.
     """
     slot = _slot(kind)
     # Sz_t counts vertex masses on the sides too; Sz_e and PI count edges only
@@ -455,16 +463,19 @@ def _evaluate(
     g: Graph, wa: WeightAssignment, p: EdgePartition | None, lam_is_w: bool
 ) -> tuple[list[Sums], int]:
     """The four sums of each class of p, or when p is None the one row of
-    the direct route, on weights scaled by d; and d. Checks g, then the
-    shape of wa, then p. The sums build only ints and acyclic containers
-    of them, so the cyclic collector is paused."""
+    the direct route, on weights scaled by d; and d. With `lam_is_w` that
+    row is the Sz_t row, taken with w = 0 and lam = w: its third slot is
+    Sz_t, and its other slots are not indices. Checks g, then the shape
+    of wa, then p. The sums build only ints and acyclic containers of
+    them, so the cyclic collector is paused."""
     with _collector_paused():
         _bfs_tree(g)  # the connectivity check, which keeps g's tree for `_sums` and `_cut_sides`
         wa.check_shape(g)
         scaled, d = _integral(wa)
         if p is None:
-            lam = scaled.w if lam_is_w else (0,) * g.n
-            return [_sums(g, scaled.w, lam, scaled.lambda_prime, scaled.w_prime)], d
+            zeros = (0,) * g.n
+            w, lam = (zeros, scaled.w) if lam_is_w else (scaled.w, zeros)
+            return [_sums(g, w, lam, scaled.lambda_prime, scaled.w_prime)], d
         return _class_contributions(g, scaled, p), d
 
 

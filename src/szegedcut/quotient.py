@@ -61,8 +61,19 @@ class WeightAssignment:
                 raise InvalidWeightError(f"negative {name} value")
 
     @classmethod
+    def _wrap(cls, w: tuple, w_prime: tuple, lambda_prime: tuple) -> "WeightAssignment":
+        # tuples of nonnegative ints that the package made itself (`unit`,
+        # `degree_weighted`, `indices._integral`): kept as given, with no
+        # copy and no check, as `Graph._wrap` keeps edges
+        wa = cls.__new__(cls)
+        object.__setattr__(wa, "w", w)
+        object.__setattr__(wa, "w_prime", w_prime)
+        object.__setattr__(wa, "lambda_prime", lambda_prime)
+        return wa
+
+    @classmethod
     def unit(cls, g: Graph) -> "WeightAssignment":
-        return cls((1,) * g.n, (1,) * g.m, (1,) * g.m)
+        return cls._wrap((1,) * g.n, (1,) * g.m, (1,) * g.m)
 
     @classmethod
     def degree_weighted(cls, g: Graph, starred: bool = False) -> "WeightAssignment":
@@ -72,7 +83,7 @@ class WeightAssignment:
             wp = tuple(deg[u] * deg[v] for u, v in g.edges)
         else:
             wp = tuple(deg[u] + deg[v] for u, v in g.edges)
-        return cls((1,) * g.n, wp, (1,) * g.m)
+        return cls._wrap((1,) * g.n, wp, (1,) * g.m)
 
     def check_shape(self, g: Graph) -> None:
         if len(self.w) != g.n or len(self.w_prime) != g.m or len(self.lambda_prime) != g.m:

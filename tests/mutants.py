@@ -4,13 +4,15 @@ Run from anywhere, with pytest and hypothesis installed:
 
     python tests/mutants.py
 
-The script copies `src/` to a temporary directory. It first runs the union
-of the named test files on the unmutated copy, which must pass, so that a
-test already failing cannot count as a kill. It then applies each mutant
-by exact string replacement and requires `pytest -x -q` on the mutant's
-named files to fail. An anchor that is missing, or found more than once,
-fails the script: a refactor that moves the code restates its mutant and
-never drops it. The exit status is 0 only if every mutant is killed.
+The script copies `src/` to a temporary directory. Each mutant names the
+pytest node ids of the tests that kill it. The script first runs the
+union of those tests on the unmutated copy, which must pass, so that a
+test already failing cannot count as a kill; a node id that no longer
+exists fails this run too. It then applies each mutant by exact string
+replacement and requires `pytest -x -q` on the mutant's named tests to
+fail. An anchor that is missing, or found more than once, fails the
+script: a refactor that moves the code restates its mutant and never
+drops it. The exit status is 0 only if every mutant is killed.
 
 pytest is not pointed at this file: its name does not match `test_*.py`.
 """
@@ -30,56 +32,78 @@ REPO = Path(__file__).resolve().parent.parent
 # no run may hang the gate: a mutant that makes a test loop is a survivor
 TIMEOUT_S = 120
 
-# (name, module under src/szegedcut, anchor, replacement, test files)
+# (name, module under src/szegedcut, anchor, replacement, the node ids of
+# the tests that kill it)
 MUTANTS = [
     (
         "t(A) off by lambda'(F) in _cut_sides",
         "indices.py",
         "t_a = [(sa - lp) // 2 for sa, lp in zip(s_a, lp_f)]",
         "t_a = [(sa - lp) // 2 + lp for sa, lp in zip(s_a, lp_f)]",
-        ["tests/test_acceptance.py", "tests/test_indices.py"],
+        [
+            "tests/test_indices.py::test_suite_direct_k2",
+            "tests/test_indices.py::test_general_cut_c6_edge_szeged",
+        ],
     ),
     (
         "w' off by one on the first quotient edge of class 0",
         "indices.py",
         "_sums(q.graph, q.w, q.lam, q.lambda_prime, q.w_prime)",
         "_sums(q.graph, q.w, q.lam, q.lambda_prime, tuple(x + (c == 0) for x in q.w_prime[:1]) + q.w_prime[1:])",
-        ["tests/test_acceptance.py", "tests/test_indices.py"],
+        [
+            "tests/test_indices.py::test_single_class_cut_equals_direct",
+            "tests/test_acceptance.py::test_criterion_1_fullerene_patch",
+        ],
     ),
     (
         "quotient_graph emits its first edge twice",
         "quotient.py",
         "pairs = tuple(sorted(wp_q))",
         "pairs = tuple(sorted(wp_q))[:1] + tuple(sorted(wp_q))",
-        ["tests/test_quotient.py", "tests/test_graph.py"],
+        [
+            "tests/test_quotient.py::test_c6_opposite_pair_quotient",
+            "tests/test_quotient.py::test_full_edge_set_gives_isomorphic_quotient",
+        ],
     ),
     (
         "bridge fold with no lambda' at the parent end",
         "indices.py",
         "t_in[px] += ta + lp",
         "t_in[px] += ta",
-        ["tests/test_indices.py"],
+        [
+            "tests/test_indices.py::test_generic_sums_sweep_no_bridge",
+            "tests/test_indices.py::test_one_tree_build_per_graph_across_theta_star_and_both_routes",
+        ],
     ),
     (
         "bridge fold of the wrong side onto the parent end",
         "indices.py",
         "w_in[px] += wa",
         "w_in[px] += wb",
-        ["tests/test_indices.py"],
+        [
+            "tests/test_indices.py::test_generic_sums_sweep_no_bridge",
+            "tests/test_indices.py::test_bipartite_identity_with_first_zagreb",
+        ],
     ),
     (
         "bridge finder reads a fold of bit 0 alone as uncrossed",
         "graph.py",
         "            if fold[x]:\n",
         "            if fold[x] > 1:\n",
-        ["tests/test_acceptance.py", "tests/test_indices.py"],
+        [
+            "tests/test_acceptance.py::test_criterion_3_cut_equals_direct",
+            "tests/test_indices.py::test_bipartite_identity_with_first_zagreb",
+        ],
     ),
     (
         "bridges not flagged two-sided",
         "theta.py",
         "sided = [True] * g.m",
         "sided = [False] * g.m",
-        ["tests/test_theta.py"],
+        [
+            "tests/test_theta.py::test_every_bridge_is_two_sided",
+            "tests/test_theta.py::test_trees_take_no_sweep",
+        ],
     ),
     (
         "edge walk without its repeat test",
@@ -87,49 +111,90 @@ MUTANTS = [
         "        if key in seen:\n"
         '            raise DuplicateEdgeError(f"duplicate edge ({u}, {v})")\n',
         "",
-        ["tests/test_graph.py"],
+        [
+            "tests/test_graph.py::test_build_rejects_duplicate_even_reversed",
+            "tests/test_graph.py::test_graph_matches_the_per_edge_constructor",
+        ],
     ),
     (
         "recognizer joins only two of a hexagon's three pairs of opposite sides",
         "molgen.py",
         "        for k in range(3):\n",
         "        for k in range(2):\n",
-        ["tests/test_theta.py"],
+        [
+            "tests/test_theta.py::test_only_theta_star_sets_two_sided_flags",
+            "tests/test_theta.py::test_theta_star_matches_oracle_on_patch_and_molecule",
+        ],
     ),
     (
         "Theta* pass leaves a row's other tree edges unlinked",
         "theta.py",
         "                    parent[r] = root\n",
         "",
-        ["tests/test_theta.py"],
+        [
+            "tests/test_theta.py::test_fullerene_patch_has_five_two_sided_classes",
+            "tests/test_theta.py::test_odd_cycles_collapse_to_one_class",
+        ],
     ),
     (
         "_clean_cuts accepts a partition that splits a Theta*-class",
         "theta.py",
         "== len(star) else None",
         ">= len(star) else None",
-        ["tests/test_theta.py"],
+        [
+            "tests/test_theta.py::test_validate_rejects_split_class",
+            "tests/test_theta.py::test_validate_agrees_with_oracle",
+        ],
     ),
     (
         "_bit_planes reads the masses in reverse",
         "indices.py",
-        "rows = map(format, masses[::-1], ",
-        "rows = map(format, masses, ",
-        ["tests/test_indices.py"],
+        '"".join(map(format, masses[::-1], ',
+        '"".join(map(format, masses, ',
+        [
+            "tests/test_indices.py::test_bit_planes_match_a_bit_by_bit_reference",
+            "tests/test_indices.py::test_suite_direct_c6",
+        ],
+    ),
+    (
+        "_bit_planes slices each plane one digit late",
+        "indices.py",
+        "rows[j::width]",
+        "rows[j + 1::width]",
+        [
+            "tests/test_indices.py::test_bit_planes_match_a_bit_by_bit_reference",
+            "tests/test_indices.py::test_small_graphs_with_ties",
+        ],
+    ),
+    (
+        "the Sz_t row drops the vertex masses from lam",
+        "indices.py",
+        "(zeros, scaled.w) if lam_is_w",
+        "(scaled.w, zeros) if lam_is_w",
+        [
+            "tests/test_indices.py::test_the_total_szeged_row_makes_no_vertex_mass_pass",
+            "tests/test_indices.py::test_small_graphs_with_ties",
+        ],
     ),
     (
         "edge-Szeged unscaled by d^2, not d^3, after _integral's scaling",
         "indices.py",
         "zip(totals, (3, 2, 3, 2))",
         "zip(totals, (3, 2, 2, 2))",
-        ["tests/test_indices.py"],
+        [
+            "tests/test_indices.py::test_general_cut_fraction_weights",
+            "tests/test_indices.py::test_four_cut_kinds_share_one_evaluation",
+        ],
     ),
     (
         "from_labels files edge 1 under the last class",
         "theta.py",
         "            members[c].append(e)\n",
         "            members[-1 if e == 1 else c].append(e)\n",
-        ["tests/test_theta.py"],
+        [
+            "tests/test_theta.py::test_even_cycles_have_k_opposite_pairs",
+            "tests/test_theta.py::test_every_bridge_is_two_sided",
+        ],
     ),
     (
         "_bfs_tree keeps the tree of a disconnected graph",
@@ -140,20 +205,25 @@ MUTANTS = [
         "        g._tree = order, parent, parent_edge\n"
         "        if len(order) < g.n:\n"
         '            raise DisconnectedError("graph is not connected")\n',
-        ["tests/test_graph.py"],
+        [
+            "tests/test_graph.py::test_a_disconnected_graph_raises_on_every_call",
+        ],
     ),
     (
         "direction_partition trusts without the builders' mark",
         "molgen.py",
         "if self._hole_free else p",
         "if not self.nonstandard_region else p",
-        ["tests/test_molgen.py"],
+        [
+            "tests/test_molgen.py::test_a_copy_of_builder_output_is_validated",
+            "tests/test_molgen.py::test_only_the_builders_certify_direction_labels",
+        ],
     ),
 ]
 
 
-def _pytest(src: Path, work: Path, files: list[str], *flags: str) -> tuple[int | None, float]:
-    """Return code (None on timeout) and wall time of pytest on `files`,
+def _pytest(src: Path, work: Path, tests: list[str], *flags: str) -> tuple[int | None, float]:
+    """Return code (None on timeout) and wall time of pytest on `tests`,
     importing the package from `src`. The run starts in `work`, so that
     hypothesis keeps the examples it finds there, not in the repository."""
     cmd = [
@@ -161,7 +231,7 @@ def _pytest(src: Path, work: Path, files: list[str], *flags: str) -> tuple[int |
         "-c", str(REPO / "pyproject.toml"), "--rootdir", str(REPO),
         # the ini's `pythonpath = src` would put the repository's own package first
         "-o", f"pythonpath={src}",
-        *flags, *(str(REPO / f) for f in files),
+        *flags, *(str(REPO / t) for t in tests),
     ]
     # no bytecode: a mutant of the same size written within the same second
     # as the original would otherwise load the original's cached code
@@ -187,17 +257,17 @@ def main() -> int:
             if found != 1:
                 print(f"anchor of mutant {name!r} found {found} times in {module}: restate the mutant")
                 return 1
-        union = sorted({f for *_, files in MUTANTS for f in files})
+        union = sorted({t for *_, tests in MUTANTS for t in tests})
         code, took = _pytest(src, work, union)
-        print(f"unmutated copy: exit {code} in {took:.1f} s on {' '.join(union)}")
+        print(f"unmutated copy: exit {code} in {took:.1f} s on {len(union)} named tests")
         if code != 0:
             print("the named tests must pass on the unmutated copy")
             return 1
         survivors = []
-        for name, module, anchor, replacement, files in MUTANTS:
+        for name, module, anchor, replacement, tests in MUTANTS:
             (package / module).write_text(originals[module].replace(anchor, replacement))
             try:
-                code, took = _pytest(src, work, files, "-x")
+                code, took = _pytest(src, work, tests, "-x")
             finally:
                 (package / module).write_text(originals[module])
             killed = code == 1  # 1: some test failed; a timeout or usage error kills nothing

@@ -397,11 +397,12 @@ def test_direct_evaluation_walks_g_once(g):
     assert report.as_tuple() == oracle_suite(g).as_tuple()
 
 
-def _bridged_odd_graph():
+def _bridged_odd_graph(weights=int):
     # a triangle and a C5 joined by a bridge, and a two-bridge tail on the
     # C5, with weights: Theta* and the direct route both cut at the bridges
     g = build_graph(10, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 3), (5, 8), (8, 9)])
-    return g, random_weight_assignment(random.Random(38), g, hi=9)
+    ints = random_weight_assignment(random.Random(38), g, hi=9)
+    return g, WeightAssignment(*(tuple(map(weights, vec)) for vec in (ints.w, ints.w_prime, ints.lambda_prime)))
 
 
 def test_one_tree_build_per_graph_across_theta_star_and_both_routes():
@@ -414,6 +415,45 @@ def test_one_tree_build_per_graph_across_theta_star_and_both_routes():
         got[IndexKind.SZ_T] = weighted_index(g, wa, IndexKind.SZ_T)
     assert sum(h is g for h in built) == 1
     assert got == {kind: oracle_general(g, wa, kind) for kind in IndexKind}
+
+
+@contextmanager
+def _plane_calls():
+    """The (masses, planes) of each `_bit_planes` call in the block. A sweep
+    calls it on the vertex-side masses, then on the t-side masses."""
+    calls = []
+    planes_of = indices._bit_planes
+
+    def spy(masses):
+        planes = planes_of(masses)
+        calls.append((masses, planes))
+        return planes
+
+    with mock.patch.object(indices, "_bit_planes", spy):
+        yield calls
+
+
+@pytest.mark.parametrize("weights", [int, lambda x: Fraction(x, 3)], ids=["int", "Fraction"])
+def test_the_total_szeged_row_makes_no_vertex_mass_pass(weights):
+    # Sz_t reads only the third sum, whose t-sides carry w through lam, so
+    # the row passes w = 0 and no sweep weighs masses on the vertex sides
+    g, wa = _bridged_odd_graph(weights)
+    with _plane_calls() as calls:
+        got = weighted_index(g, wa, IndexKind.SZ_T)
+    assert got == oracle_general(g, wa, IndexKind.SZ_T)
+    vertex_side, t_side = calls[0::2], calls[1::2]
+    assert len(calls) == 4  # one sweep on each of the two bridgeless pieces
+    assert all(planes == [] for _, planes in vertex_side)
+    assert all(planes for _, planes in t_side)
+
+
+@pytest.mark.parametrize("weights", [int, lambda x: Fraction(x, 3)], ids=["int", "Fraction"])
+def test_the_memo_never_serves_the_total_szeged_row_to_another_kind(weights):
+    # the Sz_t row's other slots are no indices: Sz read from it would be 0
+    g, wa = _bridged_odd_graph(weights)
+    order = [IndexKind.SZ_T, *_CUT_KINDS]
+    for kind in order + order[::-1]:
+        assert weighted_index(g, wa, kind) == oracle_general(g, wa, kind), kind
 
 
 def test_threads_on_a_fresh_graph_share_its_first_tree():
@@ -478,6 +518,38 @@ def test_multi_sweep_sides_match_oracle(source_bits, bipartite, data):
         assert direct[kind] == oracle_general(g, wa, kind)
     for kind in _CUT_KINDS:
         assert cut[kind] == oracle_general(g, wa, kind)
+
+
+def _planes_bit_by_bit(masses):
+    # plane b has bit i set iff bit b of masses[i] is set; zero planes left out
+    planes = {}
+    for i, mass in enumerate(masses):
+        for b in range(mass.bit_length()):
+            if mass >> b & 1:
+                planes[b] = planes.get(b, 0) | 1 << i
+    return planes
+
+
+@st.composite
+def _mass_lists(draw):
+    width = draw(st.integers(1, 64))
+    return draw(st.lists(st.integers(0, 2**width - 1), min_size=1, max_size=40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(masses=_mass_lists())
+@example(masses=[0])
+@example(masses=[0] * 7)
+@example(masses=[1])
+@example(masses=[2**64 - 1])
+@example(masses=[3, 0, 2**63, 5])
+# a 2678-bit mass, as wide as Fraction weights scaled by the lcm of many
+# prime denominators, beside narrow masses
+@example(masses=[0, 1 << 2677 | 0b1011, 6, 1])
+def test_bit_planes_match_a_bit_by_bit_reference(masses):
+    planes = indices._bit_planes(masses)
+    assert len({b for b, _ in planes}) == len(planes)
+    assert dict(planes) == _planes_bit_by_bit(masses)
 
 
 def _complete_graph(k):

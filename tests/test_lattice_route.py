@@ -3,9 +3,10 @@
 A benzenoid without holes or a phenylene, read as an edge list, gets its
 Theta*-classes from `molgen._lattice_labels`; every other graph gets the
 Theta* pass, `theta._theta_star_pass`. Both must give the same partition
-(`classes`, `class_of`, `two_sided`) on every free polyhex of up to 7
+(`classes`, `class_of`, `two_sided`) on every free polyhex of up to 8
 cells, on every catacondensed one built as a phenylene, and on graphs
 built to fool the recognizer, odd graphs of degree at most 3 among them.
+The checks beyond that one take the polyhexes of up to 7 cells.
 Molecules of a thousand cells take the route with the pass refused.
 The same corpus certifies the generators' direction labels, which
 `direction_partition` trusts on hole-free regions.
@@ -71,12 +72,13 @@ def free_polyhexes(max_h: int) -> list[set]:
     return levels
 
 
-POLYHEXES = free_polyhexes(7)
+_LEVELS = free_polyhexes(8)
+POLYHEXES = _LEVELS[:7]
 
 
 def test_polyhex_counts_are_pinned():
     # OEIS A000228, so the corpus below cannot shrink silently
-    assert [len(level) for level in POLYHEXES] == [1, 1, 3, 7, 22, 82, 333]
+    assert [len(level) for level in _LEVELS] == [1, 1, 3, 7, 22, 82, 333, 1448]
 
 
 def _relabelled(g, rng: random.Random):
@@ -97,8 +99,8 @@ def _assert_like_the_pass(g):
     assert _facts(theta_star_partition(g)) == _facts(theta._theta_star_pass(g))
 
 
-def _molecules():
-    for level in POLYHEXES:
+def _molecules(levels=POLYHEXES):
+    for level in levels:
         for form in level:
             spec = HexSpec(frozenset(form))
             yield build_benzenoid(spec)
@@ -122,6 +124,22 @@ def test_every_small_polyhex_is_recognized_and_matches_the_pass():
             _assert_like_the_pass(g)
     assert kinds["benzenoid"] == 449
     assert kinds["phenylene"] > 0
+
+
+def test_every_polyhex_of_eight_cells_matches_the_pass():
+    # one text copy of each; of the holed ones, only the ring around a
+    # two-cell hole is not the graph of its filled region, and it is the
+    # one that the recognizer hands to the pass
+    kinds = {"benzenoid": 0, "phenylene": 0}
+    rejected = []
+    for mol in _molecules(_LEVELS[7:]):
+        kinds[mol.kind] += 1
+        g = parse_edge_list(format_edge_list(mol.graph))
+        if _lattice_labels(g) is None:
+            rejected.append(_canonical(mol.cells))
+        _assert_like_the_pass(g)
+    assert kinds == {"benzenoid": 1448, "phenylene": 411}
+    assert rejected == [_canonical(WIDE_RING_CELLS)]
 
 
 def test_a_ring_around_one_cell_has_the_classes_of_coronene():

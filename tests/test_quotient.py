@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -17,6 +18,7 @@ from szegedcut import (
     theta_star_partition,
     weighted_index,
 )
+from szegedcut import indices
 
 from conftest import (
     cycle_graph,
@@ -72,6 +74,26 @@ def test_weight_assignment_factories():
     assert set(starred.w_prime) == {4}
     star = WeightAssignment.degree_weighted(build_graph(3, [(0, 1), (1, 2)]), starred=True)
     assert star.w_prime == (2, 2)
+
+
+def test_weights_the_package_makes_skip_the_constructor_check():
+    # unit and degree weights, and the scaled ints of `_integral`, are
+    # built from constants, degrees and checked weights: none is re-checked
+    c6 = cycle_graph(6)
+    thirds = WeightAssignment((Fraction(1, 3),) * 6, (Fraction(1, 2),) * 6, (1,) * 6)
+    refuse = AssertionError("WeightAssignment.__post_init__ ran")
+    with mock.patch.object(WeightAssignment, "__post_init__", side_effect=refuse):
+        with pytest.raises(AssertionError):   # the patch holds for the public constructor
+            WeightAssignment((1,), (), ())
+        unit = WeightAssignment.unit(c6)
+        plain = WeightAssignment.degree_weighted(c6)
+        starred = WeightAssignment.degree_weighted(c6, starred=True)
+        scaled, d = indices._integral(thirds)
+    assert (unit.w, unit.w_prime, unit.lambda_prime) == ((1,) * 6, (1,) * 6, (1,) * 6)
+    assert plain.w_prime == (4,) * 6 and starred.w_prime == (4,) * 6
+    assert d == 6
+    assert (scaled.w, scaled.w_prime, scaled.lambda_prime) == ((2,) * 6, (3,) * 6, (6,) * 6)
+    assert unit == WeightAssignment((1,) * 6, (1,) * 6, (1,) * 6)
 
 
 def test_shape_mismatch_rejected():
