@@ -240,34 +240,63 @@ def _sweep(g: Graph, reach: list[int]) -> tuple[list[int], list[int]]:
     to u, and those strictly closer to v.
 
     One multi-source BFS over bitmasks (Then et al., PVLDB 8(4), 2014):
-    reach[y] holds the bits of the sources seeded at y, and each round
-    widens every ball by one hop. The ends of an edge uv are adjacent, so
-    a source's distances to them differ by at most one: a source strictly
-    closer to u shows in reach[u] minus reach[v] at exactly one radius,
-    and a tie never does. An edge whose two balls are full gains no more
-    sources and drops out, so a sweep takes about one round per unit of
-    diameter. It holds the balls of two rounds (n masks each) and the two
-    sides of every edge (m each). g must be connected, or some ball never
-    fills.
+    reach[y] holds the bits of the sources seeded at y, a source is as far
+    from a vertex as the nearest of its seeds, and each round widens every
+    ball by one hop, two ORs per live edge. Round r files the frontier of
+    each vertex x, the sources at distance exactly r, in two planes that
+    keep the distance mod 4: odd[x] if r is odd, two[x] if r mod 4 is 2 or
+    3. The ends of an edge uv are adjacent, so a source's distances d_u
+    and d_v differ by at most one, for a seed set too, and one pass per
+    edge after the last round reads both sides: odd[u] ^ odd[v] holds the
+    sources at unequal distance, and of those, the ones nearer v are the
+    bits of two[u] ^ two[v] ^ odd[u], as bit 1 of the distance flips from
+    u to v exactly when d_u is even and d_v = d_u - 1, or d_u is odd and
+    d_v = d_u + 1. A vertex whose ball is full files no more and drops
+    out, and so does an edge whose two balls are full, so a sweep takes
+    about one round per unit of diameter. The rounds hold the balls of two
+    rounds and the two planes, 4n masks, and the last pass the planes and
+    the two sides of every edge, 2n + 2m: 4n + 2m at most. g must be
+    connected, or some ball never fills.
     """
     full = 0
-    for r in reach:
-        full |= r
-    near_u = [0] * g.m
-    near_v = [0] * g.m
-    live = [(e, u, v) for e, (u, v) in enumerate(g.edges)]
-    while live:
-        wider = reach[:]
-        for e, u, v in live:
-            ru = reach[u]
-            rv = reach[v]
-            both = ru & rv
-            near_u[e] |= ru ^ both
-            near_v[e] |= rv ^ both
-            wider[u] |= rv
-            wider[v] |= ru
-        reach = wider
-        live = [x for x in live if reach[x[1]] != full or reach[x[2]] != full]
+    for ball in reach:
+        full |= ball
+    odd = [0] * g.n
+    two = [0] * g.n
+    live = g.edges
+    grow = [x for x in range(g.n) if reach[x] != full]
+    r = 0
+    while grow:
+        r += 1
+        last = reach
+        reach = last[:]
+        for u, v in live:
+            reach[u] |= last[v]
+            reach[v] |= last[u]
+        # file the sources at distance exactly r, the frontier
+        if r & 3 == 1:
+            for x in grow:
+                odd[x] |= reach[x] ^ last[x]
+        elif r & 3 == 2:
+            for x in grow:
+                two[x] |= reach[x] ^ last[x]
+        elif r & 3 == 3:
+            for x in grow:
+                f = reach[x] ^ last[x]
+                odd[x] |= f
+                two[x] |= f
+        still = [x for x in grow if reach[x] != full]
+        if len(still) < len(grow):  # an edge drops out only with one of its ends
+            grow = still
+            live = [uv for uv in live if reach[uv[0]] != full or reach[uv[1]] != full]
+    reach = last = None  # every ball is full: only the planes are read below
+    near_u = []
+    near_v = []
+    for u, v in g.edges:
+        x = odd[u] ^ odd[v]
+        nv = x & (two[u] ^ two[v] ^ odd[u])
+        near_u.append(x ^ nv)
+        near_v.append(nv)
     return near_u, near_v
 
 

@@ -34,12 +34,13 @@ linear time. Any other graph folds the far side of each bridge onto the
 bridge's near end, and each bridgeless piece takes one multi-source BFS
 over bitmasks, the sweep `graph._sweep` that the Theta* pass shares:
 every vertex and every edge is a source with its own bit, the balls
-around all vertices grow one hop per round, and an edge uv collects at
-each radius the sources that reached u but not v. The `theta` module
-docstring says why the fold keeps the sums. Sources run in equal sweeps
-of at most `graph._SOURCE_BITS`, so memory stays linear in n + m. A
-sweep takes about one round per unit of diameter, so long thin pieces
-cost the most per edge.
+around all vertices grow one hop per round, each vertex keeps the
+distances of the sources mod 4, and one pass per edge uv reads from them
+the sources nearer u and those nearer v. The `theta` module docstring
+says why the fold keeps the sums. Sources run in equal sweeps of at most
+`graph._SOURCE_BITS`, so memory stays linear in n + m. A sweep takes
+about one round per unit of diameter, so long thin pieces cost the most
+per edge.
 
 The cut route reads each class of a c-partition as its two-sided
 Theta*-classes plus one quotient of the rest: splitting a class so

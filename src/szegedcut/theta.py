@@ -20,25 +20,25 @@ A rejected graph is first cut at its bridges, which `graph._bridges`
 reads off the package's BFS spanning tree (`graph._bfs_tree`, the tree
 that the subtree aggregation of the side sums folds over) with XOR folds
 of masks of at most `graph._SOURCE_BITS` bits, one pass over the tree
-per fold. A bridge is the simplest clean cut: a Theta*-class of its
-own, with one convex side at each end (Klavzar, MATCH 60 (2008) 255-274;
+per fold. A bridge is the simplest clean cut: a Theta*-class of its own,
+with one convex side at each end (Klavzar, MATCH 60 (2008) 255-274;
 Hammack, Imrich and Klavzar, Handbook of Product Graphs, 2nd ed., 2011).
-Each bridgeless piece with an edge gets `theta_star_partition` of its own,
-so a pendant or bridged molecule takes the lattice route piece by piece,
-a tree needs no pass at all, and only a bridgeless piece that the
-recognizer rejects reaches the pass. The values stay those of G: a piece
-P is isometric in G, as a path that leaves P through a bridge must come
-back through it. Every vertex and edge outside P hangs on one vertex c
-of P, the near end of the first bridge on its way to P, and its distance
-to any vertex of P is its distance to c plus that vertex's distance from
-c. So it is nearer to one end of an edge of P exactly when c is, or tied
-when c is. Hence no edge of P is Theta-related to an edge outside P, as
-both sums of the Theta test add the same two distances to c; a class of
-P is a class of G, and a clean cut of G iff of P, each hanging part
-joining the side of its c; and the side sums of an edge of P in G are
-those in P once each c carries the weights of all that hangs on it: w,
-and t with the lambda' of the bridges on the way, which is how
-`indices._sums` folds them.
+Each bridgeless piece with an edge takes the lattice route of its own,
+else the pass, with no second look for bridges: so a pendant or bridged
+molecule takes the lattice route piece by piece, a tree needs no pass at
+all, and only a bridgeless piece that the recognizer rejects reaches the
+pass. The values stay those of G: a piece P is isometric in G, as a path
+that leaves P through a bridge must come back through it. Every vertex
+and edge outside P hangs on one vertex c of P, the near end of the first
+bridge on its way to P, and its distance to any vertex of P is its
+distance to c plus that vertex's distance from c. So it is nearer to one
+end of an edge of P exactly when c is, or tied when c is. Hence no edge
+of P is Theta-related to an edge outside P, as both sums of the Theta
+test add the same two distances to c; a class of P is a class of G, and
+a clean cut of G iff of P, each hanging part joining the side of its c;
+and the side sums of an edge of P in G are those in P once each c
+carries the weights of all that hangs on it: w, and t with the lambda'
+of the bridges on the way, which is how `indices._sums` folds them.
 
 A bridgeless piece that the recognizer rejects takes one pass over the
 edges of its BFS spanning tree, the one its bridges were read from, in
@@ -220,7 +220,7 @@ def _theta_cuts(g: Graph) -> Iterator[Batch]:
     `theta_star_partition` closes each row in one step. One batch comes
     per sweep of `graph._sweep` over up to `graph._SOURCE_BITS` // 2 tree
     edges, which takes about one round per unit of diameter. Time is
-    O(n*m), memory O(n+m): a sweep holds 2n + 2m masks.
+    O(n*m), memory O(n+m): a sweep holds at most 4n + 2m masks.
 
     Raises:
         DisconnectedError: if g is not connected.
@@ -266,20 +266,17 @@ def theta_star_partition(g: Graph) -> EdgePartition:
     all two-sided, as the chains of opposite sides of its hexagons and
     squares; its docstring holds the proof. A graph the recognizer rejects
     is cut at its bridges (`graph._bridges`), each a two-sided class of its
-    own, and every bridgeless piece with an edge gets its own partition,
-    so only a bridgeless graph that the recognizer rejects gets the Theta*
-    pass, `_theta_star_pass`. The module docstring says why the pieces'
-    classes and flags are those of g.
+    own, and every bridgeless piece with an edge takes the lattice route,
+    else the Theta* pass, `_theta_star_pass`; so only a bridgeless graph
+    that the recognizer rejects gets the pass. The module docstring says
+    why the pieces' classes and flags are those of g.
 
     Raises:
         DisconnectedError: if g is not connected.
     """
-    from .molgen import _lattice_labels  # deferred: molgen imports this module
-
-    labels = _lattice_labels(g)
-    if labels is not None:
-        p = EdgePartition.from_labels(labels)
-        return _trust(p, g.edges, (True,) * len(p.classes))
+    star = _lattice_partition(g)
+    if star is not None:
+        return star
     below = _bridges(g)
     if not below and g.m:
         return _theta_star_pass(g)
@@ -288,7 +285,9 @@ def theta_star_partition(g: Graph) -> EdgePartition:
     labels = list(range(g.m))
     sided = [True] * g.m
     for _, ids, piece in _pieces(g, below):
-        star = theta_star_partition(piece)
+        star = _lattice_partition(piece)
+        if star is None:  # a piece has no bridge to look for
+            star = _theta_star_pass(piece)
         base = len(sided)
         for e, c in zip(ids, star.class_of):
             labels[e] = base + c
@@ -296,6 +295,18 @@ def theta_star_partition(g: Graph) -> EdgePartition:
     p = EdgePartition.from_labels(labels)
     # `from_labels` numbers the classes by first appearance of their label
     return _trust(p, g.edges, tuple(map(sided.__getitem__, dict.fromkeys(labels))))
+
+
+def _lattice_partition(g: Graph) -> EdgePartition | None:
+    """g's Theta*-classes, all two-sided, read by the lattice route, or
+    None if `molgen._lattice_labels` rejects g."""
+    from .molgen import _lattice_labels  # deferred: molgen imports this module
+
+    labels = _lattice_labels(g)
+    if labels is None:
+        return None
+    p = EdgePartition.from_labels(labels)
+    return _trust(p, g.edges, (True,) * len(p.classes))
 
 
 def _theta_star_pass(g: Graph) -> EdgePartition:

@@ -96,6 +96,28 @@ MUTANTS = [
         ],
     ),
     (
+        "sweep orients its sides without the parity term",
+        "graph.py",
+        "nv = x & (two[u] ^ two[v] ^ odd[u])",
+        "nv = x & (two[u] ^ two[v])",
+        [
+            "tests/test_graph.py::test_sweep_matches_bfs_distances",
+            "tests/test_indices.py::test_suite_direct_c6",
+        ],
+    ),
+    (
+        # confuses d = 0 with d = 2 (mod 4), so only distances of 4 and more
+        # can kill it
+        "sweep fills the bit-1 plane at every even round",
+        "graph.py",
+        "        elif r & 3 == 2:\n",
+        "        elif r & 1 == 0:\n",
+        [
+            "tests/test_graph.py::test_sweep_matches_bfs_distances",
+            "tests/test_periodic_chains.py::test_linear_chains_follow_one_cubic[phenylene]",
+        ],
+    ),
+    (
         "bridges not flagged two-sided",
         "theta.py",
         "sided = [True] * g.m",

@@ -323,6 +323,66 @@ def test_tree_distance_is_path_length():
                 assert steps == dm.rows[u][v]
 
 
+@st.composite
+def _sweep_inputs(draw):
+    """(g, seeds) for `graph._sweep`: seeds[i] is the seed set of source i.
+
+    The graphs are random connected graphs, cycles C9 to C41, even and odd,
+    and paths with one chord that closes an odd cycle far from vertex 0,
+    so distances pass several multiples of 4, with ties and without. The
+    seedings are those of the side sums (every vertex, then every edge at
+    both of its ends), those of the Theta* pass (each tree edge pc as one
+    source at p and one at c), and random seed sets of one to three
+    vertices or of every vertex."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    family = draw(st.sampled_from(["random", "cycle", "chorded path"]))
+    if family == "random":
+        g = random_connected_graph(rng, max_n=40, extra=draw(st.sampled_from([0.0, 0.02, 0.1])))
+    elif family == "cycle":
+        g = cycle_graph(draw(st.integers(9, 41)))
+    else:
+        n = draw(st.integers(12, 40))
+        a = rng.randrange(n // 2, n - 2)
+        b = rng.randrange(a + 2, n, 2)  # the cycle a..b has b - a + 1 vertices, an odd number
+        g = build_graph(n, [(i, i + 1) for i in range(n - 1)] + [(a, b)])
+    seeding = draw(st.sampled_from(["side sums", "theta", "random"]))
+    if seeding == "side sums":
+        seeds = [(x,) for x in range(g.n)] + list(g.edges)
+    elif seeding == "theta":
+        tree = [g.edges[e] for e in graph._bfs_tree(g)[2][1:]]
+        seeds = [(p,) for p, _ in tree] + [(c,) for _, c in tree]
+    else:
+        sizes = [min(k, g.n) for k in (1, 2, 3, g.n)]
+        seeds = [rng.sample(range(g.n), rng.choice(sizes)) for _ in range(rng.randint(1, 2 * g.n))]
+    return g, seeds
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sweep_inputs())
+def test_sweep_matches_bfs_distances(case):
+    # a source is as far from a vertex as the nearest of its seeds
+    g, seeds = case
+    rows = [bfs_distances(g, x) for x in range(g.n)]
+    reach = [0] * g.n
+    near_u = [0] * g.m
+    near_v = [0] * g.m
+    for i, seed in enumerate(seeds):
+        for y in seed:
+            reach[y] |= 1 << i
+        d = [min(rows[y][x] for y in seed) for x in range(g.n)]
+        for e, (u, v) in enumerate(g.edges):
+            if d[u] < d[v]:
+                near_u[e] |= 1 << i
+            elif d[v] < d[u]:
+                near_v[e] |= 1 << i
+    assert graph._sweep(g, reach) == (near_u, near_v)
+
+
+def test_sweep_with_every_ball_full_at_the_start():
+    # each source seeded at every vertex: no round runs, and no side holds one
+    assert graph._sweep(path_graph(3), [3, 3, 3]) == ([0, 0], [0, 0])
+
+
 def test_edge_list_roundtrip():
     g = cycle_graph(5)
     text = format_edge_list(g, comments=["five cycle"])

@@ -543,6 +543,21 @@ def test_trees_take_no_sweep():
     assert path.two_sided == (True,) * 19999
 
 
+def test_pieces_are_not_searched_for_bridges():
+    # a C5 with a pendant path of three bridges: the bridges are read once,
+    # on the whole graph, and the C5, bridgeless, goes straight to the pass
+    g = build_graph(8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (2, 5), (5, 6), (6, 7)])
+    with (
+        mock.patch.object(theta, "_bridges", wraps=theta._bridges) as bridges,
+        mock.patch.object(theta, "_theta_star_pass", wraps=theta._theta_star_pass) as passes,
+    ):
+        star = theta_star_partition(g)
+    assert [call.args[0] for call in bridges.call_args_list] == [g]
+    assert [call.args[0].n for call in passes.call_args_list] == [5]
+    assert star == oracle_theta_star_partition(g)
+    assert star.two_sided == (False, True, True, True)
+
+
 @settings(max_examples=60, deadline=None)
 @given(bridged_weighted_graphs(), st.sampled_from((2, 3, 4096)))
 def test_bridged_graphs_match_the_oracle_and_the_pass(graph_and_weights, source_bits):
