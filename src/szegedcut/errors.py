@@ -40,8 +40,8 @@ class InvalidCPartitionError(SzegedCutError):
 
 
 class UnsupportedKindError(SzegedCutError):
-    """The requested index kind is not an `IndexKind`, or has no cut
-    decomposition."""
+    """The requested index kind is not an `IndexKind`, or is Sz_t, which
+    `general_cut_index` does not offer."""
 
 
 class DisconnectedCellsError(SzegedCutError):

@@ -19,14 +19,17 @@ any c-partition:
     wPI_v -> sum PI_v(G_i, w_i, w_i')
     wSz_e -> sum Sz_t(G_i, lam_i, lam_i', w_i')
     wPI   -> sum PI_v(G_i, lam_i, w_i') + PI(G_i, lam_i', w_i')
+    Sz_t  -> sum Sz_t(G_i, w_i + lam_i, lam_i', w_i')
 
-One engine, `_sums`, evaluates these four quotient sums for any weighted
-graph, and `_terms` states their per-edge terms once for both of its
+The last holds for any weights, as an edge of F_i has the side sums of
+its quotient edge in G_i, whose lam_i counts the edges off F_i, and the
+masses of two vertex weights add (Tratnik, arXiv 1904.09831).
+
+One engine, `_sums`, evaluates these five quotient sums for any weighted
+graph, and `_terms` states their per-edge terms once for all of its
 paths. The direct route uses it too: G is its own quotient by E, with
-lam = 0, so Sz_t(G, 0, lambda', w') = Sz_e and PI_v(G, 0, w') + PI(G,
-lambda', w') = PI. The total-Szeged index is the third sum with lam = w;
-its row passes w = 0 besides, since it reads that sum alone, so the
-engine weighs no vertex masses on the sides n_u, n_v.
+lam = 0, so Sz_t(G, 0, lambda', w') = Sz_e, PI_v(G, 0, w') + PI(G,
+lambda', w') = PI and the fifth sum is Sz_t: one row yields every kind.
 
 The engine reads every bridge as a clean cut, from one subtree
 aggregation over its BFS tree: a tree, all bridges, takes that alone, in
@@ -57,16 +60,16 @@ All arithmetic is exact: the engine adds Python ints, and Fraction
 weights are scaled to ints first and divided back at the end.
 
 All four routes, the two suites and the per-kind calls, share one checked
-evaluation, `_evaluate`, which yields all four totals. It runs with the
+evaluation, `_evaluate`, which yields all five totals. It runs with the
 cyclic garbage collector paused (`graph._collector_paused`). Its
 connectivity check builds G's BFS tree, kept with G for `_cut_sides`, the
 bridges and Theta* to read, so G's tree is built once. Only the per-kind
 calls `weighted_index` and `general_cut_index` enter a memo of
 the last inputs, held by reference, with their totals: a call on those
 very objects (compared with `is`, not by value) reads its kind from
-them. The Sz_t row (w = 0, lam = w) is kept apart from the row of the
-other kinds (lam = 0), and serves Sz_t alone: its other slots are no
-indices. So a loop over the four cut kinds builds every quotient once.
+them. So a loop over the four cut kinds builds every quotient once, and
+Sz_t after them runs no evaluation: `weighted_index` also reads a cut
+entry whose partition the library certified on that very edge tuple.
 The memo keeps its last inputs alive until the next evaluation; the
 suites keep nothing alive.
 """
@@ -155,8 +158,8 @@ def first_zagreb(g: Graph) -> int:
 # the side-sum engine
 # ---------------------------------------------------------------------------
 
-Sums = tuple[Weight, Weight, Weight, Weight]
-Columns = tuple[Iterator[Weight], ...]  # the terms of each of the four sums, read once
+Sums = tuple[Weight, Weight, Weight, Weight, Weight]
+Columns = tuple[Iterator[Weight], ...]  # the terms of each of the five sums, read once
 
 
 def _sums(
@@ -166,8 +169,9 @@ def _sums(
     lambda_prime: Sequence[Weight],
     w_prime: Sequence[Weight],
 ) -> Sums:
-    """Sz(w, w'), PI_v(w, w'), Sz_t(lam, lambda', w') and PI_v(lam, w') +
-    PI(lambda', w') of a connected graph with nonnegative int weights.
+    """Sz(w, w'), PI_v(w, w'), Sz_t(lam, lambda', w'), PI_v(lam, w') +
+    PI(lambda', w') and Sz_t(w + lam, lambda', w') of a connected graph
+    with nonnegative int weights.
 
     A bridge splits the vertex and edge sets cleanly in two, so its sides
     come from the subtree aggregation `_cut_sides`. A tree is all bridges,
@@ -221,13 +225,15 @@ def _column_sums(columns: Columns) -> Sums:
 
 
 def _terms(w_prime, n_u, n_v, t_u, t_v) -> Columns:
-    """The terms of the four sums of `_sums`, from w' and the sides n_u, n_v
-    (of w) and t_u, t_v (of lam and lambda') of each edge or class."""
+    """The terms of the five sums of `_sums`, from w' and the sides n_u, n_v
+    (of w) and t_u, t_v (of lam and lambda') of each edge or class. Side
+    masses add, so n_u + t_u is the side of the vertex weight w + lam."""
     return (
         map(mul, w_prime, map(mul, n_u, n_v)),
         map(mul, w_prime, map(add, n_u, n_v)),
         map(mul, w_prime, map(mul, t_u, t_v)),
         map(mul, w_prime, map(add, t_u, t_v)),
+        map(mul, w_prime, map(mul, map(add, n_u, t_u), map(add, n_v, t_v))),
     )
 
 
@@ -345,17 +351,17 @@ def _integral(wa: WeightAssignment) -> tuple[WeightAssignment, int]:
 
 
 def _totals(sums: Sequence[Sums], d: int = 1) -> Sums:
-    """Slot-wise totals of four-sums taken on weights scaled by d, unscaled."""
-    totals = tuple(map(sum, zip(*sums))) or (0, 0, 0, 0)
+    """Slot-wise totals of five-sums taken on weights scaled by d, unscaled."""
+    totals = tuple(map(sum, zip(*sums))) or (0,) * 5
     if d == 1:
         return totals
-    # Sz and Sz_t multiply three weights, PI_v and PI two
-    return tuple(Fraction(t, d**k) for t, k in zip(totals, (3, 2, 3, 2)))
+    # the three Szeged-type sums multiply three weights, PI_v and PI two
+    return tuple(Fraction(t, d**k) for t, k in zip(totals, (3, 2, 3, 2, 3)))
 
 
-# where each index sits among the four sums (Sz_t and Sz_e differ in lam)
+# where each index sits among the five sums of a row taken with lam = 0
 _SLOT = {
-    IndexKind.SZ: 0, IndexKind.PI_V: 1, IndexKind.SZ_E: 2, IndexKind.SZ_T: 2, IndexKind.PI: 3
+    IndexKind.SZ: 0, IndexKind.PI_V: 1, IndexKind.SZ_E: 2, IndexKind.PI: 3, IndexKind.SZ_T: 4
 }
 
 
@@ -372,18 +378,18 @@ def _slot(kind: IndexKind) -> int:
 def weighted_index(g: Graph, wa: WeightAssignment, kind: IndexKind) -> Weight:
     """Evaluate one index of the weighted graph from its definition.
 
-    Calls on the same g and wa share one evaluation, save Sz_t: its row
-    holds Sz_t in its third slot, and its other slots are not indices.
+    Calls on the same g and wa share one evaluation of all five kinds, or
+    read that of `general_cut_index` on them and a partition certified on
+    g's edges, whose totals are these.
     """
     slot = _slot(kind)
-    # Sz_t counts vertex masses on the sides too; Sz_e and PI count edges only
-    return _last_totals(g, wa, None, kind is IndexKind.SZ_T)[slot]
+    return _last_totals(g, wa, None)[slot]
 
 
 def weighted_suite_direct(g: Graph, starred: bool = False) -> IndexReport:
     """All four degree-weighted indices from the definitions, no quotients."""
-    rows, _ = _evaluate(g, WeightAssignment.degree_weighted(g, starred), None, False)
-    return IndexReport("direct", starred, *_totals(rows))
+    rows, _ = _evaluate(g, WeightAssignment.degree_weighted(g, starred), None)
+    return IndexReport("direct", starred, *_totals(rows)[:4])
 
 
 # ---------------------------------------------------------------------------
@@ -410,13 +416,13 @@ def _read_classes(g: Graph, wa: WeightAssignment, p: EdgePartition) -> tuple[Seq
 
 
 def _class_contributions(g: Graph, wa: WeightAssignment, p: EdgePartition) -> list[Sums]:
-    """The four quotient sums of every class of p, in class order, on int
+    """The five quotient sums of every class of p, in class order, on int
     weights: the rows of its clean cuts, from one `_terms` pass, plus the sums
     of one quotient of its rest; a lone row, the common case, skips the sum."""
     cuts, rests = _read_classes(g, wa, p)
     w0, t0, w1, t1, _, wp = list(zip(*chain.from_iterable(cuts))) or [()] * 6
     rows = zip(*_terms(wp, w0, w1, t0, t1))
-    contribs = [next(rows) if len(k2s) == 1 else tuple(map(sum, zip((0,) * 4, *islice(rows, len(k2s)))))
+    contribs = [next(rows) if len(k2s) == 1 else tuple(map(sum, zip((0,) * 5, *islice(rows, len(k2s)))))
                 for k2s in cuts]
     for c, rest in enumerate(rests):
         if rest:
@@ -435,9 +441,9 @@ def weighted_suite_cut(
     else O(n*m) time and O(n+m) memory).
     """
     # degree weights are ints, so d = 1 and the rows need no unscaling
-    rows, _ = _evaluate(g, WeightAssignment.degree_weighted(g, starred), p, False)
-    per_class = tuple(ClassContribution(i, *c) for i, c in enumerate(rows))
-    return IndexReport("cut", starred, *_totals(rows), per_class)
+    rows, _ = _evaluate(g, WeightAssignment.degree_weighted(g, starred), p)
+    per_class = tuple(ClassContribution(i, *c[:4]) for i, c in enumerate(rows))
+    return IndexReport("cut", starred, *_totals(rows)[:4], per_class)
 
 
 def general_cut_index(
@@ -447,13 +453,15 @@ def general_cut_index(
 
     Sz and PI_v sum the same kind over the quotients; Sz_e sums the
     total-Szeged index of the quotients; PI sums PI_v(lam_i, w_i') plus
-    PI(lam_i', w_i'). Sz_t itself has no decomposition and is rejected.
-    Calls for other kinds on the same g, wa and p share one evaluation.
+    PI(lam_i', w_i'). Sz_t sums Sz_t(G_i, w_i + lam_i, lam_i', w_i'), but
+    is rejected here; `weighted_index` reads it from this evaluation when
+    p is certified on g's edges. Calls for the other kinds on the same g,
+    wa and p share one evaluation.
     """
     slot = _slot(kind)
     if kind is IndexKind.SZ_T:
-        raise UnsupportedKindError("Sz_t has no cut decomposition")
-    return _last_totals(g, wa, p, False)[slot]
+        raise UnsupportedKindError("general_cut_index does not offer Sz_t; use weighted_index")
+    return _last_totals(g, wa, p)[slot]
 
 
 # ---------------------------------------------------------------------------
@@ -461,43 +469,43 @@ def general_cut_index(
 # ---------------------------------------------------------------------------
 
 def _evaluate(
-    g: Graph, wa: WeightAssignment, p: EdgePartition | None, lam_is_w: bool
+    g: Graph, wa: WeightAssignment, p: EdgePartition | None
 ) -> tuple[list[Sums], int]:
-    """The four sums of each class of p, or when p is None the one row of
-    the direct route, on weights scaled by d; and d. With `lam_is_w` that
-    row is the Sz_t row, taken with w = 0 and lam = w: its third slot is
-    Sz_t, and its other slots are not indices. Checks g, then the shape
-    of wa, then p. The sums build only ints and acyclic containers of
-    them, so the cyclic collector is paused."""
+    """The five sums of each class of p, or when p is None the one row of
+    the direct route, taken with lam = 0, on weights scaled by d; and d.
+    Either way the slots total Sz, PI_v, Sz_e, PI and Sz_t of G. Checks g,
+    then the shape of wa, then p. The sums build only ints and acyclic
+    containers of them, so the cyclic collector is paused."""
     with _collector_paused():
         _bfs_tree(g)  # the connectivity check, which keeps g's tree for `_sums` and `_cut_sides`
         wa.check_shape(g)
         scaled, d = _integral(wa)
         if p is None:
-            zeros = (0,) * g.n
-            w, lam = (zeros, scaled.w) if lam_is_w else (scaled.w, zeros)
-            return [_sums(g, w, lam, scaled.lambda_prime, scaled.w_prime)], d
+            return [_sums(g, scaled.w, (0,) * g.n, scaled.lambda_prime, scaled.w_prime)], d
         return _class_contributions(g, scaled, p), d
 
 
-# ((g, g.edges, wa, p, lam_is_w), totals) of the last evaluation, or None.
-# The entry holds the caller's own objects, so a later call can match them
-# by identity: an id could be reused by a new object once the old one is
+# ((g, g.edges, wa, p), totals) of the last evaluation, or None. The entry
+# holds the caller's own objects, so a later call can match them by
+# identity: an id could be reused by a new object once the old one is
 # collected, and equal-valued inputs would cost a hash over all weights.
 _last: tuple | None = None
 
 
-def _last_totals(
-    g: Graph, wa: WeightAssignment, p: EdgePartition | None, lam_is_w: bool
-) -> Sums:
+def _last_totals(g: Graph, wa: WeightAssignment, p: EdgePartition | None) -> Sums:
     """The unscaled totals of `_evaluate`, read from the entry when g, its
-    edges, wa, p and lam are those of the last evaluation; a call that
-    raises leaves the entry as it was."""
+    edges, wa and p are those of the last evaluation, or, for a direct
+    call, when the entry's partition was certified on that very edge
+    tuple: the cut totals are the direct ones there. A partition trusted
+    by the raw keyword or `replace()` is bound to no edges, so it is never
+    read across routes. A call that raises leaves the entry as it was."""
     global _last
-    key = (g, g.edges, wa, p, lam_is_w)
+    key = (g, g.edges, wa, p)
     last = _last  # one read, so a concurrent write never splits the entry
-    if last is not None and all(map(is_, last[0], key)):
-        return last[1]
-    totals = _totals(*_evaluate(g, wa, p, lam_is_w))
+    if last is not None and all(map(is_, last[0][:3], key)):
+        q = last[0][3]
+        if q is p or (p is None and q._certified_on is g.edges):
+            return last[1]
+    totals = _totals(*_evaluate(g, wa, p))
     _last = (key, totals)
     return totals

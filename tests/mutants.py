@@ -189,23 +189,43 @@ MUTANTS = [
         ],
     ),
     (
-        "the Sz_t row drops the vertex masses from lam",
+        "the fifth column drops the vertex masses from the u side",
         "indices.py",
-        "(zeros, scaled.w) if lam_is_w",
-        "(scaled.w, zeros) if lam_is_w",
+        "map(mul, map(add, n_u, t_u), map(add, n_v, t_v))",
+        "map(mul, t_u, map(add, n_v, t_v))",
         [
-            "tests/test_indices.py::test_the_total_szeged_row_makes_no_vertex_mass_pass",
+            "tests/test_indices.py::test_total_szeged_after_the_cut_kinds_runs_no_evaluation",
             "tests/test_indices.py::test_small_graphs_with_ties",
         ],
     ),
     (
         "edge-Szeged unscaled by d^2, not d^3, after _integral's scaling",
         "indices.py",
-        "zip(totals, (3, 2, 3, 2))",
-        "zip(totals, (3, 2, 2, 2))",
+        "zip(totals, (3, 2, 3, 2, 3))",
+        "zip(totals, (3, 2, 2, 2, 3))",
         [
             "tests/test_indices.py::test_general_cut_fraction_weights",
             "tests/test_indices.py::test_four_cut_kinds_share_one_evaluation",
+        ],
+    ),
+    (
+        "total Szeged unscaled by d^2, not d^3, after _integral's scaling",
+        "indices.py",
+        "zip(totals, (3, 2, 3, 2, 3))",
+        "zip(totals, (3, 2, 3, 2, 2))",
+        [
+            "tests/test_indices.py::test_total_szeged_after_the_cut_kinds_runs_no_evaluation",
+            "tests/test_indices.py::test_weighted_index_matches_oracle_across_bridges",
+        ],
+    ),
+    (
+        "the direct route reads a cut entry whose partition no edge list certifies",
+        "indices.py",
+        "(p is None and q._certified_on is g.edges)",
+        "p is None",
+        [
+            "tests/test_indices.py::test_a_keyword_trusted_partition_is_never_read_by_the_direct_route",
+            "tests/test_indices.py::test_threads_mixing_the_routes_on_the_memo_get_the_direct_totals",
         ],
     ),
     (

@@ -145,11 +145,12 @@ def test_collector_runs_no_collection_inside_the_paused_builds(collector_on):
         window("adj", lambda: g.adj)
         wa, p = WeightAssignment.degree_weighted(g), ph.direction_partition()
         # the cut evaluation of weighted_suite_cut(g, p): four quotient builds
-        rows, _ = window("cut", lambda: indices._evaluate(g, wa, p, False))
+        rows, _ = window("cut", lambda: indices._evaluate(g, wa, p))
     finally:
         gc.callbacks.remove(record)
     assert seen == []
-    assert indices._totals(rows) == weighted_suite_cut(g, p).as_tuple()
+    assert {len(row) for row in rows} == {5}  # Sz, PI_v, Sz_e, PI and Sz_t
+    assert indices._totals(rows)[:4] == weighted_suite_cut(g, p).as_tuple()
 
 
 def test_collector_threads_pausing_at_once_leave_it_on(collector_on):

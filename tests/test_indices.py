@@ -4,6 +4,7 @@ import threading
 from contextlib import ExitStack, contextmanager
 from dataclasses import astuple, replace
 from fractions import Fraction
+from operator import add
 from unittest import mock
 
 import pytest
@@ -300,9 +301,9 @@ def _int_weighted_trees(draw):
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_engine_contract_with_independent_lam(family, data):
-    # the routes only ever pass lam = 0, lam = w or a quotient's lam; the
-    # engine must keep w and lam apart on its tree path, its sweep and its
-    # fold of the bridges
+    # the routes only ever pass lam = 0 or a quotient's lam; the engine
+    # must keep w and lam apart on its tree path, its sweep and its fold of
+    # the bridges, and add them only in the fifth sum
     if family == "tree":
         g, wa = data.draw(_int_weighted_trees())
     elif family == "cyclic":
@@ -311,21 +312,24 @@ def test_engine_contract_with_independent_lam(family, data):
         g, wa = data.draw(bridged_weighted_graphs(_INT_WEIGHTS))
     lam = tuple(data.draw(st.lists(_INT_WEIGHTS, min_size=g.n, max_size=g.n)))
     on_lam = WeightAssignment(lam, wa.w_prime, wa.lambda_prime)
-    sz, pi_v, sz_t, pi = indices._sums(g, wa.w, lam, wa.lambda_prime, wa.w_prime)
+    on_both = WeightAssignment(tuple(map(add, wa.w, lam)), wa.w_prime, wa.lambda_prime)
+    sz, pi_v, sz_t, pi, total = indices._sums(g, wa.w, lam, wa.lambda_prime, wa.w_prime)
     assert sz == oracle_general(g, wa, IndexKind.SZ)
     assert pi_v == oracle_general(g, wa, IndexKind.PI_V)
     assert sz_t == oracle_general(g, on_lam, IndexKind.SZ_T)
     assert pi == oracle_general(g, on_lam, IndexKind.PI_V) + oracle_general(
         g, wa, IndexKind.PI
     )
+    assert total == oracle_general(g, on_both, IndexKind.SZ_T)
 
 
 @pytest.mark.parametrize("bipartite", [True, False])
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
 def test_weighted_index_matches_oracle_on_cyclic_graphs(bipartite, data):
-    # lam = 0 (Sz_e, PI) and lam = w (Sz_t) are where the direct route
-    # reuses the quotient engine; the cut route scales Fractions the same way
+    # the direct route reuses the quotient engine with lam = 0, where its
+    # third, fourth and fifth sums are Sz_e, PI and Sz_t; the cut route
+    # scales Fractions the same way
     g, wa = data.draw(cyclic_weighted_graphs(bipartite))
     assert is_connected(g) and g.m >= g.n
     assert is_bipartite(g) == bipartite
@@ -406,50 +410,56 @@ def _bridged_odd_graph(weights=int):
 
 
 def test_one_tree_build_per_graph_across_theta_star_and_both_routes():
-    # a job of Theta*, the four cut kinds and Sz_t on one graph, as in the
-    # benchmark's weighted-generic workload, builds the graph's tree once
+    # Theta*, the four cut kinds and the direct route on one graph build
+    # its tree once. The direct calls take a new but equal wa, so that they
+    # evaluate G itself instead of reading the cut evaluation
     g, wa = _bridged_odd_graph()
-    with _tree_builds() as built:
+    copied = WeightAssignment(wa.w, wa.w_prime, wa.lambda_prime)
+    with _tree_builds() as built, _spy("_sums") as spy:
         p = theta_star_partition(g)
-        got = {kind: general_cut_index(g, wa, p, kind) for kind in _CUT_KINDS}
-        got[IndexKind.SZ_T] = weighted_index(g, wa, IndexKind.SZ_T)
+        cut = {kind: general_cut_index(g, wa, p, kind) for kind in _CUT_KINDS}
+        after_cut = spy.call_count
+        direct = {kind: weighted_index(g, copied, kind) for kind in IndexKind}
     assert sum(h is g for h in built) == 1
-    assert got == {kind: oracle_general(g, wa, kind) for kind in IndexKind}
-
-
-@contextmanager
-def _plane_calls():
-    """The (masses, planes) of each `_bit_planes` call in the block. A sweep
-    calls it on the vertex-side masses, then on the t-side masses."""
-    calls = []
-    planes_of = indices._bit_planes
-
-    def spy(masses):
-        planes = planes_of(masses)
-        calls.append((masses, planes))
-        return planes
-
-    with mock.patch.object(indices, "_bit_planes", spy):
-        yield calls
+    assert [call.args[0] for call in spy.call_args_list[after_cut:]] == [g]
+    assert cut == {kind: oracle_general(g, wa, kind) for kind in _CUT_KINDS}
+    assert direct == {kind: oracle_general(g, wa, kind) for kind in IndexKind}
 
 
 @pytest.mark.parametrize("weights", [int, lambda x: Fraction(x, 3)], ids=["int", "Fraction"])
-def test_the_total_szeged_row_makes_no_vertex_mass_pass(weights):
-    # Sz_t reads only the third sum, whose t-sides carry w through lam, so
-    # the row passes w = 0 and no sweep weighs masses on the vertex sides
+def test_total_szeged_after_the_cut_kinds_runs_no_evaluation(weights):
+    # the shape of the benchmark's weighted-generic job: Theta*, the four
+    # cut kinds, then Sz_t. Theta* certifies p on g's edges, so the cut
+    # evaluation's fifth sum is Sz_t, and the direct call reads it
     g, wa = _bridged_odd_graph(weights)
-    with _plane_calls() as calls:
-        got = weighted_index(g, wa, IndexKind.SZ_T)
-    assert got == oracle_general(g, wa, IndexKind.SZ_T)
-    vertex_side, t_side = calls[0::2], calls[1::2]
-    assert len(calls) == 4  # one sweep on each of the two bridgeless pieces
-    assert all(planes == [] for _, planes in vertex_side)
-    assert all(planes for _, planes in t_side)
+    with _spy("_sums") as spy:
+        p = theta_star_partition(g)
+        got = {kind: general_cut_index(g, wa, p, kind) for kind in _CUT_KINDS}
+        after_cut = spy.call_count
+        got[IndexKind.SZ_T] = weighted_index(g, wa, IndexKind.SZ_T)
+    assert after_cut == 2  # the quotients of the triangle and of the C5
+    assert spy.call_count == after_cut
+    assert got == {kind: oracle_general(g, wa, kind) for kind in IndexKind}
+
+
+def _keyword_trusted_split_of_c6():
+    # the raw keyword trusts this split of C6 on no edge list, and the
+    # cut route gives it wrong totals with no error
+    split = EdgePartition.from_labels([0, 1, 1, 1, 1, 1])
+    return EdgePartition(split.classes, split.class_of, True)
+
+
+def test_a_keyword_trusted_partition_is_never_read_by_the_direct_route():
+    c6 = cycle_graph(6)
+    wa = WeightAssignment.unit(c6)
+    general_cut_index(c6, wa, _keyword_trusted_split_of_c6(), IndexKind.SZ)
+    assert weighted_index(c6, wa, IndexKind.SZ_T) == oracle_general(c6, wa, IndexKind.SZ_T) == 150
+    assert weighted_index(c6, wa, IndexKind.SZ) == oracle_general(c6, wa, IndexKind.SZ) == 54
 
 
 @pytest.mark.parametrize("weights", [int, lambda x: Fraction(x, 3)], ids=["int", "Fraction"])
 def test_the_memo_never_serves_the_total_szeged_row_to_another_kind(weights):
-    # the Sz_t row's other slots are no indices: Sz read from it would be 0
+    # one row serves all five kinds, in any order
     g, wa = _bridged_odd_graph(weights)
     order = [IndexKind.SZ_T, *_CUT_KINDS]
     for kind in order + order[::-1]:
@@ -909,16 +919,18 @@ def _coarsening(star, seed):
 
 
 def _whole_quotient_row(g, wa, members):
-    """The four sums of one class, by the oracle on its whole quotient."""
+    """The five sums of one class, by the oracle on its whole quotient."""
     q = quotient_graph(g, wa, members)
     on_w = WeightAssignment(q.w, q.w_prime, q.lambda_prime)
     on_lam = WeightAssignment(q.lam, q.w_prime, q.lambda_prime)
+    on_both = WeightAssignment(tuple(map(add, q.w, q.lam)), q.w_prime, q.lambda_prime)
     return (
         oracle_general(q.graph, on_w, IndexKind.SZ),
         oracle_general(q.graph, on_w, IndexKind.PI_V),
         oracle_general(q.graph, on_lam, IndexKind.SZ_T),
         oracle_general(q.graph, on_lam, IndexKind.PI_V)
         + oracle_general(q.graph, on_lam, IndexKind.PI),
+        oracle_general(q.graph, on_both, IndexKind.SZ_T),
     )
 
 
@@ -941,14 +953,16 @@ def test_each_class_row_equals_its_whole_quotient(graph_and_weights, seed):
     for members, sided in zip(star.classes, star.two_sided):
         if not sided:
             rest.setdefault(p.class_of[min(members)], set()).update(members)
-    rows, d = indices._evaluate(g, wa, p, False)
+    rows, d = indices._evaluate(g, wa, p)
     for row, members in zip(rows, p.classes, strict=True):
         assert indices._totals([row], d) == _whole_quotient_row(g, wa, members)
+    # the rows' fifth sums total Sz_t of G
+    assert indices._totals(rows, d)[4] == oracle_general(g, wa, IndexKind.SZ_T)
     with _builds() as spy:
         for starred in (False, True):
             degree = WeightAssignment.degree_weighted(g, starred)
             assert _rows(weighted_suite_cut(g, p, starred)) == [
-                _whole_quotient_row(g, degree, members) for members in p.classes
+                _whole_quotient_row(g, degree, members)[:4] for members in p.classes
             ]
     assert [call.args[2] for call in spy.call_args_list] == [rest[c] for c in sorted(rest)] * 2
 
@@ -980,11 +994,11 @@ def test_four_cut_kinds_share_one_evaluation(weights):
 
 
 def test_direct_kinds_share_one_evaluation_per_lam():
-    # Sz, PI_v, Sz_e and PI take lam = 0, Sz_t takes lam = w
+    # all five kinds read one row, taken with lam = 0
     g, wa, _ = _patch_inputs()
     with _spy("_sums") as spy:
         got = {kind: weighted_index(g, wa, kind) for kind in IndexKind}
-    assert spy.call_count == 2
+    assert spy.call_count == 1
     assert got == {kind: oracle_general(g, wa, kind) for kind in IndexKind}
 
 
@@ -1007,6 +1021,7 @@ def test_alternating_weight_assignments_match_oracle():
     for kind in _CUT_KINDS:
         for weights in (wa, other, wa):
             assert general_cut_index(g, weights, p, kind) == oracle_general(g, weights, kind)
+    indices._last = None  # so the first direct call evaluates, reading no cut entry
     for kind in IndexKind:
         for weights in (wa, other, wa):
             assert weighted_index(g, weights, kind) == oracle_general(g, weights, kind)
@@ -1067,25 +1082,19 @@ def test_unflagged_partition_is_validated_once_per_input():
     assert spy.call_count == 2
 
 
-def test_threads_sharing_the_memo_each_get_their_own_totals():
-    # threads that alternate two weight assignments on one g and p: a
-    # torn read of the entry would hand one thread the other's totals
-    g, wa, p = _patch_inputs()
-    weights = (wa, random_weight_assignment(random.Random(73), g, hi=9))
-    expected = [{kind: oracle_general(g, w, kind) for kind in _CUT_KINDS} for w in weights]
+def _race(work):
+    """Run work(0) .. work(3) in four threads at a short switch interval;
+    each returns what it got wrong."""
     wrong, finished = [], []
 
-    def work(i):
-        for _ in range(1000):
-            for kind in _CUT_KINDS:
-                if general_cut_index(g, weights[i % 2], p, kind) != expected[i % 2][kind]:
-                    wrong.append((i, kind))
+    def run(i):
+        wrong.extend(work(i))
         finished.append(i)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
         for t in threads:
             t.start()
         for t in threads:
@@ -1095,6 +1104,44 @@ def test_threads_sharing_the_memo_each_get_their_own_totals():
     assert not any(t.is_alive() for t in threads)
     assert sorted(finished) == [0, 1, 2, 3]
     assert wrong == []
+
+
+def test_threads_sharing_the_memo_each_get_their_own_totals():
+    # threads that alternate two weight assignments on one g and p: a
+    # torn read of the entry would hand one thread the other's totals
+    g, wa, p = _patch_inputs()
+    weights = (wa, random_weight_assignment(random.Random(73), g, hi=9))
+    expected = [{kind: oracle_general(g, w, kind) for kind in _CUT_KINDS} for w in weights]
+
+    def work(i):
+        return [
+            (i, kind)
+            for _ in range(1000)
+            for kind in _CUT_KINDS
+            if general_cut_index(g, weights[i % 2], p, kind) != expected[i % 2][kind]
+        ]
+
+    _race(work)
+
+
+def test_threads_mixing_the_routes_on_the_memo_get_the_direct_totals():
+    # threads that run the cut kinds of one C6 on its Theta*-partition or on
+    # a keyword-trusted split, each time followed by every direct kind: a
+    # direct call may read the certified entry, never the trusted one
+    c6 = cycle_graph(6)
+    wa = WeightAssignment.unit(c6)
+    partitions = (theta_star_partition(c6), _keyword_trusted_split_of_c6())
+    expected = {kind: oracle_general(c6, wa, kind) for kind in IndexKind}
+
+    def work(i):
+        wrong = []
+        for _ in range(300):
+            for kind in _CUT_KINDS:
+                general_cut_index(c6, wa, partitions[i % 2], kind)
+            wrong += [(i, k) for k in IndexKind if weighted_index(c6, wa, k) != expected[k]]
+        return wrong
+
+    _race(work)
 
 
 def test_int_weights_reach_the_engine_uncopied():
