@@ -40,8 +40,7 @@ class InvalidCPartitionError(SzegedCutError):
 
 
 class UnsupportedKindError(SzegedCutError):
-    """The requested index kind is not an `IndexKind`, or is Sz_t, which
-    `general_cut_index` does not offer."""
+    """The requested index kind is not an `IndexKind`."""
 
 
 class DisconnectedCellsError(SzegedCutError):

@@ -453,14 +453,11 @@ def general_cut_index(
 
     Sz and PI_v sum the same kind over the quotients; Sz_e sums the
     total-Szeged index of the quotients; PI sums PI_v(lam_i, w_i') plus
-    PI(lam_i', w_i'). Sz_t sums Sz_t(G_i, w_i + lam_i, lam_i', w_i'), but
-    is rejected here; `weighted_index` reads it from this evaluation when
-    p is certified on g's edges. Calls for the other kinds on the same g,
-    wa and p share one evaluation.
+    PI(lam_i', w_i'); Sz_t sums Sz_t(G_i, w_i + lam_i, lam_i', w_i').
+    Calls for every kind on the same g, wa and p share one evaluation,
+    which `weighted_index` also reads when p is certified on g's edges.
     """
     slot = _slot(kind)
-    if kind is IndexKind.SZ_T:
-        raise UnsupportedKindError("general_cut_index does not offer Sz_t; use weighted_index")
     return _last_totals(g, wa, p)[slot]
 
 

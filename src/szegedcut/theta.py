@@ -65,9 +65,11 @@ pairwise definition over an all-pairs distance table is kept in `oracle`
 as the reference. `is_bipartite` runs no BFS of its own: it reads the
 depths that `graph._bfs` gives each component.
 
-The library certifies a partition only where it computed it on a graph's
-edge list: the lattice route, the bridge split of
-`theta_star_partition`, `_theta_star_pass`,
+Theta*'s routes, the lattice route, the pass and the bridge split, build
+no partition: each gives one label per edge, the id of an edge in its
+class, and the pass one flag per label. The library certifies a partition
+only where it computed it on a graph's edge list: `theta_star_partition`,
+which builds one partition from those labels, once per call,
 `oracle.oracle_theta_star_partition`, and `molgen`'s
 `direction_partition` on builder output alone, which the builders mark
 when its region has no hole. Each sets both flags, `refined_by_theta_star`
@@ -84,6 +86,7 @@ the one record of which Theta*-classes are clean cuts. Its one caller,
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import compress
 from typing import Hashable, Iterable, Iterator
@@ -127,9 +130,10 @@ class EdgePartition:
     O(n*m) validation. `two_sided` flags each class that is a Theta*-class
     F whose removal leaves two convex components, which the cut method
     reads from one subtree aggregation instead of a quotient; equality
-    ignores it. The library's writers set both through `_trust`, which
-    keeps the edges of the graph the flags hold for; `from_labels` sets
-    neither, and no caller can set `two_sided`.
+    ignores it. The library's three writers, `theta_star_partition`, the
+    oracle's Theta* and `direction_partition`, set both through `_trust`,
+    which keeps the edges of the graph the flags hold for, and only the
+    first sets `two_sided`; `from_labels` sets neither, and no caller can.
     """
 
     classes: tuple[frozenset[int], ...]
@@ -269,50 +273,46 @@ def theta_star_partition(g: Graph) -> EdgePartition:
     own, and every bridgeless piece with an edge takes the lattice route,
     else the Theta* pass, `_theta_star_pass`; so only a bridgeless graph
     that the recognizer rejects gets the pass. The module docstring says
-    why the pieces' classes and flags are those of g.
+    why the pieces' classes and flags are those of g. Each route gives one
+    label per edge, the id of an edge in its class, and the pass one flag
+    per label; this function alone builds the partition and certifies it.
 
     Raises:
         DisconnectedError: if g is not connected.
     """
-    star = _lattice_partition(g)
-    if star is not None:
-        return star
-    below = _bridges(g)
-    if not below and g.m:
-        return _theta_star_pass(g)
-    # bridge e keeps label e; class c of a piece's partition takes label
-    # `base` + c, past every label used before it
-    labels = list(range(g.m))
-    sided = [True] * g.m
-    for _, ids, piece in _pieces(g, below):
-        star = _lattice_partition(piece)
-        if star is None:  # a piece has no bridge to look for
-            star = _theta_star_pass(piece)
-        base = len(sided)
-        for e, c in zip(ids, star.class_of):
-            labels[e] = base + c
-        sided += star.two_sided
-    p = EdgePartition.from_labels(labels)
-    # `from_labels` numbers the classes by first appearance of their label
-    return _trust(p, g.edges, tuple(map(sided.__getitem__, dict.fromkeys(labels))))
-
-
-def _lattice_partition(g: Graph) -> EdgePartition | None:
-    """g's Theta*-classes, all two-sided, read by the lattice route, or
-    None if `molgen._lattice_labels` rejects g."""
     from .molgen import _lattice_labels  # deferred: molgen imports this module
 
-    labels = _lattice_labels(g)
+    labels, sided = _lattice_labels(g), None  # None: every class two-sided
     if labels is None:
-        return None
+        below = _bridges(g)
+        if not below and g.m:
+            labels, sided = _theta_star_pass(g)
+        else:
+            # a bridge labels itself and is two-sided; a piece's labels,
+            # edges of the piece, map to g's edge ids
+            labels = list(range(g.m))
+            sided = [True] * g.m
+            for _, ids, piece in _pieces(g, below):
+                local = _lattice_labels(piece)
+                if local is None:  # a piece has no bridge to look for
+                    local, flags = _theta_star_pass(piece)
+                    for e, flag in zip(ids, flags):
+                        sided[e] = flag
+                for e, r in zip(ids, local):
+                    labels[e] = ids[r]
     p = EdgePartition.from_labels(labels)
-    return _trust(p, g.edges, (True,) * len(p.classes))
+    # `from_labels` numbers the classes by first appearance of their label
+    two_sided = (True,) * len(p) if sided is None else tuple(
+        map(sided.__getitem__, dict.fromkeys(labels)))
+    return _trust(p, g.edges, two_sided)
 
 
-def _theta_star_pass(g: Graph) -> EdgePartition:
+def _theta_star_pass(g: Graph) -> tuple[list[int], list[bool]]:
     """Theta*-classes in O(n*m) time and O(n+m) memory, with the
     `two_sided` flag of every class, from the BFS-tree cuts of any
-    connected graph with an edge.
+    connected graph with an edge: the label of each edge, the union-find
+    root of its class, and `sided`, whose entry at a label is the flag of
+    its class and False at any other edge.
 
     The Theta-cut of a tree edge lies inside its Theta*-class, and every
     class holds a tree edge (removing a class disconnects g, so it meets
@@ -377,13 +377,14 @@ def _theta_star_pass(g: Graph) -> EdgePartition:
         for i, e in enumerate(tree_edges):
             if not ties >> i & 1:
                 clean_cut[e] = sizes[i]
-    p = EdgePartition.from_labels(map(uf.find, range(m)))
-    two_sided = [False] * len(p.classes)
+    labels = list(map(find, range(m)))
+    size = Counter(labels)
+    sided = [False] * m
     for e, k in clean_cut.items():
-        c = p.class_of[e]
-        if k == len(p.classes[c]):
-            two_sided[c] = True
-    return _trust(p, g.edges, tuple(two_sided))
+        r = labels[e]
+        if k == size[r]:
+            sided[r] = True
+    return labels, sided
 
 
 def _clean_cuts(g: Graph, p: EdgePartition) -> EdgePartition | None:

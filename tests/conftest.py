@@ -9,7 +9,8 @@ import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from szegedcut import Graph, HexSpec, WeightAssignment, build_graph, quotient_graph
+from szegedcut import EdgePartition, Graph, HexSpec, WeightAssignment, build_graph, quotient_graph
+from szegedcut import theta
 from szegedcut.molgen import _forward_pairs
 
 
@@ -189,6 +190,38 @@ def quotient_edge_members(g: Graph, q, f) -> dict[tuple[int, int], list[int]]:
         if a != b:
             out.setdefault((a, b), []).append(e)
     return out
+
+
+def pass_facts(g: Graph) -> tuple:
+    """The Theta* pass over the whole of g, `theta._theta_star_pass`, as
+    (classes, class_of, two_sided) in the canonical class order: the pass
+    gives one label per edge and a flag at each label."""
+    labels, sided = theta._theta_star_pass(g)
+    p = EdgePartition.from_labels(labels)
+    return p.classes, p.class_of, tuple(sided[labels[min(c)]] for c in p.classes)
+
+
+def row_convex_cells(rng: random.Random, h: int, width: int) -> frozenset:
+    # rows of consecutive cells, each starting within one cell of the row
+    # below, so the region is connected and has no holes
+    cells, start, r = set(), 0, 0
+    while len(cells) < h:
+        w = min(h - len(cells), width + rng.randint(-width // 4, width // 4))
+        cells.update((q, r) for q in range(start, start + w))
+        start += rng.randint(-1, 1 if w > 1 else 0)
+        r += 1
+    return frozenset(cells)
+
+
+def kinked_chain_cells(rng: random.Random, h: int) -> frozenset:
+    # each cell one step right or up-right of the last, 60 degrees apart, so
+    # cells i and j lie |i - j| apart and only consecutive cells touch
+    step, cells = (1, 0), [(0, 0)]
+    for _ in range(h - 1):
+        if rng.random() < 0.25:
+            step = step[::-1]
+        cells.append((cells[-1][0] + step[0], cells[-1][1] + step[1]))
+    return frozenset(cells)
 
 
 def label_edges(dlg, label: int) -> list[int]:

@@ -43,6 +43,7 @@ MUTANTS = [
         [
             "tests/test_indices.py::test_suite_direct_k2",
             "tests/test_indices.py::test_general_cut_c6_edge_szeged",
+            "tests/test_partial_cube_identities.py::test_partial_cube_identities[kinked phenylene chain-plain]",
         ],
     ),
     (
@@ -125,6 +126,16 @@ MUTANTS = [
         [
             "tests/test_theta.py::test_every_bridge_is_two_sided",
             "tests/test_theta.py::test_trees_take_no_sweep",
+        ],
+    ),
+    (
+        "the bridge split leaves a piece's labels unmapped",
+        "theta.py",
+        "labels[e] = ids[r]",
+        "labels[e] = r",
+        [
+            "tests/test_theta.py::test_a_bridged_graph_builds_and_certifies_one_partition",
+            "tests/test_theta.py::test_bridged_graphs_match_the_oracle_and_the_pass",
         ],
     ),
     (

@@ -208,12 +208,20 @@ def test_general_cut_fraction_weights():
         assert general_cut_index(c6, wa, p, kind) == oracle_general(c6, wa, kind)
 
 
-def test_general_cut_rejects_total_szeged():
+def test_general_cut_offers_total_szeged():
+    # the fifth sums of the classes total Sz_t of G on any c-partition:
+    # Theta*'s, the coarsest, and a validated coarsening of Theta*'s
     c6 = cycle_graph(6)
-    with pytest.raises(UnsupportedKindError):
-        general_cut_index(
-            c6, WeightAssignment.unit(c6), theta_star_partition(c6), IndexKind.SZ_T
-        )
+    g, wa, star = _patch_inputs(Fraction)
+    grouped = EdgePartition.from_labels(c % 3 for c in star.class_of)
+    for graph, weights, p in (
+        (c6, WeightAssignment.unit(c6), theta_star_partition(c6)),
+        (c6, WeightAssignment.unit(c6), EdgePartition.from_labels([0] * 6)),
+        (g, wa, star),
+        (g, wa, grouped),
+    ):
+        expected = oracle_general(graph, weights, IndexKind.SZ_T)
+        assert general_cut_index(graph, weights, p, IndexKind.SZ_T) == expected
 
 
 def test_weighted_index_rejects_a_kind_that_is_no_index_kind():
@@ -1030,8 +1038,7 @@ def test_alternating_weight_assignments_match_oracle():
 def test_kind_checks_run_on_a_hit():
     g, wa, p = _patch_inputs()
     general_cut_index(g, wa, p, IndexKind.SZ)
-    with pytest.raises(UnsupportedKindError):
-        general_cut_index(g, wa, p, IndexKind.SZ_T)
+    assert general_cut_index(g, wa, p, IndexKind.SZ_T) == oracle_general(g, wa, IndexKind.SZ_T)
     with pytest.raises(UnsupportedKindError):
         general_cut_index(g, wa, p, "Sz")
     weighted_index(g, wa, IndexKind.SZ)

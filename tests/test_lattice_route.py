@@ -38,7 +38,7 @@ from szegedcut import (
 from szegedcut import molgen, theta
 from szegedcut.molgen import _forward_pairs, _lattice_labels
 
-from conftest import RING_CELLS, WIDE_RING_CELLS
+from conftest import RING_CELLS, WIDE_RING_CELLS, kinked_chain_cells, pass_facts, row_convex_cells
 
 _AXIAL = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))
 
@@ -96,7 +96,7 @@ def _facts(p):
 
 
 def _assert_like_the_pass(g):
-    assert _facts(theta_star_partition(g)) == _facts(theta._theta_star_pass(g))
+    assert _facts(theta_star_partition(g)) == pass_facts(g)
 
 
 def _molecules(levels=POLYHEXES):
@@ -376,36 +376,13 @@ def test_labels_round_a_wide_hole_split_a_class_and_the_cut_raises(cells):
     _assert_label_cut_like_the_oracle(mol)
 
 
-def _row_convex_cells(rng: random.Random, h: int, width: int) -> frozenset:
-    # rows of consecutive cells, each starting within one cell of the row
-    # below, so the region is connected and has no holes
-    cells, start, r = set(), 0, 0
-    while len(cells) < h:
-        w = min(h - len(cells), width + rng.randint(-width // 4, width // 4))
-        cells.update((q, r) for q in range(start, start + w))
-        start += rng.randint(-1, 1 if w > 1 else 0)
-        r += 1
-    return frozenset(cells)
-
-
-def _kinked_chain(rng: random.Random, h: int) -> frozenset:
-    # each cell one step right or up-right of the last, 60 degrees apart, so
-    # cells i and j lie |i - j| apart and only consecutive cells touch
-    step, cells = (1, 0), [(0, 0)]
-    for _ in range(h - 1):
-        if rng.random() < 0.25:
-            step = step[::-1]
-        cells.append((cells[-1][0] + step[0], cells[-1][1] + step[1]))
-    return frozenset(cells)
-
-
 @pytest.mark.parametrize("kind", ["benzenoid", "phenylene"])
 def test_molecules_of_a_thousand_cells_take_the_lattice_route(kind):
     rng = random.Random(28)
     if kind == "benzenoid":
-        mol = build_benzenoid(HexSpec(_row_convex_cells(rng, 1500, 39)))
+        mol = build_benzenoid(HexSpec(row_convex_cells(rng, 1500, 39)))
     else:
-        mol = build_phenylene(HexSpec(_kinked_chain(rng, 800)))
+        mol = build_phenylene(HexSpec(kinked_chain_cells(rng, 800)))
     label_cut = weighted_suite_cut(mol.graph, mol.direction_partition()).as_tuple()
     text = parse_edge_list(format_edge_list(mol.graph))
     refuse = AssertionError("the Theta* pass ran")
@@ -421,11 +398,11 @@ def test_the_route_builds_no_molecule():
     # Graph refused, a phenylene and a benzenoid given as text still take
     # the route and get the classes of the pass
     rng = random.Random(29)
-    phenylene = build_phenylene(HexSpec(_kinked_chain(rng, 40)))
-    benzenoid = build_benzenoid(HexSpec(_row_convex_cells(rng, 60, 7)))
+    phenylene = build_phenylene(HexSpec(kinked_chain_cells(rng, 40)))
+    benzenoid = build_benzenoid(HexSpec(row_convex_cells(rng, 60, 7)))
     for mol in (phenylene, benzenoid):
         g = _relabelled(parse_edge_list(format_edge_list(mol.graph)), rng)
-        expected = _facts(theta._theta_star_pass(g))
+        expected = pass_facts(g)
         with (
             mock.patch.object(molgen, "Graph", side_effect=AssertionError("Graph built")),
             mock.patch.object(molgen, "build_phenylene", side_effect=AssertionError("builder ran")),

@@ -43,6 +43,7 @@ from conftest import (
     cycle_graph,
     cyclic_weighted_graphs,
     pendant_weighted_graphs,
+    pass_facts,
     path_graph,
     quotient_edge_members,
     random_bipartite_connected,
@@ -364,9 +365,9 @@ def test_theta_star_matches_oracle_on_patch_and_molecule(patch):
     # sweeps are run through the pass itself
     cells = frozenset((q, r) for q in range(10) for r in range(10))
     for g in (build_benzenoid(HexSpec(cells)).graph, linear_phenylene(20).graph):
-        star = theta._theta_star_pass(g)
-        assert star.classes == oracle_theta_star_partition(g).classes
-        assert all(star.two_sided)
+        classes, _, two_sided = pass_facts(g)
+        assert classes == oracle_theta_star_partition(g).classes
+        assert all(two_sided)
 
 
 def _split_and_coarsen(rng: random.Random, star: EdgePartition) -> EdgePartition:
@@ -558,6 +559,28 @@ def test_pieces_are_not_searched_for_bridges():
     assert star.two_sided == (False, True, True, True)
 
 
+def test_a_bridged_graph_builds_and_certifies_one_partition():
+    # a C5, which takes the pass, and PH3, which takes the lattice route,
+    # joined by a bridge that comes first in edge order: the routes hand
+    # back labels, each piece's mapped to g's edge ids past the bridge,
+    # and theta_star_partition builds and trusts one partition from them
+    ph3 = linear_phenylene(3).graph
+    v = ph3.degrees().index(2)
+    c5 = tuple((i, (i + 1) % 5) for i in range(5))
+    g = build_graph(5 + ph3.n, ((0, 5 + v),) + c5 + tuple((5 + a, 5 + b) for a, b in ph3.edges))
+    expected = oracle_theta_star_partition(g)
+    with (
+        mock.patch.object(EdgePartition, "from_labels", wraps=EdgePartition.from_labels) as built,
+        mock.patch.object(theta, "_trust", wraps=theta._trust) as trusted,
+        mock.patch.object(theta, "_theta_star_pass", wraps=theta._theta_star_pass) as passes,
+    ):
+        star = theta_star_partition(g)
+    assert built.call_count == 1 and trusted.call_count == 1
+    assert [call.args[0].n for call in passes.call_args_list] == [5]
+    assert star == expected
+    assert star.two_sided == (True, False) + (True,) * 9
+
+
 @settings(max_examples=60, deadline=None)
 @given(bridged_weighted_graphs(), st.sampled_from((2, 3, 4096)))
 def test_bridged_graphs_match_the_oracle_and_the_pass(graph_and_weights, source_bits):
@@ -569,7 +592,7 @@ def test_bridged_graphs_match_the_oracle_and_the_pass(graph_and_weights, source_
     with mock.patch.object(graph, "_SOURCE_BITS", source_bits):
         star = theta_star_partition(g)
     assert star == oracle_theta_star_partition(g)
-    assert star.two_sided == theta._theta_star_pass(g).two_sided
+    assert star.two_sided == pass_facts(g)[2]
 
 
 def _sparse_graph(rng: random.Random, n: int):
@@ -674,11 +697,11 @@ def test_theta_star_pass_memory_is_linear_on_a_phenylene():
     g = linear_phenylene(50).graph
     tracemalloc.start()
     try:
-        star = theta._theta_star_pass(g)
+        labels, sided = theta._theta_star_pass(g)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(star) == 150 and all(star.two_sided)
+    assert len(set(labels)) == 150 and all(map(sided.__getitem__, labels))
     assert peak < 400_000, f"peak {peak} bytes"
 
 
