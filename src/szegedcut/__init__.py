@@ -53,7 +53,6 @@ from .molgen import (
     ph_closed_formulas,
 )
 from .oracle import (
-    DistanceMatrix,
     EdgeSides,
     all_pairs_distances,
     distance_decomposition_check,

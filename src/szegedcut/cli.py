@@ -26,7 +26,7 @@ from .errors import (
     SzegedCutError,
 )
 from .graph import Graph, _int_pairs, format_edge_list, parse_edge_list
-from .indices import IndexReport, _read_classes, weighted_suite_cut, weighted_suite_direct
+from .indices import IndexReport, _json_values, _read_classes, weighted_suite_cut, weighted_suite_direct
 from .molgen import (
     HexSpec,
     build_benzenoid,
@@ -89,15 +89,10 @@ def _print_report(report: IndexReport, fmt: str) -> None:
         return
     print(f"method: {report.method}")
     print(f"starred: {str(report.starred).lower()}")
-    print(f"wSz: {report.w_sz}")
-    print(f"wPI_v: {report.w_pi_v}")
-    print(f"wSz_e: {report.w_sz_e}")
-    print(f"wPI: {report.w_pi}")
+    for name, value in _json_values(report).items():
+        print(f"{name}: {value}")
     for c in report.per_class:
-        print(
-            f"class {c.class_index}: wSz={c.w_sz} wPI_v={c.w_pi_v} "
-            f"wSz_e={c.w_sz_e} wPI={c.w_pi}"
-        )
+        print(f"class {c.class_index}:", *(f"{k}={v}" for k, v in _json_values(c).items()))
 
 
 def _cmd_index(args) -> int:

@@ -77,9 +77,6 @@ class HexSpec:
     def sorted_cells(self) -> tuple[Cell, ...]:
         return tuple(sorted(self.cells))
 
-    def is_connected(self) -> bool:
-        return _region(self.cells)[0] == 1
-
     def has_holes(self) -> bool:
         """True if the complement of the cell set has a bounded component."""
         return _region(self.cells)[1] > 0

@@ -3,7 +3,8 @@
 Every index is evaluated straight from the definitions with two fresh
 BFS runs per edge, in one pass that `oracle_suite` and `oracle_general`
 share; Theta*, the partial-cube test and the distance
-decomposition of quotients read an all-pairs distance table. The module
+decomposition of quotients read `all_pairs_distances`, a plain tuple of
+one distance row per vertex. The module
 deliberately shares no computation with `indices`, `quotient_graph` or
 the BFS-tree pass in `theta` (only graph primitives, result types and
 the union-find), so a bug cannot hide on both sides of the equivalence
@@ -23,7 +24,6 @@ from .quotient import QuotientGraph, Weight, WeightAssignment
 from .theta import EdgePartition, _UnionFind, _trust
 
 __all__ = [
-    "DistanceMatrix",
     "EdgeSides",
     "all_pairs_distances",
     "distance_decomposition_check",
@@ -36,19 +36,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DistanceMatrix:
-    """All-pairs hop distances; rows[u][v] is the distance from u to v."""
-
-    rows: tuple[tuple[int, ...], ...]
-
-
-def all_pairs_distances(g: Graph) -> DistanceMatrix:
-    """n BFS runs; O(n*m). Raises DisconnectedError on disconnected input."""
-    return DistanceMatrix(tuple(bfs_distances(g, v) for v in range(g.n)))
+def all_pairs_distances(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Row u holds the hop distances from u; n BFS runs, O(n*m). Raises
+    DisconnectedError on disconnected input."""
+    return tuple(bfs_distances(g, v) for v in range(g.n))
 
 
-def theta_related(g: Graph, dm: DistanceMatrix, e1: int, e2: int) -> bool:
+def theta_related(g: Graph, dm: Sequence[Sequence[int]], e1: int, e2: int) -> bool:
     """Test the Djokovic-Winkler relation between two edges.
 
     Orientation-independent: swapping the endpoint naming of either edge
@@ -56,7 +50,7 @@ def theta_related(g: Graph, dm: DistanceMatrix, e1: int, e2: int) -> bool:
     """
     u1, v1 = g.edges[e1]
     u2, v2 = g.edges[e2]
-    r1, r2 = dm.rows[u1], dm.rows[v1]
+    r1, r2 = dm[u1], dm[v1]
     return r1[u2] + r2[v2] != r1[v2] + r2[u2]
 
 
@@ -106,7 +100,7 @@ def oracle_is_partial_cube(g: Graph) -> bool:
     star = oracle_theta_star_partition(g)
     dm = all_pairs_distances(g)
     # a connected graph is bipartite iff no edge joins two equal distances
-    if any(dm.rows[0][u] == dm.rows[0][v] for u, v in g.edges):
+    if any(dm[0][u] == dm[0][v] for u, v in g.edges):
         return False
     return all(
         theta_related(g, dm, a, b)
@@ -124,8 +118,8 @@ def distance_decomposition_check(g: Graph, quotients: Sequence[QuotientGraph]) -
     dm = all_pairs_distances(g)
     qdms = [all_pairs_distances(q.graph) for q in quotients]
     return all(
-        dm.rows[u][v]
-        == sum(qdm.rows[q.component_map[u]][q.component_map[v]]
+        dm[u][v]
+        == sum(qdm[q.component_map[u]][q.component_map[v]]
                for q, qdm in zip(quotients, qdms))
         for u in range(g.n)
         for v in range(u + 1, g.n)

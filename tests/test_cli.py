@@ -90,6 +90,26 @@ def test_index_cut_text_format(capsys, ph2_file):
     assert "method: cut" in out
 
 
+def test_index_text_report_is_pinned(capsys, ph2_file):
+    # the header, the four totals and one line per Theta*-class of PH2
+    code, out, _ = run_cli(capsys, "index", ph2_file, "--format", "text")
+    assert code == 0
+    assert out == (
+        "method: cut\n"
+        "starred: false\n"
+        "wSz: 2124\n"
+        "wPI_v: 816\n"
+        "wSz_e: 1652\n"
+        "wPI: 776\n"
+        "class 0: wSz=243 wPI_v=108 wSz_e=180 wPI=108\n"
+        "class 1: wSz=243 wPI_v=108 wSz_e=180 wPI=108\n"
+        "class 2: wSz=720 wPI_v=240 wSz_e=500 wPI=200\n"
+        "class 3: wSz=243 wPI_v=108 wSz_e=180 wPI=108\n"
+        "class 4: wSz=243 wPI_v=108 wSz_e=180 wPI=108\n"
+        "class 5: wSz=432 wPI_v=144 wSz_e=432 wPI=144\n"
+    )
+
+
 def test_index_compare_ok(capsys, ph2_file):
     code, out, _ = run_cli(capsys, "index", ph2_file, "--method", "compare")
     assert code == 0

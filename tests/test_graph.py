@@ -270,12 +270,12 @@ def test_bfs_disconnected_raises():
 @pytest.mark.parametrize("k, diameter", [(4, 2), (6, 3)])
 def test_all_pairs_cycle_diameter(k, diameter):
     dm = all_pairs_distances(cycle_graph(k))
-    assert max(max(row) for row in dm.rows) == diameter
+    assert max(max(row) for row in dm) == diameter
 
 
 def test_all_pairs_k2():
     dm = all_pairs_distances(build_graph(2, [(0, 1)]))
-    assert dm.rows == ((0, 1), (1, 0))
+    assert dm == ((0, 1), (1, 0))
 
 
 @settings(max_examples=40, deadline=None)
@@ -285,17 +285,17 @@ def test_distance_symmetry_and_consistency(seed):
     dm = all_pairs_distances(g)
     for u in range(g.n):
         row = bfs_distances(g, u)
-        assert row == dm.rows[u]
+        assert row == dm[u]
         for v in range(g.n):
-            assert dm.rows[u][v] == dm.rows[v][u]
+            assert dm[u][v] == dm[v][u]
     for v in range(g.n):
-        assert dm.rows[v][v] == 0
+        assert dm[v][v] == 0
     for u, v in g.edges:
-        assert dm.rows[u][v] == 1
+        assert dm[u][v] == 1
     for u in range(g.n):
         for v in range(g.n):
             for w in range(g.n):
-                assert dm.rows[u][v] <= dm.rows[u][w] + dm.rows[w][v]
+                assert dm[u][v] <= dm[u][w] + dm[w][v]
 
 
 def test_tree_distance_is_path_length():
@@ -320,7 +320,7 @@ def test_tree_distance_is_path_length():
                 while w != u:
                     w = parent[w]
                     steps += 1
-                assert steps == dm.rows[u][v]
+                assert steps == dm[u][v]
 
 
 @st.composite

@@ -829,6 +829,42 @@ def test_two_sided_rows_match_oracle(family, data):
     ]
 
 
+def _five_ring_chain(k):
+    # k five-rings, each joined to the next by a bond from its vertex 2:
+    # every ring is one Theta*-class that is not two-sided, a class whose
+    # rest is the whole ring, and the bonds are bridges
+    edges = [(5 * i + j, 5 * i + (j + 1) % 5) for i in range(k) for j in range(5)]
+    return build_graph(5 * k, edges + [(5 * i + 2, 5 * i + 5) for i in range(k - 1)])
+
+
+@pytest.mark.parametrize(
+    "k, reference",
+    [(20, oracle_suite), (200, weighted_suite_direct)],
+    ids=["20 rings, oracle", "200 rings, direct route"],
+)
+def test_a_chain_of_five_rings_matches_its_reference(k, reference):
+    g = _five_ring_chain(k)
+    p = theta_star_partition(g)
+    assert p.two_sided.count(False) == k
+    for starred in (False, True):
+        assert weighted_suite_cut(g, p, starred).as_tuple() == reference(g, starred).as_tuple()
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="FOUND in CHANGES.md: each ring's quotient scans all of G, 439 800 against n + m = 2199",
+)
+def test_a_chain_of_five_rings_scans_g_a_bounded_number_of_times():
+    # each of the 200 ring classes builds a quotient of its rest, and each
+    # build scans all n + m of G; the bound allows a few passes over G
+    g = _five_ring_chain(200)
+    p = theta_star_partition(g)
+    with _builds() as spy:
+        weighted_suite_cut(g, p)
+    assert sum(call.args[0].n + call.args[0].m for call in spy.call_args_list) <= 4 * (g.n + g.m)
+
+
 def _triangle_with_tail():
     # the triangle is one Theta*-class that is no clean cut; the two
     # bridges 2-3 and 3-4 are two-sided classes of their own

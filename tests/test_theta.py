@@ -820,7 +820,7 @@ def _assert_two_sided_flags_are_sound(g):
             for u in inside:
                 for v in inside:
                     for x in range(g.n):
-                        if dm.rows[u][x] + dm.rows[x][v] == dm.rows[u][v]:
+                        if dm[u][x] + dm[x][v] == dm[u][v]:
                             assert q.component_map[x] == side
     for e in _bridges(g):
         c = p.class_of[e]
