@@ -9,7 +9,9 @@ order that raises for the first loop, bad id or repeat.
 given, with no copy and no check: the molecule builders and
 `quotient_graph` make simple graphs by construction, and
 `parse_edge_list` runs the same walk on its parsed pairs before it wraps
-them. Either way the adjacency is built on first read, then kept.
+them. Either way the adjacency is built on first read, then kept, as are
+the BFS tree below and the memo entry of the per-kind index calls
+(`indices._last_totals`), which is freed with the graph.
 Distances are exact hop counts from one source at a time; the all-pairs
 table is kept in `oracle`, so no production path holds O(n^2) state.
 `_int_pairs` is the one line reader of all three text input formats.
@@ -94,8 +96,9 @@ class Graph:
     `Graph(n, edges)` copies a caller's edges and checks them in one walk
     in input order, which names the first bad one. `Graph._wrap(n, edges)`
     keeps an edge tuple the package built simple itself, uncopied and
-    unchecked. The adjacency and the `_bfs_tree` are built on first use
-    and kept, so a graph that is only written out builds neither.
+    unchecked. The adjacency, the `_bfs_tree` and `_last`, the memo entry
+    of the per-kind index calls, are built on first use and kept, so a
+    graph that is only written out builds none of them.
 
     Attributes:
         n: number of vertices (ids 0..n-1).
@@ -103,7 +106,7 @@ class Graph:
         adj: per-vertex tuple of (neighbor, edge_id) pairs, read-only.
     """
 
-    __slots__ = ("n", "edges", "_adj", "_tree")
+    __slots__ = ("n", "edges", "_adj", "_tree", "_last")
 
     def __init__(self, n: int, edge_list: Iterable[tuple[int, int]]):
         if n < 1:

@@ -64,14 +64,14 @@ evaluation, `_evaluate`, which yields all five totals. It runs with the
 cyclic garbage collector paused (`graph._collector_paused`). Its
 connectivity check builds G's BFS tree, kept with G for `_cut_sides`, the
 bridges and Theta* to read, so G's tree is built once. Only the per-kind
-calls `weighted_index` and `general_cut_index` enter a memo of
-the last inputs, held by reference, with their totals: a call on those
-very objects (compared with `is`, not by value) reads its kind from
-them. So a loop over the four cut kinds builds every quotient once, and
-Sz_t after them runs no evaluation: `weighted_index` also reads a cut
-entry whose partition the library certified on that very edge tuple.
-The memo keeps its last inputs alive until the next evaluation; the
-suites keep nothing alive.
+calls `weighted_index` and `general_cut_index` enter a memo: G keeps, like
+its tree, the weights and partition of its last such evaluation, by
+reference, with their totals. A call on G with those very objects
+(compared with `is`, not by value) reads its kind from them. So a loop
+over the four cut kinds builds every quotient once, and Sz_t after them
+runs no evaluation: `weighted_index` also reads a cut entry whose
+partition the library certified on G's very edge tuple. The entry lives
+and dies with G, and no graph evicts another's; the suites keep nothing.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, islice, repeat
 from math import lcm
-from operator import add, and_, is_, lshift, mul
+from operator import add, and_, lshift, mul
 from typing import Iterator, Sequence
 
 from .errors import UnsupportedKindError
@@ -378,9 +378,9 @@ def _slot(kind: IndexKind) -> int:
 def weighted_index(g: Graph, wa: WeightAssignment, kind: IndexKind) -> Weight:
     """Evaluate one index of the weighted graph from its definition.
 
-    Calls on the same g and wa share one evaluation of all five kinds, or
-    read that of `general_cut_index` on them and a partition certified on
-    g's edges, whose totals are these.
+    Calls on the same g and wa share one evaluation of all five kinds, kept
+    on g, or read that of `general_cut_index` on them and a partition
+    certified on g's edges, whose totals are these.
     """
     slot = _slot(kind)
     return _last_totals(g, wa, None)[slot]
@@ -454,8 +454,8 @@ def general_cut_index(
     Sz and PI_v sum the same kind over the quotients; Sz_e sums the
     total-Szeged index of the quotients; PI sums PI_v(lam_i, w_i') plus
     PI(lam_i', w_i'); Sz_t sums Sz_t(G_i, w_i + lam_i, lam_i', w_i').
-    Calls for every kind on the same g, wa and p share one evaluation,
-    which `weighted_index` also reads when p is certified on g's edges.
+    Calls for every kind on the same g, wa and p share one evaluation, kept
+    on g, which `weighted_index` also reads when p is certified on g's edges.
     """
     slot = _slot(kind)
     return _last_totals(g, wa, p)[slot]
@@ -482,27 +482,19 @@ def _evaluate(
         return _class_contributions(g, scaled, p), d
 
 
-# ((g, g.edges, wa, p), totals) of the last evaluation, or None. The entry
-# holds the caller's own objects, so a later call can match them by
-# identity: an id could be reused by a new object once the old one is
-# collected, and equal-valued inputs would cost a hash over all weights.
-_last: tuple | None = None
-
-
 def _last_totals(g: Graph, wa: WeightAssignment, p: EdgePartition | None) -> Sums:
-    """The unscaled totals of `_evaluate`, read from the entry when g, its
-    edges, wa and p are those of the last evaluation, or, for a direct
-    call, when the entry's partition was certified on that very edge
-    tuple: the cut totals are the direct ones there. A partition trusted
-    by the raw keyword or `replace()` is bound to no edges, so it is never
-    read across routes. A call that raises leaves the entry as it was."""
-    global _last
-    key = (g, g.edges, wa, p)
-    last = _last  # one read, so a concurrent write never splits the entry
-    if last is not None and all(map(is_, last[0][:3], key)):
-        q = last[0][3]
+    """The unscaled totals of `_evaluate`, read from g's entry when wa and p
+    are those of g's last evaluation by it, or, for a direct call, when the
+    entry's partition was certified on g's very edge tuple: the cut totals
+    are the direct ones there. A partition trusted by the raw keyword or
+    `replace()` is bound to no edges, so it is never read across routes.
+    wa and p are matched by identity, as equal-valued inputs would cost a
+    hash over all weights. A call that raises leaves the entry as it was."""
+    last = getattr(g, "_last", None)  # one read, so a concurrent write never splits the entry
+    if last is not None and last[0] is wa:
+        q = last[1]
         if q is p or (p is None and q._certified_on is g.edges):
-            return last[1]
+            return last[2]
     totals = _totals(*_evaluate(g, wa, p))
-    _last = (key, totals)
+    g._last = (wa, p, totals)
     return totals

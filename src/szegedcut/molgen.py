@@ -66,7 +66,7 @@ class HexSpec:
 
     def __post_init__(self):
         if not self.cells:
-            raise ValueError("hex spec needs at least one cell")
+            raise NTooSmallError("hex spec needs at least one cell")
 
     @classmethod
     def linear_chain(cls, h: int) -> "HexSpec":

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
+from .errors import UnsupportedKindError
 from .graph import Graph, bfs_distances, require_connected
 from .indices import IndexKind, IndexReport
 from .quotient import QuotientGraph, Weight, WeightAssignment
@@ -161,6 +162,6 @@ def oracle_suite(g: Graph, starred: bool = False) -> IndexReport:
 def oracle_general(g: Graph, wa: WeightAssignment, kind: IndexKind) -> Weight:
     """Definition-level evaluation of any of the five weighted indices."""
     if not isinstance(kind, IndexKind):
-        raise ValueError(f"unknown index kind {kind!r}")
+        raise UnsupportedKindError(f"{kind!r} is not an IndexKind")
     wa.check_shape(g)
     return _oracle_sums(g, wa.w, wa.lambda_prime, wa.w_prime)[kind]

@@ -232,11 +232,21 @@ MUTANTS = [
     (
         "the direct route reads a cut entry whose partition no edge list certifies",
         "indices.py",
-        "(p is None and q._certified_on is g.edges)",
-        "p is None",
+        "if q is p or (p is None and q._certified_on is g.edges):",
+        "if q is p or p is None:",
         [
             "tests/test_indices.py::test_a_keyword_trusted_partition_is_never_read_by_the_direct_route",
             "tests/test_indices.py::test_threads_mixing_the_routes_on_the_memo_get_the_direct_totals",
+        ],
+    ),
+    (
+        "the entry is read for another WeightAssignment",
+        "indices.py",
+        "if last is not None and last[0] is wa:",
+        "if last is not None:",
+        [
+            "tests/test_indices.py::test_alternating_weight_assignments_match_oracle",
+            "tests/test_indices.py::test_new_but_equal_objects_evaluate_again",
         ],
     ),
     (

@@ -1,6 +1,7 @@
 import random
 import sys
 import threading
+import weakref
 from contextlib import ExitStack, contextmanager
 from dataclasses import astuple, replace
 from fractions import Fraction
@@ -279,7 +280,7 @@ def test_index_routes_reject_disconnected_graphs(g):
 
 def test_oracle_general_rejects_a_kind_that_is_no_index_kind():
     k2 = _k2()
-    with pytest.raises(ValueError):
+    with pytest.raises(UnsupportedKindError):
         oracle_general(k2, WeightAssignment.unit(k2), "Sz")
 
 
@@ -1065,10 +1066,37 @@ def test_alternating_weight_assignments_match_oracle():
     for kind in _CUT_KINDS:
         for weights in (wa, other, wa):
             assert general_cut_index(g, weights, p, kind) == oracle_general(g, weights, kind)
-    indices._last = None  # so the first direct call evaluates, reading no cut entry
+    g._last = None  # so the first direct call evaluates, reading no cut entry
     for kind in IndexKind:
         for weights in (wa, other, wa):
             assert weighted_index(g, weights, kind) == oracle_general(g, weights, kind)
+
+
+def test_an_evaluation_lives_no_longer_than_its_graph():
+    # reference counting alone must free the caller's weights and partition
+    g = cycle_graph(7)
+    wa = random_weight_assignment(random.Random(7), g)
+    p = theta_star_partition(g)
+    general_cut_index(g, wa, p, IndexKind.SZ)
+    weighted_index(g, wa, IndexKind.SZ_T)
+    refs = weakref.ref(wa), weakref.ref(p)
+    del wa, p
+    with graph._collector_paused():
+        assert all(ref() is not None for ref in refs)
+        del g
+        assert all(ref() is None for ref in refs)
+
+
+def test_interleaved_graphs_keep_their_own_evaluations():
+    inputs = []
+    for n in (6, 7):
+        g = cycle_graph(n)
+        inputs.append((g, random_weight_assignment(random.Random(n), g), theta_star_partition(g)))
+    with _spy("_class_contributions") as spy:
+        for g, wa, p in inputs + inputs:
+            for kind in IndexKind:
+                assert general_cut_index(g, wa, p, kind) == oracle_general(g, wa, kind)
+    assert spy.call_count == 2
 
 
 def test_kind_checks_run_on_a_hit():
@@ -1197,11 +1225,11 @@ def test_suites_leave_the_memo_as_it_was():
     # a stored suite would keep the last molecule alive until the next call
     g, wa, p = _patch_inputs()
     general_cut_index(g, wa, p, IndexKind.SZ)
-    entry = indices._last
+    entry = g._last
     for starred in (False, True):
         weighted_suite_cut(g, p, starred)
         weighted_suite_direct(g, starred)
-        assert indices._last is entry
+        assert g._last is entry
     with _spy("_class_contributions") as spy:
         general_cut_index(g, wa, p, IndexKind.PI)
     assert spy.call_count == 0

@@ -591,3 +591,10 @@ def test_side_table_matches_the_corner_geometry(cell):
         expected = [(corners.index(pt), across_corners.index(pt)) for pt in sorted(side)]
         assert list(square) == (expected if across > cell else [])
     assert list(_FORWARD) == sorted((s for s in _SIDES if s[3]), key=lambda s: s[0])
+
+
+def test_an_empty_hex_spec_raises_a_package_error():
+    with pytest.raises(NTooSmallError):
+        HexSpec(frozenset())
+    with pytest.raises(NTooSmallError):
+        HexSpec.linear_chain(0)
