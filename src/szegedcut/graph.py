@@ -386,11 +386,6 @@ def is_connected(g: Graph) -> bool:
     return min(_bfs(g, 0, [-1] * g.n)) >= 0
 
 
-def require_connected(g: Graph) -> None:
-    if not is_connected(g):
-        raise DisconnectedError("graph is not connected")
-
-
 def _int_pairs(text: str) -> list[tuple[int, int]]:
     """The integer pair of every line that is not blank and does not start
     with `#`: the one line grammar of the edge-list, partition and hex-spec

@@ -52,12 +52,6 @@ _SIDES = (
 _FORWARD = tuple(_SIDES[k] for k in (0, 4, 5))
 
 
-def _corners(cell: Cell) -> list[Point]:
-    q, r = cell
-    cx, cy = 2 * q + r, 3 * r
-    return [(cx + ox, cy + oy) for ox, oy in _CORNER_OFFSETS]
-
-
 @dataclass(frozen=True)
 class HexSpec:
     """A set of hexagon cells in axial coordinates."""
@@ -76,10 +70,6 @@ class HexSpec:
 
     def sorted_cells(self) -> tuple[Cell, ...]:
         return tuple(sorted(self.cells))
-
-    def has_holes(self) -> bool:
-        """True if the complement of the cell set has a bounded component."""
-        return _region(self.cells)[1] > 0
 
 
 def _forward_pairs(cells: tuple[Cell, ...]):
@@ -382,8 +372,7 @@ def ph_closed_formulas(n: int) -> IndexReport:
     w_sz = 300 * n**3 - 36 * n**2 - 84 * n + 36
     w_pi_v = 264 * n**2 - 120 * n
     numerator = 1348 * n**3 - 1860 * n**2 + 812 * n - 12
-    w_sz_e, remainder = divmod(numerator, 3)
-    if remainder:
-        raise ValueError(f"edge-Szeged numerator not divisible by 3 at n={n}")
+    # exact: mod 3 the numerator is n^3 - n = (n - 1) n (n + 1), three consecutive ints
+    w_sz_e = numerator // 3
     w_pi = 328 * n**2 - 304 * n + 72
     return IndexReport("formula", False, w_sz, w_pi_v, w_sz_e, w_pi)

@@ -19,7 +19,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .errors import UnsupportedKindError
-from .graph import Graph, bfs_distances, require_connected
+from .graph import Graph, bfs_distances
 from .indices import IndexKind, IndexReport
 from .quotient import QuotientGraph, Weight, WeightAssignment
 from .theta import EdgePartition, _UnionFind, _trust
@@ -86,7 +86,6 @@ def oracle_edge_sides(g: Graph, eid: int) -> EdgeSides:
 
 def oracle_theta_star_partition(g: Graph) -> EdgePartition:
     """Theta*-classes via the pairwise O(m^2) test over a distance matrix."""
-    require_connected(g)
     dm = all_pairs_distances(g)
     m = g.m
     uf = _UnionFind(m)
@@ -131,7 +130,7 @@ def _oracle_sums(g: Graph, w: Sequence[Weight], lam: Sequence[Weight],
                  wp: Sequence[Weight]) -> dict[IndexKind, Weight]:
     """All five indices, keyed by kind, for vertex weight w, side edge
     weight lam and term weight wp, summed edge by edge."""
-    require_connected(g)
+    bfs_distances(g, 0)  # raises on a disconnected graph, even one with no edge
     sz = pi_v = sz_e = pi = sz_t = 0
     for eid in range(g.m):
         sides = oracle_edge_sides(g, eid)

@@ -92,7 +92,7 @@ from itertools import compress
 from typing import Hashable, Iterable, Iterator
 
 from .errors import InvalidCPartitionError, MalformedPartitionError, PartitionNotCoveringError
-from .graph import Graph, _bfs, _bfs_tree, _bridges, _pieces, _sweep, _sweep_ranges, require_connected
+from .graph import Graph, _bfs, _bfs_tree, _bridges, _pieces, _sweep, _sweep_ranges
 
 
 class _UnionFind:
@@ -451,5 +451,5 @@ def is_partial_cube(g: Graph) -> bool:
     Raises:
         DisconnectedError: if g is not connected.
     """
-    require_connected(g)
+    _bfs_tree(g)
     return is_bipartite(g) and all(theta_star_partition(g).two_sided)

@@ -273,6 +273,15 @@ MUTANTS = [
         ],
     ),
     (
+        "the oracle sums skip the connectivity check",
+        "oracle.py",
+        "    bfs_distances(g, 0)  # raises on a disconnected graph, even one with no edge\n",
+        "",
+        [
+            "tests/test_oracle.py::test_oracle_rejects_disconnected",
+        ],
+    ),
+    (
         "direction_partition trusts without the builders' mark",
         "molgen.py",
         "if self._hole_free else p",

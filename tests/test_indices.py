@@ -539,6 +539,32 @@ def test_multi_sweep_sides_match_oracle(source_bits, bipartite, data):
         assert cut[kind] == oracle_general(g, wa, kind)
 
 
+# Fraction(k, p) over the primes below 2000: a graph's weights share a
+# common denominator of a few hundred bits, so the scaled masses have as
+# many bit planes
+_PRIMES = [p for p in range(2, 2000) if all(p % d for d in range(2, int(p**0.5) + 1))]
+_PRIME_FRACTIONS = st.builds(Fraction, st.integers(0, 50), st.sampled_from(_PRIMES))
+
+
+@pytest.mark.parametrize("source_bits", [3, 4096])
+@pytest.mark.parametrize("family", ["bipartite", "odd", "bridged"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_wide_denominators_match_oracle(source_bits, family, data):
+    if family == "bridged":
+        g, wa = data.draw(bridged_weighted_graphs(_PRIME_FRACTIONS))
+    else:
+        g, wa = data.draw(cyclic_weighted_graphs(family == "bipartite", _PRIME_FRACTIONS))
+    with mock.patch.object(graph, "_SOURCE_BITS", source_bits):
+        p = theta_star_partition(g)
+        cut = {kind: general_cut_index(g, wa, p, kind) for kind in IndexKind}
+        g._last = None  # so the direct route evaluates, reading no cut entry
+        direct = {kind: weighted_index(g, wa, kind) for kind in IndexKind}
+    for kind in IndexKind:
+        expected = oracle_general(g, wa, kind)
+        assert cut[kind] == expected and direct[kind] == expected
+
+
 def _planes_bit_by_bit(masses):
     # plane b has bit i set iff bit b of masses[i] is set; zero planes left out
     planes = {}

@@ -75,11 +75,12 @@ def test_oracle_general_examples():
 
 
 def test_oracle_rejects_disconnected():
-    g = build_graph(4, [(0, 1), (2, 3)])
-    with pytest.raises(DisconnectedError):
-        oracle_suite(g)
-    with pytest.raises(DisconnectedError):
-        oracle_general(g, WeightAssignment.unit(g), IndexKind.SZ)
+    # with no edge, no per-edge BFS runs, so only the up-front check raises
+    for g in (build_graph(4, [(0, 1), (2, 3)]), build_graph(2, [])):
+        with pytest.raises(DisconnectedError):
+            oracle_suite(g)
+        with pytest.raises(DisconnectedError):
+            oracle_general(g, WeightAssignment.unit(g), IndexKind.SZ)
 
 
 @pytest.mark.parametrize("module", ["graph", "theta", "quotient", "indices", "molgen", "cli"])
