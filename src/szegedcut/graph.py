@@ -11,10 +11,19 @@ given, with no copy and no check: the molecule builders and
 `parse_edge_list` runs the same walk on its parsed pairs before it wraps
 them. Either way the adjacency is built on first read, then kept, as are
 the BFS tree below and the memo entry of the per-kind index calls
-(`indices._last_totals`), which is freed with the graph.
+(`indices._last_totals`), which is freed with the graph. `n` and `edges`
+cannot be rebound, as the kept state would describe the old edges.
 Distances are exact hop counts from one source at a time; the all-pairs
 table is kept in `oracle`, so no production path holds O(n^2) state.
 `_int_pairs` is the one line reader of all three text input formats.
+
+The adjacency is a list of incidence lists: `adj[x]` is the tuple of the
+ids of the edges at x, and the private per-edge list `_across[e]` holds
+u ^ v for e = uv, so the neighbour across e from x is `_across[e] ^ x`.
+That is one id per arc and one int per edge, about 44 bytes per arc
+against 95 for a (neighbour, edge id) tuple per arc, and n tuples for the
+collector to traverse instead of 2m + n. Each tuple is in id order, so a
+vertex meets its neighbours in the order of their edges.
 
 `_bfs_tree` is the one BFS spanning tree of the package, kept with its
 graph like the adjacency: the Theta* pass cuts its edges, the subtree
@@ -40,9 +49,14 @@ whose allocations would set off young collections and, as they survive,
 full ones that scan the whole heap. The builds hold only ints and acyclic
 containers of ints and keep nothing past the call, so no cycle waits for
 the collector, and reference counting still frees every temporary at once:
-pausing moves no memory peak. The collector's flag is shared by every
-thread, so other threads run without the collector while a pause lasts,
-and a pause undoes a `gc.disable()` made by another thread while it ran.
+pausing moves no memory peak. A pause defers work rather than saving all
+of it: the first young collection after it traverses every container the
+build left alive. On PH9000 (2-core x86 VM, Python 3.11) that takes about
+3 ms after the adjacency build (12 ms with a tuple per arc) and 4 ms
+after the parse, which keeps a tuple per edge. The collector's flag is
+shared by every thread, so other threads run without the collector while
+a pause lasts, and a pause undoes a `gc.disable()` made by another thread
+while it ran.
 """
 
 from __future__ import annotations
@@ -71,10 +85,14 @@ class _collector_paused:
     """Context manager that switches the cyclic garbage collector off for a
     bulk build of acyclic tuples and lists of ints, and back on when the
     build ends, raised or not. If the collector is already off, by a
-    caller or an enclosing pause, it stays off. The flag is shared by every
-    thread: a pause that found it on turns it back on at its exit, even
-    while another thread's pause runs, and undoes a `gc.disable()` that
-    another thread made in between."""
+    caller or an enclosing pause, it stays off. The first young collection
+    after the pause traverses every container the build left alive, so a
+    build frees its temporary lists inside the pause and keeps few
+    containers: the adjacency keeps one incidence tuple per vertex and one
+    list of edge XORs. The flag is shared by every thread: a pause that
+    found it on turns it back on at its exit, even while another thread's
+    pause runs, and undoes a `gc.disable()` that another thread made in
+    between."""
 
     __slots__ = ("_resume",)
 
@@ -103,10 +121,15 @@ class Graph:
     Attributes:
         n: number of vertices (ids 0..n-1).
         edges: tuple of (u, v) pairs; the index of a pair is its edge id.
-        adj: per-vertex tuple of (neighbor, edge_id) pairs, read-only.
+        adj: per-vertex tuple of the ids of its edges, in id order,
+            read-only; the neighbour across edge e from x is `_across[e] ^ x`.
+
+    `n` and `edges` cannot be rebound: `__setattr__` raises
+    `AttributeError` for every public name, and writes only the private
+    caches `_adj`, `_across`, `_tree` and `_last`.
     """
 
-    __slots__ = ("n", "edges", "_adj", "_tree", "_last")
+    __slots__ = ("n", "edges", "_adj", "_across", "_tree", "_last")
 
     def __init__(self, n: int, edge_list: Iterable[tuple[int, int]]):
         if n < 1:
@@ -115,31 +138,44 @@ class Graph:
         with _collector_paused():  # the copy makes a tuple per edge, `_check_edges` a key
             edges = tuple([(u, v) for u, v in edge_list])
             _check_edges(n, edges)
-        self.n = n
-        self.edges: tuple[tuple[int, int], ...] = edges
-        self._adj: tuple[tuple[tuple[int, int], ...], ...] | None = None
-        self._tree: Tree | None = None
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "_adj", None)
+        object.__setattr__(self, "_tree", None)
 
     @classmethod
     def _wrap(cls, n: int, edges: tuple[tuple[int, int], ...]) -> "Graph":
         # the graph of an edge tuple the package made and knows to be
         # simple, n >= 1: the tuple is kept as given and nothing is checked
         g = cls.__new__(cls)
-        g.n = n
-        g.edges = edges
-        g._adj = None
-        g._tree = None
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "edges", edges)
+        object.__setattr__(g, "_adj", None)
+        object.__setattr__(g, "_tree", None)
         return g
 
+    def __setattr__(self, name: str, value) -> None:
+        if not name.startswith("_"):
+            raise AttributeError(f"Graph.{name} is read-only: a graph is immutable")
+        object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        # a copy or an unpickled graph is wrapped anew and builds its own
+        # caches: restoring the slots one by one would meet `__setattr__`
+        return self._wrap, (self.n, self.edges)
+
     @property
-    def adj(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+    def adj(self) -> tuple[tuple[int, ...], ...]:
         if self._adj is None:
             with _collector_paused():
-                adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+                adj: list[list[int]] = [[] for _ in range(self.n)]
                 for eid, (u, v) in enumerate(self.edges):
-                    adj[u].append((v, eid))
-                    adj[v].append((u, eid))
+                    adj[u].append(eid)
+                    adj[v].append(eid)
+                # kept before `_adj`, so a reader that finds `_adj` finds it too
+                self._across = [u ^ v for u, v in self.edges]
                 self._adj = tuple(map(tuple, adj))
+                del adj  # freed before the pause ends, so no collection traverses its lists
         return self._adj
 
     @property
@@ -183,9 +219,11 @@ def _bfs(g: Graph, source: int, dist: list[int]) -> list[int]:
     dist[source] = 0
     order = [source]
     adj = g.adj
+    across = g._across
     for x in order:  # the list grows while it is read: a BFS queue
         dx = dist[x] + 1
-        for y, _ in adj[x]:
+        for e in adj[x]:
+            y = across[e] ^ x
             if dist[y] < 0:
                 dist[y] = dx
                 order.append(y)
@@ -211,11 +249,13 @@ def _bfs_tree(g: Graph) -> Tree:
         parent[0] = 0
         order = [0]
         adj = g.adj
+        across = g._across
         for x in order:  # the list grows while it is read: a BFS queue
-            for y, eid in adj[x]:
+            for e in adj[x]:
+                y = across[e] ^ x
                 if parent[y] < 0:
                     parent[y] = x
-                    parent_edge[y] = eid
+                    parent_edge[y] = e
                     order.append(y)
         if len(order) < g.n:
             raise DisconnectedError("graph is not connected")

@@ -270,7 +270,10 @@ def _lattice_labels(g: Graph) -> list[int] | None:
     """
     if max(map(len, g.adj)) > 3:
         return None
-    nbrs = [dict(a) for a in g.adj]  # neighbour -> edge id
+    nbrs: list[dict[int, int]] = [{} for _ in range(g.n)]  # neighbour -> edge id, in id order
+    for e, (u, v) in enumerate(g.edges):
+        nbrs[u][v] = e
+        nbrs[v][u] = e
     walk = _faces(nbrs)
     if walk is None:
         return None

@@ -131,6 +131,7 @@ def quotient_graph(g: Graph, wa: WeightAssignment, f: Iterable[int]) -> Quotient
     # each scan sums the w of the component it numbers
     comp = [-1] * g.n
     adj = g.adj
+    across = g._across
     w = wa.w
     w_q: list[Weight] = []
     nc = 0
@@ -142,11 +143,13 @@ def quotient_graph(g: Graph, wa: WeightAssignment, f: Iterable[int]) -> Quotient
         stack = [start]
         while stack:
             x = stack.pop()
-            for y, eid in adj[x]:
-                if comp[y] < 0 and not removed[eid]:
-                    comp[y] = nc
-                    total += w[y]
-                    stack.append(y)
+            for e in adj[x]:
+                if not removed[e]:
+                    y = across[e] ^ x
+                    if comp[y] < 0:
+                        comp[y] = nc
+                        total += w[y]
+                        stack.append(y)
         w_q.append(total)
         nc += 1
 

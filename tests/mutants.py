@@ -282,6 +282,55 @@ MUTANTS = [
         ],
     ),
     (
+        "_bfs reads the XOR of an edge's ends as the neighbour",
+        "graph.py",
+        "            y = across[e] ^ x\n            if dist[y] < 0:\n",
+        "            y = across[e]\n            if dist[y] < 0:\n",
+        [
+            "tests/test_graph.py::test_bfs_cycle6",
+            "tests/test_graph.py::test_bfs_path4_interior_source",
+        ],
+    ),
+    (
+        "_bfs_tree reads the XOR of an edge's ends as the neighbour",
+        "graph.py",
+        "                y = across[e] ^ x\n                if parent[y] < 0:\n",
+        "                y = across[e]\n                if parent[y] < 0:\n",
+        [
+            "tests/test_indices.py::test_suite_direct_c6",
+            "tests/test_theta.py::test_odd_cycles_collapse_to_one_class",
+        ],
+    ),
+    (
+        "quotient_graph's component scan crosses the removed edges",
+        "quotient.py",
+        "                if not removed[e]:\n",
+        "                if True:\n",
+        [
+            "tests/test_quotient.py::test_c6_opposite_pair_quotient",
+            "tests/test_quotient.py::test_c6_component_membership",
+        ],
+    ),
+    (
+        "the lattice recognizer files each edge at its first end only",
+        "molgen.py",
+        "        nbrs[v][u] = e\n",
+        "",
+        [
+            "tests/test_lattice_route.py::test_every_small_polyhex_is_recognized_and_matches_the_pass",
+            "tests/test_lattice_route.py::test_cells_that_meet_three_at_a_corner_are_rejected",
+        ],
+    ),
+    (
+        "Graph lets its edges be rebound",
+        "graph.py",
+        '        if not name.startswith("_"):\n',
+        "        if False:\n",
+        [
+            "tests/test_graph.py::test_graph_refuses_rebinding_after_an_evaluation",
+        ],
+    ),
+    (
         "direction_partition trusts without the builders' mark",
         "molgen.py",
         "if self._hole_free else p",

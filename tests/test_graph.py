@@ -1,3 +1,6 @@
+import copy
+import gc
+import pickle
 import random
 import tracemalloc
 from unittest import mock
@@ -68,13 +71,15 @@ def test_build_rejects_out_of_range():
 
 
 def _reference_graph(n, edge_list):
-    """The reference constructor: one ordered pass checks each edge and
-    appends it to the adjacency lists. Returns (edges, adj)."""
+    """The reference constructor: one ordered pass checks each edge,
+    appends its id to the incidence lists of both ends and the XOR of its
+    ends to the per-edge list. Returns (edges, adj, across)."""
     if n < 1:
         raise NTooSmallError(f"graph needs at least one vertex, got n={n}")
     edges = []
     seen = set()
     adj = [[] for _ in range(n)]
+    across = []
     for u, v in edge_list:
         if u == v:
             raise LoopEdgeError(f"loop edge at vertex {u}")
@@ -86,9 +91,10 @@ def _reference_graph(n, edge_list):
         seen.add(key)
         eid = len(edges)
         edges.append((u, v))
-        adj[u].append((v, eid))
-        adj[v].append((u, eid))
-    return tuple(edges), tuple(tuple(a) for a in adj)
+        adj[u].append(eid)
+        adj[v].append(eid)
+        across.append(u ^ v)
+    return tuple(edges), tuple(tuple(a) for a in adj), across
 
 
 @st.composite
@@ -138,9 +144,10 @@ def test_graph_matches_the_per_edge_constructor(case):
             assert str(raised.value) == str(expected)
         return
     g = Graph(n, make_edges())
-    edges, adj = expected
+    edges, adj, across = expected
     assert g.edges == edges
     assert g.adj == adj
+    assert g._across == across
     assert g.degrees() == tuple(len(a) for a in adj)
 
 
@@ -174,7 +181,7 @@ def test_parse_matches_the_per_edge_constructor(case):
     n, pairs = case
     text = "".join(f"{u} {v}\n" for u, v in [(n, len(pairs)), *pairs])
     try:
-        edges, _ = _reference_graph(n, pairs)
+        edges, _, _ = _reference_graph(n, pairs)
     except SzegedCutError as exc:
         with pytest.raises(ParseError) as raised:
             parse_edge_list(text)
@@ -194,6 +201,28 @@ def test_graph_checks_and_keeps_the_adjacency():
     assert g.adj is g.adj
     with pytest.raises(AttributeError):
         g.adj = ()
+
+
+def test_graph_refuses_rebinding_after_an_evaluation():
+    # a rebound edge tuple would be read against the kept adjacency, edge
+    # XORs and tree of the old one: without the guard, C6 rebound to C6 plus
+    # the chord 03 after an evaluation gives Sz 236, where the graph has 286
+    g = cycle_graph(6)
+    report = weighted_suite_direct(g)
+    for name, value in (("n", 7), ("edges", g.edges + ((0, 3),))):
+        with pytest.raises(AttributeError, match=f"Graph.{name} is read-only"):
+            setattr(g, name, value)
+    assert (g.n, g.edges) == (6, cycle_graph(6).edges)
+    g._last = None  # the private caches stay writable
+    assert weighted_suite_direct(g) == report
+
+
+def test_a_copied_or_pickled_graph_is_the_same_graph():
+    g = cycle_graph(6)
+    report = weighted_suite_direct(g)
+    for h in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert (h.n, h.edges, h.adj) == (g.n, g.edges, g.adj)
+        assert weighted_suite_direct(h) == report
 
 
 def _refuse_check_edges(*_):
@@ -309,7 +338,8 @@ def test_tree_distance_is_path_length():
             order = [u]
             seen = {u}
             for x in order:
-                for y, _ in t.adj[x]:
+                for e in t.adj[x]:
+                    y = sum(t.edges[e]) - x
                     if y not in seen:
                         seen.add(y)
                         parent[y] = x
@@ -481,3 +511,26 @@ def test_parse_memory_builds_no_adjacency():
     g, peak = _traced_peak(lambda: parse_edge_list(text))
     assert g.m == 15998
     assert peak < 4_000_000, f"peak {peak} bytes"
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: build_phenylene(HexSpec.linear_chain(1000)).graph,
+        lambda: build_benzenoid(parse_hex_spec("".join(f"{q} {r}\n" for q in range(40) for r in range(25)))).graph,
+    ],
+    ids=["PH1000", "40 x 25 benzenoid"],
+)
+def test_adjacency_keeps_under_60_bytes_per_arc(make):
+    # incidence lists keep an edge id per arc and one XOR of the ends per
+    # edge: 44.2 and 43.2 bytes per arc, against 95.8 and 93.9 with a
+    # (neighbour, edge id) tuple per arc
+    g = parse_edge_list(format_edge_list(make()))
+    gc.collect()  # a full collection also empties the freelists, whose reuse tracemalloc does not see
+    tracemalloc.start()
+    try:
+        g.adj
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 60 * 2 * g.m, f"{kept / (2 * g.m):.1f} bytes per arc"

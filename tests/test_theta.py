@@ -708,7 +708,7 @@ def test_theta_star_pass_memory_is_linear_on_a_phenylene():
 def _phenylene_with_triangle(h: int):
     # PHh plus one chord that closes a triangle, so the graph has odd cycles
     g = linear_phenylene(h).graph
-    (a, _), (b, _) = g.adj[0][:2]
+    a, b = (sum(g.edges[e]) for e in g.adj[0][:2])  # one end of each edge is vertex 0
     return build_graph(g.n, g.edges + ((a, b),))
 
 
