@@ -18,12 +18,17 @@ table is kept in `oracle`, so no production path holds O(n^2) state.
 `_int_pairs` is the one line reader of all three text input formats.
 
 The adjacency is a list of incidence lists: `adj[x]` is the tuple of the
-ids of the edges at x, and the private per-edge list `_across[e]` holds
-u ^ v for e = uv, so the neighbour across e from x is `_across[e] ^ x`.
-That is one id per arc and one int per edge, about 44 bytes per arc
-against 95 for a (neighbour, edge id) tuple per arc, and n tuples for the
-collector to traverse instead of 2m + n. Each tuple is in id order, so a
-vertex meets its neighbours in the order of their edges.
+ids of the edges at x, and the neighbour across e from x is the other end
+of `edges[e]`. That is one id per arc, about 40 bytes per arc against 95
+for a (neighbour, edge id) tuple per arc, and n tuples for the collector
+to traverse instead of 2m + n. Each tuple is in id order, so a vertex
+meets its neighbours in the order of their edges. A neighbour read from
+its edge is the edge tuple's own int, so BFS orders and trees hold no ids
+of their own, and `_int_pairs` parses each distinct token once, so a
+graph parsed from text holds one int per vertex id: PH1000 keeps 84 bytes
+per edge and 6000 id objects, against 118 and 15 570 with an int per
+token, and its tree 25 bytes per vertex, against 55 with a new int per
+neighbour read.
 
 `_bfs_tree` is the one BFS spanning tree of the package, kept with its
 graph like the adjacency: the Theta* pass cuts its edges, the subtree
@@ -88,8 +93,8 @@ class _collector_paused:
     caller or an enclosing pause, it stays off. The first young collection
     after the pause traverses every container the build left alive, so a
     build frees its temporary lists inside the pause and keeps few
-    containers: the adjacency keeps one incidence tuple per vertex and one
-    list of edge XORs. The flag is shared by every thread: a pause that
+    containers: the adjacency keeps one incidence tuple per vertex and the
+    tuple of them. The flag is shared by every thread: a pause that
     found it on turns it back on at its exit, even while another thread's
     pause runs, and undoes a `gc.disable()` that another thread made in
     between."""
@@ -122,14 +127,15 @@ class Graph:
         n: number of vertices (ids 0..n-1).
         edges: tuple of (u, v) pairs; the index of a pair is its edge id.
         adj: per-vertex tuple of the ids of its edges, in id order,
-            read-only; the neighbour across edge e from x is `_across[e] ^ x`.
+            read-only; the neighbour across edge e from x is the other end
+            of `edges[e]`.
 
     `n` and `edges` cannot be rebound: `__setattr__` raises
     `AttributeError` for every public name, and writes only the private
-    caches `_adj`, `_across`, `_tree` and `_last`.
+    caches `_adj`, `_tree` and `_last`.
     """
 
-    __slots__ = ("n", "edges", "_adj", "_across", "_tree", "_last")
+    __slots__ = ("n", "edges", "_adj", "_tree", "_last")
 
     def __init__(self, n: int, edge_list: Iterable[tuple[int, int]]):
         if n < 1:
@@ -172,8 +178,6 @@ class Graph:
                 for eid, (u, v) in enumerate(self.edges):
                     adj[u].append(eid)
                     adj[v].append(eid)
-                # kept before `_adj`, so a reader that finds `_adj` finds it too
-                self._across = [u ^ v for u, v in self.edges]
                 self._adj = tuple(map(tuple, adj))
                 del adj  # freed before the pause ends, so no collection traverses its lists
         return self._adj
@@ -219,11 +223,13 @@ def _bfs(g: Graph, source: int, dist: list[int]) -> list[int]:
     dist[source] = 0
     order = [source]
     adj = g.adj
-    across = g._across
+    edges = g.edges
     for x in order:  # the list grows while it is read: a BFS queue
         dx = dist[x] + 1
         for e in adj[x]:
-            y = across[e] ^ x
+            u, y = edges[e]
+            if y == x:
+                y = u
             if dist[y] < 0:
                 dist[y] = dx
                 order.append(y)
@@ -249,10 +255,12 @@ def _bfs_tree(g: Graph) -> Tree:
         parent[0] = 0
         order = [0]
         adj = g.adj
-        across = g._across
+        edges = g.edges
         for x in order:  # the list grows while it is read: a BFS queue
             for e in adj[x]:
-                y = across[e] ^ x
+                u, y = edges[e]
+                if y == x:
+                    y = u
                 if parent[y] < 0:
                     parent[y] = x
                     parent_edge[y] = e
@@ -429,16 +437,25 @@ def is_connected(g: Graph) -> bool:
 def _int_pairs(text: str) -> list[tuple[int, int]]:
     """The integer pair of every line that is not blank and does not start
     with `#`: the one line grammar of the edge-list, partition and hex-spec
-    formats. Any other line raises `ParseError`."""
+    formats. Any other line raises `ParseError`. Each distinct token is
+    parsed once, and every pair that holds it shares its one int object."""
     pairs = []
+    ids: dict[str, int] = {}
+    get = ids.get
     with _collector_paused():
         for row in map(str.split, text.splitlines()):
             if row and row[0][0] != "#":
                 try:
                     a, b = row
-                    pairs.append((int(a), int(b)))
+                    x = get(a)
+                    if x is None:
+                        x = ids[a] = int(a)
+                    y = get(b)
+                    if y is None:
+                        y = ids[b] = int(b)
                 except ValueError:
                     raise ParseError(f"expected two integers, got {' '.join(row)!r}") from None
+                pairs.append((x, y))
     return pairs
 
 

@@ -428,6 +428,7 @@ def _class_contributions(g: Graph, wa: WeightAssignment, p: EdgePartition) -> li
         if rest:
             q = quotient_graph(g, wa, rest)
             contribs[c] = tuple(map(add, contribs[c], _sums(q.graph, q.w, q.lam, q.lambda_prime, q.w_prime)))
+            del q  # freed with its adjacency and tree before the next build
     return contribs
 
 

@@ -57,7 +57,9 @@ class WeightAssignment:
                 raise InvalidWeightError(
                     f"{name} value {bad!r} is not an int or Fraction"
                 )
-            if min(values, default=0) < 0:
+            # a Fraction has its numerator's sign, and an int is its own
+            # numerator: ints compare far faster than Fractions
+            if min([x.numerator for x in values], default=0) < 0:
                 raise InvalidWeightError(f"negative {name} value")
 
     @classmethod
@@ -131,7 +133,7 @@ def quotient_graph(g: Graph, wa: WeightAssignment, f: Iterable[int]) -> Quotient
     # each scan sums the w of the component it numbers
     comp = [-1] * g.n
     adj = g.adj
-    across = g._across
+    edges = g.edges
     w = wa.w
     w_q: list[Weight] = []
     nc = 0
@@ -145,7 +147,9 @@ def quotient_graph(g: Graph, wa: WeightAssignment, f: Iterable[int]) -> Quotient
             x = stack.pop()
             for e in adj[x]:
                 if not removed[e]:
-                    y = across[e] ^ x
+                    u, y = edges[e]
+                    if y == x:
+                        y = u
                     if comp[y] < 0:
                         comp[y] = nc
                         total += w[y]

@@ -282,23 +282,22 @@ MUTANTS = [
         ],
     ),
     (
-        "_bfs reads the XOR of an edge's ends as the neighbour",
+        "_bfs reads an edge's second end as the neighbour, even at that end",
         "graph.py",
-        "            y = across[e] ^ x\n            if dist[y] < 0:\n",
-        "            y = across[e]\n            if dist[y] < 0:\n",
+        "            if y == x:\n                y = u\n            if dist[y] < 0:\n",
+        "            if dist[y] < 0:\n",
         [
             "tests/test_graph.py::test_bfs_cycle6",
             "tests/test_graph.py::test_bfs_path4_interior_source",
         ],
     ),
     (
-        "_bfs_tree reads the XOR of an edge's ends as the neighbour",
+        "_bfs_tree reads an edge's second end as the neighbour, even at that end",
         "graph.py",
-        "                y = across[e] ^ x\n                if parent[y] < 0:\n",
-        "                y = across[e]\n                if parent[y] < 0:\n",
+        "                if y == x:\n                    y = u\n                if parent[y] < 0:\n",
+        "                if parent[y] < 0:\n",
         [
-            "tests/test_indices.py::test_suite_direct_c6",
-            "tests/test_theta.py::test_odd_cycles_collapse_to_one_class",
+            "tests/test_graph.py::test_the_kept_tree_is_a_bfs_tree_whichever_end_an_edge_lists_first",
         ],
     ),
     (
@@ -309,6 +308,34 @@ MUTANTS = [
         [
             "tests/test_quotient.py::test_c6_opposite_pair_quotient",
             "tests/test_quotient.py::test_c6_component_membership",
+        ],
+    ),
+    (
+        "quotient_graph's component scan reads an edge's second end, even at that end",
+        "quotient.py",
+        "                    if y == x:\n                        y = u\n",
+        "",
+        [
+            "tests/test_quotient.py::test_c6_opposite_pair_quotient",
+            "tests/test_quotient.py::test_c6_component_membership",
+        ],
+    ),
+    (
+        "the line reader parses every token anew",
+        "graph.py",
+        "                pairs.append((x, y))\n",
+        "                pairs.append((int(a), int(b)))\n",
+        [
+            "tests/test_graph.py::test_a_parsed_graph_holds_each_vertex_id_once[PH1000]",
+        ],
+    ),
+    (
+        "the cut route keeps each quotient alive through the next build",
+        "indices.py",
+        "            del q  # freed with its adjacency and tree before the next build\n",
+        "",
+        [
+            "tests/test_indices.py::test_each_quotient_is_freed_before_the_next_is_built",
         ],
     ),
     (

@@ -71,15 +71,13 @@ def test_build_rejects_out_of_range():
 
 
 def _reference_graph(n, edge_list):
-    """The reference constructor: one ordered pass checks each edge,
-    appends its id to the incidence lists of both ends and the XOR of its
-    ends to the per-edge list. Returns (edges, adj, across)."""
+    """The reference constructor: one ordered pass checks each edge and
+    appends its id to the incidence lists of both ends. Returns (edges, adj)."""
     if n < 1:
         raise NTooSmallError(f"graph needs at least one vertex, got n={n}")
     edges = []
     seen = set()
     adj = [[] for _ in range(n)]
-    across = []
     for u, v in edge_list:
         if u == v:
             raise LoopEdgeError(f"loop edge at vertex {u}")
@@ -93,8 +91,7 @@ def _reference_graph(n, edge_list):
         edges.append((u, v))
         adj[u].append(eid)
         adj[v].append(eid)
-        across.append(u ^ v)
-    return tuple(edges), tuple(tuple(a) for a in adj), across
+    return tuple(edges), tuple(tuple(a) for a in adj)
 
 
 @st.composite
@@ -144,10 +141,9 @@ def test_graph_matches_the_per_edge_constructor(case):
             assert str(raised.value) == str(expected)
         return
     g = Graph(n, make_edges())
-    edges, adj, across = expected
+    edges, adj = expected
     assert g.edges == edges
     assert g.adj == adj
-    assert g._across == across
     assert g.degrees() == tuple(len(a) for a in adj)
 
 
@@ -181,7 +177,7 @@ def test_parse_matches_the_per_edge_constructor(case):
     n, pairs = case
     text = "".join(f"{u} {v}\n" for u, v in [(n, len(pairs)), *pairs])
     try:
-        edges, _, _ = _reference_graph(n, pairs)
+        edges, _ = _reference_graph(n, pairs)
     except SzegedCutError as exc:
         with pytest.raises(ParseError) as raised:
             parse_edge_list(text)
@@ -261,6 +257,22 @@ def test_new_graphs_start_without_a_tree():
     assert [piece.n for piece in pieces] == [3, 4]
     assert all(h._tree is None for h in (*pieces, quotient, parsed))
     assert graph._bfs_tree(parsed) == tree
+
+
+def test_the_kept_tree_is_a_bfs_tree_whichever_end_an_edge_lists_first():
+    # each vertex hangs from its parent edge, one hop nearer vertex 0, and
+    # the order visits vertices by distance
+    rng = random.Random(11)
+    for _ in range(40):
+        h = random_connected_graph(rng, max_n=14)
+        g = build_graph(h.n, [uv if rng.random() < 0.5 else uv[::-1] for uv in h.edges])
+        order, parent, parent_edge = graph._bfs_tree(g)
+        dist = bfs_distances(g, 0)
+        assert sorted(order) == list(range(g.n))
+        assert [dist[x] for x in order] == sorted(dist)
+        for x in order[1:]:
+            assert set(g.edges[parent_edge[x]]) == {x, parent[x]}
+            assert dist[parent[x]] == dist[x] - 1
 
 
 def test_a_disconnected_graph_raises_on_every_call():
@@ -513,7 +525,8 @@ def test_parse_memory_builds_no_adjacency():
     assert peak < 4_000_000, f"peak {peak} bytes"
 
 
-@pytest.mark.parametrize(
+# graphs parsed from text, whose vertex ids the line reader shares
+_PARSED = pytest.mark.parametrize(
     "make",
     [
         lambda: build_phenylene(HexSpec.linear_chain(1000)).graph,
@@ -521,16 +534,48 @@ def test_parse_memory_builds_no_adjacency():
     ],
     ids=["PH1000", "40 x 25 benzenoid"],
 )
-def test_adjacency_keeps_under_60_bytes_per_arc(make):
-    # incidence lists keep an edge id per arc and one XOR of the ends per
-    # edge: 44.2 and 43.2 bytes per arc, against 95.8 and 93.9 with a
-    # (neighbour, edge id) tuple per arc
-    g = parse_edge_list(format_edge_list(make()))
-    gc.collect()  # a full collection also empties the freelists, whose reuse tracemalloc does not see
+
+
+def _kept(step):
+    # the bytes that step leaves allocated; a full collection first and last
+    # also empties the freelists, whose reuse tracemalloc does not see
+    gc.collect()
     tracemalloc.start()
     try:
-        g.adj
+        result = step()
+        gc.collect()
         kept, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return result, kept
+
+
+@_PARSED
+def test_a_parsed_graph_holds_each_vertex_id_once(make):
+    # the line reader parses each distinct token once and shares its int:
+    # 84.1 and 80.8 bytes per edge, against 117.6 and 113.5 with a fresh
+    # int per token (15 570 id objects for the 6000 vertices of PH1000)
+    text = format_edge_list(make())
+    g, kept = _kept(lambda: parse_edge_list(text))
+    assert len({id(x) for uv in g.edges for x in uv}) == g.n
+    assert kept < 95 * g.m, f"{kept / g.m:.1f} bytes per edge"
+
+
+@_PARSED
+def test_adjacency_keeps_under_60_bytes_per_arc(make):
+    # incidence lists keep an edge id per arc: 39.6 and 37.2 bytes per
+    # arc, against 43.9 and 42.5 with a per-edge list of the XOR of its
+    # ends beside them, and about 95 with a (neighbour, edge id) tuple per arc
+    g = parse_edge_list(format_edge_list(make()))
+    _, kept = _kept(lambda: g.adj)
     assert kept < 60 * 2 * g.m, f"{kept / (2 * g.m):.1f} bytes per arc"
+
+
+def test_the_kept_tree_of_a_parsed_graph_keeps_under_35_bytes_per_vertex():
+    # the tree's lists share the ids of the edge tuples and the adjacency:
+    # 24.9 bytes per vertex on PH1000, against 55.5 when the BFS read each
+    # neighbour as a fresh int, the XOR of its edge's ends and x
+    g = parse_edge_list(format_edge_list(build_phenylene(HexSpec.linear_chain(1000)).graph))
+    g.adj
+    _, kept = _kept(lambda: graph._bfs_tree(g))
+    assert kept < 35 * g.n, f"{kept / g.n:.1f} bytes per vertex"

@@ -808,6 +808,25 @@ def test_partial_cube_cut_builds_no_quotient():
         assert len(report.per_class) == len(p)
 
 
+def test_each_quotient_is_freed_before_the_next_is_built(monkeypatch):
+    # a partition trusted without flags builds one quotient per class; the
+    # cut route drops each, with its adjacency and tree, before the next
+    dlg = linear_phenylene(20)
+    p = dlg.direction_partition()
+    built = []
+
+    def spy(g, wa, f):
+        assert all(ref() is None for ref in built), "an earlier quotient is still alive"
+        q = quotient_graph(g, wa, f)
+        built.append(weakref.ref(q))
+        return q
+
+    monkeypatch.setattr(indices, "quotient_graph", spy)
+    report = weighted_suite_cut(dlg.graph, p)
+    assert len(built) == len(p)
+    assert report.as_tuple() == weighted_suite_direct(dlg.graph).as_tuple()
+
+
 @pytest.mark.parametrize(
     "g, builds",
     [

@@ -33,6 +33,15 @@ def test_weight_assignment_rejects_negative():
         WeightAssignment((1, -1), (1,), (1,))
 
 
+@pytest.mark.parametrize("name", ["w", "w_prime", "lambda_prime"])
+def test_weight_assignment_rejects_one_negative_fraction_among_positive_ones(name):
+    # the sign check reads numerators; a Fraction's sign is its numerator's
+    weights = {"w": [Fraction(1, 2), 3, Fraction(5, 7)], "w_prime": [1, Fraction(2, 3)], "lambda_prime": [Fraction(4, 3), 2]}
+    weights[name][1] = Fraction(-1, 3)
+    with pytest.raises(InvalidWeightError, match=f"^negative {name} value$"):
+        WeightAssignment(**weights)
+
+
 @pytest.mark.parametrize(
     "weights",
     [
