@@ -34,27 +34,30 @@ lambda', w') = PI and the fifth sum is Sz_t: one row yields every kind.
 The engine reads every bridge as a clean cut, from one subtree
 aggregation over its BFS tree: a tree, all bridges, takes that alone, in
 linear time. Any other graph folds the far side of each bridge onto the
-bridge's near end, and each bridgeless piece takes one multi-source BFS
-over bitmasks, the sweep `graph._sweep` that the Theta* pass shares:
-every vertex and every edge is a source with its own bit, the balls
-around all vertices grow one hop per round, each vertex keeps the
-distances of the sources mod 4, and one pass per edge uv reads from them
-the sources nearer u and those nearer v. The `theta` module docstring
-says why the fold keeps the sums. Sources run in equal sweeps of at most
+bridge's near end (`_folded_pieces`, which the cut route shares), and
+each bridgeless piece takes one multi-source BFS over bitmasks, the
+sweep `graph._sweep` that the Theta* pass shares: every vertex and every
+edge is a source with its own bit, the balls around all vertices grow
+one hop per round, each vertex keeps the distances of the sources mod 4,
+and one pass per edge uv reads from them the sources nearer u and those
+nearer v. The `theta` module docstring says why the fold keeps the sums. Sources run in equal sweeps of at most
 `graph._SOURCE_BITS`, so memory stays linear in n + m. A sweep takes
 about one round per unit of diameter, so long thin pieces cost the most
 per edge.
 
 The cut route reads each class of a c-partition as its two-sided
-Theta*-classes plus one quotient of the rest: splitting a class so
-gives another c-partition with the same totals for any weights
+Theta*-classes plus the rest, cut by bridgeless piece: splitting a class
+so gives another c-partition with the same totals for any weights
 (Klavzar, MATCH 60 (2008) 255-274). A two-sided class, such as a bridge
 or any class of a partial cube, is one cut with two convex sides, so its
 quotient is K2, fixed by the weights of the sides. `_read_classes`,
 which the cut routes and `szegedcut quotient` share, splits each class
 so from the Theta*-classes of the gate `theta._require_c_partition`: the
 subtree aggregation that takes trees, run once over G, gives all the K2s
-in O(n+m). A partition trusted without flags builds one quotient per class.
+in O(n+m), the bridges' among them. The bridges fold as in the engine,
+and each part of a rest builds the quotient of its piece alone, so a
+chain of odd rings joined by bonds costs O(n+m), not a scan of G per
+ring. A partition trusted without flags builds one quotient of G per class.
 
 All arithmetic is exact: the engine adds Python ints, and Fraction
 weights are scaled to ints first and divided back at the end.
@@ -174,54 +177,52 @@ def _sums(
     with nonnegative int weights.
 
     A bridge splits the vertex and edge sets cleanly in two, so its sides
-    come from the subtree aggregation `_cut_sides`. A tree is all bridges,
-    which m = n - 1 tells in O(1), so it takes that pass alone and skips
-    the fold. Any other graph reads its bridges (`graph._bridges`) as
-    clean cuts from one `_cut_sides` pass, then folds the far side of each
-    onto its near end, once from each end: w, and t with the bridge's
-    lambda'. Each bridgeless piece then takes one bit-parallel multi-source
-    BFS that finds both sides of each of its edges at once; the `theta`
-    module docstring says why the sums stay those of g. Each term is
-    symmetric in the two sides of its edge, so no path tracks orientation.
+    come from the subtree aggregation `_cut_sides`: a tree, m = n - 1, takes
+    that pass alone. Any other graph reads its bridges (`graph._bridges`)
+    so, and each bridgeless piece, weighed by `_folded_pieces`, takes one
+    bit-parallel multi-source BFS that finds both sides of each of its
+    edges. Terms are symmetric in the two sides, so no path tracks orientation.
     """
     if g.m == g.n - 1:
-        return _column_sums(_terms(*_cut_sides(g, w, lam, lambda_prime, w_prime, range(g.m), g.m)[1:]))
+        return tuple(map(sum, _terms(*_cut_sides(g, w, lam, lambda_prime, w_prime, range(g.m), g.m)[1:])))
     below = _bridges(g)
-    if not below:
-        return _column_sums(_generic_sums(g, w, lam, lambda_prime, w_prime))
-    _, parent, parent_edge = _bfs_tree(g)
-    k = len(below)
-    class_of = [k] * g.m  # bridge c is class c; the other edges share class k
-    for c, x in enumerate(below):
-        class_of[parent_edge[x]] = c
-    lp_f, wp_f, w_a, w_b, t_a, t_b = (
-        col[:k] for col in _cut_sides(g, w, lam, lambda_prime, w_prime, class_of, k + 1)
-    )
-    # the weight of each vertex plus all that hangs on it through bridges
-    # away from its piece: the side below bridge c hangs on its parent end,
-    # the side above on the vertex below it
-    w_in = list(w)
-    t_in = list(lam)
-    for x, lp, wa, wb, ta, tb in zip(below, lp_f, w_a, w_b, t_a, t_b):
+    parts, bridges = [], []
+    if below:
+        parent_edge = _bfs_tree(g)[2]
+        k = len(below)
+        class_of = [k] * g.m  # bridge c is class c; the other edges share class k
+        for c, x in enumerate(below):
+            class_of[parent_edge[x]] = c
+        lp_f, wp_f, w_a, w_b, t_a, t_b = _cut_sides(g, w, lam, lambda_prime, w_prime, class_of, k + 1)
+        parts.append(tuple(map(sum, _terms(wp_f[:k], w_a, w_b, t_a, t_b))))  # w'[:k] stops before class k
+        bridges = list(zip(below, w_b, t_b, w_a, t_a, lp_f, wp_f))
+    for _, piece, *weights in _folded_pieces(g, w, lam, lambda_prime, w_prime, bridges):
+        parts.append(tuple(map(sum, _generic_sums(piece, *weights))))
+    return tuple(map(sum, zip(*parts)))
+
+
+def _folded_pieces(g, w, lam, lambda_prime, w_prime, bridges) -> list:
+    """Each bridgeless piece of g that holds an edge, as its edge ids in g,
+    its graph (`graph._pieces`) and its weights w, t, lambda' and w', where
+    a vertex's w and t also hold all that hangs on it through the bridges,
+    each given as x below it in g's `_bfs_tree` and the weights (w0, t0,
+    w1, t1, lambda', w') of its K2 from `_cut_sides`. With no bridge, g is
+    its own piece."""
+    if not bridges:
+        return [(range(g.m), g, w, lam, lambda_prime, w_prime)]
+    parent = _bfs_tree(g)[1]
+    w_in, t_in = list(w), list(lam)  # the side below a bridge hangs on its parent end, and vice versa
+    for x, wb, tb, wa, ta, lp, _ in bridges:
         px = parent[x]
         w_in[px] += wa
         t_in[px] += ta + lp
         w_in[x] += wb
         t_in[x] += tb + lp
-    parts = [_column_sums(_terms(wp_f, w_a, w_b, t_a, t_b))]
-    for vs, es, piece in _pieces(g, below):
-        piece_weights = (
-            [w_in[x] for x in vs],
-            [t_in[x] for x in vs],
-            [lambda_prime[e] for e in es],
-            [w_prime[e] for e in es],
-        )
-        parts.append(_column_sums(_generic_sums(piece, *piece_weights)))
-    return tuple(map(sum, zip(*parts)))
-
-
-def _column_sums(columns: Columns) -> Sums:
-    return tuple(map(sum, columns))
+    return [
+        (es, piece, [w_in[x] for x in vs], [t_in[x] for x in vs],
+         [lambda_prime[e] for e in es], [w_prime[e] for e in es])
+        for vs, es, piece in _pieces(g, [bridge[0] for bridge in bridges])
+    ]
 
 
 def _terms(w_prime, n_u, n_v, t_u, t_v) -> Columns:
@@ -399,35 +400,57 @@ def weighted_suite_direct(g: Graph, starred: bool = False) -> IndexReport:
 def _read_classes(g: Graph, wa: WeightAssignment, p: EdgePartition) -> tuple[Sequence, Sequence]:
     """Two sequences by class of p, if p is a c-partition: the clean cuts of
     each, as the weights (w0, t0, w1, t1, lambda', w') of their K2s, whose
-    vertex 0 is the side holding G's vertex 0; and the set of its other edges."""
+    vertex 0 is the side holding G's vertex 0; and its other edges, as parts
+    (graph, weights, t, edge ids), each read as the quotient of its graph
+    with t added to its lam. On g's Theta*-partition a part is the share of
+    one bridgeless piece, weighed by `_folded_pieces` with the bridges, the
+    one-edge classes, as the clean-cut pass reads them; a partition trusted
+    without flags gives G and the whole class."""
     star = _require_c_partition(g, p)
     if star is None:
-        return [()] * len(p), p.classes
-    cuts = [[] for _ in p.classes]
-    rest = {}
-    lp, wp, w_a, w_b, t_a, t_b = _cut_sides(g, wa.w, (0,) * g.n, wa.lambda_prime, wa.w_prime, star.class_of, len(star))
+        return [()] * len(p), [[(g, wa, (), members)] for members in p.classes]
+    cuts, rests, bridges = [[] for _ in p.classes], [[] for _ in p.classes], []
+    parent_edge = _bfs_tree(g)[2]
+    zero = (0,) * g.n
+    lp, wp, w_a, w_b, t_a, t_b = _cut_sides(g, wa.w, zero, wa.lambda_prime, wa.w_prime, star.class_of, len(star))
     for members, sided, cut in zip(star.classes, star.two_sided, zip(w_b, t_b, w_a, t_a, lp, wp)):
-        c = p.class_of[next(iter(members))]
+        e = next(iter(members))
         if sided:
-            cuts[c].append(cut)
-        else:
-            rest.setdefault(c, set()).update(members)
-    return cuts, [rest.get(c, ()) for c in range(len(p))]
+            cuts[p.class_of[e]].append(cut)
+            if len(members) == 1:  # a bridge
+                u, x = g.edges[e]
+                bridges.append((x if parent_edge[x] == e else u, *cut))
+    if all(star.two_sided):
+        return cuts, rests
+    rest_of = [-1 if star.two_sided[s] else c for s, c in zip(star.class_of, p.class_of)]  # -1: no rest
+    for es, piece, w, t, lambda_prime, w_prime in _folded_pieces(g, wa.w, zero, wa.lambda_prime, wa.w_prime, bridges):
+        parts = {}  # class -> the piece's own ids of its rest edges
+        for j, e in enumerate(es):
+            if rest_of[e] >= 0:
+                parts.setdefault(rest_of[e], []).append(j)
+        weights = WeightAssignment._wrap(w, w_prime, lambda_prime)
+        for c, f in parts.items():
+            rests[c].append((piece, weights, t, f))
+    return cuts, rests
 
 
 def _class_contributions(g: Graph, wa: WeightAssignment, p: EdgePartition) -> list[Sums]:
     """The five quotient sums of every class of p, in class order, on int
     weights: the rows of its clean cuts, from one `_terms` pass, plus the sums
-    of one quotient of its rest; a lone row, the common case, skips the sum."""
+    of the quotient of each part of its rest, whose lam gains the part's t;
+    a lone row, the common case, skips the sum."""
     cuts, rests = _read_classes(g, wa, p)
     w0, t0, w1, t1, _, wp = list(zip(*chain.from_iterable(cuts))) or [()] * 6
     rows = zip(*_terms(wp, w0, w1, t0, t1))
     contribs = [next(rows) if len(k2s) == 1 else tuple(map(sum, zip((0,) * 5, *islice(rows, len(k2s)))))
                 for k2s in cuts]
-    for c, rest in enumerate(rests):
-        if rest:
-            q = quotient_graph(g, wa, rest)
-            contribs[c] = tuple(map(add, contribs[c], _sums(q.graph, q.w, q.lam, q.lambda_prime, q.w_prime)))
+    for c, parts in enumerate(rests):
+        for graph, weights, t, f in parts:
+            q = quotient_graph(graph, weights, f)
+            lam = list(q.lam)
+            for comp, tx in zip(q.component_map, t):
+                lam[comp] += tx
+            contribs[c] = tuple(map(add, contribs[c], _sums(q.graph, q.w, lam, q.lambda_prime, q.w_prime)))
             del q  # freed with its adjacency and tree before the next build
     return contribs
 

@@ -206,19 +206,20 @@ def build_phenylene(spec: HexSpec) -> DirectionLabeledGraph:
         raise CellsNotTreeError("cell adjacency graph is not a tree")
 
     cells = spec.sorted_cells()
+    ids = list(range(6 * len(cells)))  # one int per vertex, which all its edges share
     edges = [
-        (base + k, base + (k + 1) % 6)
-        for base in range(0, 6 * len(cells), 6)
+        (ids[base + k], ids[base + (k + 1) % 6])
+        for base in range(0, len(ids), 6)
         for k in range(6)
     ]
     direction = [label for _, label, _, _ in _SIDES] * len(cells)
     for i, j, square in _forward_pairs(cells):
         for a, b in square:
-            edges.append((6 * i + a, 6 * j + b))
+            edges.append((ids[6 * i + a], ids[6 * j + b]))
             direction.append(4)
 
     dlg = DirectionLabeledGraph(
-        graph=Graph._wrap(6 * len(cells), tuple(edges)),
+        graph=Graph._wrap(len(ids), tuple(edges)),
         direction_of=tuple(direction),
         cells=cells,
         kind="phenylene",

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import InvalidWeightError, PartitionNotCoveringError
 from .graph import Graph
@@ -63,10 +63,11 @@ class WeightAssignment:
                 raise InvalidWeightError(f"negative {name} value")
 
     @classmethod
-    def _wrap(cls, w: tuple, w_prime: tuple, lambda_prime: tuple) -> "WeightAssignment":
-        # tuples of nonnegative ints that the package made itself (`unit`,
-        # `degree_weighted`, `indices._integral`): kept as given, with no
-        # copy and no check, as `Graph._wrap` keeps edges
+    def _wrap(cls, w: Sequence, w_prime: Sequence, lambda_prime: Sequence) -> "WeightAssignment":
+        # nonnegative ints that the package made itself (`unit`,
+        # `degree_weighted`, `indices._integral`, and a piece's lists in
+        # `indices._read_classes`): kept as given, with no copy and no
+        # check, as `Graph._wrap` keeps edges
         wa = cls.__new__(cls)
         object.__setattr__(wa, "w", w)
         object.__setattr__(wa, "w_prime", w_prime)

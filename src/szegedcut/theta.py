@@ -38,7 +38,8 @@ test add the same two distances to c; a class of P is a class of G, and
 a clean cut of G iff of P, each hanging part joining the side of its c;
 and the side sums of an edge of P in G are those in P once each c
 carries the weights of all that hangs on it: w, and t with the lambda'
-of the bridges on the way, which is how `indices._sums` folds them.
+of the bridges on the way, which is how `indices._folded_pieces` folds
+them for the direct and the cut route.
 
 A bridgeless piece that the recognizer rejects takes one pass over the
 edges of its BFS spanning tree, the one its bridges were read from, in

@@ -10,7 +10,7 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from szegedcut import EdgePartition, Graph, HexSpec, WeightAssignment, build_graph, quotient_graph
-from szegedcut import theta
+from szegedcut import graph, theta
 from szegedcut.molgen import _forward_pairs
 
 
@@ -190,6 +190,28 @@ def quotient_edge_members(g: Graph, q, f) -> dict[tuple[int, int], list[int]]:
         if a != b:
             out.setdefault((a, b), []).append(e)
     return out
+
+
+def rest_parts(g: Graph, rest: dict[int, set[int]]) -> list[tuple[tuple, list[int]]]:
+    """The (piece edges, the piece's own ids of the rest's edges there) of
+    each quotient the cut route builds when its gate returns g's
+    Theta*-partition, where `rest` maps each class that has one to the edge
+    ids of its Theta*-classes that are no clean cut: one per class and
+    bridgeless piece that share an edge, in class order and then piece
+    order, on g itself when g has no bridge."""
+    below = graph._bridges(g)
+    pieces = [(es, piece) for _, es, piece in graph._pieces(g, below)] if below else [(range(g.m), g)]
+    return [
+        (piece.edges, [j for j, e in enumerate(es) if e in rest[c]])
+        for c in sorted(rest)
+        for es, piece in pieces
+        if not rest[c].isdisjoint(es)
+    ]
+
+
+def built_parts(spy) -> list[tuple[tuple, list[int]]]:
+    """The (graph edges, edge ids) of each build a `quotient_graph` spy saw."""
+    return [(call.args[0].edges, list(call.args[2])) for call in spy.call_args_list]
 
 
 def pass_facts(g: Graph) -> tuple:

@@ -49,8 +49,8 @@ MUTANTS = [
     (
         "w' off by one on the first quotient edge of class 0",
         "indices.py",
-        "_sums(q.graph, q.w, q.lam, q.lambda_prime, q.w_prime)",
-        "_sums(q.graph, q.w, q.lam, q.lambda_prime, tuple(x + (c == 0) for x in q.w_prime[:1]) + q.w_prime[1:])",
+        "_sums(q.graph, q.w, lam, q.lambda_prime, q.w_prime)",
+        "_sums(q.graph, q.w, lam, q.lambda_prime, tuple(x + (c == 0) for x in q.w_prime[:1]) + q.w_prime[1:])",
         [
             "tests/test_indices.py::test_single_class_cut_equals_direct",
             "tests/test_acceptance.py::test_criterion_1_fullerene_patch",
@@ -74,6 +74,7 @@ MUTANTS = [
         [
             "tests/test_indices.py::test_generic_sums_sweep_no_bridge",
             "tests/test_indices.py::test_one_tree_build_per_graph_across_theta_star_and_both_routes",
+            "tests/test_indices.py::test_a_chain_of_five_rings_matches_its_reference[20 rings, oracle]",
         ],
     ),
     (
@@ -84,6 +85,37 @@ MUTANTS = [
         [
             "tests/test_indices.py::test_generic_sums_sweep_no_bridge",
             "tests/test_indices.py::test_bipartite_identity_with_first_zagreb",
+            "tests/test_indices.py::test_a_chain_of_five_rings_matches_its_reference[20 rings, oracle]",
+        ],
+    ),
+    (
+        "a piece's quotient on the cut route leaves out the folded t",
+        "indices.py",
+        "                lam[comp] += tx\n",
+        "                pass\n",
+        [
+            "tests/test_indices.py::test_a_chain_of_five_rings_matches_its_reference[20 rings, oracle]",
+            "tests/test_indices.py::test_a_rest_that_spans_two_pieces_builds_a_quotient_on_each[bridges alone]",
+        ],
+    ),
+    (
+        "the cut route reads every two-sided Theta*-class as a bridge",
+        "indices.py",
+        "            if len(members) == 1:  # a bridge\n",
+        "            if True:  # a bridge\n",
+        [
+            "tests/test_indices.py::test_other_theta_star_partitions_build_one_quotient_per_class[patch]",
+            "tests/test_indices.py::test_two_sided_rows_match_oracle",
+        ],
+    ),
+    (
+        "the cut route files a rest edge under its id in G, not in its piece",
+        "indices.py",
+        "parts.setdefault(rest_of[e], []).append(j)",
+        "parts.setdefault(rest_of[e], []).append(e)",
+        [
+            "tests/test_indices.py::test_a_chain_of_five_rings_matches_its_reference[20 rings, oracle]",
+            "tests/test_indices.py::test_a_rest_that_spans_two_pieces_builds_a_quotient_on_each[one class]",
         ],
     ),
     (

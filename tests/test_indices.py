@@ -47,6 +47,7 @@ from conftest import (
     FULLERENE_TOTALS,
     ZIGZAG4,
     bridged_weighted_graphs,
+    built_parts,
     cube_subgraph,
     cycle_graph,
     cyclic_weighted_graphs,
@@ -57,6 +58,7 @@ from conftest import (
     random_connected_graph,
     random_tree,
     random_weight_assignment,
+    rest_parts,
 )
 
 
@@ -866,13 +868,13 @@ def test_two_sided_rows_match_oracle(family, data):
         report = weighted_suite_cut(g, p, starred)
         assert report.as_tuple() == oracle_suite(g, starred).as_tuple()
         assert report == weighted_suite_cut(g, _unflagged(p), starred)
-    # one quotient per class that is not two-sided, none for the others
+    # one quotient per class that is not two-sided, none for the others:
+    # each lies in one bridgeless piece, whose quotient it builds
     with mock.patch.object(indices, "quotient_graph", wraps=quotient_graph) as spy:
         weighted_suite_cut(g, p)
     assert spy.call_count == p.two_sided.count(False)
-    assert [call.args[2] for call in spy.call_args_list] == [
-        c for c, f in zip(p.classes, p.two_sided) if not f
-    ]
+    rest = {c: set(members) for c, (members, f) in enumerate(zip(p.classes, p.two_sided)) if not f}
+    assert built_parts(spy) == rest_parts(g, rest)
 
 
 def _five_ring_chain(k):
@@ -896,18 +898,32 @@ def test_a_chain_of_five_rings_matches_its_reference(k, reference):
         assert weighted_suite_cut(g, p, starred).as_tuple() == reference(g, starred).as_tuple()
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="FOUND in CHANGES.md: each ring's quotient scans all of G, 439 800 against n + m = 2199",
-)
 def test_a_chain_of_five_rings_scans_g_a_bounded_number_of_times():
-    # each of the 200 ring classes builds a quotient of its rest, and each
-    # build scans all n + m of G; the bound allows a few passes over G
+    # each of the 200 ring classes builds the quotient of its rest on its
+    # own ring, a bridgeless piece; a build on G scanned all n + m of it,
+    # 439 800 in all. The bound allows a few passes over G
     g = _five_ring_chain(200)
     p = theta_star_partition(g)
     with _builds() as spy:
         weighted_suite_cut(g, p)
+    assert sum(call.args[0].n + call.args[0].m for call in spy.call_args_list) <= 4 * (g.n + g.m)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 12 (blocks): a spiro chain is one bridgeless piece, "
+    "so each ring's quotient scans all of G, 360 200 against n + m = 1801",
+)
+def test_a_spiro_chain_of_five_rings_scans_g_a_bounded_number_of_times():
+    # 200 five-rings, each sharing one vertex with the next: every ring is
+    # a Theta*-class that is no clean cut, and the chain has no bridge
+    k = 200
+    g = build_graph(4 * k + 1, [(4 * i + j, 4 * i + (j + 1) % 5) for i in range(k) for j in range(5)])
+    p = theta_star_partition(g)
+    assert p.two_sided.count(False) == k
+    with _builds() as spy:
+        assert weighted_suite_cut(g, p).as_tuple() == weighted_suite_direct(g).as_tuple()
     assert sum(call.args[0].n + call.args[0].m for call in spy.call_args_list) <= 4 * (g.n + g.m)
 
 
@@ -952,7 +968,9 @@ def test_a_validated_partition_is_flagged_on_its_lone_two_sided_classes(labels, 
         for starred in (False, True):
             report = weighted_suite_cut(g, p, starred)
             assert report.as_tuple() == oracle_suite(g, starred).as_tuple()
-    assert [call.args[2] for call in spy.call_args_list] == [{0, 1, 2}] * 2
+    # built on the triangle's piece, whose vertices 0, 1, 2 and edges 0, 1, 2
+    # are G's, in BFS order from G's vertex 0
+    assert built_parts(spy) == [(((0, 1), (1, 2), (2, 0)), [0, 1, 2])] * 2
 
 
 def test_flags_follow_the_classes_not_their_numbers():
@@ -973,6 +991,44 @@ def test_flags_follow_the_classes_not_their_numbers():
         for kind in _CUT_KINDS:
             assert general_cut_index(g, wa, reverse, kind) == oracle_general(g, wa, kind)
     assert spy.call_count == 2
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [[0, 0, 0, 1, 2, 0, 0, 0], [0, 0, 0, 1, 1, 0, 0, 0], [0] * 8],
+    ids=["bridges alone", "bridges together", "one class"],
+)
+def test_a_rest_that_spans_two_pieces_builds_a_quotient_on_each(labels):
+    # two triangles joined by a path of two bridges, both triangles in one
+    # class: its rest lies in two bridgeless pieces, each weighted with the
+    # far triangle and the path hanging on its end vertex
+    g = build_graph(7, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 6), (6, 4)])
+    p = EdgePartition.from_labels(labels)
+    wa = random_weight_assignment(random.Random(89), g, hi=9)
+    with _builds() as spy:
+        rows, d = indices._evaluate(g, wa, p)
+    # the triangles' pieces, {0, 1, 2} and {4, 5, 6} in BFS order, have
+    # one edge tuple
+    assert built_parts(spy) == [(((0, 1), (1, 2), (2, 0)), [0, 1, 2])] * 2
+    assert built_parts(spy) == rest_parts(g, {0: {0, 1, 2, 5, 6, 7}})
+    for row, members in zip(rows, p.classes, strict=True):
+        assert indices._totals([row], d) == _whole_quotient_row(g, wa, members)
+    assert indices._totals(rows, d) == tuple(oracle_general(g, wa, kind) for kind in IndexKind)
+    for starred in (False, True):
+        assert weighted_suite_cut(g, p, starred).as_tuple() == oracle_suite(g, starred).as_tuple()
+
+
+def test_the_cut_route_reads_its_bridges_off_the_theta_star_partition():
+    # a bridge is a one-edge Theta*-class, whose sides the pass over the
+    # clean cuts gives: the cut route looks for no bridge of G, and the
+    # engine looks once in each ring's quotient, a C5, as it did when the
+    # quotients were built on G
+    g = _five_ring_chain(20)
+    p = theta_star_partition(g)
+    with _spy("_bridges") as spy, mock.patch.object(graph, "_bridges", wraps=graph._bridges) as found:
+        assert weighted_suite_cut(g, p).as_tuple() == oracle_suite(g).as_tuple()
+    assert [(call.args[0].n, call.args[0].m) for call in spy.call_args_list] == [(5, 5)] * 20
+    assert found.call_count == 0
 
 
 @pytest.mark.parametrize(
@@ -1054,7 +1110,7 @@ def test_each_class_row_equals_its_whole_quotient(graph_and_weights, seed):
             assert _rows(weighted_suite_cut(g, p, starred)) == [
                 _whole_quotient_row(g, degree, members)[:4] for members in p.classes
             ]
-    assert [call.args[2] for call in spy.call_args_list] == [rest[c] for c in sorted(rest)] * 2
+    assert built_parts(spy) == rest_parts(g, rest) * 2
 
 
 # ---------------------------------------------------------------------------
