@@ -34,8 +34,8 @@ neighbour read.
 graph like the adjacency: the Theta* pass cuts its edges, the subtree
 aggregation of the side sums folds over it, and `_bridges` reads every
 bridge off it with XOR folds. `_pieces` cuts the tree at the bridges into
-the bridgeless pieces, each a graph of its own: Theta* and the generic
-side sums take each piece alone, and read the bridges as clean cuts.
+the bridgeless pieces; a bridgeless graph is its own. Theta* and both
+index routes take each piece alone, and read the bridges as clean cuts.
 `_sweep` is the one bit-parallel multi-source BFS: the generic side
 sums and the Theta* pass of every bridgeless piece both run it. `_bfs`
 is the one distance BFS, behind `bfs_distances`, `is_connected` and
@@ -385,12 +385,16 @@ def _bridges(g: Graph) -> list[int]:
     return [x for x in order[:0:-1] if not crossed[x]]
 
 
-def _pieces(g: Graph, below: list[int]) -> list[tuple[list[int], list[int], Graph]]:
+def _pieces(g: Graph, below: list[int]) -> list[tuple[Sequence[int], Sequence[int], Graph]]:
     """The bridgeless pieces of g that hold an edge: the components of its
     `_bfs_tree` cut at the bridges `below` (see `_bridges`). Each comes as its
-    vertices in BFS order, its edge ids in order, and its graph, in which
-    vertex i is the i-th of those vertices and edge j the j-th of those edges.
-    Every other edge is a bridge, and every other piece one vertex."""
+    vertices, its edge ids in order, and its graph, in which vertex i is the
+    i-th of those vertices and edge j the j-th of those edges. Every other
+    edge is a bridge, and every other piece one vertex. With no bridge, g
+    itself, uncopied, is the one piece, with range(n) and range(m), if it
+    has an edge; with bridges, a piece's vertices come in BFS order."""
+    if not below:
+        return [(range(g.n), range(g.m), g)] if g.m else []
     order, parent, _ = _bfs_tree(g)
     top = bytearray(g.n)
     for x in below:

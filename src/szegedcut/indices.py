@@ -40,10 +40,10 @@ sweep `graph._sweep` that the Theta* pass shares: every vertex and every
 edge is a source with its own bit, the balls around all vertices grow
 one hop per round, each vertex keeps the distances of the sources mod 4,
 and one pass per edge uv reads from them the sources nearer u and those
-nearer v. The `theta` module docstring says why the fold keeps the sums. Sources run in equal sweeps of at most
-`graph._SOURCE_BITS`, so memory stays linear in n + m. A sweep takes
-about one round per unit of diameter, so long thin pieces cost the most
-per edge.
+nearer v. The `theta` module docstring says why the fold keeps the
+sums. Sources run in equal sweeps of at most `graph._SOURCE_BITS`, so
+memory stays linear in n + m. A sweep takes about one round per unit of
+diameter, so long thin pieces cost the most per edge.
 
 The cut route reads each class of a c-partition as its two-sided
 Theta*-classes plus the rest, cut by bridgeless piece: splitting a class
@@ -207,9 +207,7 @@ def _folded_pieces(g, w, lam, lambda_prime, w_prime, bridges) -> list:
     a vertex's w and t also hold all that hangs on it through the bridges,
     each given as x below it in g's `_bfs_tree` and the weights (w0, t0,
     w1, t1, lambda', w') of its K2 from `_cut_sides`. With no bridge, g is
-    its own piece."""
-    if not bridges:
-        return [(range(g.m), g, w, lam, lambda_prime, w_prime)]
+    its own piece, as `_pieces` gives it."""
     parent = _bfs_tree(g)[1]
     w_in, t_in = list(w), list(lam)  # the side below a bridge hangs on its parent end, and vice versa
     for x, wb, tb, wa, ta, lp, _ in bridges:

@@ -23,11 +23,12 @@ of masks of at most `graph._SOURCE_BITS` bits, one pass over the tree
 per fold. A bridge is the simplest clean cut: a Theta*-class of its own,
 with one convex side at each end (Klavzar, MATCH 60 (2008) 255-274;
 Hammack, Imrich and Klavzar, Handbook of Product Graphs, 2nd ed., 2011).
-Each bridgeless piece with an edge takes the lattice route of its own,
-else the pass, with no second look for bridges: so a pendant or bridged
-molecule takes the lattice route piece by piece, a tree needs no pass at
-all, and only a bridgeless piece that the recognizer rejects reaches the
-pass. The values stay those of G: a piece P is isometric in G, as a path
+One loop reads each bridgeless piece with an edge (`graph._pieces`; G if
+bridgeless): it takes the lattice route, unless it is G, just rejected,
+else the pass, with no second look for bridges. So a bridged molecule
+takes the lattice route piece by piece, a tree needs no pass at all, and
+only a bridgeless piece that the recognizer rejects reaches the pass.
+The values stay those of G: a piece P is isometric in G, as a path
 that leaves P through a bridge must come back through it. Every vertex
 and edge outside P hangs on one vertex c of P, the near end of the first
 bridge on its way to P, and its distance to any vertex of P is its
@@ -42,7 +43,7 @@ of the bridges on the way, which is how `indices._folded_pieces` folds
 them for the direct and the cut route.
 
 A bridgeless piece that the recognizer rejects takes one pass over the
-edges of its BFS spanning tree, the one its bridges were read from, in
+edges of its own BFS spanning tree, G's when G is the piece, in
 O(n*m) time and O(n+m) memory. It runs sweeps of the bit-parallel
 multi-source BFS that the generic side sums share (`graph._sweep`; Then
 et al., PVLDB 8(4), 2014): each tree edge owns one source bit at each
@@ -271,41 +272,36 @@ def theta_star_partition(g: Graph) -> EdgePartition:
     all two-sided, as the chains of opposite sides of its hexagons and
     squares; its docstring holds the proof. A graph the recognizer rejects
     is cut at its bridges (`graph._bridges`), each a two-sided class of its
-    own, and every bridgeless piece with an edge takes the lattice route,
-    else the Theta* pass, `_theta_star_pass`; so only a bridgeless graph
-    that the recognizer rejects gets the pass. The module docstring says
-    why the pieces' classes and flags are those of g. Each route gives one
-    label per edge, the id of an edge in its class, and the pass one flag
-    per label; this function alone builds the partition and certifies it.
+    own, and one loop reads its bridgeless pieces (`graph._pieces`; g is its
+    own piece when it has no bridge): each takes the lattice route, unless
+    it is g, just rejected, else the pass, `_theta_star_pass`. The module
+    docstring says why the pieces' classes and flags are those of g. Each
+    route gives one label per edge, the id of an edge in its class, and the
+    pass one flag per label, in one list with every lattice class and bridge
+    flagged; this function alone builds the partition and certifies it.
 
     Raises:
         DisconnectedError: if g is not connected.
     """
     from .molgen import _lattice_labels  # deferred: molgen imports this module
 
-    labels, sided = _lattice_labels(g), None  # None: every class two-sided
+    labels = _lattice_labels(g)
+    sided = [True] * g.m  # every lattice class and every bridge is two-sided
     if labels is None:
-        below = _bridges(g)
-        if not below and g.m:
-            labels, sided = _theta_star_pass(g)
-        else:
-            # a bridge labels itself and is two-sided; a piece's labels,
-            # edges of the piece, map to g's edge ids
-            labels = list(range(g.m))
-            sided = [True] * g.m
-            for _, ids, piece in _pieces(g, below):
-                local = _lattice_labels(piece)
-                if local is None:  # a piece has no bridge to look for
-                    local, flags = _theta_star_pass(piece)
-                    for e, flag in zip(ids, flags):
-                        sided[e] = flag
-                for e, r in zip(ids, local):
-                    labels[e] = ids[r]
+        # a bridge labels itself; a piece's labels, edges of the piece, map
+        # to g's edge ids. g, bridgeless, is its own piece, just rejected
+        labels = list(range(g.m))
+        for _, ids, piece in _pieces(g, _bridges(g)):
+            local = None if piece is g else _lattice_labels(piece)
+            if local is None:  # a piece has no bridge to look for
+                local, flags = _theta_star_pass(piece)
+                for e, flag in zip(ids, flags):
+                    sided[e] = flag
+            for e, r in zip(ids, local):
+                labels[e] = ids[r]
     p = EdgePartition.from_labels(labels)
     # `from_labels` numbers the classes by first appearance of their label
-    two_sided = (True,) * len(p) if sided is None else tuple(
-        map(sided.__getitem__, dict.fromkeys(labels)))
-    return _trust(p, g.edges, two_sided)
+    return _trust(p, g.edges, tuple(map(sided.__getitem__, dict.fromkeys(labels))))
 
 
 def _theta_star_pass(g: Graph) -> tuple[list[int], list[bool]]:

@@ -199,8 +199,7 @@ def rest_parts(g: Graph, rest: dict[int, set[int]]) -> list[tuple[tuple, list[in
     ids of its Theta*-classes that are no clean cut: one per class and
     bridgeless piece that share an edge, in class order and then piece
     order, on g itself when g has no bridge."""
-    below = graph._bridges(g)
-    pieces = [(es, piece) for _, es, piece in graph._pieces(g, below)] if below else [(range(g.m), g)]
+    pieces = [(es, piece) for _, es, piece in graph._pieces(g, graph._bridges(g))]
     return [
         (piece.edges, [j for j, e in enumerate(es) if e in rest[c]])
         for c in sorted(rest)

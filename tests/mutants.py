@@ -151,7 +151,7 @@ MUTANTS = [
         ],
     ),
     (
-        "bridges not flagged two-sided",
+        "bridges and lattice classes not flagged two-sided",
         "theta.py",
         "sided = [True] * g.m",
         "sided = [False] * g.m",
@@ -168,6 +168,28 @@ MUTANTS = [
         [
             "tests/test_theta.py::test_a_bridged_graph_builds_and_certifies_one_partition",
             "tests/test_theta.py::test_bridged_graphs_match_the_oracle_and_the_pass",
+        ],
+    ),
+    (
+        "_pieces gives no piece for a bridgeless graph",
+        "graph.py",
+        "return [(range(g.n), range(g.m), g)] if g.m else []",
+        "return []",
+        [
+            "tests/test_graph.py::test_a_bridgeless_graph_is_its_own_piece",
+            "tests/test_theta.py::test_odd_cycles_collapse_to_one_class",
+            "tests/test_indices.py::test_suite_direct_c6",
+        ],
+    ),
+    (
+        "the cut route scans all of G once per two-sided class, and discards the scan",
+        "indices.py",
+        "            cuts[p.class_of[e]].append(cut)\n",
+        "            quotient_graph(g, wa, members)\n"
+        "            cuts[p.class_of[e]].append(cut)\n",
+        [
+            "tests/test_scaling.py::test_work_grows_linearly[kinked phenylene chain-cut on Theta*]",
+            "tests/test_scaling.py::test_work_grows_linearly[random tree-cut on Theta*]",
         ],
     ),
     (

@@ -259,6 +259,16 @@ def test_new_graphs_start_without_a_tree():
     assert graph._bfs_tree(parsed) == tree
 
 
+def test_a_bridgeless_graph_is_its_own_piece():
+    # with no bridge, g itself, uncopied, is the one piece, with every
+    # vertex and edge; a graph with no edge has no piece
+    c5 = cycle_graph(5)
+    ((vs, es, piece),) = graph._pieces(c5, [])
+    assert (vs, es) == (range(5), range(5)) and piece is c5
+    assert graph._pieces(c5, graph._bridges(c5))[0][2] is c5
+    assert graph._pieces(build_graph(1, []), []) == []
+
+
 def test_the_kept_tree_is_a_bfs_tree_whichever_end_an_edge_lists_first():
     # each vertex hangs from its parent edge, one hop nearer vertex 0, and
     # the order visits vertices by distance

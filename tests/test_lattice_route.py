@@ -38,7 +38,7 @@ from szegedcut import (
 from szegedcut import molgen, theta
 from szegedcut.molgen import _forward_pairs, _lattice_labels, _region
 
-from conftest import RING_CELLS, WIDE_RING_CELLS, kinked_chain_cells, pass_facts, row_convex_cells
+from conftest import RING_CELLS, WIDE_RING_CELLS, cycle_graph, kinked_chain_cells, pass_facts, row_convex_cells
 
 _AXIAL = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))
 
@@ -297,6 +297,25 @@ def test_odd_graphs_of_degree_at_most_3_fail_the_walk_or_the_rebuild(name):
         star = theta_star_partition(g)
     assert walk.call_count == (2 if name == "triangle with a tail" else 1)
     assert star == oracle_theta_star_partition(g)
+
+
+@pytest.mark.parametrize("name", ["Petersen", "C2001"])
+def test_a_rejected_bridgeless_graph_is_walked_once_and_passed_whole(name):
+    # g is its own one piece: the loop over pieces does not walk it again,
+    # and its pass runs on g itself, not on a copy
+    g = _petersen() if name == "Petersen" else cycle_graph(2001)
+    with (
+        mock.patch.object(molgen, "_lattice_labels", wraps=molgen._lattice_labels) as walks,
+        mock.patch.object(theta, "_theta_star_pass", wraps=theta._theta_star_pass) as passes,
+    ):
+        star = theta_star_partition(g)
+    # a Graph compares by identity
+    assert [call.args[0] for call in walks.call_args_list] == [g]
+    assert [call.args[0] for call in passes.call_args_list] == [g]
+    if name == "Petersen":
+        assert star == oracle_theta_star_partition(g)
+    else:  # an odd cycle is one class, and no clean cut
+        assert (len(star), star.two_sided) == (1, (False,))
 
 
 def _two_joined_by_a_bridge(g):
